@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster import BlockStorage, SimCluster, SimulationLedger
+from ..cluster import BlockStorage, CostModel, SimCluster, SimulationLedger
 from ..faults.errors import PartitionUnavailableError
 from ..faults.injector import get_injector
 from ..telemetry.metrics import get_registry
@@ -36,11 +36,7 @@ from .global_index import (
     collect_layer_statistics,
 )
 from .isaxt import batch_signatures
-from .local_index import (
-    REGION_PREFIX_BITS,
-    LocalPartition,
-    build_local_partition,
-)
+from .local_index import LocalPartition, build_local_partition
 
 __all__ = [
     "IngestReport",
@@ -50,6 +46,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Default simulated hardware: what a partition load is charged against.
+_COST_MODEL = CostModel()
 
 
 def convert_records(
@@ -106,7 +105,6 @@ class TardisIndex:
 
     def load_partition(
         self, partition_id: int, ledger: SimulationLedger | None = None,
-        cluster: SimCluster | None = None,
     ) -> LocalPartition:
         """Fetch a partition, charging its disk-load cost to ``ledger``.
 
@@ -123,24 +121,8 @@ class TardisIndex:
         partition = self.partitions[partition_id]
         registry = get_registry()
         cache = getattr(self, "_partition_cache", None)
-        if cache is not None and cache.admit(partition_id):
-            if ledger is not None:
-                ledger.record_stage(
-                    "query/load partition (cached)", wall_s=0.0, tasks=1
-                )
-            registry.counter(
-                "query_partitions_loaded_total",
-                "Partition loads performed by queries (cached or not)",
-            ).inc()
-            if _KERNELS.enabled:
-                _KERNELS.record("partition_cache_hit",
-                                elements=partition.nbytes)
-            with get_tracer().span("query/load partition") as span:
-                span.set("partition_id", partition_id)
-                span.set("cached", True)
-                span.set("simulated_s", 0.0)
-            return partition
-        injector = get_injector()
+        cached = cache is not None and cache.admit(partition_id)
+        injector = None if cached else get_injector()
         delay_s = 0.0
         if injector is not None:
             # Retry loop with exponential backoff + deterministic jitter.
@@ -175,26 +157,28 @@ class TardisIndex:
                         "query/load partition (retry)", wall_s=pause, tasks=1
                     )
                 attempt += 1
+        io = 0.0
         if ledger is not None:
-            cost_model = (cluster or SimCluster(self.config.n_workers)).cost_model
-            io = cost_model.disk_read_time(
-                max(partition.nbytes, self.block_nbytes())
-            )
+            if not cached:
+                io = _COST_MODEL.disk_read_time(
+                    max(partition.nbytes, self.block_nbytes())
+                )
             ledger.record_stage(
-                "query/load partition", wall_s=io + delay_s, io_s=io, tasks=1
+                "query/load partition" + (" (cached)" if cached else ""),
+                wall_s=io + delay_s, io_s=io, tasks=1,
             )
-        else:
-            io = 0.0
         registry.counter(
             "query_partitions_loaded_total",
             "Partition loads performed by queries (cached or not)",
         ).inc()
         if _KERNELS.enabled:
-            _KERNELS.record("partition_load", elements=partition.nbytes,
-                            seconds=delay_s)
+            _KERNELS.record(
+                "partition_cache_hit" if cached else "partition_load",
+                elements=partition.nbytes, seconds=delay_s,
+            )
         with get_tracer().span("query/load partition") as span:
             span.set("partition_id", partition_id)
-            span.set("cached", False)
+            span.set("cached", cached)
             span.set("simulated_s", io + delay_s)
         return partition
 
@@ -364,8 +348,7 @@ class TardisIndex:
             ):
                 report.partition_ids.append(partition_id)
                 continue
-            region_bits = min(REGION_PREFIX_BITS, partition.tree.max_bits)
-            prefix = signature[: region_bits * partition.tree.per_plane]
+            prefix = partition.region_prefix(signature)
             new_region = prefix not in partition.region_prefixes
             partition.insert_record(signature, rid, values)
             self.n_records += 1
@@ -461,9 +444,6 @@ class TardisIndex:
                 f"partition {pid}: root count drift"
             )
             total += len(entries)
-            bits = partition.tree.max_bits
-            per_plane = partition.tree.per_plane
-            region_bits = min(REGION_PREFIX_BITS, bits)
             for sig, rid, series in entries:
                 assert self.global_index.route(sig) == pid, (
                     f"record {rid} stored in partition {pid} but routes "
@@ -472,7 +452,7 @@ class TardisIndex:
                 assert partition.might_contain(sig), (
                     f"record {rid}: Bloom filter lost its signature"
                 )
-                assert sig[: region_bits * per_plane] in partition.region_prefixes, (
+                assert partition.region_prefix(sig) in partition.region_prefixes, (
                     f"record {rid}: region synopsis does not cover it"
                 )
                 if self.clustered:

@@ -18,7 +18,7 @@ in-memory existence test before paying the partition-load latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -29,7 +29,8 @@ from ..telemetry.perf import KERNELS as _KERNELS
 from ..tsdb.distance import mindist_paa_to_word, mindist_paa_to_words
 from .columnar import ColumnarBlock
 from .config import TardisConfig
-from .isaxt import batch_decode_signatures, decode_signature, reduce_signature
+from .isaxt import batch_decode_signatures, decode_signature
+from .region import RegionSynopsis
 from .sigtree import SigTree, SigTreeNode
 
 __all__ = [
@@ -40,12 +41,9 @@ __all__ = [
     "REGION_PREFIX_BITS",
 ]
 
-#: Cardinality bits of the per-partition region synopsis.  Every entry's
-#: signature prefix at this level is recorded, so the synopsis covers the
-#: partition's *actual* contents — including records fallback-routed into
-#: it because their signature was unseen during Tardis-G sampling.  The
-#: sampled Tardis-G leaf regions alone are NOT a sound pruning bound for
-#: such records (see EXPERIMENTS.md methodology notes).
+#: Cardinality bits of the per-partition region synopsis
+#: (:class:`~repro.core.region.RegionSynopsis`): every stored entry's
+#: signature prefix at this level is recorded.
 REGION_PREFIX_BITS = 2
 
 #: Legacy entry layout, still used at API edges (persistence, validate):
@@ -112,48 +110,32 @@ class LocalPartition:
     clustered: bool
     #: Simulated on-disk payload size (drives partition-load I/O charges).
     nbytes: int
-    #: Region synopsis: distinct REGION_PREFIX_BITS-level signature
-    #: prefixes of the records actually stored here.  Tiny (bounded by
-    #: the number of distinct coarse regions), kept in memory with the
+    #: Region synopsis of the records actually stored here.  Tiny (bounded
+    #: by the number of distinct coarse regions), kept in memory with the
     #: Bloom filter, and the basis of sound pre-load pruning.
-    region_prefixes: set = None  # type: ignore[assignment]
+    region: RegionSynopsis = None  # type: ignore[assignment]
     #: Columnar record storage; sigTree leaves index into it.
     block: ColumnarBlock = None  # type: ignore[assignment]
-    #: Cached (n_prefixes, symbols, bits) decode of the region synopsis;
-    #: rebuilt whenever the synopsis has grown.
-    _region_cache: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if self.region_prefixes is None:
-            self.region_prefixes = set()
-
-    def register_region(self, full_signature: str) -> None:
-        """Record a stored signature's coarse prefix in the synopsis."""
-        bits = min(REGION_PREFIX_BITS, self.tree.max_bits)
-        self.region_prefixes.add(
-            reduce_signature(full_signature, bits, self.tree.word_length)
+        if self.region is None:
+            self.region = RegionSynopsis(self.tree.word_length)
+        self._region_chars = (
+            min(REGION_PREFIX_BITS, self.tree.max_bits) * self.tree.per_plane
         )
 
-    def _region_symbols(self) -> tuple[np.ndarray, int]:
-        """Decoded synopsis matrix; cached until the synopsis grows."""
-        cache = self._region_cache
-        if cache is not None and cache[0] == len(self.region_prefixes):
-            return cache[1], cache[2]
-        prefixes = np.asarray(sorted(self.region_prefixes))
-        symbols, bits = batch_decode_signatures(prefixes, self.tree.word_length)
-        self._region_cache = (len(self.region_prefixes), symbols, bits)
-        return symbols, bits
+    @property
+    def region_prefixes(self) -> set:
+        return self.region.region_prefixes
+
+    def region_prefix(self, full_signature: str) -> str:
+        """The coarse prefix a stored signature adds to the synopsis."""
+        return full_signature[: self._region_chars]
 
     def region_bound(self, query_paa: np.ndarray, series_length: int) -> float:
         """Sound lower bound on the distance from the query to ANY record
         in this partition (min MINDIST over the synopsis regions)."""
-        if not self.region_prefixes:
-            return float(np.inf)
-        symbols, bits = self._region_symbols()
-        bounds = mindist_paa_to_words(query_paa, symbols, bits, series_length)
-        return float(bounds.min())
+        return self.region.bound(query_paa, series_length)
 
     # -- exact match ------------------------------------------------------------
 
@@ -345,7 +327,7 @@ class LocalPartition:
         leaf = self.tree.insert_entry(row)
         if with_bloom:
             self.bloom.add(signature)
-        self.register_region(signature)
+        self.region.add([self.region_prefix(signature)])
         self.n_records += 1
         self.nbytes += len(signature) + 8 + estimate_bytes(series)
         return leaf
@@ -432,9 +414,8 @@ def build_local_partition(
     if with_bloom:
         for signature in signatures:
             bloom.add(signature)
-    region_bits = min(REGION_PREFIX_BITS, tree.max_bits)
-    prefix_chars = region_bits * tree.per_plane
-    partition.region_prefixes = {s[:prefix_chars] for s in signatures}
+    chars = partition._region_chars
+    partition.region.add({s[:chars] for s in signatures})
     nbytes = 0
     for record in records:
         nbytes += len(record[0]) + 8 + estimate_bytes(record[2])

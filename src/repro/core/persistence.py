@@ -33,6 +33,7 @@ from .config import TardisConfig
 from .global_index import TardisGlobalIndex
 from .isaxt import batch_decode_signatures
 from .local_index import LocalPartition
+from .region import RegionSynopsis
 from .sigtree import SigTree
 
 __all__ = ["save_index", "load_index"]
@@ -188,7 +189,10 @@ def load_index(path: str | Path) -> TardisIndex:
             n_records=len(rids),
             clustered=meta["clustered"],
             nbytes=int(payload["nbytes"][0]),
-            region_prefixes={str(p) for p in payload["region_prefixes"]},
+            region=RegionSynopsis(
+                config.word_length,
+                (str(p) for p in payload["region_prefixes"]),
+            ),
             block=block,
         )
 

@@ -20,6 +20,7 @@ reproduce the Fig. 14-16 latency shapes.
 from __future__ import annotations
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,9 @@ __all__ = [
     "knn_one_partition_access",
     "knn_multi_partitions_access",
     "select_mpa_partitions",
+    "PartitionScan",
+    "scan_partitions",
+    "merge_top_k",
     "KNN_STRATEGIES",
 ]
 
@@ -322,51 +326,6 @@ def knn_target_node_access(
     return result
 
 
-def knn_one_partition_access(
-    index: TardisIndex, query: np.ndarray, k: int
-) -> KnnResult:
-    """One Partition Access: widen TNA with a pruned home-partition scan."""
-    _require_clustered(index)
-    result = KnnResult(neighbors=[], strategy="one-partition")
-    with get_tracer().span("query/knn", strategy="one-partition", k=k) as span:
-        with timed_stage(result.ledger, "query/route"):
-            signature, paa = query_signature(index, query)
-            partition_id = index.global_index.route(signature)
-        try:
-            partition = index.load_partition(partition_id, ledger=result.ledger)
-        except PartitionUnavailableError:
-            result.degraded = True
-            result.missing_partitions = [partition_id]
-            _annotate_knn_span(span, result)
-            _count_degraded()
-            _record_query_metrics(simulated_s=result.ledger.clock_s)
-            return result
-        result.partitions_loaded = 1
-        result.partition_ids_loaded = [partition_id]
-        with timed_stage(result.ledger, "query/local search"):
-            scan = ScanStats()
-            target = partition.target_node(signature, k)
-            seed_entries = partition.entries_under(target, stats=scan)
-            seed = _top_k(query, partition, seed_entries, k)
-            threshold = seed[-1].distance if len(seed) >= k else np.inf
-            extra = partition.pruned_entries(
-                paa, threshold, index.series_length, skip=target, stats=scan
-            )
-            candidates = np.concatenate([seed_entries, extra])
-            result.candidates_examined = len(candidates)
-            result.nodes_visited = (target.layer + 1) + scan.visited
-            result.nodes_pruned = scan.pruned
-            result.neighbors = _top_k(query, partition, candidates, k)
-        _annotate_knn_span(span, result)
-    _record_query_metrics(
-        candidates=result.candidates_examined,
-        nodes_visited=result.nodes_visited,
-        nodes_pruned=result.nodes_pruned,
-        simulated_s=result.ledger.clock_s,
-    )
-    return result
-
-
 def select_mpa_partitions(global_index, signature, pth, bound_of):
     """Candidate partitions for one Multi-Partitions Access query.
 
@@ -392,134 +351,192 @@ def select_mpa_partitions(global_index, signature, pth, bound_of):
     return home_pid, pid_list
 
 
-def knn_multi_partitions_access(
+@dataclass
+class PartitionScan:
+    """What :func:`scan_partitions` found in one set of partitions."""
+
+    #: Partition ids that loaded, in request order; the rest are missing.
+    loaded: list[int]
+    missing: list[int]
+    #: The pruning threshold used (computed here when this scan seeded).
+    threshold: float
+    #: One top-k list per scanned partition (plus the seed's, first).
+    tops: list[list[Neighbor]] = field(default_factory=list)
+    candidates: int = 0
+    #: sigTree nodes visited / MINDIST-pruned across all the scans.
+    stats: ScanStats = field(default_factory=ScanStats)
+    #: Layer of the home target node; None unless this scan seeded.
+    target_layer: int | None = None
+    #: The seed partition itself would not load: nothing was scanned.
+    home_lost: bool = False
+
+
+def _stage(ledger: SimulationLedger | None, label: str):
+    """A ledger-charged (and traced) stage, or nothing without a ledger."""
+    return nullcontext() if ledger is None else timed_stage(ledger, label)
+
+
+def scan_partitions(
     index: TardisIndex,
     query: np.ndarray,
+    signature: str,
+    paa: np.ndarray,
     k: int,
-    pth: int | None = None,
-    seed: int = 0,
-) -> KnnResult:
-    """Multi-Partitions Access (Alg. 1): prune across sibling partitions.
+    partition_ids,
+    home_pid: int | None = None,
+    threshold: float = np.inf,
+    ledger: SimulationLedger | None = None,
+) -> PartitionScan:
+    """Load, threshold, prune and rank: Alg. 1 lines 5-16 for one host.
 
-    The sibling partition list comes from the routed node's parent in
-    Tardis-G; when it exceeds ``pth``, the candidates with the smallest
-    region-synopsis MINDIST bound are kept (always including the home
-    partition, which supplies the pruning threshold).  ``seed`` is
-    retained for API compatibility; selection is fully deterministic.
+    Every partition in ``partition_ids`` is loaded; those still
+    unavailable after the injector's retries land in ``missing`` and the
+    caller degrades.  With ``home_pid`` given this scan *seeds*: the
+    threshold is the k-th distance inside the home partition's target
+    node (lines 10-14; +inf with fewer than ``k`` entries) and the
+    target node is skipped by the home partition's own pruned scan.
+    Otherwise ``threshold`` carries the value an earlier seed scan
+    returned.  Each loaded partition is then MINDIST-pruned and ranked
+    on its own (lines 15-16: ``partitions.scan(th).calEuSort(qts)``), so
+    only per-partition top-k lists reach :func:`merge_top_k`.
+
+    ``ledger``, when given, is charged as the paper's cluster would be —
+    loads and scans run in parallel across workers, so each costs its
+    slowest single partition.
     """
-    _require_clustered(index)
-    del seed
-    pth = pth or index.config.pth
-    result = KnnResult(neighbors=[], strategy="multi-partitions")
-    with get_tracer().span(
-        "query/knn", strategy="multi-partitions", k=k, pth=pth
-    ) as span:
-        with timed_stage(result.ledger, "query/route"):
-            signature, paa = query_signature(index, query)
-            home_pid, pid_list = select_mpa_partitions(
-                index.global_index,
-                signature,
-                pth,
-                bound_of=lambda pid: index.partitions[pid].region_bound(
-                    paa, index.series_length
-                ),
-            )
-        # Load all partitions (workers pull blocks in parallel → latency is
-        # the max single load, matching Alg. 1's concurrent readHdfsBlock).
-        # Partitions still unavailable after retries are collected and the
-        # query degrades instead of failing.
-        loaded: dict[int, LocalPartition] = {}
-        load_times = []
-        missing: list[int] = []
-        for pid in pid_list:
-            sub_ledger = SimulationLedger()
-            try:
-                loaded[pid] = index.load_partition(pid, ledger=sub_ledger)
-            except PartitionUnavailableError:
-                missing.append(pid)
+    loaded: dict[int, LocalPartition] = {}
+    missing: list[int] = []
+    load_times = []
+    for pid in partition_ids:
+        sub_ledger = None if ledger is None else SimulationLedger()
+        try:
+            loaded[pid] = index.load_partition(pid, ledger=sub_ledger)
+        except PartitionUnavailableError:
+            missing.append(pid)
+        if sub_ledger is not None:
             load_times.append(sub_ledger.clock_s)
-        parallel_load = max(load_times, default=0.0)
-        result.ledger.record_stage(
-            "query/load partitions", wall_s=parallel_load,
-            io_s=sum(load_times), tasks=len(pid_list),
+    if ledger is not None:
+        ledger.record_stage(
+            "query/load partitions", wall_s=max(load_times, default=0.0),
+            io_s=sum(load_times), tasks=len(load_times),
         )
-        result.partitions_loaded = len(loaded)
-        result.partition_ids_loaded = list(loaded)
-        if home_pid not in loaded:
+    scan = PartitionScan(list(loaded), missing, threshold)
+    stats = scan.stats
+    target = None
+    if home_pid is not None:
+        home = loaded.get(home_pid)
+        if home is None:
             # The threshold partition itself is gone: no sound subset of
-            # the baseline can be computed, so degrade to empty.
-            result.degraded = True
-            result.missing_partitions = sorted(set(missing))
-            _annotate_knn_span(span, result)
-            _count_degraded()
-            _record_query_metrics(simulated_s=result.ledger.clock_s)
-            return result
-        scan = ScanStats()
-        # Threshold from the home partition's target node (Alg. 1 lines
-        # 10-14).
-        with timed_stage(result.ledger, "query/threshold"):
-            home = loaded[home_pid]
+            # the baseline can be computed.
+            scan.home_lost = True
+            return scan
+        with _stage(ledger, "query/threshold"):
             target = home.target_node(signature, k)
-            seed_entries = home.entries_under(target, stats=scan)
-            seed_top = _top_k(query, home, seed_entries, k)
-            threshold = seed_top[-1].distance if len(seed_top) >= k else np.inf
-        # Scan + rank each partition with the threshold, in parallel (lines
-        # 15-16: ``partitions.scan(th).calEuSort(qts)``).  Each worker scans
-        # and distance-sorts its own partition, so the charged latency is the
-        # slowest single partition, and only per-partition top-k lists reach
-        # the driver for the final cheap merge (line 17's ``take(k)``).
-        per_partition_tops: list[list[Neighbor]] = [seed_top]
-        total_candidates = len(seed_entries)
-        scan_times = []
-        for pid, partition in loaded.items():
-            skip = target if pid == home_pid else None
-            scratch = SimulationLedger()
-            with timed_stage(scratch, "query/scan partition"):
-                survivors = partition.pruned_entries(
-                    paa, threshold, index.series_length, skip=skip, stats=scan
-                )
-                per_partition_tops.append(_top_k(query, partition, survivors, k))
-            total_candidates += len(survivors)
+            seed_rows = home.entries_under(target, stats=stats)
+            seed_top = _top_k(query, home, seed_rows, k)
+            if len(seed_top) >= k:
+                scan.threshold = seed_top[-1].distance
+        scan.target_layer = target.layer
+        scan.tops.append(seed_top)
+        scan.candidates = len(seed_rows)
+    scan_times = []
+    for pid, partition in loaded.items():
+        scratch = None if ledger is None else SimulationLedger()
+        with _stage(scratch, "query/scan partition"):
+            rows = partition.pruned_entries(
+                paa, scan.threshold, index.series_length,
+                skip=target if pid == home_pid else None, stats=stats,
+            )
+            scan.tops.append(_top_k(query, partition, rows, k))
+        scan.candidates += len(rows)
+        if scratch is not None:
             scan_times.append(scratch.clock_s)
-        result.ledger.record_stage(
+    if ledger is not None:
+        ledger.record_stage(
             "query/parallel scan+rank",
             wall_s=max(scan_times, default=0.0),
             cpu_s=sum(scan_times),
             tasks=len(scan_times),
         )
-        with timed_stage(result.ledger, "query/merge"):
-            merged = [n for top in per_partition_tops for n in top]
-            merged.sort(key=lambda n: (n.distance, n.record_id))
-            deduped: list[Neighbor] = []
-            seen_ids: set[int] = set()
-            for neighbor in merged:
-                if neighbor.record_id not in seen_ids:
-                    seen_ids.add(neighbor.record_id)
-                    deduped.append(neighbor)
-                if len(deduped) == k:
-                    break
-            if missing:
-                # Subset guarantee: the region synopsis gives a MINDIST
-                # lower bound on the distance to ANY record in a missing
-                # partition without loading it.  Every kept neighbor
-                # strictly below the smallest such bound provably precedes
-                # all missing candidates in the baseline ordering, so the
-                # truncated answer is a prefix-subset of the no-fault
-                # result.
-                safe_bound = min(
+    return scan
+
+
+def merge_top_k(tops, k: int, missing_bounds=()) -> list[Neighbor]:
+    """Alg. 1 line 17's ``take(k)`` over per-partition top-k lists.
+
+    ``(distance, record_id)`` order, one entry per record id, at most
+    ``k``.  ``missing_bounds`` are the region bounds of the partitions
+    that should have been scanned but were unavailable: each is a lower
+    bound on the distance to ANY record of its partition, so every kept
+    neighbor *strictly* below the smallest of them provably precedes all
+    missing candidates in the baseline ordering — the degraded answer is
+    a prefix-subset of the no-fault result.
+    """
+    merged = sorted(
+        (n for top in tops for n in top),
+        key=lambda n: (n.distance, n.record_id),
+    )
+    kept: list[Neighbor] = []
+    seen_ids: set[int] = set()
+    for neighbor in merged:
+        if len(kept) == k:
+            break
+        if neighbor.record_id not in seen_ids:
+            seen_ids.add(neighbor.record_id)
+            kept.append(neighbor)
+    safe_bound = min(missing_bounds, default=np.inf)
+    return [n for n in kept if n.distance < safe_bound]
+
+
+def _pruned_knn(
+    index: TardisIndex, query: np.ndarray, k: int, strategy: str,
+    pth: int | None,
+) -> KnnResult:
+    """plan → scan → merge, the body of both threshold-pruned strategies.
+
+    ``pth=None`` plans the home partition alone (One Partition Access);
+    otherwise the plan is :func:`select_mpa_partitions`' capped sibling
+    list.
+    """
+    _require_clustered(index)
+    result = KnnResult(neighbors=[], strategy=strategy)
+    span_attrs = {} if pth is None else {"pth": pth}
+    with get_tracer().span(
+        "query/knn", strategy=strategy, k=k, **span_attrs
+    ) as span:
+        with timed_stage(result.ledger, "query/route"):
+            signature, paa = query_signature(index, query)
+            if pth is None:
+                home_pid = index.global_index.route(signature)
+                pid_list = [home_pid]
+            else:
+                home_pid, pid_list = select_mpa_partitions(
+                    index.global_index, signature, pth,
+                    bound_of=lambda pid: index.partitions[pid].region_bound(
+                        paa, index.series_length
+                    ),
+                )
+        scan = scan_partitions(
+            index, query, signature, paa, k, pid_list,
+            home_pid=home_pid, ledger=result.ledger,
+        )
+        result.partitions_loaded = len(scan.loaded)
+        result.partition_ids_loaded = scan.loaded
+        if scan.missing:
+            result.degraded = True
+            result.missing_partitions = sorted(scan.missing)
+            _count_degraded()
+        if not scan.home_lost:
+            with timed_stage(result.ledger, "query/merge"):
+                result.neighbors = merge_top_k(scan.tops, k, [
                     index.partitions[pid].region_bound(
                         paa, index.series_length
                     )
-                    for pid in missing
-                )
-                deduped = [n for n in deduped if n.distance < safe_bound]
-                result.degraded = True
-                result.missing_partitions = sorted(set(missing))
-                _count_degraded()
-            result.candidates_examined = total_candidates
-            result.neighbors = deduped
-        result.nodes_visited = (target.layer + 1) + scan.visited
-        result.nodes_pruned = scan.pruned
+                    for pid in scan.missing
+                ])
+            result.candidates_examined = scan.candidates
+            result.nodes_visited = (scan.target_layer + 1) + scan.stats.visited
+            result.nodes_pruned = scan.stats.pruned
         _annotate_knn_span(span, result)
     _record_query_metrics(
         candidates=result.candidates_examined,
@@ -528,10 +545,35 @@ def knn_multi_partitions_access(
         simulated_s=result.ledger.clock_s,
     )
     logger.debug(
-        "multi-partitions kNN: %d partitions, %d candidates",
-        result.partitions_loaded, result.candidates_examined,
+        "%s kNN: %d partitions, %d candidates",
+        strategy, result.partitions_loaded, result.candidates_examined,
     )
     return result
+
+
+def knn_one_partition_access(
+    index: TardisIndex, query: np.ndarray, k: int
+) -> KnnResult:
+    """One Partition Access: widen TNA with a pruned home-partition scan."""
+    return _pruned_knn(index, query, k, "one-partition", None)
+
+
+def knn_multi_partitions_access(
+    index: TardisIndex,
+    query: np.ndarray,
+    k: int,
+    pth: int | None = None,
+) -> KnnResult:
+    """Multi-Partitions Access (Alg. 1): prune across sibling partitions.
+
+    The sibling partition list comes from the routed node's parent in
+    Tardis-G; when it exceeds ``pth``, the candidates with the smallest
+    region-synopsis MINDIST bound are kept (always including the home
+    partition, which supplies the pruning threshold).
+    """
+    return _pruned_knn(
+        index, query, k, "multi-partitions", pth or index.config.pth
+    )
 
 
 #: Strategy registry used by benchmarks and examples.

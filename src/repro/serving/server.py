@@ -56,6 +56,7 @@ import numpy as np
 
 from ..faults.errors import PartialResultError
 from ..faults.injector import get_injector
+from ..telemetry.carrier import extract, reply_trace
 from .admission import DeadlineExceededError, OverloadedError
 from .requests import QueryRequest, result_to_wire
 from .service import QueryService
@@ -64,6 +65,7 @@ __all__ = [
     "TardisServer",
     "ServingClient",
     "RequestTimeoutError",
+    "unwrap_reply",
     "serve",
     "PROTO_VERSION",
 ]
@@ -99,14 +101,77 @@ def _error(kind: str, message: str, **extra) -> dict:
     return {"ok": False, "error": {"type": kind, "message": message, **extra}}
 
 
+def _error_envelope(exc: Exception, op) -> dict:
+    """The typed serving error → wire envelope mapping (every op)."""
+    if isinstance(exc, OverloadedError):
+        # Writes ride the admission queue too; shed writes get the same
+        # typed envelope as shed queries.
+        return _error(
+            "overloaded", str(exc),
+            queue_depth=exc.depth, capacity=exc.capacity,
+        )
+    if isinstance(exc, DeadlineExceededError):
+        return _error(
+            "deadline", str(exc),
+            waited_ms=exc.waited_s * 1000.0,
+            deadline_ms=exc.deadline_s * 1000.0,
+        )
+    if isinstance(exc, PartialResultError):
+        return _error(
+            "partial-result", str(exc),
+            missing_partitions=list(exc.missing_partitions),
+        )
+    if isinstance(exc, RequestTimeoutError):
+        # An upstream hop (router → shard) timed out with no usable
+        # fallback: distinct from "deadline" (this request's own budget)
+        # so clients can tell the two apart.
+        return _error("timeout", str(exc), timeout_s=exc.timeout_s)
+    if isinstance(exc, (ValueError, TypeError)):
+        # Validation failures (wrong length, bad plan, malformed
+        # fields) are the client's fault.  RuntimeError is NOT: the
+        # service raises it for server-side conditions ("not running",
+        # batch-loop failures set on futures), which must surface as
+        # "internal", not "bad-request".
+        return _error("bad-request", str(exc))
+    logger.error("internal error in op %r", op, exc_info=exc)
+    return _error("internal", f"{type(exc).__name__}: {exc}")
+
+
+def unwrap_reply(envelope: dict):
+    """Reply envelope → result payload, or raise the typed error it
+    carries (the inverse of :func:`_error_envelope`)."""
+    if envelope.get("ok"):
+        return envelope["result"]
+    error = envelope.get("error") or {}
+    kind = error.get("type", "unknown")
+    if kind == "overloaded":
+        raise OverloadedError(
+            error.get("queue_depth", 0), error.get("capacity", 0)
+        )
+    if kind == "deadline":
+        raise DeadlineExceededError(
+            error.get("waited_ms", 0.0) / 1000.0,
+            error.get("deadline_ms", 0.0) / 1000.0,
+        )
+    if kind == "partial-result":
+        raise PartialResultError(
+            error.get("missing_partitions", []),
+            detail=error.get("message", ""),
+        )
+    if kind == "timeout":
+        raise RequestTimeoutError(
+            error.get("message", "upstream timeout"),
+            timeout_s=error.get("timeout_s"),
+        )
+    raise RuntimeError(f"{kind}: {error.get('message', '')}")
+
+
 def _parse_request(doc: dict) -> QueryRequest:
     """Build a :class:`QueryRequest` from a wire document.
 
     Only known fields are read; unknown fields are ignored (forward
     compatibility across router/shard version skew).
     """
-    from ..telemetry.carrier import extract
-
     series = doc.get("series")
     if not isinstance(series, list) or not series:
         raise ValueError("'series' must be a non-empty list of numbers")
@@ -213,106 +278,28 @@ class _Handler(socketserver.StreamRequestHandler):
                 ),
                 "stats": service.journal.stats(),
             }}
-        if op == "telemetry":
-            try:
-                return {"ok": True, "result": _telemetry_payload(service, doc)}
-            except (ValueError, TypeError) as exc:
-                return _error("bad-request", str(exc))
         extra_ops = getattr(service, "extra_ops", None)
-        if extra_ops and op in extra_ops:
-            # Service-specific ops (e.g. a shard's "shard-knn" scatter
-            # target) run in the handler thread: admission control and
-            # caching for these live at the caller (the router).
-            try:
+        try:
+            if op == "telemetry":
+                return {"ok": True, "result": _telemetry_payload(service, doc)}
+            if extra_ops and op in extra_ops:
+                # Service-specific ops (e.g. a shard's "shard-knn"
+                # scatter target) run in the handler thread: admission
+                # control and caching for these live at the caller (the
+                # router).
                 return {"ok": True, "result": extra_ops[op](doc)}
-            except PartialResultError as exc:
-                return _error(
-                    "partial-result", str(exc),
-                    missing_partitions=list(exc.missing_partitions),
-                )
-            except OverloadedError as exc:
-                # Writes ride the admission queue too; shed writes get
-                # the same typed envelope as shed queries.
-                return _error(
-                    "overloaded", str(exc),
-                    queue_depth=exc.depth, capacity=exc.capacity,
-                )
-            except DeadlineExceededError as exc:
-                return _error(
-                    "deadline", str(exc),
-                    waited_ms=exc.waited_s * 1000.0,
-                    deadline_ms=exc.deadline_s * 1000.0,
-                )
-            except (ValueError, TypeError) as exc:
-                return _error("bad-request", str(exc))
-            except Exception as exc:
-                logger.exception("internal error in op %r", op)
-                return _error("internal", f"{type(exc).__name__}: {exc}")
-        try:
             request = _parse_request(doc)
-        except (ValueError, TypeError) as exc:
-            return _error("bad-request", str(exc))
-        want_trace = bool(doc.get("trace"))
-        try:
             future = service.submit(request)
             result = future.result()
-        except OverloadedError as exc:
-            return _error(
-                "overloaded", str(exc),
-                queue_depth=exc.depth, capacity=exc.capacity,
-            )
-        except DeadlineExceededError as exc:
-            return _error(
-                "deadline", str(exc),
-                waited_ms=exc.waited_s * 1000.0,
-                deadline_ms=exc.deadline_s * 1000.0,
-            )
-        except PartialResultError as exc:
-            return _error(
-                "partial-result", str(exc),
-                missing_partitions=list(exc.missing_partitions),
-            )
-        except RequestTimeoutError as exc:
-            # An upstream hop (router → shard) timed out with no usable
-            # fallback: distinct from "deadline" (this request's own
-            # budget) so clients can tell the two apart.
-            return _error(
-                "timeout", str(exc),
-                timeout_s=exc.timeout_s,
-            )
-        except ValueError as exc:
-            # Validation failures (wrong length, bad plan) are the
-            # client's fault.  RuntimeError is NOT caught here: the
-            # service raises it for server-side conditions ("not
-            # running", batch-loop failures set on futures), which must
-            # surface as "internal", not "bad-request".
-            return _error("bad-request", str(exc))
         except Exception as exc:
-            logger.exception("internal serving error")
-            return _error("internal", f"{type(exc).__name__}: {exc}")
+            return _error_envelope(exc, op)
         envelope = {"ok": True, "result": result_to_wire(result)}
-        if want_trace:
+        if doc.get("trace"):
             # The service ends the root span before resolving the future,
-            # so the tree is complete here; None when tracing is off.
-            root = getattr(future, "trace_root", None)
-            if root is None:
-                envelope["trace"] = None
-            elif request.trace_ctx is not None:
-                # Router-originated call: ship the capped compact form
-                # under the deterministic sampling knob, never the full
-                # recursive tree (reply size must stay bounded no
-                # matter the fan-out).
-                from ..telemetry.carrier import compact_spans, should_ship
-
-                rate = float(doc.get("trace_sample", 1.0))
-                envelope["trace"] = (
-                    compact_spans(root)
-                    if should_ship(root.trace_id, rate) else None
-                )
-            else:
-                # Direct (human) client: the full tree drives the
-                # query-remote --trace timeline.
-                envelope["trace"] = root.to_dict()
+            # so the tree is complete here.
+            envelope["trace"] = reply_trace(
+                getattr(future, "trace_root", None), doc, request.trace_ctx
+            )
         return envelope
 
     def _reply(self, doc: dict) -> None:
@@ -461,32 +448,9 @@ class ServingClient:
 
     def _result(self, doc: dict) -> dict:
         response = self.call(doc)
-        if response.get("ok"):
-            self.last_trace = response.get("trace")
-            return response["result"]
-        error = response.get("error") or {}
-        if error.get("type") == "overloaded":
-            raise OverloadedError(
-                error.get("queue_depth", 0), error.get("capacity", 0)
-            )
-        if error.get("type") == "deadline":
-            raise DeadlineExceededError(
-                error.get("waited_ms", 0.0) / 1000.0,
-                error.get("deadline_ms", 0.0) / 1000.0,
-            )
-        if error.get("type") == "partial-result":
-            raise PartialResultError(
-                error.get("missing_partitions", []),
-                detail=error.get("message", ""),
-            )
-        if error.get("type") == "timeout":
-            raise RequestTimeoutError(
-                error.get("message", "upstream timeout"),
-                timeout_s=error.get("timeout_s"),
-            )
-        raise RuntimeError(
-            f"{error.get('type', 'unknown')}: {error.get('message', '')}"
-        )
+        result = unwrap_reply(response)
+        self.last_trace = response.get("trace")
+        return result
 
     def ping(self) -> bool:
         return self._result({"op": "ping"}) == "pong"

@@ -1,32 +1,24 @@
-"""The query service: admission → micro-batch → worker pool → SLO.
+"""The query service: micro-batch → worker pool → result cache.
 
 :class:`QueryService` is the long-lived serving loop over one loaded
-:class:`~repro.core.builder.TardisIndex`:
+:class:`~repro.core.builder.TardisIndex`.  Admission, deadlines, the
+per-request trace root and the finish (SLO tracker, slow-query log) are
+the :class:`~repro.serving.frontend.RequestFrontEnd`'s; this module is
+what happens to a dequeued window in between:
 
-1. :meth:`submit` checks the keyed result cache, then admits the request
-   into the bounded :class:`~repro.serving.admission.AdmissionQueue`
-   (blocking or shedding per the backpressure policy).
-2. A dedicated batcher thread flushes the queue in micro-batches (size
-   or max-delay triggered), groups the window by plan + Tardis-G home
-   partition, and dispatches one task per group onto the configured
+1. One batcher thread flushes the queue in micro-batches (size or
+   max-delay triggered).  Writes in the window are applied first —
+   route → fault gate → WAL → index → caches — under the maintenance
+   lock the online rebalancer shares.
+2. The window's reads are grouped by plan + Tardis-G home partition and
+   dispatched, one task per group, onto the configured
    :mod:`repro.cluster.executors` backend — per-strategy routing happens
-   inside :func:`repro.serving.batcher.run_group`.
-3. Completed groups resolve their request futures, feed the result
-   cache, and report latency / occupancy / partition-load figures to the
-   :class:`~repro.serving.slo.SLOTracker`.
+   inside :func:`repro.serving.batcher.run_group`, which stitches
+   ``serve/batch-wait`` / ``serve/execute`` (and the core load/scan
+   spans beneath) under each request's root.
+3. Completed groups feed the result cache and finish their tickets;
+   writes are acknowledged after the window's single WAL fsync.
 
-Every request also owns one **trace**: :meth:`submit` mints a
-``serve/request`` root span, hands it across the queue and executor
-boundaries on the ticket, and the batcher stitches ``serve/queue-wait``
-/ ``serve/batch-wait`` / ``serve/execute`` (and the core load/scan
-spans beneath it) under that root — one per-query timeline regardless
-of which thread did what.  Completed requests additionally feed the
-:class:`~repro.telemetry.journal.SlowQueryLog`, whose structured
-records land in the bounded :class:`~repro.telemetry.journal.EventJournal`
-served by the ``journal`` wire op.
-
-Shutdown is graceful by default: :meth:`stop` closes admissions, lets
-the batcher drain everything already accepted, and joins the thread.
 Answers are identical to the serial :mod:`repro.core.queries` path for
 every backend and batch size (tests/serving/test_service_equivalence.py).
 """
@@ -37,59 +29,59 @@ import logging
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from ..cluster.executors import resolve_executor
 from ..core.builder import TardisIndex
 from ..core.rebalance import OnlineRebalancer
 from ..core.wal import WriteAheadLog
 from ..faults.errors import InjectedTaskCrash
-from ..faults.injector import get_injector
-from ..telemetry.carrier import extract as extract_trace
-from ..telemetry.context import trace_id_of
-from ..telemetry.journal import EventJournal, SlowQueryLog, get_journal
+from ..faults.injector import FaultInjector, get_injector
+from ..telemetry.journal import EventJournal
 from ..telemetry.metrics import get_registry
-from ..telemetry.spans import NULL_SPAN, Span, get_tracer
-from .admission import AdmissionQueue, DeadlineExceededError, OverloadedError
+from ..telemetry.spans import get_tracer
 from .batcher import group_tickets, partitions_loaded, run_group
-from .requests import QueryRequest, WriteRequest, WriteResult
-from .result_cache import ResultCache
-from .slo import SLOTracker
+from .frontend import RequestFrontEnd, Ticket
+from .requests import WriteRequest, WriteResult
 
 __all__ = ["QueryService", "Ticket"]
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class Ticket:
-    """One in-flight request: the work, its future, its clock — and its
-    trace.  The span handles ride the ticket across the admission queue
-    and the executor so every pipeline stage can stitch its segment
-    under the same ``serve/request`` root (no-op spans when tracing is
-    off)."""
+def _sit_out_injected_faults(
+    site_fault, domain: str, op: str, partition_id: int
+) -> None:
+    """Fire one ``<domain>/<op>`` fault site ahead of the work it guards.
 
-    request: QueryRequest
-    future: Future
-    enqueued_at: float
-    span: object = field(default=NULL_SPAN, repr=False)
-    queue_span: object = field(default=NULL_SPAN, repr=False)
-    wait_span: object = field(default=NULL_SPAN, repr=False)
-    dequeued_at: float = 0.0
-    exec_started_at: float = 0.0
-    exec_finished_at: float = 0.0
-    #: Monotonic instant the deadline budget runs out (None = no budget).
-    deadline_at: float | None = None
+    ``site_fault`` is the injector method that draws the site's fault
+    (:meth:`FaultInjector.serve_fault`, ``.ingest_fault``).  An injected
+    ``task-slow`` delays once; a ``task-crash`` retries with real backoff
+    until the plan stops firing or the budget is spent — then raises
+    :class:`InjectedTaskCrash` before any of the guarded work ran.
+    """
+    injector = get_injector()
+    if injector is None:
+        return
+    seq = injector.next_seq(domain, op, partition_id)
+    attempt = 1
+    while True:
+        fault = site_fault(injector, op, partition_id, seq, attempt)
+        if fault is None:
+            return
+        if fault.kind == "task-slow":
+            time.sleep(fault.delay_ms / 1000.0)
+            return
+        if attempt >= injector.retry.max_attempts:
+            raise InjectedTaskCrash(
+                f"{domain}/{op}/partition {partition_id}", attempt
+            )
+        injector.count_retry()
+        time.sleep(injector.backoff_s(attempt, domain, op, partition_id, seq))
+        attempt += 1
 
-    @property
-    def trace_id(self):
-        return trace_id_of(self.span)
 
-
-class QueryService:
+class QueryService(RequestFrontEnd):
     """Serve Exact-Match and kNN queries over a loaded TARDIS index."""
 
     def __init__(
@@ -117,8 +109,6 @@ class QueryService:
             raise ValueError("max_batch must be positive")
         if max_delay_ms < 0:
             raise ValueError("max_delay_ms cannot be negative")
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive")
         if not index.clustered:
             # Exact-match compares raw values and kNN refines with them;
             # the signature-only unclustered paths (core.unclustered) are
@@ -126,12 +116,18 @@ class QueryService:
             raise RuntimeError(
                 "serving needs a clustered index (build with clustered=True)"
             )
-        self.index = index
-        self.max_batch = max_batch
-        self.max_delay_s = max_delay_ms / 1000.0
-        self.default_deadline_s = (
-            None if default_deadline_ms is None
-            else default_deadline_ms / 1000.0
+        super().__init__(
+            index,
+            queue_capacity=queue_capacity,
+            policy=policy,
+            consumers=1,
+            max_batch=max_batch,
+            max_delay_s=max_delay_ms / 1000.0,
+            result_cache_size=result_cache_size,
+            slow_query_threshold_ms=slow_query_threshold_ms,
+            journal_sample=journal_sample,
+            journal=journal,
+            default_deadline_ms=default_deadline_ms,
         )
         self.executor = resolve_executor(executor, jobs)
         if self.executor.kind == "processes":
@@ -147,17 +143,6 @@ class QueryService:
                 "falling back to 'threads'"
             )
             self.executor = resolve_executor("threads", jobs)
-        self.queue = AdmissionQueue(queue_capacity, policy=policy)
-        self.slo = SLOTracker()
-        self.journal = journal if journal is not None else get_journal()
-        self.slow_log = SlowQueryLog(
-            threshold_s=slow_query_threshold_ms / 1000.0,
-            sample_rate=journal_sample,
-            journal=self.journal,
-        )
-        self.result_cache = (
-            ResultCache(result_cache_size) if result_cache_size else None
-        )
         if partition_cache_size:
             index.enable_cache(partition_cache_size)
         # Invalidate cached answers together with the partition cache:
@@ -168,10 +153,6 @@ class QueryService:
             partition_cache.subscribe_invalidations(
                 self.result_cache.invalidate_partition
             )
-        self._thread: threading.Thread | None = None
-        self._started = False
-        self._stopped = False
-        self._submit_lock = threading.Lock()
         # -- streaming ingest ---------------------------------------------
         # Writes are applied by the batcher thread under this lock; the
         # online rebalancer's snapshot and swap phases take it too, so a
@@ -190,10 +171,6 @@ class QueryService:
         self._ingest_rate = 0.0
         self._rate_window_start = time.monotonic()
         self._rate_acc = 0
-        self.extra_ops = {
-            "write": self._op_write,
-            "write-batch": self._op_write,
-        }
         self.rebalancer: OnlineRebalancer | None = None
         if rebalance:
             self.rebalancer = OnlineRebalancer(
@@ -211,11 +188,7 @@ class QueryService:
     def start(self) -> "QueryService":
         if self._started:
             return self
-        self._started = True
-        self._thread = threading.Thread(
-            target=self._batch_loop, name="repro-serving-batcher", daemon=True
-        )
-        self._thread.start()
+        super().start()
         if self.rebalancer is not None:
             self.rebalancer.start()
         logger.info(
@@ -227,121 +200,11 @@ class QueryService:
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Close admissions; drain (default) or abandon the backlog."""
-        if not self._started or self._stopped:
-            self._stopped = True
-            return
-        self._stopped = True
         if self.rebalancer is not None:
             self.rebalancer.stop()
-        if not drain:
-            # Fail whatever is still queued, then close.
-            self.queue.close()
-            while True:
-                leftovers = self.queue.take_batch(self.max_batch, 0.0)
-                if not leftovers:
-                    break
-                for ticket in leftovers:
-                    ticket.future.set_exception(
-                        RuntimeError("service stopped without draining")
-                    )
-        else:
-            self.queue.close()
-        if self._thread is not None:
-            self._thread.join(timeout)
+        super().stop(drain, timeout)
         if self._owns_wal and self.wal is not None:
             self.wal.close()
-        logger.info("serving stopped (drained=%s)", drain)
-
-    def __enter__(self) -> "QueryService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop(drain=True)
-
-    # -- request path -------------------------------------------------------
-
-    def submit(self, request: QueryRequest) -> Future:
-        """Admit one request; the returned future resolves to a core
-        query result (:class:`ExactMatchResult` / :class:`KnnResult`).
-
-        Under the ``shed`` policy a full queue raises
-        :class:`OverloadedError` here, synchronously.
-        """
-        if not self._started or self._stopped:
-            raise RuntimeError("service is not running (use start()/with)")
-        self._validate(request)
-        tracer = get_tracer()
-        attrs = (
-            {"strategy": request.strategy} if request.op == "knn" else {}
-        )
-        ctx = getattr(request, "trace_ctx", None)
-        if ctx is not None:
-            # Forwarded from a router: join the remote trace instead of
-            # minting a new one.  The root's parent lives in the router
-            # process, so end_span will not collect it locally — it ships
-            # back in the reply for re-parenting (shard-side half of the
-            # repro.tracectx/v1 carrier; see telemetry.carrier).
-            shard_id = getattr(self, "shard_id", None)
-            if shard_id is not None:
-                attrs["shard_id"] = shard_id
-            root = tracer.start_remote_span(
-                "shard/request", ctx.trace_id, ctx.parent_span_id,
-                op=request.op, **attrs,
-            )
-        else:
-            root = tracer.start_span("serve/request", op=request.op, **attrs)
-        future: Future = Future()
-        if isinstance(root, Span):
-            future.trace_root = root
-        if self.result_cache is not None:
-            cached = self.result_cache.get(request.cache_key())
-            if cached is not None:
-                tracer.end_span(tracer.start_span("serve/cache", parent=root))
-                root.set("cached", True)
-                # End the root *before* resolving the future so waiters
-                # (and the wire handler) see a finished trace.
-                tracer.end_span(root)
-                future.set_result(cached)
-                self.slo.record_completed(0.0, cached=True)
-                self.slow_log.observe(
-                    0.0, trace_id=trace_id_of(root), op=request.op,
-                    cached=True,
-                )
-                return future
-        queue_span = tracer.start_span("serve/queue-wait", parent=root)
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
-        )
-        enqueued_at = time.monotonic()
-        ticket = Ticket(
-            request, future, enqueued_at,
-            span=root, queue_span=queue_span,
-            deadline_at=(
-                None if deadline_s is None else enqueued_at + deadline_s
-            ),
-        )
-        try:
-            self.queue.put(ticket)
-        except OverloadedError:
-            queue_span.set("error", "overloaded")
-            tracer.end_span(queue_span)
-            root.set("error", "overloaded")
-            tracer.end_span(root)
-            self.journal.record(
-                "shed", trace_id=trace_id_of(root), op=request.op,
-                queue_depth=self.queue.depth,
-            )
-            self.slo.record_shed()
-            raise
-        self.slo.record_admitted(self.queue.depth)
-        return future
-
-    def query(self, request: QueryRequest, timeout: float | None = None):
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(request).result(timeout)
 
     # -- write path ---------------------------------------------------------
 
@@ -350,68 +213,15 @@ class QueryService:
         :class:`~repro.serving.requests.WriteResult`.
 
         Writes share the admission queue, backpressure policy, and
-        deadline budget with queries.  The batcher thread applies them
-        between read windows — serialized, never concurrent with a
-        query — and acknowledges only after the batch reached the
-        write-ahead log (when one is attached).
+        deadline budget with queries.
         """
-        if not self._started or self._stopped:
-            raise RuntimeError("service is not running (use start()/with)")
-        if request.batch.shape[1] != self.index.series_length:
-            raise ValueError(
-                f"write series length {request.batch.shape[1]} != indexed "
-                f"length {self.index.series_length}"
-            )
-        tracer = get_tracer()
-        n_records = int(request.batch.shape[0])
-        ctx = getattr(request, "trace_ctx", None)
-        if ctx is not None:
-            # Forwarded from a router: join the caller's trace (the
-            # shard-side half of the repro.tracectx/v1 carrier).
-            attrs = {"n_records": n_records}
-            shard_id = getattr(self, "shard_id", None)
-            if shard_id is not None:
-                attrs["shard_id"] = shard_id
-            root = tracer.start_remote_span(
-                "shard/write", ctx.trace_id, ctx.parent_span_id, op="write",
-                **attrs,
-            )
-        else:
-            root = tracer.start_span(
-                "serve/write", op="write", n_records=n_records
-            )
-        future: Future = Future()
-        if isinstance(root, Span):
-            future.trace_root = root
-        queue_span = tracer.start_span("serve/queue-wait", parent=root)
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
+        self._check_running()
+        self._check_length(request.batch.shape[1], "write series")
+        root = self._start_root(
+            "write", request.trace_ctx, op="write",
+            n_records=int(request.batch.shape[0]),
         )
-        enqueued_at = time.monotonic()
-        ticket = Ticket(
-            request, future, enqueued_at,
-            span=root, queue_span=queue_span,
-            deadline_at=(
-                None if deadline_s is None else enqueued_at + deadline_s
-            ),
-        )
-        try:
-            self.queue.put(ticket)
-        except OverloadedError:
-            queue_span.set("error", "overloaded")
-            tracer.end_span(queue_span)
-            root.set("error", "overloaded")
-            tracer.end_span(root)
-            self.journal.record(
-                "shed", trace_id=trace_id_of(root), op="write",
-                queue_depth=self.queue.depth,
-            )
-            self.slo.record_shed()
-            raise
-        self.slo.record_admitted(self.queue.depth)
-        return future
+        return self._admit(request, root)
 
     def write(
         self, batch, record_ids=None, deadline_ms: float | None = None,
@@ -425,59 +235,21 @@ class QueryService:
 
     def _op_write(self, doc: dict):
         """Wire handler for ``write`` / ``write-batch`` (extra_ops)."""
-        payload = doc.get("batch") if "batch" in doc else doc.get("series")
-        if payload is None:
-            raise ValueError("write needs 'series' (one) or 'batch' (many)")
-        record_ids = doc.get("record_ids")
-        if record_ids is None and "record_id" in doc:
-            record_ids = [doc["record_id"]]
-        request = WriteRequest(
-            batch=np.asarray(payload, dtype=np.float64),
-            record_ids=record_ids,
-            deadline_ms=doc.get("deadline_ms"),
-        )
-        ctx = extract_trace(doc)
-        if ctx is not None:
-            request.trace_ctx = ctx
-        return self.submit_write(request).result().to_wire()
-
-    def _validate(self, request: QueryRequest) -> None:
-        if len(request.series) != self.index.series_length:
-            raise ValueError(
-                f"query length {len(request.series)} != indexed length "
-                f"{self.index.series_length}"
-            )
+        return self.submit_write(self.parse_write(doc)).result().to_wire()
 
     # -- batch loop ---------------------------------------------------------
 
-    def _batch_loop(self) -> None:
-        while True:
-            window = self.queue.take_batch(self.max_batch, self.max_delay_s)
-            if not window:
-                return  # queue closed and drained
-            try:
-                self._execute_window(window)
-            except BaseException as exc:  # never kill the loop
-                logger.exception("serving batch failed")
-                for ticket in window:
-                    if not ticket.future.done():
-                        ticket.future.set_exception(exc)
-
     def _execute_window(self, window: list) -> None:
+        """One micro-batch of live tickets; the batcher thread applies
+        writes between read windows — serialized, never concurrent with
+        a query — and acknowledges them only after the batch reached the
+        write-ahead log (when one is attached)."""
         tracer = get_tracer()
-        dequeued = time.monotonic()
         live: list = []
         writes: list = []
         for ticket in window:
-            # Queue wait is over.  Tickets whose deadline budget already
-            # expired are shed here — cancelled without ever being
-            # grouped or executed; the rest start their batch wait
-            # (grouping + executor dispatch + sibling-group contention).
-            ticket.dequeued_at = dequeued
-            if ticket.deadline_at is not None and dequeued >= ticket.deadline_at:
-                self._shed_expired(ticket, dequeued)
-                continue
-            tracer.end_span(ticket.queue_span)
+            # Batch wait: grouping + executor dispatch + sibling-group
+            # contention.
             ticket.wait_span = tracer.start_span(
                 "serve/batch-wait", parent=ticket.span
             )
@@ -485,8 +257,6 @@ class QueryService:
                 writes.append(ticket)
             else:
                 live.append(ticket)
-        if not live and not writes:
-            return
         # The whole window runs under the maintenance lock — the same
         # lock the online rebalancer's snapshot and swap phases take.
         # Writes land first, in admission order, so reads in the same
@@ -511,14 +281,13 @@ class QueryService:
             if self.wal is not None:
                 self.wal.sync()
             for ticket, result in pending:
-                self._finish_write_ticket(ticket, result=result)
+                self._finish_write(ticket, result=result)
 
     def _execute_reads(self, window: list) -> None:
         groups = group_tickets(self.index, window)
         outcomes = self.executor.map_tasks(
             lambda _i, group: self._run_group_safely(group), groups
         )
-        now = time.monotonic()
         loaded_pids: list = []
         for group, (results, error) in zip(groups, outcomes):
             if error is not None:
@@ -528,9 +297,7 @@ class QueryService:
                     n_queries=group.size, error=repr(error),
                 )
                 for ticket in group.tickets:
-                    self._finish_ticket(
-                        ticket, group, now, len(window), error=error
-                    )
+                    self._finish_read(ticket, group, len(window), error=error)
                 continue
             loaded_pids.extend(partitions_loaded(results))
             for ticket, result in zip(group.tickets, results):
@@ -538,12 +305,11 @@ class QueryService:
                     # Typed per-query failure inside an otherwise healthy
                     # group (e.g. PartialResultError for a lost
                     # partition): fail this ticket, keep its siblings.
-                    self._finish_ticket(
-                        ticket, group, now, len(window), error=result
-                    )
+                    self._finish_read(ticket, group, len(window), error=result)
                     continue
-                degraded = bool(getattr(result, "degraded", False))
-                if self.result_cache is not None and not degraded:
+                if self.result_cache is not None and not getattr(
+                    result, "degraded", False
+                ):
                     # Degraded answers are never cached: they reflect a
                     # transient unavailability, not the index's truth.
                     # Bloom-rejected exact matches never load a partition,
@@ -557,10 +323,7 @@ class QueryService:
                     self.result_cache.put(
                         ticket.request.cache_key(), result, pids
                     )
-                self._finish_ticket(
-                    ticket, group, now, len(window), result=result,
-                    degraded=degraded,
-                )
+                self._finish_read(ticket, group, len(window), result=result)
         self.slo.record_batch(len(window), len(groups), loaded_pids)
         self.journal.record(
             "batch", n_queries=len(window), n_groups=len(groups),
@@ -568,23 +331,22 @@ class QueryService:
             partitions=sorted(set(loaded_pids)),
         )
 
-    def _shed_expired(self, ticket, now: float) -> None:
-        """Cancel one ticket whose deadline passed while it queued."""
-        tracer = get_tracer()
-        waited_s = now - ticket.enqueued_at
-        deadline_s = ticket.deadline_at - ticket.enqueued_at
-        ticket.queue_span.set("error", "deadline")
-        tracer.end_span(ticket.queue_span)
-        root = ticket.span
-        root.set("error", "deadline")
-        tracer.end_span(root)
-        self.journal.record(
-            "deadline", trace_id=trace_id_of(root), op=ticket.request.op,
-            waited_ms=waited_s * 1000.0, deadline_ms=deadline_s * 1000.0,
-        )
-        self.slo.record_deadline_shed()
-        ticket.future.set_exception(
-            DeadlineExceededError(waited_s, deadline_s)
+    def _finish_read(
+        self, ticket, group, batch_size: int, result=None, error=None
+    ) -> None:
+        ticket.span.set("batch_size", batch_size)
+        ticket.span.set("group_size", group.size)
+        self._finish(
+            ticket, result, error,
+            batch_size=batch_size,
+            group_size=group.size,
+            partitions=(
+                sorted(result.partition_ids_loaded) if result is not None
+                else []
+            ),
+            batch_wait_s=max(
+                0.0, ticket.exec_started_at - ticket.dequeued_at
+            ),
         )
 
     # -- write apply (batcher thread, under the maintenance lock) -----------
@@ -613,7 +375,12 @@ class QueryService:
             # Route first: a batch that cannot route fails before it can
             # reach the WAL (replay would hit the same error).
             partition_ids = self.index.route_batch(batch)
-            self._ingest_fault_gate(int(partition_ids[0]))
+            # A crash here fails the write *before* it reaches the WAL
+            # (never durable, never acknowledged).
+            _sit_out_injected_faults(
+                FaultInjector.ingest_fault, "ingest", "append",
+                int(partition_ids[0]),
+            )
             record_ids = request.record_ids
             durable = False
             if self.wal is not None:
@@ -665,37 +432,7 @@ class QueryService:
                 "serving_writes_failed_total",
                 "Write batches rejected or crashed before acknowledgement",
             ).inc()
-            self._finish_write_ticket(ticket, error=exc)
-
-    def _ingest_fault_gate(self, partition_id: int) -> None:
-        """Fire the ``ingest/append`` fault site for one write batch.
-
-        Mirrors the read path's injected retry loop: ``task-slow`` delays
-        once, ``task-crash`` retries with backoff until the plan stops
-        firing or the budget is spent — then the write fails *before*
-        reaching the WAL (never durable, never acknowledged).
-        """
-        injector = get_injector()
-        if injector is None:
-            return
-        seq = injector.next_seq("ingest", "append", partition_id)
-        attempt = 1
-        while True:
-            fault = injector.ingest_fault("append", partition_id, seq, attempt)
-            if fault is None:
-                return
-            if fault.kind == "task-slow":
-                time.sleep(fault.delay_ms / 1000.0)
-                return
-            if attempt >= injector.retry.max_attempts:
-                raise InjectedTaskCrash(
-                    f"ingest/append/partition {partition_id}", attempt
-                )
-            injector.count_retry()
-            time.sleep(injector.backoff_s(
-                attempt, "ingest", "append", partition_id, seq
-            ))
-            attempt += 1
+            self._finish_write(ticket, error=exc)
 
     def _record_write_metrics(self, n_records: int) -> None:
         registry = get_registry()
@@ -720,35 +457,14 @@ class QueryService:
             self._rate_window_start = now
             self._rate_acc = 0
 
-    def _finish_write_ticket(self, ticket, result=None, error=None) -> None:
-        tracer = get_tracer()
-        now = time.monotonic()
-        ticket.exec_finished_at = now
-        latency_s = now - ticket.enqueued_at
-        root = ticket.span
-        if error is not None:
-            root.set("error", f"{type(error).__name__}: {error}")
-        tracer.end_span(root)
-        if error is not None:
-            ticket.future.set_exception(error)
-            self.slo.record_completed(latency_s, failed=True)
-        else:
-            ticket.future.set_result(result)
-            self.slo.record_completed(latency_s)
-        fields = dict(
-            trace_id=ticket.trace_id,
-            op="write",
-            queue_wait_s=max(0.0, ticket.dequeued_at - ticket.enqueued_at),
-            execute_s=max(
-                0.0, ticket.exec_finished_at - ticket.exec_started_at
-            ),
-        )
+    def _finish_write(self, ticket, result=None, error=None) -> None:
+        ticket.exec_finished_at = time.monotonic()
+        fields = {}
         if result is not None:
-            fields["n_records"] = result.acknowledged
-            fields["durable"] = result.durable
-        if error is not None:
-            fields["error"] = repr(error)
-        self.slow_log.observe(latency_s, **fields)
+            fields = {
+                "n_records": result.acknowledged, "durable": result.durable,
+            }
+        self._finish(ticket, result, error, **fields)
 
     # -- rebalancer hooks ----------------------------------------------------
 
@@ -779,64 +495,6 @@ class QueryService:
         if self.result_cache is not None:
             self.result_cache.invalidate_strategy("multi-partitions")
 
-    def _finish_ticket(
-        self, ticket, group, now: float, batch_size: int,
-        result=None, error=None, degraded: bool = False,
-    ) -> None:
-        """Close one ticket: end its trace, resolve its future, and feed
-        the SLO tracker and slow-query log.
-
-        The root span ends *before* the future resolves so anything
-        woken by the result — the wire handler embedding the trace, a
-        done-callback — sees a complete timeline.
-        """
-        tracer = get_tracer()
-        latency_s = now - ticket.enqueued_at
-        root = ticket.span
-        root.set("batch_size", batch_size)
-        root.set("group_size", group.size)
-        partitions = (
-            sorted(result.partition_ids_loaded) if result is not None else []
-        )
-        if error is not None:
-            root.set("error", f"{type(error).__name__}: {error}")
-        if degraded:
-            root.set("degraded", True)
-        tracer.end_span(root)
-        if error is not None:
-            ticket.future.set_exception(error)
-            self.slo.record_completed(latency_s, failed=True)
-        else:
-            ticket.future.set_result(result)
-            self.slo.record_completed(latency_s, degraded=degraded)
-        breakdown = {
-            "queue_wait_s": max(0.0, ticket.dequeued_at - ticket.enqueued_at),
-            "batch_wait_s": max(
-                0.0, ticket.exec_started_at - ticket.dequeued_at
-            ),
-            "execute_s": max(
-                0.0, ticket.exec_finished_at - ticket.exec_started_at
-            ),
-        }
-        fields = dict(
-            trace_id=ticket.trace_id,
-            op=ticket.request.op,
-            batch_size=batch_size,
-            group_size=group.size,
-            partitions=partitions,
-            **breakdown,
-        )
-        if ticket.request.op == "knn":
-            fields["strategy"] = ticket.request.strategy
-        if error is not None:
-            fields["error"] = repr(error)
-        if degraded:
-            fields["degraded"] = True
-            fields["missing_partitions"] = list(
-                getattr(result, "missing_partitions", [])
-            )
-        self.slow_log.observe(latency_s, **fields)
-
     def _run_group_safely(self, group):
         """(results, error) so one bad group cannot sink its siblings."""
         tracer = get_tracer()
@@ -845,7 +503,13 @@ class QueryService:
             ticket.exec_started_at = started
             tracer.end_span(ticket.wait_span)
         try:
-            return self._run_group_injected(group), None
+            # An injected ``task-crash`` on a ``serve/<op>`` site fails
+            # the whole group attempt; ``task-slow`` delays it once.
+            _sit_out_injected_faults(
+                FaultInjector.serve_fault, "serve", group.plan_key[0],
+                group.partition_id,
+            )
+            return run_group(self.index, group), None
         except BaseException as exc:
             return None, exc
         finally:
@@ -853,57 +517,16 @@ class QueryService:
             for ticket in group.tickets:
                 ticket.exec_finished_at = finished
 
-    def _run_group_injected(self, group):
-        """Execute one group under the active fault plan (if any).
-
-        An injected ``task-crash`` on a ``serve/<op>`` site fails the
-        whole group attempt; recovery retries with real backoff until the
-        plan stops firing or the budget is spent.  ``task-slow`` delays
-        the group once, then executes."""
-        injector = get_injector()
-        if injector is None:
-            return run_group(self.index, group)
-        op = group.plan_key[0]
-        group_seq = injector.next_seq("serve", op, group.partition_id)
-        attempt = 1
-        while True:
-            fault = injector.serve_fault(
-                op, group.partition_id, group_seq, attempt
-            )
-            if fault is None:
-                return run_group(self.index, group)
-            if fault.kind == "task-slow":
-                time.sleep(fault.delay_ms / 1000.0)
-                return run_group(self.index, group)
-            if attempt >= injector.retry.max_attempts:
-                raise InjectedTaskCrash(
-                    f"serve/{op}/partition {group.partition_id}", attempt
-                )
-            injector.count_retry()
-            time.sleep(injector.backoff_s(
-                attempt, "serve", op, group.partition_id, group_seq
-            ))
-            attempt += 1
-
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> dict:
-        """SLO report plus cache and configuration snapshots."""
-        report = self.slo.report(queue_depth=self.queue.depth)
-        report["config"] = {
-            "policy": self.queue.policy,
-            "queue_capacity": self.queue.capacity,
-            "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay_s * 1000.0,
-            "executor": self.executor.kind,
-            "jobs": self.executor.jobs,
-            "default_deadline_ms": (
-                None if self.default_deadline_s is None
-                else self.default_deadline_s * 1000.0
-            ),
-        }
-        if self.result_cache is not None:
-            report["result_cache"] = self.result_cache.stats()
+        report = super().stats()
+        report["config"].update(
+            max_batch=self.max_batch,
+            max_delay_ms=self.max_delay_s * 1000.0,
+            executor=self.executor.kind,
+            jobs=self.executor.jobs,
+        )
         partition_stats = self.index.cache_stats()
         if partition_stats is not None:
             report["partition_cache"] = partition_stats
@@ -922,30 +545,12 @@ class QueryService:
         }
         if self.rebalancer is not None:
             report["rebalance"] = self.rebalancer.stats()
-        report["journal"] = self.journal.stats()
-        report["tracing"] = get_tracer().enabled
         from ..telemetry.perf import KERNELS
 
         if KERNELS.enabled:
             # Live kernel cost attribution for repro top / --stats.
             report["kernels"] = KERNELS.totals()
         return report
-
-    def recent_traces(
-        self, n: int = 10, trace_id: str | None = None
-    ) -> list[dict]:
-        """Recent finished request traces as ``repro.trace/v1`` span dicts.
-
-        With ``trace_id`` given, exactly that trace (empty list when it
-        fell out of the tracer's root ring or never existed).  Backs the
-        ``trace`` wire op.
-        """
-        tracer = get_tracer()
-        if trace_id:
-            root = tracer.find_trace(trace_id)
-            return [root.to_dict()] if root is not None else []
-        roots = tracer.roots
-        return [root.to_dict() for root in roots[-max(0, n):]] if n > 0 else []
 
     def invalidate_partition(self, partition_id: int) -> None:
         """Drop one partition from both caches (after index maintenance)."""

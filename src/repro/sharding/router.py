@@ -1,7 +1,8 @@
 """The scatter/gather router: all of serving's brains, none of its data.
 
-:class:`RouterService` exposes the exact public surface of
-:class:`~repro.serving.service.QueryService` (``submit`` → future,
+:class:`RouterService` shares
+:class:`~repro.serving.service.QueryService`'s
+:class:`~repro.serving.frontend.RequestFrontEnd` (``submit`` → future,
 ``stats``, ``recent_traces``, ``start``/``stop``) so
 :class:`~repro.serving.server.TardisServer` hosts it unchanged — but
 instead of executing queries it *places* them:
@@ -15,9 +16,9 @@ instead of executing queries it *places* them:
   partitions (:func:`repro.core.queries.select_mpa_partitions` over the
   region synopses), sends one *seed* call to the home partition's shard
   (threshold from the home target node, Alg. 1 lines 10-14), scatters
-  the threshold to the remaining hosts in parallel, and merges the
-  returned per-partition top-k lists with the ``(distance, record_id)``
-  tie-break — the same merge the single-process loop performs.
+  the threshold to the remaining hosts in parallel, and hands the
+  returned per-partition top-k lists to
+  :func:`~repro.core.queries.merge_top_k`.
 
 Failure handling (docs/ROBUSTNESS.md): every shard call retries across
 replicas under the active :class:`~repro.faults.plan.RetryPolicy` and
@@ -37,41 +38,31 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from ..core.queries import KnnResult, Neighbor, select_mpa_partitions
-from ..core.isaxt import signature_of_paa
+from ..core.queries import (
+    KnnResult,
+    Neighbor,
+    merge_top_k,
+    query_signature,
+    select_mpa_partitions,
+)
 from ..faults.errors import PartialResultError
 from ..faults.injector import get_injector
 from ..faults.plan import RetryPolicy
-from ..serving.admission import (
-    AdmissionQueue,
-    DeadlineExceededError,
-    OverloadedError,
+from ..serving.admission import DeadlineExceededError
+from ..serving.frontend import RequestFrontEnd, Ticket
+from ..serving.requests import QueryRequest, WriteResult, wire_to_result
+from ..serving.server import (
+    RequestTimeoutError,
+    ServingClient,
+    unwrap_reply,
 )
-from ..serving.requests import (
-    QueryRequest,
-    WriteRequest,
-    WriteResult,
-    wire_to_result,
-)
-from ..serving.result_cache import ResultCache
-from ..serving.server import RequestTimeoutError, ServingClient
-from ..serving.service import Ticket
-from ..serving.slo import SLOTracker
 from ..telemetry.carrier import inject, spans_from_compact
 from ..telemetry.context import trace_id_of
-from ..telemetry.journal import (
-    EventJournal,
-    SlowQueryLog,
-    get_journal,
-    write_merged_journal,
-)
+from ..telemetry.journal import EventJournal, write_merged_journal
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Span, get_tracer, span_from_dict
-from ..tsdb.paa import paa_transform
 from .assignment import ShardPlan
 from .federation import ClusterTelemetry
 from .synopsis import RouterIndex
@@ -125,8 +116,10 @@ class _ShardState:
         }
 
 
-class RouterService:
+class RouterService(RequestFrontEnd):
     """Scatter/gather front-end over a :class:`ShardCluster`'s servers."""
+
+    root_attrs = {"router": True}
 
     def __init__(
         self,
@@ -154,29 +147,27 @@ class RouterService:
             )
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self.index = index
+        if not 0.0 <= trace_sample <= 1.0:
+            raise ValueError("trace_sample must be within [0, 1]")
+        # Each worker serves one ticket at a time: no batch window.
+        super().__init__(
+            index,
+            queue_capacity=queue_capacity,
+            policy=policy,
+            consumers=workers,
+            max_batch=1,
+            max_delay_s=0.0,
+            result_cache_size=result_cache_size,
+            slow_query_threshold_ms=slow_query_threshold_ms,
+            journal_sample=journal_sample,
+            journal=journal,
+            default_deadline_ms=default_deadline_ms,
+        )
         self.plan = plan
         self.call_timeout_s = call_timeout_s
         self.health_interval_s = health_interval_s
         self._retry = retry
-        self.queue = AdmissionQueue(queue_capacity, policy=policy)
         self.workers = workers
-        self.slo = SLOTracker()
-        self.journal = journal if journal is not None else get_journal()
-        self.slow_log = SlowQueryLog(
-            threshold_s=slow_query_threshold_ms / 1000.0,
-            sample_rate=journal_sample,
-            journal=self.journal,
-        )
-        self.result_cache = (
-            ResultCache(result_cache_size) if result_cache_size else None
-        )
-        self.default_deadline_s = (
-            None if default_deadline_ms is None
-            else default_deadline_ms / 1000.0
-        )
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError("trace_sample must be within [0, 1]")
         #: Fraction of traces whose shard span summaries ship back in
         #: replies (deterministic in the trace id; see telemetry.carrier).
         self.trace_sample = trace_sample
@@ -187,7 +178,6 @@ class RouterService:
         }
         self._state_lock = threading.Lock()
         self._local = threading.local()
-        self._threads: list[threading.Thread] = []
         self._fanout = ThreadPoolExecutor(
             max_workers=max(4, 2 * plan.n_shards),
             thread_name_prefix="repro-router-fanout",
@@ -199,8 +189,6 @@ class RouterService:
         )
         self._scrape_stop = threading.Event()
         self._scrape_thread: threading.Thread | None = None
-        self._started = False
-        self._stopped = False
         # -- streaming ingest -----------------------------------------------
         # The router assigns record ids (replicas of a partition must
         # agree on them) from a counter seeded past the build-time id
@@ -211,28 +199,13 @@ class RouterService:
         self._write_records_total = 0
         self._writes_failed = 0
         self._write_replica_failures = 0
-        #: Wire ops the hosting TardisServer dispatches straight to us —
-        #: writes run in the handler thread (like shard-knn on shards);
-        #: admission control for them lives at each shard's own queue.
-        self.extra_ops = {
-            "write": self._op_write,
-            "write-batch": self._op_write,
-        }
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "RouterService":
         if self._started:
             return self
-        self._started = True
-        for i in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-router-worker-{i}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        super().start()
         if self.health_interval_s > 0:
             self._health_thread = threading.Thread(
                 target=self._health_loop,
@@ -255,129 +228,27 @@ class RouterService:
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        if not self._started or self._stopped:
-            self._stopped = True
-            return
-        self._stopped = True
         self._health_stop.set()
         self._scrape_stop.set()
-        if not drain:
-            self.queue.close()
-            while True:
-                leftovers = self.queue.take_batch(64, 0.0)
-                if not leftovers:
-                    break
-                for ticket in leftovers:
-                    ticket.future.set_exception(
-                        RuntimeError("router stopped without draining")
-                    )
-        else:
-            self.queue.close()
-        for thread in self._threads:
-            thread.join(timeout)
+        super().stop(drain, timeout)
         if self._health_thread is not None:
             self._health_thread.join(2.0)
         if self._scrape_thread is not None:
             self._scrape_thread.join(2.0)
         self._fanout.shutdown(wait=False)
-        logger.info("router stopped (drained=%s)", drain)
 
-    def __enter__(self) -> "RouterService":
-        return self.start()
+    # -- request path -------------------------------------------------------
 
-    def __exit__(self, *exc) -> None:
-        self.stop(drain=True)
-
-    # -- request path (mirrors QueryService.submit) -------------------------
-
-    def submit(self, request: QueryRequest) -> Future:
-        if not self._started or self._stopped:
-            raise RuntimeError("router is not running (use start()/with)")
-        if len(request.series) != self.index.series_length:
-            raise ValueError(
-                f"query length {len(request.series)} != indexed length "
-                f"{self.index.series_length}"
-            )
-        tracer = get_tracer()
-        root = tracer.start_span(
-            "serve/request", op=request.op, router=True,
-            **({"strategy": request.strategy} if request.op == "knn" else {}),
-        )
-        future: Future = Future()
-        if isinstance(root, Span):
-            future.trace_root = root
-        if self.result_cache is not None:
-            cached = self.result_cache.get(request.cache_key())
-            if cached is not None:
-                tracer.end_span(tracer.start_span("serve/cache", parent=root))
-                root.set("cached", True)
-                tracer.end_span(root)
-                future.set_result(cached)
-                self.slo.record_completed(0.0, cached=True)
-                self.slow_log.observe(
-                    0.0, trace_id=trace_id_of(root), op=request.op,
-                    cached=True,
-                )
-                return future
-        queue_span = tracer.start_span("serve/queue-wait", parent=root)
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
-        )
-        enqueued_at = time.monotonic()
-        ticket = Ticket(
-            request, future, enqueued_at,
-            span=root, queue_span=queue_span,
-            deadline_at=(
-                None if deadline_s is None else enqueued_at + deadline_s
-            ),
-        )
-        try:
-            self.queue.put(ticket)
-        except OverloadedError:
-            queue_span.set("error", "overloaded")
-            tracer.end_span(queue_span)
-            root.set("error", "overloaded")
-            tracer.end_span(root)
-            self.journal.record(
-                "shed", trace_id=trace_id_of(root), op=request.op,
-                queue_depth=self.queue.depth,
-            )
-            self.slo.record_shed()
-            raise
-        self.slo.record_admitted(self.queue.depth)
-        return future
-
-    def query(self, request: QueryRequest, timeout: float | None = None):
-        return self.submit(request).result(timeout)
-
-    # -- worker loop --------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            window = self.queue.take_batch(1, 0.05)
-            if not window:
-                return  # queue closed and drained
-            for ticket in window:
-                try:
-                    self._serve_ticket(ticket)
-                except BaseException as exc:  # never kill the worker
-                    logger.exception("router request failed")
-                    if not ticket.future.done():
-                        self._finish(ticket, error=exc)
+    def _execute_window(self, window: list) -> None:
+        for ticket in window:
+            self._serve_ticket(ticket)
 
     def _serve_ticket(self, ticket: Ticket) -> None:
         tracer = get_tracer()
-        now = time.monotonic()
-        ticket.dequeued_at = now
-        if ticket.deadline_at is not None and now >= ticket.deadline_at:
-            self._shed_expired(ticket, now)
-            return
-        tracer.end_span(ticket.queue_span)
         exec_span = tracer.start_span("route/execute", parent=ticket.span)
-        ticket.exec_started_at = now
+        ticket.exec_started_at = ticket.dequeued_at
         request = ticket.request
+        result = error = None
         try:
             if request.op == "knn" and request.strategy == "multi-partitions":
                 result = self._execute_mpa(request, exec_span, ticket.deadline_at)
@@ -386,85 +257,23 @@ class RouterService:
                     request, exec_span, ticket.deadline_at
                 )
         except BaseException as exc:
-            tracer.end_span(exec_span)
-            ticket.exec_finished_at = time.monotonic()
-            self._finish(ticket, error=exc)
-            return
+            error = exc
         tracer.end_span(exec_span)
         ticket.exec_finished_at = time.monotonic()
-        degraded = bool(getattr(result, "degraded", False))
-        if self.result_cache is not None and not degraded:
-            # Degraded answers are never cached (transient unavailability
-            # is not the index's truth) — same rule as single-process.
-            pids = result.partition_ids_loaded or (
-                self._home_partition(request),
-            )
+        if getattr(result, "degraded", False):
+            # Never cached (transient unavailability is not the index's
+            # truth) — same rule as single-process.
+            get_registry().counter(
+                "serving_shard_degraded_total",
+                "Router answers degraded by unreachable shards/partitions",
+            ).inc()
+        elif self.result_cache is not None and error is None:
+            pids = result.partition_ids_loaded
+            if not pids:  # Bloom-rejected: index under the home partition
+                signature, _paa = query_signature(self.index, request.series)
+                pids = (self.index.global_index.route(signature),)
             self.result_cache.put(request.cache_key(), result, pids)
-        self._finish(ticket, result=result, degraded=degraded)
-
-    def _home_partition(self, request: QueryRequest) -> int:
-        signature, _paa = self._signature(request.series)
-        return self.index.global_index.route(signature)
-
-    def _signature(self, series) -> tuple[str, np.ndarray]:
-        config = self.index.config
-        paa = paa_transform(
-            np.asarray(series, dtype=np.float64), config.word_length
-        )
-        return signature_of_paa(paa, config.cardinality_bits), paa
-
-    def _shed_expired(self, ticket: Ticket, now: float) -> None:
-        tracer = get_tracer()
-        waited_s = now - ticket.enqueued_at
-        deadline_s = ticket.deadline_at - ticket.enqueued_at
-        ticket.queue_span.set("error", "deadline")
-        tracer.end_span(ticket.queue_span)
-        ticket.span.set("error", "deadline")
-        tracer.end_span(ticket.span)
-        self.journal.record(
-            "deadline", trace_id=trace_id_of(ticket.span),
-            op=ticket.request.op,
-            waited_ms=waited_s * 1000.0, deadline_ms=deadline_s * 1000.0,
-        )
-        self.slo.record_deadline_shed()
-        ticket.future.set_exception(DeadlineExceededError(waited_s, deadline_s))
-
-    def _finish(
-        self, ticket: Ticket, result=None, error=None, degraded: bool = False
-    ) -> None:
-        tracer = get_tracer()
-        now = time.monotonic()
-        latency_s = now - ticket.enqueued_at
-        root = ticket.span
-        if error is not None:
-            root.set("error", f"{type(error).__name__}: {error}")
-        if degraded:
-            root.set("degraded", True)
-        tracer.end_span(root)
-        if error is not None:
-            ticket.future.set_exception(error)
-            self.slo.record_completed(latency_s, failed=True)
-        else:
-            ticket.future.set_result(result)
-            self.slo.record_completed(latency_s, degraded=degraded)
-        fields = dict(
-            trace_id=ticket.trace_id,
-            op=ticket.request.op,
-            queue_wait_s=max(0.0, ticket.dequeued_at - ticket.enqueued_at),
-            execute_s=max(
-                0.0, ticket.exec_finished_at - ticket.exec_started_at
-            ),
-        )
-        if ticket.request.op == "knn":
-            fields["strategy"] = ticket.request.strategy
-        if error is not None:
-            fields["error"] = repr(error)
-        if degraded:
-            fields["degraded"] = True
-            fields["missing_partitions"] = list(
-                getattr(result, "missing_partitions", [])
-            )
-        self.slow_log.observe(latency_s, **fields)
+        self._finish(ticket, result, error)
 
     # -- shard calls --------------------------------------------------------
 
@@ -560,28 +369,6 @@ class RouterService:
         self._mark(shard_id, True)
         return envelope
 
-    def _unwrap(self, envelope: dict):
-        """Envelope → result payload, or raise the typed shard error."""
-        if envelope.get("ok"):
-            return envelope["result"]
-        error = envelope.get("error") or {}
-        kind = error.get("type")
-        if kind == "overloaded":
-            raise OverloadedError(
-                error.get("queue_depth", 0), error.get("capacity", 0)
-            )
-        if kind == "deadline":
-            raise DeadlineExceededError(
-                error.get("waited_ms", 0.0) / 1000.0,
-                error.get("deadline_ms", 0.0) / 1000.0,
-            )
-        if kind == "partial-result":
-            raise PartialResultError(
-                error.get("missing_partitions", []),
-                detail=error.get("message", ""),
-            )
-        raise RuntimeError(f"{kind}: {error.get('message', '')}")
-
     def _pick_host(self, partition_id: int, excluded) -> int | None:
         """Least-loaded live host of a partition, honoring exclusions.
 
@@ -601,6 +388,23 @@ class RouterService:
                 pool,
                 key=lambda s: (self._shards[s].in_flight, hosts.index(s)),
             )
+
+    def _pick_retry_host(
+        self, partition_id: int, call_failed: set, load_failed=frozenset()
+    ) -> int | None:
+        """:meth:`_pick_host` under the two-tier retry exclusion.
+
+        A failed *call* (dead or slow shard) may recover, so once every
+        host is excluded the call failures are forgotten and the host
+        set revisited.  A failed *load* already burned the shard's
+        in-process retry budget and excludes that host for good; ``None``
+        means the partition is lost on every host.
+        """
+        host = self._pick_host(partition_id, call_failed | load_failed)
+        if host is None and call_failed:
+            call_failed.clear()
+            host = self._pick_host(partition_id, load_failed)
+        return host
 
     def _check_deadline(self, deadline_at: float | None) -> float | None:
         """Remaining seconds in the budget; raises when it ran out."""
@@ -624,11 +428,57 @@ class RouterService:
         if pause > 0:
             time.sleep(pause)
 
+    def _shard_call(
+        self, shard_id: int, doc: dict, parent_span, attempt: int,
+        partition_ids, **span_attrs,
+    ) -> dict:
+        """One traced query/write call to one shard; returns its result.
+
+        Opens the ``route/shard-call`` span, injects the trace carrier,
+        unwraps the reply envelope and stitches the shard's span summary
+        under the call span.  Any failure — transport, injected, or a
+        typed error the shard answered with — is tagged on the span,
+        journaled as a ``failover`` and re-raised: which errors are
+        retried, on which replica, is each caller's policy.
+        """
+        op = doc["op"]
+        tracer = get_tracer()
+        call_span = tracer.start_span(
+            "route/shard-call", parent=parent_span,
+            shard_id=shard_id, op=op, attempt=attempt, **span_attrs,
+        )
+        if attempt > 1:
+            # A re-route after a failed replica: tag the span so the
+            # waterfall shows the failover leg explicitly.
+            call_span.set("failover", True)
+        carrier = inject(call_span)
+        if carrier is not None:
+            doc = dict(doc, ctx=carrier, trace_sample=self.trace_sample)
+        try:
+            envelope = self._call_once(shard_id, op, doc, attempt)
+            result = unwrap_reply(envelope)
+        except RuntimeError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            call_span.set("error", reason)
+            tracer.end_span(call_span)
+            self._journal_failover(
+                shard_id, op, reason, attempt, partition_ids=partition_ids,
+                trace_id=trace_id_of(parent_span),
+            )
+            raise
+        # Forwarded ops return the shard's trace beside the result,
+        # extra ops (shard-knn) inside it.
+        self._adopt_trace(
+            envelope.get("trace") or result.get("trace"), call_span
+        )
+        tracer.end_span(call_span)
+        return result
+
     # -- forwarded ops (exact-match, TNA/OPA kNN) ---------------------------
 
     def _forward(
-        self, partition_id: int, doc: dict, op: str,
-        parent_span, deadline_at: float | None,
+        self, partition_id: int, doc: dict, parent_span,
+        deadline_at: float | None,
     ):
         """Forward one whole request to a replica of ``partition_id``.
 
@@ -639,7 +489,6 @@ class RouterService:
         partial-result).
         """
         retry = self._retry_policy()
-        tracer = get_tracer()
         excluded: set[int] = set()
         tried: list[int] = []
         last_error: BaseException | None = None
@@ -647,67 +496,22 @@ class RouterService:
             remaining = self._check_deadline(deadline_at)
             if remaining is not None:
                 doc = dict(doc, deadline_ms=remaining * 1000.0)
-            shard_id = self._pick_host(partition_id, excluded)
-            if shard_id is None:
-                # Whole host set failed this round — clear and allow the
-                # next attempt to revisit (transient faults recover).
-                excluded.clear()
-                shard_id = self._pick_host(partition_id, excluded)
-                if shard_id is None:  # pragma: no cover - empty host set
-                    break
+            shard_id = self._pick_retry_host(partition_id, excluded)
+            if shard_id is None:  # pragma: no cover - empty host set
+                break
             tried.append(shard_id)
-            call_span = tracer.start_span(
-                "route/shard-call", parent=parent_span,
-                shard_id=shard_id, op=op, attempt=attempt,
-            )
-            if attempt > 1:
-                # A re-route after a failed replica: tag the span so the
-                # waterfall shows the failover leg explicitly.
-                call_span.set("failover", True)
-            call_doc = doc
-            carrier = inject(call_span)
-            if carrier is not None:
-                call_doc = dict(
-                    doc, ctx=carrier, trace_sample=self.trace_sample
-                )
             try:
-                envelope = self._call_once(shard_id, op, call_doc, attempt)
-                result = self._unwrap(envelope)
-            except _ShardCallError as exc:
-                call_span.set("error", str(exc))
-                tracer.end_span(call_span)
+                return self._shard_call(
+                    shard_id, doc, parent_span, attempt, [partition_id]
+                )
+            except (_ShardCallError, PartialResultError) as exc:
                 last_error = exc
                 excluded.add(shard_id)
-                self._journal_failover(
-                    shard_id, op, str(exc), attempt,
-                    partition_ids=[partition_id],
-                    trace_id=trace_id_of(parent_span),
-                )
                 if attempt < retry.max_attempts:
                     self._count_retry()
                     self._backoff(
-                        attempt, deadline_at, "shard", partition_id, op
+                        attempt, deadline_at, "shard", partition_id, doc["op"]
                     )
-                continue
-            except PartialResultError as exc:
-                call_span.set("error", "partial-result")
-                tracer.end_span(call_span)
-                last_error = exc
-                excluded.add(shard_id)
-                self._journal_failover(
-                    shard_id, op, "partial-result", attempt,
-                    partition_ids=[partition_id],
-                    trace_id=trace_id_of(parent_span),
-                )
-                if attempt < retry.max_attempts:
-                    self._count_retry()
-                    self._backoff(
-                        attempt, deadline_at, "shard", partition_id, op
-                    )
-                continue
-            self._adopt_trace(envelope.get("trace"), call_span)
-            tracer.end_span(call_span)
-            return result
         if isinstance(last_error, PartialResultError):
             raise last_error
         raise ShardUnavailableError(partition_id, tried, last_error)
@@ -763,7 +567,7 @@ class RouterService:
     def _execute_forward(
         self, request: QueryRequest, parent_span, deadline_at: float | None
     ):
-        signature, _paa = self._signature(request.series)
+        signature, _paa = query_signature(self.index, request.series)
         partition_id = self.index.global_index.route(signature)
         want_trace = get_tracer().enabled
         series = request.series.tolist()
@@ -779,7 +583,7 @@ class RouterService:
             }
         try:
             payload = self._forward(
-                partition_id, doc, request.op, parent_span, deadline_at
+                partition_id, doc, parent_span, deadline_at
             )
         except ShardUnavailableError as exc:
             if request.op == "exact-match":
@@ -788,28 +592,18 @@ class RouterService:
                 raise PartialResultError(
                     [partition_id], detail="exact-match home shard"
                 ) from exc
-            self._count_degraded()
             return KnnResult(
                 neighbors=[], strategy=request.strategy, degraded=True,
                 missing_partitions=[partition_id],
             )
-        result = wire_to_result(payload)
-        if getattr(result, "degraded", False):
-            self._count_degraded()
-        return result
-
-    def _count_degraded(self) -> None:
-        get_registry().counter(
-            "serving_shard_degraded_total",
-            "Router answers degraded by unreachable shards/partitions",
-        ).inc()
+        return wire_to_result(payload)
 
     # -- distributed MPA ----------------------------------------------------
 
     def _execute_mpa(
         self, request: QueryRequest, parent_span, deadline_at: float | None
     ) -> KnnResult:
-        signature, paa = self._signature(request.series)
+        signature, paa = query_signature(self.index, request.series)
         pth = request.pth or self.index.config.pth
         home_pid, pid_list = select_mpa_partitions(
             self.index.global_index, signature, pth,
@@ -824,10 +618,7 @@ class RouterService:
         # Phase 1: seed call to a shard hosting the home partition.  The
         # call piggybacks every capped pid that shard also hosts, so the
         # common no-fault case is (home shard) + (one call per remaining
-        # host).  Call failures (dead/slow shard) may recover on a later
-        # attempt, so their exclusions are cleared when the host set is
-        # exhausted; load failures already burned the shard's in-process
-        # retry budget and are excluded for good.
+        # host).
         tracer = get_tracer()
         seed_reply = None
         seed_shard = None
@@ -838,12 +629,11 @@ class RouterService:
         )
         for attempt in range(1, retry.max_attempts + 1):
             self._check_deadline(deadline_at)
-            home_shard = self._pick_host(home_pid, call_failed | load_failed)
+            home_shard = self._pick_retry_host(
+                home_pid, call_failed, load_failed
+            )
             if home_shard is None:
-                call_failed.clear()
-                home_shard = self._pick_host(home_pid, load_failed)
-                if home_shard is None:
-                    break  # home partition lost on every host
+                break  # home partition lost on every host
             hosted = set(self.plan.hosted(home_shard))
             seed_pids = [pid for pid in pid_list if pid in hosted]
             reply = self._shard_knn_call(
@@ -896,8 +686,7 @@ class RouterService:
 
         # Phase 2: scatter the threshold to the remaining partitions,
         # grouped per host, calls in parallel; failed groups re-pick
-        # replicas round by round.  Same two-tier exclusion as the seed:
-        # call failures recover, in-shard load failures do not.
+        # replicas round by round, under the same two-tier exclusion.
         pending = [
             pid for pid in pid_list
             if pid not in loaded and pid not in missing
@@ -919,14 +708,9 @@ class RouterService:
             self._check_deadline(deadline_at)
             groups: dict[int, list] = {}
             for pid in pending:
-                host = self._pick_host(
-                    pid, calls_failed[pid] | loads_failed[pid]
+                host = self._pick_retry_host(
+                    pid, calls_failed[pid], loads_failed[pid]
                 )
-                if host is None:
-                    # Every host failed a *call* — clear those and let
-                    # the next round revisit (transient faults recover).
-                    calls_failed[pid].clear()
-                    host = self._pick_host(pid, loads_failed[pid])
                 if host is None:
                     missing.add(pid)  # partition lost on every host
                     continue
@@ -968,63 +752,48 @@ class RouterService:
         missing.update(pending)
         scatter_span.set("rounds", rounds)
         tracer.end_span(scatter_span)
+        missing_list = sorted(missing)
+        accounting = dict(
+            strategy="multi-partitions",
+            partitions_loaded=len(loaded),
+            partition_ids_loaded=[pid for pid in pid_list if pid in loaded],
+            degraded=bool(missing_list),
+            missing_partitions=missing_list,
+        )
         if home_lost:
-            self._count_degraded()
-            return KnnResult(
-                neighbors=[], strategy="multi-partitions",
-                partitions_loaded=len(loaded),
-                partition_ids_loaded=[
-                    pid for pid in pid_list if pid in loaded
-                ],
-                degraded=True, missing_partitions=sorted(missing),
-            )
+            return KnnResult(neighbors=[], **accounting)
 
-        # Gather: identical merge to the single-process MPA loop —
-        # (distance, record_id) sort, record-id dedup, k-truncate, then
-        # the synopsis-bound prefix cut when partitions went missing.
+        # Gather: the one merge (core.queries.merge_top_k), cut at the
+        # synopsis bounds of whatever went missing.
         gather_span = tracer.start_span(
             "route/gather", parent=parent_span, replies=len(replies),
         )
-        neighbors = [
-            (float(d), int(r))
-            for reply in replies for d, r in reply.get("neighbors", [])
+        missing_bounds = [
+            self.index.bound_of(pid, paa) for pid in missing_list
         ]
-        neighbors.sort()
-        deduped = []
-        seen_ids: set[int] = set()
-        for distance, record_id in neighbors:
-            if record_id not in seen_ids:
-                seen_ids.add(record_id)
-                deduped.append((distance, record_id))
-            if len(deduped) == k:
-                break
-        degraded = False
-        missing_list = sorted(missing)
+        neighbors = merge_top_k(
+            [
+                [
+                    Neighbor(float(d), int(r))
+                    for d, r in reply.get("neighbors", [])
+                ]
+                for reply in replies
+            ],
+            k, missing_bounds,
+        )
         if missing_list:
-            safe_bound = min(
-                self.index.bound_of(pid, paa) for pid in missing_list
-            )
-            cut_span = tracer.start_span(
+            tracer.end_span(tracer.start_span(
                 "route/degraded-cut", parent=gather_span,
                 degraded=True, missing_partitions=missing_list,
-                safe_bound=float(safe_bound),
-            )
-            deduped = [
-                (d, r) for d, r in deduped if d < safe_bound
-            ]
-            tracer.end_span(cut_span)
-            degraded = True
-            self._count_degraded()
-        gather_span.set("merged", len(deduped))
+                safe_bound=min(missing_bounds),
+            ))
+        gather_span.set("merged", len(neighbors))
         tracer.end_span(gather_span)
-        result = KnnResult(
-            neighbors=[Neighbor(d, r) for d, r in deduped],
-            partitions_loaded=len(loaded),
+        return KnnResult(
+            neighbors=neighbors,
             candidates_examined=sum(
                 int(reply.get("candidates", 0)) for reply in replies
             ),
-            strategy="multi-partitions",
-            partition_ids_loaded=[pid for pid in pid_list if pid in loaded],
             nodes_visited=(
                 int(seed_reply.get("target_layer", -1)) + 1
                 + sum(int(reply.get("visited", 0)) for reply in replies)
@@ -1032,10 +801,8 @@ class RouterService:
             nodes_pruned=sum(
                 int(reply.get("pruned", 0)) for reply in replies
             ),
-            degraded=degraded,
-            missing_partitions=missing_list,
+            **accounting,
         )
-        return result
 
     def _shard_knn_call(
         self, shard_id: int, series, k: int, pids, parent_span,
@@ -1053,39 +820,21 @@ class RouterService:
             doc["threshold"] = threshold
         if trace:
             doc["trace"] = True
-        tracer = get_tracer()
-        call_span = tracer.start_span(
-            "route/shard-call", parent=parent_span,
-            shard_id=shard_id, op="shard-knn", attempt=attempt,
-            n_partitions=len(pids), seed=home_pid is not None,
-        )
-        if attempt > 1:
-            call_span.set("failover", True)
-        carrier = inject(call_span)
-        if carrier is not None:
-            doc["ctx"] = carrier
-            doc["trace_sample"] = self.trace_sample
         try:
-            envelope = self._call_once(shard_id, "shard-knn", doc, attempt)
-            reply = self._unwrap(envelope)
-        except (_ShardCallError, OverloadedError, DeadlineExceededError,
-                RuntimeError) as exc:
-            call_span.set("error", f"{type(exc).__name__}: {exc}")
-            tracer.end_span(call_span)
-            self._journal_failover(
-                shard_id, "shard-knn", f"{type(exc).__name__}: {exc}",
-                attempt, partition_ids=pids,
-                trace_id=trace_id_of(parent_span),
+            return self._shard_call(
+                shard_id, doc, parent_span, attempt, pids,
+                n_partitions=len(pids), seed=home_pid is not None,
             )
+        except RuntimeError:
             return None
-        self._adopt_trace(reply.get("trace"), call_span)
-        tracer.end_span(call_span)
-        return reply
 
     # -- streaming writes ---------------------------------------------------
 
     def _op_write(self, doc: dict) -> dict:
         """Wire handler for ``write`` / ``write-batch`` on the router.
+
+        Runs in the handler thread (like shard-knn on shards): admission
+        control for writes lives at each shard's own queue.
 
         Routes each row through the router's Tardis-G to its home
         partition, then forwards one ``write-batch`` per partition to
@@ -1103,32 +852,11 @@ class RouterService:
         a partition could not be reached; a partition whose entire host
         chain fails raises, surfacing as a typed wire error.
         """
-        payload = doc.get("batch") if "batch" in doc else doc.get("series")
-        if payload is None:
-            raise ValueError("write needs 'series' (one) or 'batch' (many)")
-        record_ids = doc.get("record_ids")
-        if record_ids is None and "record_id" in doc:
-            record_ids = [doc["record_id"]]
-        request = WriteRequest(
-            batch=np.asarray(payload, dtype=np.float64),
-            record_ids=record_ids,
-            deadline_ms=doc.get("deadline_ms"),
-        )
+        request = self.parse_write(doc)
         batch = request.batch
-        if batch.shape[1] != self.index.series_length:
-            raise ValueError(
-                f"write series length {batch.shape[1]} != indexed "
-                f"length {self.index.series_length}"
-            )
+        self._check_length(batch.shape[1], "write series")
         n = batch.shape[0]
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
-        )
-        deadline_at = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
+        deadline_at = self._deadline_at(request, time.monotonic())
         if request.record_ids is not None:
             record_ids = list(request.record_ids)
         else:
@@ -1141,7 +869,7 @@ class RouterService:
         row_pids: list[int] = []
         groups: dict[int, list[int]] = {}
         for i in range(n):
-            signature, _paa = self._signature(batch[i])
+            signature, _paa = query_signature(self.index, batch[i])
             pid = self.index.global_index.route(signature)
             if pid not in self.index.synopses:
                 raise ValueError(
@@ -1151,9 +879,8 @@ class RouterService:
             row_pids.append(pid)
             groups.setdefault(pid, []).append(i)
         tracer = get_tracer()
-        root = tracer.start_span(
-            "serve/write", op="write", router=True,
-            n_records=n, n_partitions=len(groups),
+        root = self._start_root(
+            "write", None, op="write", n_records=n, n_partitions=len(groups),
         )
         registry = get_registry()
         durable = True
@@ -1235,48 +962,25 @@ class RouterService:
         """Deliver one partition's rows to one replica; ``None`` when the
         retry budget is exhausted (the caller records the failed leg)."""
         retry = self._retry_policy()
-        tracer = get_tracer()
-        base_doc: dict = {
-            "op": "write-batch", "batch": rows, "record_ids": rids,
-        }
+        doc: dict = {"op": "write-batch", "batch": rows, "record_ids": rids}
         for attempt in range(1, retry.max_attempts + 1):
             try:
                 remaining = self._check_deadline(deadline_at)
             except DeadlineExceededError:
                 return None
-            doc = base_doc
             if remaining is not None:
-                doc = dict(base_doc, deadline_ms=remaining * 1000.0)
-            call_span = tracer.start_span(
-                "route/shard-call", parent=parent_span,
-                shard_id=shard_id, op="write-batch", attempt=attempt,
-                partition_id=partition_id,
-            )
-            if attempt > 1:
-                call_span.set("failover", True)
-            carrier = inject(call_span)
-            if carrier is not None:
-                doc = dict(doc, ctx=carrier, trace_sample=self.trace_sample)
+                doc = dict(doc, deadline_ms=remaining * 1000.0)
             try:
-                envelope = self._call_once(shard_id, "write-batch", doc, attempt)
-                result = self._unwrap(envelope)
-            except (_ShardCallError, OverloadedError, DeadlineExceededError,
-                    RuntimeError) as exc:
-                call_span.set("error", f"{type(exc).__name__}: {exc}")
-                tracer.end_span(call_span)
-                self._journal_failover(
-                    shard_id, "write-batch", f"{type(exc).__name__}: {exc}",
-                    attempt, partition_ids=[partition_id],
-                    trace_id=trace_id_of(parent_span),
+                return self._shard_call(
+                    shard_id, doc, parent_span, attempt, [partition_id],
+                    partition_id=partition_id,
                 )
+            except RuntimeError:
                 if attempt < retry.max_attempts:
                     self._count_retry()
                     self._backoff(
                         attempt, deadline_at, "shard", partition_id, "write"
                     )
-                continue
-            tracer.end_span(call_span)
-            return result
         return None
 
     # -- cluster telemetry (federation scrape) ------------------------------
@@ -1290,7 +994,7 @@ class RouterService:
                 {"op": "telemetry", "since_seq": int(since_seq)},
                 attempt=1,
             )
-            return self._unwrap(envelope)
+            return unwrap_reply(envelope)
         except (_ShardCallError, RuntimeError):
             return None
 
@@ -1334,19 +1038,13 @@ class RouterService:
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> dict:
-        report = self.slo.report(queue_depth=self.queue.depth)
-        report["config"] = {
-            "policy": self.queue.policy,
-            "queue_capacity": self.queue.capacity,
-            "workers": self.workers,
-            "call_timeout_s": self.call_timeout_s,
-            "default_deadline_ms": (
-                None if self.default_deadline_s is None
-                else self.default_deadline_s * 1000.0
-            ),
-            "trace_sample": self.trace_sample,
-            "scrape_interval_s": self.scrape_interval_s,
-        }
+        report = super().stats()
+        report["config"].update(
+            workers=self.workers,
+            call_timeout_s=self.call_timeout_s,
+            trace_sample=self.trace_sample,
+            scrape_interval_s=self.scrape_interval_s,
+        )
         report["topology"] = {
             "shards": self.plan.n_shards,
             "replicas": self.plan.replication,
@@ -1357,8 +1055,6 @@ class RouterService:
                 self._shards[shard_id].snapshot()
                 for shard_id in sorted(self._shards)
             ]
-        if self.result_cache is not None:
-            report["result_cache"] = self.result_cache.stats()
         report["ingest"] = {
             "writes_total": self._writes_total,
             "write_records_total": self._write_records_total,
@@ -1366,21 +1062,9 @@ class RouterService:
             "replica_failures": self._write_replica_failures,
             "next_record_id": self._write_counter,
         }
-        report["journal"] = self.journal.stats()
-        report["tracing"] = get_tracer().enabled
         if self.telemetry.scrapes > 0:
             report["cluster"] = self.telemetry.cluster_report()
         return report
-
-    def recent_traces(
-        self, n: int = 10, trace_id: str | None = None
-    ) -> list[dict]:
-        tracer = get_tracer()
-        if trace_id:
-            root = tracer.find_trace(trace_id)
-            return [root.to_dict()] if root is not None else []
-        roots = tracer.roots
-        return [root.to_dict() for root in roots[-max(0, n):]] if n > 0 else []
 
     def slowest_recent_trace(self, window: int = 32) -> dict | None:
         """Full span tree of the slowest request among the last

@@ -10,12 +10,11 @@ construction.
 The shard adds one wire op, ``shard-knn`` — the scatter target of
 distributed Multi-Partitions Access.  The router decides *which*
 partitions participate (the ``pth`` fan-out cap) and splits them by
-host; each shard then executes the same per-partition work the
-single-process MPA loop would: load, seed-phase threshold from the
-home target node (home shard only), MINDIST-pruned scan, vectorized
-per-partition top-k (:func:`repro.core.queries._top_k` — shared, not
-reimplemented).  Only per-partition top-k lists travel back; the
-router's merge applies the ``(distance, record_id)`` tie-break.
+host; each shard runs :func:`repro.core.queries.scan_partitions` over
+its slice — as the seed (threshold from the home target node) on the
+home shard, with the seed's threshold everywhere else.  Only
+per-partition top-k lists travel back, to the router's
+:func:`~repro.core.queries.merge_top_k`.
 
 ``shard-knn`` runs in the connection handler thread and bypasses the
 shard's admission queue: backpressure, deadlines, caching and SLO
@@ -31,16 +30,15 @@ import time
 import numpy as np
 
 from ..core.builder import TardisIndex
-from ..core.local_index import ScanStats
-from ..core.queries import _top_k, query_signature
-from ..faults.errors import PartitionUnavailableError
-from ..telemetry.carrier import compact_spans, extract, should_ship
+from ..core.queries import query_signature, scan_partitions
+from ..telemetry.carrier import extract, reply_trace
+from ..telemetry.context import trace_id_of
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Span, get_tracer
 from ..serving.service import QueryService
 from ..serving.slo import LATENCY_BUCKETS
 
-__all__ = ["ShardService", "subset_index", "run_shard_knn"]
+__all__ = ["ShardService", "subset_index"]
 
 logger = logging.getLogger(__name__)
 
@@ -69,82 +67,13 @@ def subset_index(index: TardisIndex, partition_ids) -> TardisIndex:
     )
 
 
-def run_shard_knn(
-    index: TardisIndex,
-    series: np.ndarray,
-    k: int,
-    partition_ids,
-    home_pid: int | None = None,
-    threshold: float | None = None,
-) -> dict:
-    """One shard's slice of a distributed MPA query.
-
-    With ``home_pid`` given (the seed call), the pruning threshold is
-    computed from the home partition's target node exactly as Alg. 1
-    lines 10-14 do; otherwise ``threshold`` must carry the value the
-    seed call returned (``None`` meaning +inf: fewer than ``k`` seed
-    candidates).  Partitions that fail to load after the injector's
-    retries are reported in ``missing`` — the router decides whether a
-    replica can still serve them.
-    """
-    signature, paa = query_signature(index, series)
-    loaded = {}
-    missing: list[int] = []
-    for pid in partition_ids:
-        try:
-            loaded[pid] = index.load_partition(pid)
-        except PartitionUnavailableError:
-            missing.append(pid)
-    reply: dict = {
-        "loaded": sorted(loaded),
-        "missing": sorted(missing),
-        "neighbors": [],
-        "candidates": 0,
-        "visited": 0,
-        "pruned": 0,
-    }
-    scan = ScanStats()
-    tops: list = []
-    candidates = 0
-    target = None
-    if home_pid is not None:
-        if home_pid not in loaded:
-            # No threshold can be computed: the router degrades the
-            # whole query (same as the single-process home-lost path).
-            reply["home_lost"] = True
-            return reply
-        home = loaded[home_pid]
-        target = home.target_node(signature, k)
-        seed_entries = home.entries_under(target, stats=scan)
-        seed_top = _top_k(series, home, seed_entries, k)
-        candidates += len(seed_entries)
-        tops.append(seed_top)
-        threshold = seed_top[-1].distance if len(seed_top) >= k else None
-        reply["threshold"] = threshold
-        reply["target_layer"] = target.layer
-    th = np.inf if threshold is None else float(threshold)
-    for pid, partition in loaded.items():
-        skip = target if pid == home_pid else None
-        survivors = partition.pruned_entries(
-            paa, th, index.series_length, skip=skip, stats=scan
-        )
-        tops.append(_top_k(series, partition, survivors, k))
-        candidates += len(survivors)
-    reply["neighbors"] = [
-        [n.distance, n.record_id] for top in tops for n in top
-    ]
-    reply["candidates"] = candidates
-    reply["visited"] = scan.visited
-    reply["pruned"] = scan.pruned
-    return reply
-
-
 class ShardService(QueryService):
     """A QueryService for one shard, plus the ``shard-knn`` scatter op."""
 
     def __init__(self, index: TardisIndex, *, shard_id: int = 0, **kwargs):
         super().__init__(index, **kwargs)
         self.shard_id = int(shard_id)
+        self.root_attrs = {"shard_id": self.shard_id}
         #: Dispatched by the wire handler before the standard request
         #: path (see serving.server._Handler._answer).  Extends — never
         #: replaces — the ops QueryService registered (write/write-batch
@@ -155,15 +84,21 @@ class ShardService(QueryService):
         self._idempotent_writes = True
 
     def _op_shard_knn(self, doc: dict) -> dict:
+        """One shard's slice of a distributed MPA query.
+
+        With ``home`` given (the seed call) the reply carries the
+        threshold this shard computed (``None`` meaning +inf) and the
+        target node's layer, or ``home_lost`` when the home partition
+        would not load; otherwise ``threshold`` must carry the seed's
+        value.  Partitions that fail to load after the injector's
+        retries are reported in ``missing`` — the router decides whether
+        a replica can still serve them.
+        """
         series = doc.get("series")
         if not isinstance(series, list) or not series:
             raise ValueError("'series' must be a non-empty list of numbers")
         series = np.asarray(series, dtype=np.float64)
-        if len(series) != self.index.series_length:
-            raise ValueError(
-                f"query length {len(series)} != indexed length "
-                f"{self.index.series_length}"
-            )
+        self._check_length(len(series), "query")
         k = int(doc.get("k", 10))
         if k <= 0:
             raise ValueError("k must be positive")
@@ -182,27 +117,18 @@ class ShardService(QueryService):
         threshold = doc.get("threshold")
         ctx = extract(doc)
         tracer = get_tracer()
-        if ctx is not None:
-            # Carrier present: join the router's trace.  The remote
-            # parent keeps this root out of the shard's local root
-            # collection — it travels back in the reply instead.
-            root = tracer.start_remote_span(
-                "shard/request", ctx.trace_id, ctx.parent_span_id,
-                op="shard-knn", shard_id=self.shard_id,
-                n_partitions=len(partition_ids),
-            )
-        else:
-            root = tracer.start_span(
-                "shard/request", op="shard-knn", shard_id=self.shard_id,
-                n_partitions=len(partition_ids),
-            )
+        root = self._start_root(
+            "request", ctx, local="shard", op="shard-knn",
+            n_partitions=len(partition_ids),
+        )
         token = tracer.attach(root)
         started = time.perf_counter()
         try:
-            reply = run_shard_knn(
-                self.index, series, k, partition_ids,
+            signature, paa = query_signature(self.index, series)
+            scan = scan_partitions(
+                self.index, series, signature, paa, k, partition_ids,
                 home_pid=None if home_pid is None else int(home_pid),
-                threshold=threshold,
+                threshold=np.inf if threshold is None else float(threshold),
             )
         finally:
             tracer.detach(token)
@@ -211,23 +137,29 @@ class ShardService(QueryService):
             self._mark_shard_knn(latency_s, len(partition_ids))
         self.slow_log.observe(
             latency_s,
-            trace_id=root.trace_id if isinstance(root, Span) else None,
+            trace_id=trace_id_of(root),
             op="shard-knn", shard_id=self.shard_id,
             partitions=sorted(partition_ids),
         )
+        reply: dict = {
+            "loaded": sorted(scan.loaded),
+            "missing": sorted(scan.missing),
+            "neighbors": [
+                [n.distance, n.record_id] for top in scan.tops for n in top
+            ],
+            "candidates": scan.candidates,
+            "visited": scan.stats.visited,
+            "pruned": scan.stats.pruned,
+        }
+        if scan.home_lost:
+            reply["home_lost"] = True
+        elif home_pid is not None:
+            reply["threshold"] = (
+                None if scan.threshold == np.inf else scan.threshold
+            )
+            reply["target_layer"] = scan.target_layer
         if doc.get("trace") and isinstance(root, Span):
-            if ctx is not None:
-                # Never the full recursive tree on the router path: a
-                # large fan-out shard-knn can open hundreds of load/scan
-                # spans, so replies carry the capped compact summary,
-                # and only for deterministically sampled traces.
-                rate = float(doc.get("trace_sample", 1.0))
-                reply["trace"] = (
-                    compact_spans(root)
-                    if should_ship(root.trace_id, rate) else None
-                )
-            else:
-                reply["trace"] = root.to_dict()
+            reply["trace"] = reply_trace(root, doc, ctx)
         return reply
 
     def _mark_shard_knn(self, latency_s: float, n_partitions: int) -> None:

@@ -3,15 +3,11 @@
 The router deliberately owns *no partition data* — the TARDIS argument
 is that the global index is small enough to centralize.  But the
 ``pth`` fan-out cap and the degraded-answer guarantee both need a
-MINDIST lower bound per candidate partition, which single-process
-serving computes from :meth:`LocalPartition.region_bound`.  The
-:class:`PartitionSynopsis` is the wire-sized extract that makes the
-same bound computable router-side: the partition's distinct
-``REGION_PREFIX_BITS``-level signature prefixes (a handful of short
-strings) plus the word length.  The decode + ``mindist_paa_to_words``
-pipeline is shared with the partition implementation, so router bounds
-are bit-identical to in-process bounds — the foundation of the
-cross-topology equivalence guarantee.
+MINDIST lower bound per candidate partition.  A
+:class:`PartitionSynopsis` is the partition's
+:class:`~repro.core.region.RegionSynopsis` — a handful of short prefix
+strings plus the word length — detached from the data and given a
+partition id, a record count and a wire form.
 """
 
 from __future__ import annotations
@@ -19,68 +15,41 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.builder import TardisIndex
-from ..core.isaxt import batch_decode_signatures
-from ..tsdb.distance import mindist_paa_to_words
+from ..core.region import RegionSynopsis
 
 __all__ = ["PartitionSynopsis", "RouterIndex"]
 
 
-class PartitionSynopsis:
+class PartitionSynopsis(RegionSynopsis):
     """Region synopsis of one partition, detached from its data."""
 
-    __slots__ = ("partition_id", "n_records", "word_length",
-                 "region_prefixes", "_decoded")
+    __slots__ = ("partition_id", "n_records")
 
     def __init__(
         self, partition_id: int, n_records: int, word_length: int,
         region_prefixes,
     ):
+        super().__init__(word_length, region_prefixes)
         self.partition_id = int(partition_id)
         self.n_records = int(n_records)
-        self.word_length = int(word_length)
-        #: Sorted — the same order LocalPartition._region_symbols uses,
-        #: so the decoded matrix (and thus the min) matches exactly.
-        self.region_prefixes = tuple(sorted(region_prefixes))
-        self._decoded = None
-
-    def bound(self, query_paa: np.ndarray, series_length: int) -> float:
-        """Sound lower bound on the distance from the query to ANY
-        record in the partition — identical to
-        :meth:`LocalPartition.region_bound`."""
-        if not self.region_prefixes:
-            return float(np.inf)
-        if self._decoded is None:
-            self._decoded = batch_decode_signatures(
-                np.asarray(self.region_prefixes), self.word_length
-            )
-        symbols, bits = self._decoded
-        bounds = mindist_paa_to_words(query_paa, symbols, bits, series_length)
-        return float(bounds.min())
 
     def absorb(self, n_new: int, new_prefixes=()) -> None:
         """Fold an acknowledged write into the synopsis, in place.
 
         The shard's write ack reports how many records landed in the
         partition and which coarse region prefixes are new; applying
-        both here keeps router-side MINDIST bounds sound (a grown region
-        set can only *shrink* the bound) without re-scraping the shard.
-        The decoded-matrix cache is dropped so the next bound sees the
-        merged prefix set.
+        both here keeps router-side MINDIST bounds sound without
+        re-scraping the shard.
         """
         self.n_records += int(n_new)
-        if new_prefixes:
-            merged = set(self.region_prefixes)
-            merged.update(new_prefixes)
-            if len(merged) != len(self.region_prefixes):
-                self.region_prefixes = tuple(sorted(merged))
-                self._decoded = None
+        self.add(new_prefixes)
 
     def to_dict(self) -> dict:
         return {
             "partition_id": self.partition_id,
             "n_records": self.n_records,
             "word_length": self.word_length,
-            "region_prefixes": list(self.region_prefixes),
+            "region_prefixes": sorted(self.region_prefixes),
         }
 
     @classmethod

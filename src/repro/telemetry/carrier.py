@@ -37,6 +37,7 @@ __all__ = [
     "should_ship",
     "compact_spans",
     "spans_from_compact",
+    "reply_trace",
 ]
 
 #: Schema tag stamped into every carrier dict.
@@ -144,6 +145,24 @@ def compact_spans(root, cap: int = COMPACT_SPAN_CAP) -> dict | None:
         "spans": rows,
         "truncated": truncated,
     }
+
+
+def reply_trace(root, doc: dict, ctx) -> dict | None:
+    """What a ``"trace": true`` request gets back for its root span.
+
+    A router-originated call (``ctx`` carrier present) ships the capped
+    compact form, and only when the trace id samples in under the
+    request's ``trace_sample`` — never the full recursive tree, so reply
+    size stays bounded no matter the fan-out.  A direct (human) client
+    gets the full tree: it drives the ``query-remote --trace`` timeline.
+    ``None`` when tracing is off.
+    """
+    if not isinstance(root, Span):
+        return None
+    if ctx is None:
+        return root.to_dict()
+    rate = float(doc.get("trace_sample", 1.0))
+    return compact_spans(root) if should_ship(root.trace_id, rate) else None
 
 
 def spans_from_compact(payload, base_s: float = 0.0) -> Span | None:

@@ -164,9 +164,9 @@ class TestMultiPartitionsSpecifics:
         result = knn_multi_partitions_access(tardis_small, heldout_queries[3], 10)
         assert result.partitions_loaded <= tardis_small.config.pth
 
-    def test_seed_determinism(self, tardis_small, heldout_queries):
-        a = knn_multi_partitions_access(tardis_small, heldout_queries[4], 10, seed=3)
-        b = knn_multi_partitions_access(tardis_small, heldout_queries[4], 10, seed=3)
+    def test_repeat_call_determinism(self, tardis_small, heldout_queries):
+        a = knn_multi_partitions_access(tardis_small, heldout_queries[4], 10)
+        b = knn_multi_partitions_access(tardis_small, heldout_queries[4], 10)
         assert a.record_ids == b.record_ids
 
     def test_mpa_at_least_as_good_as_opa_kth(self, tardis_small,

@@ -55,6 +55,29 @@ class TestRegionSynopsis:
         assert partition.region_bound(np.zeros(8), 64) == np.inf
 
 
+    def test_growth_replaces_the_set_and_refreshes_the_bound(
+        self, tardis_small
+    ):
+        """``add`` swaps in a grown set (readers keep a consistent one)
+        and the decode cache follows: the bound over the union is the
+        min of the parts' bounds."""
+        from repro.core.region import RegionSynopsis
+
+        a, b = list(tardis_small.partitions.values())[:2]
+        paa = np.linspace(-1.0, 1.0, a.tree.word_length)
+        grown = RegionSynopsis(a.tree.word_length, a.region_prefixes)
+        before = grown.region_prefixes
+        assert grown.bound(paa, 64) == a.region_bound(paa, 64)
+        grown.add(before)  # nothing new: same set object, cache kept
+        assert grown.region_prefixes is before
+        grown.add(b.region_prefixes)
+        assert grown.region_prefixes is not before
+        assert before == a.region_prefixes  # the old set was not mutated
+        assert grown.bound(paa, 64) == min(
+            a.region_bound(paa, 64), b.region_bound(paa, 64)
+        )
+
+
 class TestFallbackRoutingRegression:
     """The exact hypothesis counterexample, pinned."""
 

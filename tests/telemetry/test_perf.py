@@ -4,8 +4,9 @@ Covers the ``repro.telemetry.perf`` contract end to end: counter
 arithmetic and the snapshot/delta/absorb fork-merge triple, registry
 publication idempotence, the ``repro.perf/v1`` report and validator,
 collapsed-stack conversion, attribution accounting — and the two
-acceptance gates: disabled counters cost <3% on the batch-kNN hot
-path, and cross-backend answer equivalence holds with counters on.
+acceptance gates: disabled counters never reach ``record`` on the
+batch-kNN hot path, and cross-backend answer equivalence holds with
+counters on.
 """
 
 from __future__ import annotations
@@ -285,56 +286,43 @@ def test_folded_accumulator_merges_spans(tmp_path):
 # acceptance gates
 
 
-def _batch_knn_wall(index, queries, reps: int = 5) -> float:
+def test_disabled_counters_make_zero_record_calls(
+    tardis_small, heldout_queries, monkeypatch
+):
+    """With counters off the batch-kNN hot path never reaches ``record``.
+
+    Every instrumented call site guards its clock reads and its
+    ``KERNELS.record`` call behind ``KERNELS.enabled``, so the disabled
+    cost is one attribute test per site — the deterministic property the
+    old wall-clock A/B of two identical arms stood for.  It must hold
+    both before the counters were ever enabled and after an
+    enable/disable cycle.  The measured overhead is gated where host
+    noise is handled, in ``perf/`` (``telemetry.tracing.overhead_pct``).
+    """
     from repro.core.batch import batch_knn_target_node
 
-    # A warmed batch pass is ~1.5 ms; one call alone puts the 3% gate at
-    # scheduler-jitter scale, so time a few back to back for signal.
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        batch_knn_target_node(index, queries, k=5)
-    return time.perf_counter() - t0
+    calls: list[str] = []
+    real_record = KERNELS.record
 
+    def spy(name, *args, **kwargs):
+        calls.append(name)
+        return real_record(name, *args, **kwargs)
 
-def test_disabled_counters_overhead_under_three_percent(
-    tardis_small, heldout_queries
-):
-    """With counters off the hot path must pay <3% vs never-instrumented.
+    monkeypatch.setattr(KERNELS, "record", spy)
 
-    Both arms run with counters *disabled* — arm A immediately after an
-    enable/disable cycle, arm B never enabled — interleaved, medians
-    compared.  The gate bounds what the `if enabled:` guards cost.
-    """
-    index, queries = tardis_small, heldout_queries
-    _batch_knn_wall(index, queries)  # warm caches before timing
+    def disabled_pass() -> None:
+        before = (KERNELS.totals(), KERNELS.snapshot())
+        batch_knn_target_node(tardis_small, heldout_queries, k=5)
+        assert calls == []
+        assert (KERNELS.totals(), KERNELS.snapshot()) == before
 
-    def one_measurement() -> tuple[float, float, float]:
-        arm_a: list[float] = []
-        arm_b: list[float] = []
-        for _ in range(7):
-            enable_kernel_counters()
-            disable_kernel_counters()
-            arm_a.append(_batch_knn_wall(index, queries))
-            arm_b.append(_batch_knn_wall(index, queries))
-        # min-of-reps: both arms run identical code, so their *best*
-        # runs converge; medians wander with scheduler noise on small
-        # hosts and would flake this gate.
-        best_a, best_b = min(arm_a), min(arm_b)
-        return 100.0 * abs(best_a - best_b) / max(best_a, best_b), \
-            best_a, best_b
-
-    # A real systematic >=3% cost fails every attempt; transient noise
-    # (suite runs under load) gets two more chances to settle.
-    deltas = []
-    for _ in range(3):
-        delta_pct, best_a, best_b = one_measurement()
-        deltas.append(delta_pct)
-        if delta_pct < 3.0:
-            break
-    assert min(deltas) < 3.0, (
-        f"disabled-counter arms differ {deltas} % across attempts "
-        f"(last: A={best_a:.6f}s B={best_b:.6f}s)"
-    )
+    disabled_pass()  # never enabled
+    enable_kernel_counters()
+    batch_knn_target_node(tardis_small, heldout_queries, k=5)
+    assert calls, "spy saw nothing with counters on: the check is vacuous"
+    disable_kernel_counters()
+    calls.clear()
+    disabled_pass()  # after an enable/disable cycle, totals kept
 
 
 def test_cross_backend_answers_identical_with_counters_on(
