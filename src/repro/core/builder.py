@@ -37,6 +37,7 @@ from .global_index import (
 )
 from .isaxt import batch_signatures
 from .local_index import LocalPartition, build_local_partition
+from .region import RegionMatrix
 
 __all__ = [
     "IngestReport",
@@ -181,6 +182,22 @@ class TardisIndex:
             span.set("cached", cached)
             span.set("simulated_s", io + delay_s)
         return partition
+
+    def region_bounds(self, query_paa, partition_ids=None) -> dict[int, float]:
+        """Partition id → :meth:`LocalPartition.region_bound`, one pass.
+
+        Every bound a query needs — the ``pth`` cap's sibling list, the
+        degraded cut, an exact search's partition order — comes from one
+        :class:`~repro.core.region.RegionMatrix` over this index's
+        partitions, built on first use and again after a synopsis grew
+        or a rebalance swapped partitions.  Synopses are in-memory
+        metadata (like the Bloom filters): no partition is loaded.
+        """
+        matrix = self._region_matrix = RegionMatrix.current(
+            getattr(self, "_region_matrix", None),
+            {pid: p.region for pid, p in self.partitions.items()},
+        )
+        return matrix.bounds(query_paa, self.series_length, partition_ids)
 
     def enable_cache(self, capacity_partitions: int):
         """Attach an LRU partition cache; returns it for inspection.

@@ -54,13 +54,13 @@ def certified_prefix(
         raise ValueError("result carries no loaded-partition ids")
     _signature, paa = query_signature(index, query)
     loaded = set(result.partition_ids_loaded)
-    unseen_bound = np.inf
-    for pid, partition in index.partitions.items():
-        if pid in loaded:
-            continue
-        bound = partition.region_bound(paa, index.series_length)
-        if bound < unseen_bound:
-            unseen_bound = bound
+    unseen_bound = min(
+        (
+            bound for pid, bound in index.region_bounds(paa).items()
+            if pid not in loaded
+        ),
+        default=np.inf,
+    )
     certified = 0
     for neighbor in result.neighbors:
         if neighbor.distance < unseen_bound - _EPSILON:

@@ -69,22 +69,6 @@ class ExactSearchResult:
         return self.ledger.clock_s
 
 
-def _partition_bounds(index: TardisIndex, paa: np.ndarray) -> dict[int, float]:
-    """Sound lower bound per partition, from the region synopses.
-
-    The synopsis covers each partition's *actual* contents, so the bound
-    holds even for records fallback-routed into a partition whose sampled
-    Tardis-G leaf regions do not cover them — bounding by the Tardis-G
-    leaves alone would be unsound (a hypothesis-found bug; see
-    EXPERIMENTS.md methodology notes).  Synopses are in-memory metadata
-    (like the Bloom filters), so consulting them does not load partitions.
-    """
-    return {
-        pid: partition.region_bound(paa, index.series_length)
-        for pid, partition in index.partitions.items()
-    }
-
-
 def _rank_entries(
     query: np.ndarray, partition: LocalPartition, rows, k_heap: list, k: int
 ) -> int:
@@ -129,9 +113,13 @@ def knn_exact(index: TardisIndex, query: np.ndarray, k: int) -> ExactSearchResul
     with get_tracer().span("query/knn-exact", k=k) as span:
         with timed_stage(result.ledger, "query/route"):
             _signature, paa = query_signature(index, query)
+            # Region synopses cover each partition's *actual* contents,
+            # fallback-routed records included, which the sampled
+            # Tardis-G leaf regions do not (EXPERIMENTS.md methodology
+            # notes); consulting them loads no partition.
             partition_queue = sorted(
                 (bound, pid)
-                for pid, bound in _partition_bounds(index, paa).items()
+                for pid, bound in index.region_bounds(paa).items()
             )
         k_heap: list[tuple[float, int]] = []  # (-distance, -record_id)
 
@@ -228,7 +216,7 @@ def range_query(
         with timed_stage(result.ledger, "query/route"):
             _signature, paa = query_signature(index, query)
         hits: list[Neighbor] = []
-        bounds = _partition_bounds(index, paa)
+        bounds = index.region_bounds(paa)
         scan = ScanStats()
         for pid, partition in index.partitions.items():
             if bounds[pid] > radius:

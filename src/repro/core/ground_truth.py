@@ -72,10 +72,10 @@ def pruned_ground_truth(
     per_partition_distances = []
     per_partition_rids = []
     n_candidates = 0
-    for pid in sorted(index.partitions):
-        partition = index.partitions[pid]
-        if partition.region_bound(paa, index.series_length) > threshold:
+    for pid, bound in sorted(index.region_bounds(paa).items()):
+        if bound > threshold:
             continue
+        partition = index.partitions[pid]
         rows = partition.pruned_entries(paa, threshold, index.series_length)
         if not len(rows):
             continue

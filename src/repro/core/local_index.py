@@ -26,7 +26,7 @@ import numpy as np
 from ..bloom import BloomFilter
 from ..cluster.costmodel import estimate_bytes
 from ..telemetry.perf import KERNELS as _KERNELS
-from ..tsdb.distance import mindist_paa_to_word, mindist_paa_to_words
+from ..tsdb.distance import as_gap_table, mindist_paa_to_word, table_index
 from .columnar import ColumnarBlock
 from .config import TardisConfig
 from .isaxt import batch_decode_signatures, decode_signature
@@ -83,20 +83,63 @@ def node_mindist(node: SigTreeNode, query_paa: np.ndarray, n: int, word_length: 
     return mindist_paa_to_word(query_paa, symbols, bits, n)
 
 
-def _level_symbols(nodes: list, word_length: int) -> np.ndarray:
-    """Stacked symbol matrix for same-layer nodes, filling decode caches.
+class _NodeTable:
+    """One Tardis-L tree flattened for the pruned scan.
 
-    All nodes of one sigTree layer share a signature length, so the
-    uncached ones decode in a single :func:`batch_decode_signatures`
-    call instead of one triple-nested scalar decode per node.
+    All nodes in depth-first pre-order, so a subtree is the contiguous
+    range ``[i, subtree_end[i])``; the leaves' entries as CSR (``rows``
+    with the owning node of each in ``row_node``).  ``index`` is the
+    nodes' ``(N, w)`` gap-table index, the root at the whole-line column.
+    Immutable; tagged with the tree version read before the walk.
     """
-    missing = [n for n in nodes if n.decoded is None]
-    if missing:
-        signatures = np.asarray([n.signature for n in missing])
-        symbols, bits = batch_decode_signatures(signatures, word_length)
-        for i, node in enumerate(missing):
-            node.decoded = (symbols[i], bits)
-    return np.stack([n.decoded[0] for n in nodes])
+
+    __slots__ = (
+        "version", "position", "index", "parent", "subtree_end",
+        "rows", "row_node",
+    )
+
+    def __init__(self, tree: SigTree):
+        self.version = tree.version
+        nodes: list[SigTreeNode] = []
+        parent: list[int] = []
+        rows: list[int] = []
+        counts: list[int] = []
+        stack = [(tree.root, 0)]
+        while stack:
+            node, parent_at = stack.pop()
+            at = len(nodes)
+            nodes.append(node)
+            parent.append(parent_at)
+            # One read of the list: rows and counts must agree even if a
+            # writer on another thread appends meanwhile.
+            entries = tuple(node.entries)
+            rows.extend(entries)
+            counts.append(len(entries))
+            stack.extend((child, at) for child in node.children.values())
+        n_nodes = len(nodes)
+        subtree_end = list(range(1, n_nodes + 1))
+        for at in range(n_nodes - 1, 0, -1):
+            if subtree_end[at] > subtree_end[parent[at]]:
+                subtree_end[parent[at]] = subtree_end[at]
+        #: Signature → position (signatures are unique within a tree and,
+        #: unlike node identities, survive pickling with the table).
+        self.position = {node.signature: at for at, node in enumerate(nodes)}
+        self.parent = np.asarray(parent, dtype=np.intp)
+        self.subtree_end = subtree_end
+        w = tree.word_length
+        self.index = np.empty((n_nodes, w), dtype=np.intp)
+        self.index[0] = table_index(np.zeros(w, dtype=np.intp), 0)
+        by_layer: dict[int, list[int]] = {}
+        for at in range(1, n_nodes):
+            by_layer.setdefault(nodes[at].layer, []).append(at)
+        for ats in by_layer.values():
+            # One layer shares a signature length, so it decodes at once.
+            symbols, bits = batch_decode_signatures(
+                np.asarray([nodes[at].signature for at in ats]), w
+            )
+            self.index[ats] = table_index(symbols, bits)
+        self.rows = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        self.row_node = np.repeat(np.arange(n_nodes), counts)
 
 
 @dataclass
@@ -199,8 +242,11 @@ class LocalPartition:
         a traversal.  The cached array is frozen; callers only read it.
         """
         t0 = perf_counter() if _KERNELS.enabled else 0.0
+        # Read before the walk: a walk that overlaps a mutation is filed
+        # under the old version and dies with the mutation's bump.
+        version = self.tree.version
         cached = node.subtree_rows
-        if cached is not None and cached[0] == self.tree.version:
+        if cached is not None and cached[0] == version:
             _version, rows, n_nodes = cached
             if stats is not None:
                 stats.visited += n_nodes
@@ -220,7 +266,7 @@ class LocalPartition:
             stats.visited += n_nodes
         rows = np.fromiter(collected, dtype=np.int64, count=len(collected))
         rows.setflags(write=False)
-        node.subtree_rows = (self.tree.version, rows, n_nodes)
+        node.subtree_rows = (version, rows, n_nodes)
         if _KERNELS.enabled:
             _KERNELS.record("leaf_scan", elements=len(collected),
                             seconds=perf_counter() - t0)
@@ -236,20 +282,32 @@ class LocalPartition:
         :meth:`entries_under`) turns each later scan into a pure
         distance pass over an already-contiguous matrix.
         """
+        version = self.tree.version
         cached = node.subtree_values
-        if cached is not None and cached[0] == self.tree.version:
+        if cached is not None and cached[0] == version:
             return cached[1], cached[2]
         rows = self.entries_under(node)
         values = self.block.values[rows]
         values.setflags(write=False)
         rids = self.block.record_ids[rows]
         rids.setflags(write=False)
-        node.subtree_values = (self.tree.version, values, rids)
+        node.subtree_values = (version, values, rids)
         return values, rids
+
+    def _node_table(self) -> _NodeTable:
+        """The tree's flat scan table, rebuilt when the tree has moved on.
+
+        Concurrent readers may each build one; each publishes a finished
+        table in a single assignment.
+        """
+        table = self.tree.node_table
+        if table is None or table.version != self.tree.version:
+            table = self.tree.node_table = _NodeTable(self.tree)
+        return table
 
     def pruned_entries(
         self,
-        query_paa: np.ndarray,
+        query_paa,
         threshold: float,
         series_length: int,
         skip: SigTreeNode | None = None,
@@ -258,46 +316,35 @@ class LocalPartition:
         """Row indices in all subtrees whose MINDIST ≤ ``threshold``.
 
         The lower-bound property guarantees no series closer than
-        ``threshold`` is pruned.  ``skip`` (typically the already-scanned
-        target node) is excluded to avoid recollecting its entries.
-        ``stats`` (when given) counts visited vs. MINDIST-pruned nodes.
+        ``threshold`` (non-negative) is pruned.  ``skip`` (typically the
+        already-scanned target node) is excluded with its subtree to
+        avoid recollecting its entries.  ``stats`` (when given) counts
+        visited vs. MINDIST-pruned nodes.  ``query_paa`` is the query's
+        PAA word or its :class:`~repro.tsdb.distance.GapTable`.
 
-        The walk is level-synchronous: every frontier level holds nodes
-        of one layer (children extend parents by exactly one bit plane),
-        so each level's bounds come from a single batched
-        :func:`mindist_paa_to_words` call over the level's symbol matrix.
+        One kernel call prices every node of the tree and a mask stands
+        in for the top-down walk: SAX breakpoints nest exactly, so a
+        node's bound is never below its parent's and the kept nodes are
+        the ones a walk would reach.  A node counts as pruned when its
+        parent was kept and it was not.  Rows come back in depth-first
+        pre-order of their leaves.
         """
         t0 = perf_counter() if _KERNELS.enabled else 0.0
-        collected: list[int] = []
-        root = self.tree.root
-        frontier: list[SigTreeNode] = []
-        if root is not skip:
-            # The root's bound is 0, never above a (non-negative) threshold.
-            if stats is not None:
-                stats.visited += 1
-            collected.extend(root.entries)
-            frontier = [c for c in root.children.values() if c is not skip]
-        w = self.tree.word_length
-        while frontier:
-            symbols = _level_symbols(frontier, w)
-            bits = frontier[0].decoded[1]
-            bounds = mindist_paa_to_words(query_paa, symbols, bits, series_length)
-            next_frontier: list[SigTreeNode] = []
-            for node, bound in zip(frontier, bounds):
-                if bound > threshold:
-                    if stats is not None:
-                        stats.pruned += 1
-                    continue
-                if stats is not None:
-                    stats.visited += 1
-                collected.extend(node.entries)
-                next_frontier.extend(
-                    c for c in node.children.values() if c is not skip
-                )
-            frontier = next_frontier
-        rows = np.fromiter(collected, dtype=np.int64, count=len(collected))
+        table = self._node_table()
+        gaps = as_gap_table(query_paa, self.tree.max_bits)
+        keep = gaps.mindist(table.index, series_length) <= threshold
+        at = None if skip is None else table.position.get(skip.signature)
+        if at is not None:
+            keep[at:table.subtree_end[at]] = False
+        if stats is not None:
+            cut = ~keep & keep[table.parent]
+            if at is not None:
+                cut[at:table.subtree_end[at]] = False
+            stats.visited += int(keep.sum())
+            stats.pruned += int(cut.sum())
+        rows = table.rows[keep[table.row_node]]
         if _KERNELS.enabled:
-            _KERNELS.record("leaf_scan", elements=len(collected),
+            _KERNELS.record("leaf_scan", elements=len(rows),
                             seconds=perf_counter() - t0)
         return rows
 
@@ -354,11 +401,11 @@ class LocalPartition:
             if int(row) not in leaf.entries:
                 continue
             leaf.entries.remove(int(row))
-            self.tree.version += 1  # stale per-node row caches
             node = leaf
             while node is not None:
                 node.count -= 1
                 node = node.parent
+            self.tree.version += 1  # stale row caches and node table
             self.n_records -= 1
             entry = self.block.entry_at(int(row))
             self.nbytes -= len(entry[0]) + 8 + estimate_bytes(entry[2])

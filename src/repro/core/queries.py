@@ -30,7 +30,7 @@ from ..cluster.costmodel import timed_stage
 from ..faults.errors import PartialResultError, PartitionUnavailableError
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
-from ..tsdb.distance import batch_euclidean
+from ..tsdb.distance import GapTable, as_gap_table, batch_euclidean
 from ..tsdb.paa import paa_transform
 from .builder import TardisIndex
 from .isaxt import signature_of_paa
@@ -46,6 +46,7 @@ __all__ = [
     "knn_one_partition_access",
     "knn_multi_partitions_access",
     "select_mpa_partitions",
+    "sibling_bound_lookup",
     "PartitionScan",
     "scan_partitions",
     "merge_top_k",
@@ -351,6 +352,28 @@ def select_mpa_partitions(global_index, signature, pth, bound_of):
     return home_pid, pid_list
 
 
+def sibling_bound_lookup(index, signature, query_paa):
+    """The ``bound_of`` both tiers hand :func:`select_mpa_partitions`.
+
+    ``index`` is whatever holds Tardis-G and the region synopses (a
+    :class:`TardisIndex` or the router's ``RouterIndex``).  The first
+    lookup prices the query's whole sibling list in one
+    ``index.region_bounds`` pass; a list within ``pth`` is never looked
+    up, so it is never priced.
+    """
+    bounds: dict = {}
+
+    def bound_of(pid):
+        if not bounds:
+            bounds.update(index.region_bounds(
+                query_paa,
+                index.global_index.sibling_partition_ids(signature),
+            ))
+        return bounds[pid]
+
+    return bound_of
+
+
 @dataclass
 class PartitionScan:
     """What :func:`scan_partitions` found in one set of partitions."""
@@ -402,8 +425,11 @@ def scan_partitions(
 
     ``ledger``, when given, is charged as the paper's cluster would be —
     loads and scans run in parallel across workers, so each costs its
-    slowest single partition.
+    slowest single partition.  ``paa`` is the query's PAA word or its
+    :class:`~repro.tsdb.distance.GapTable`; every partition scan shares
+    the one table.
     """
+    gaps = as_gap_table(paa, index.config.cardinality_bits)
     loaded: dict[int, LocalPartition] = {}
     missing: list[int] = []
     load_times = []
@@ -444,7 +470,7 @@ def scan_partitions(
         scratch = None if ledger is None else SimulationLedger()
         with _stage(scratch, "query/scan partition"):
             rows = partition.pruned_entries(
-                paa, scan.threshold, index.series_length,
+                gaps, scan.threshold, index.series_length,
                 skip=target if pid == home_pid else None, stats=stats,
             )
             scan.tops.append(_top_k(query, partition, rows, k))
@@ -506,18 +532,18 @@ def _pruned_knn(
     ) as span:
         with timed_stage(result.ledger, "query/route"):
             signature, paa = query_signature(index, query)
+            # One table per query: the selection and every scan read it.
+            gaps = GapTable(paa, index.config.cardinality_bits)
             if pth is None:
                 home_pid = index.global_index.route(signature)
                 pid_list = [home_pid]
             else:
                 home_pid, pid_list = select_mpa_partitions(
                     index.global_index, signature, pth,
-                    bound_of=lambda pid: index.partitions[pid].region_bound(
-                        paa, index.series_length
-                    ),
+                    bound_of=sibling_bound_lookup(index, signature, gaps),
                 )
         scan = scan_partitions(
-            index, query, signature, paa, k, pid_list,
+            index, query, signature, gaps, k, pid_list,
             home_pid=home_pid, ledger=result.ledger,
         )
         result.partitions_loaded = len(scan.loaded)
@@ -528,12 +554,11 @@ def _pruned_knn(
             _count_degraded()
         if not scan.home_lost:
             with timed_stage(result.ledger, "query/merge"):
-                result.neighbors = merge_top_k(scan.tops, k, [
-                    index.partitions[pid].region_bound(
-                        paa, index.series_length
-                    )
-                    for pid in scan.missing
-                ])
+                result.neighbors = merge_top_k(
+                    scan.tops, k,
+                    index.region_bounds(gaps, scan.missing).values()
+                    if scan.missing else (),
+                )
             result.candidates_examined = scan.candidates
             result.nodes_visited = (scan.target_layer + 1) + scan.stats.visited
             result.nodes_pruned = scan.stats.pruned

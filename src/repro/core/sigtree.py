@@ -119,9 +119,13 @@ class SigTree:
         #: Columnar block backing this tree's entries (Tardis-L only).
         #: When set, leaf entries are row indices into the block.
         self.block = None
-        #: Bumped on every entry mutation; per-node subtree caches carry
-        #: the version they were built under and ignore stale snapshots.
+        #: Bumped *after* every entry mutation is complete; the per-node
+        #: subtree caches and the node table carry the version read
+        #: before they were built and ignore stale snapshots.
         self.version = 0
+        #: Lazily built flat view of the whole tree for the pruned scan
+        #: (see :mod:`repro.core.local_index`), keyed on :attr:`version`.
+        self.node_table = None
 
     # -- shared helpers --------------------------------------------------------
 
@@ -179,7 +183,6 @@ class SigTree:
         """
         signature = self.entry_signature(entry)
         self._check_full_signature(signature)
-        self.version += 1
         node = self.root
         node.count += 1
         # The root holds no entries (paper §III-B): it always routes to a
@@ -209,6 +212,9 @@ class SigTree:
             and leaf.layer < self.max_bits
         ):
             leaf = self._split_leaf(leaf, signature)
+        # Only now: a reader that filled a version-keyed cache while the
+        # entry was half in must not have filed it under the new version.
+        self.version += 1
         return leaf
 
     def _split_leaf(self, leaf: SigTreeNode, followed: str) -> SigTreeNode:

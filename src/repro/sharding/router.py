@@ -46,6 +46,7 @@ from ..core.queries import (
     merge_top_k,
     query_signature,
     select_mpa_partitions,
+    sibling_bound_lookup,
 )
 from ..faults.errors import PartialResultError
 from ..faults.injector import get_injector
@@ -607,7 +608,7 @@ class RouterService(RequestFrontEnd):
         pth = request.pth or self.index.config.pth
         home_pid, pid_list = select_mpa_partitions(
             self.index.global_index, signature, pth,
-            bound_of=lambda pid: self.index.bound_of(pid, paa),
+            bound_of=sibling_bound_lookup(self.index, signature, paa),
         )
         k = request.k
         series = request.series.tolist()
@@ -768,9 +769,9 @@ class RouterService(RequestFrontEnd):
         gather_span = tracer.start_span(
             "route/gather", parent=parent_span, replies=len(replies),
         )
-        missing_bounds = [
-            self.index.bound_of(pid, paa) for pid in missing_list
-        ]
+        missing_bounds = list(
+            self.index.region_bounds(paa, missing_list).values()
+        )
         neighbors = merge_top_k(
             [
                 [

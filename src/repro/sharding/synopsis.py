@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.builder import TardisIndex
-from ..core.region import RegionSynopsis
+from ..core.region import RegionMatrix, RegionSynopsis
 
 __all__ = ["PartitionSynopsis", "RouterIndex"]
 
@@ -74,6 +74,7 @@ class RouterIndex:
         self.series_length = int(series_length)
         self.synopses = dict(synopses)
         self.dataset_name = dataset_name
+        self._region_matrix: RegionMatrix | None = None
 
     @classmethod
     def from_index(cls, index: TardisIndex) -> "RouterIndex":
@@ -104,6 +105,16 @@ class RouterIndex:
         return self.synopses[partition_id].bound(
             query_paa, self.series_length
         )
+
+    def region_bounds(self, query_paa, partition_ids=None) -> dict[int, float]:
+        """Partition id → :meth:`bound_of`, priced in one pass — the
+        router's twin of :meth:`TardisIndex.region_bounds
+        <repro.core.builder.TardisIndex.region_bounds>`; its matrix goes
+        stale when a write ack grows a synopsis."""
+        matrix = self._region_matrix = RegionMatrix.current(
+            self._region_matrix, self.synopses
+        )
+        return matrix.bounds(query_paa, self.series_length, partition_ids)
 
     @property
     def n_records(self) -> int:

@@ -9,6 +9,7 @@ already exceeds the current best-so-far distance without touching raw data.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -24,6 +25,9 @@ __all__ = [
     "mindist_paa_to_word",
     "mindist_paa_to_words",
     "mindist_word_to_word",
+    "GapTable",
+    "as_gap_table",
+    "table_index",
 ]
 
 
@@ -126,6 +130,98 @@ def mindist_paa_to_words(
         _KERNELS.record("mindist", elements=symbols.size,
                         seconds=perf_counter() - t0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _stripe_edges(max_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` edges of every stripe of layers ``0..max_bits``.
+
+    Two ``(2^(max_bits+1) - 1, 1)`` columns; stripe ``s`` of layer ``b``
+    sits at row ``2^b - 1 + s`` (row 0 is the whole real line).
+    """
+    layers = [
+        word_region_bounds(np.arange(1 << bits), bits)
+        for bits in range(max_bits + 1)
+    ]
+    lower, upper = (np.concatenate(edges)[:, None] for edges in zip(*layers))
+    return lower, upper
+
+
+def table_index(symbols: np.ndarray, bits: int) -> np.ndarray:
+    """Where a :class:`GapTable` holds each symbol of ``(m, w)`` words.
+
+    Depends on the words alone, so an index structure computes it once
+    and every query's table is gathered through it.
+    """
+    symbols = np.asarray(symbols, dtype=np.intp)
+    w = symbols.shape[-1]
+    return (symbols + ((1 << bits) - 1)) * w + np.arange(w, dtype=np.intp)
+
+
+class GapTable:
+    """One query's squared stripe gap to every (layer, symbol, segment).
+
+    The MINDIST kernel of the kNN hot path.  Built once per query from
+    its PAA word, with the per-segment expression of
+    :func:`mindist_paa_to_words` — so the bound of any SAX word of any
+    layer up to ``max_bits`` is one gather through the word's
+    :func:`table_index` and a row sum over the same ``(m, w)`` shape,
+    equal to that function's result bit for bit.  ``sqrt`` and the
+    ``sqrt(n / w)`` scale are monotone, so they are applied after the
+    per-group ``min`` instead of to every word.
+
+    The table has ``w * (2^(max_bits+1) - 1)`` floats: 8 × 127 at the
+    shipped defaults, doubling with every cardinality bit.
+    """
+
+    __slots__ = ("max_bits", "word_length", "flat")
+
+    def __init__(self, paa: np.ndarray, max_bits: int):
+        t0 = perf_counter() if _KERNELS.enabled else 0.0
+        paa = np.asarray(paa, dtype=np.float64)
+        lower, upper = _stripe_edges(max_bits)
+        below = np.maximum(lower - paa, 0.0)
+        above = np.maximum(paa - upper, 0.0)
+        gap = np.maximum(below, above)
+        self.max_bits = max_bits
+        self.word_length = paa.shape[-1]
+        self.flat = (gap * gap).ravel()
+        if _KERNELS.enabled:
+            # Part of whichever pricing call uses the table first: its
+            # seconds are MINDIST seconds, but it prices no word.
+            _KERNELS.record("mindist", seconds=perf_counter() - t0, calls=0)
+
+    def mindist(
+        self, index: np.ndarray, n: int, starts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Lower bounds of the words behind an ``(m, w)`` table index.
+
+        With ``starts`` (ascending first rows of non-empty groups) the
+        result is each group's smallest bound — a region bound.
+        """
+        t0 = perf_counter() if _KERNELS.enabled else 0.0
+        squared = self.flat.take(index).sum(axis=1)
+        if starts is not None:
+            squared = np.minimum.reduceat(squared, starts)
+        out = np.sqrt(n / self.word_length) * np.sqrt(squared)
+        if _KERNELS.enabled:
+            _KERNELS.record("mindist", elements=index.size,
+                            seconds=perf_counter() - t0)
+        return out
+
+
+def as_gap_table(paa, max_bits: int) -> GapTable:
+    """``paa`` itself when it already is a deep-enough :class:`GapTable`,
+    else the table of that PAA word — so one table, built by whoever
+    holds the query first, serves every bound computed for it."""
+    if isinstance(paa, GapTable):
+        if paa.max_bits < max_bits:
+            raise ValueError(
+                f"gap table covers {paa.max_bits} cardinality bits, "
+                f"{max_bits} needed"
+            )
+        return paa
+    return GapTable(paa, max_bits)
 
 
 def mindist_word_to_word(

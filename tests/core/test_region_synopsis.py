@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import TardisConfig, build_tardis_index, brute_force_knn
-from repro.core.exact_search import _partition_bounds, knn_exact, range_query
+from repro.core.exact_search import knn_exact, range_query
 from repro.core.local_index import REGION_PREFIX_BITS
 from repro.core.queries import query_signature
 from repro.tsdb import random_walk
@@ -42,7 +42,7 @@ class TestRegionSynopsis:
         for _ in range(5):
             q = z_normalize(np.cumsum(rng.standard_normal(64)))
             _sig, paa = query_signature(tardis_small, q)
-            bounds = _partition_bounds(tardis_small, paa)
+            bounds = tardis_small.region_bounds(paa)
             for pid, partition in tardis_small.partitions.items():
                 for _s, rid, _ts in partition.all_entries()[:20]:
                     true = float(np.linalg.norm(q - rw_small.series(rid)))

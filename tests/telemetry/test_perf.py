@@ -325,6 +325,31 @@ def test_disabled_counters_make_zero_record_calls(
     disabled_pass()  # after an enable/disable cycle, totals kept
 
 
+def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
+    """One multi-partitions query prices MINDIST at most once for the
+    ``pth`` selection plus once per loaded partition, and scans each
+    loaded partition's tree exactly once — not once per sibling
+    partition and per tree level, as the loops it replaced did.  A count,
+    no clock: the speed it buys is gated in ``perf/`` (``lib-mpa``)."""
+    from repro.core import knn_multi_partitions_access
+
+    fanned_out = capped = 0
+    for query in heldout_queries:
+        enable_kernel_counters(reset=True)
+        result = knn_multi_partitions_access(tardis_small, query, k=5)
+        disable_kernel_counters()
+        totals = KERNELS.totals()
+        loaded = result.partitions_loaded
+        mindist_calls = totals["mindist"]["calls"]
+        assert loaded <= mindist_calls <= 1 + loaded
+        # the seed's target-node scan, then one pruned scan a partition
+        assert totals["leaf_scan"]["calls"] == 1 + loaded
+        assert totals["leaf_scan"]["elements"] == result.candidates_examined
+        fanned_out += loaded > 1
+        capped += mindist_calls == 1 + loaded
+    assert fanned_out and capped, "fixture never fanned out past pth"
+
+
 def test_cross_backend_answers_identical_with_counters_on(
     tardis_small, heldout_queries
 ):
