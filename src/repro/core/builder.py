@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,10 @@ from .region import RegionMatrix
 
 __all__ = [
     "IngestReport",
+    "RoutedBatch",
     "TardisIndex",
     "build_tardis_index",
+    "convert_batch",
     "convert_records",
 ]
 
@@ -52,25 +55,46 @@ logger = logging.getLogger(__name__)
 _COST_MODEL = CostModel()
 
 
+def convert_batch(
+    values: np.ndarray, config: TardisConfig
+) -> tuple[list[str], np.ndarray]:
+    """``(n, length)`` series → ``(isaxt(b) signatures, (n, w) PAA words)``.
+
+    One PAA + SAX + transpose-encode pass over the whole matrix — the
+    cheap, small-initial-cardinality conversion TARDIS is credited with
+    (the baseline's 512-cardinality equivalent lives in
+    :mod:`repro.baseline.dpisax`).  Construction, batched appends and
+    batched queries all convert here.
+    """
+    paa = paa_transform(values, config.word_length)
+    symbols = sax_symbols(paa, config.cardinality_bits)
+    return batch_signatures(symbols, config.cardinality_bits), paa
+
+
 def convert_records(
     records: list[tuple[int, np.ndarray]], config: TardisConfig
 ) -> list[tuple[str, int, np.ndarray]]:
-    """Vectorized ``(rid, ts) -> (isaxt(b), rid, ts)`` conversion.
-
-    One PAA + SAX + transpose-encode pass over the whole partition — the
-    cheap, small-initial-cardinality conversion TARDIS is credited with
-    (the baseline's 512-cardinality equivalent lives in
-    :mod:`repro.baseline.dpisax`).
-    """
+    """``(rid, ts) -> (isaxt(b), rid, ts)``: :func:`convert_batch` over a
+    whole partition's records."""
     if not records:
         return []
-    values = np.vstack([ts for _, ts in records])
-    paa = paa_transform(values, config.word_length)
-    symbols = sax_symbols(paa, config.cardinality_bits)
-    signatures = batch_signatures(symbols, config.cardinality_bits)
+    signatures, _paa = convert_batch(
+        np.vstack([ts for _, ts in records]), config
+    )
     return [
         (signatures[i], rid, ts) for i, (rid, ts) in enumerate(records)
     ]
+
+
+class RoutedBatch(NamedTuple):
+    """A write batch converted and routed but not yet applied: what
+    :meth:`TardisIndex.prepare_batch` returns and :meth:`TardisIndex.ingest`
+    takes in place of the raw matrix, so a caller that must route *before*
+    it applies (serving: route → WAL → apply) converts each row once."""
+
+    values: np.ndarray
+    signatures: list
+    partition_ids: list
 
 
 @dataclass
@@ -272,14 +296,15 @@ class TardisIndex:
         self.n_records += 1
         return rid
 
-    def route_batch(self, batch) -> list[int]:
-        """Home partition of each row of a ``(n, length)`` batch.
+    def prepare_batch(self, batch) -> RoutedBatch:
+        """Validate, convert and route a ``(n, length)`` batch.
 
-        Pure: validates shape and routing without touching the index.
-        The serving write path calls this *before* the WAL append so a
-        batch that cannot land (bad length, partition not present in a
-        shard's subset) is rejected before it is made durable.
+        Pure: nothing in the index is touched, so a batch that cannot
+        land (bad length, partition not present in a shard's subset) is
+        rejected whole, before any row of it is applied or made durable.
         """
+        if isinstance(batch, RoutedBatch):
+            return batch
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == 1:
             batch = batch[np.newaxis, :]
@@ -288,11 +313,9 @@ class TardisIndex:
                 f"expected a (n, {self.series_length}) batch, got shape "
                 f"{batch.shape}"
             )
-        converted = convert_records(
-            [(i, batch[i]) for i in range(batch.shape[0])], self.config
-        )
+        signatures, _paa = convert_batch(batch, self.config)
         partition_ids = []
-        for signature, i, _values in converted:
+        for i, signature in enumerate(signatures):
             partition_id = self.global_index.route(signature)
             if partition_id not in self.partitions:
                 raise ValueError(
@@ -300,7 +323,12 @@ class TardisIndex:
                     f"not present in this index"
                 )
             partition_ids.append(partition_id)
-        return partition_ids
+        return RoutedBatch(batch, signatures, partition_ids)
+
+    def route_batch(self, batch) -> list[int]:
+        """Home partition of each row of a ``(n, length)`` batch
+        (:meth:`prepare_batch`'s routing alone)."""
+        return self.prepare_batch(batch).partition_ids
 
     def ingest(
         self, batch, record_ids=None, skip_existing: bool = False,
@@ -309,12 +337,13 @@ class TardisIndex:
 
         The streaming-ingest workhorse behind the serving tier's
         ``write``/``write-batch`` ops: one vectorized signature pass for
-        the whole batch, then per-record insertion into the owning
-        partition's block and Tardis-L (hot leaves split on L-MaxSize
-        overflow inside ``insert_entry``; Bloom filters and region
-        synopses update in place).  Partition-cache residency for every
-        touched partition is invalidated once at the end, which also
-        notifies subscribed result caches.
+        the whole batch (:meth:`prepare_batch` — a batch the caller
+        already prepared is taken as is), then per-record insertion into
+        the owning partition's block and Tardis-L (hot leaves split on
+        L-MaxSize overflow inside ``insert_entry``; Bloom filters and
+        region synopses update in place).  Partition-cache residency for
+        every touched partition is invalidated once at the end, which
+        also notifies subscribed result caches.
 
         ``record_ids``, when given, must be unique and align with the
         batch (the WAL-replay and router paths pin ids); otherwise ids
@@ -326,15 +355,8 @@ class TardisIndex:
         this — a retried delivery (or a threads-mode cluster where
         replicas share partition objects) must not double-insert.
         """
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[np.newaxis, :]
-        if batch.ndim != 2 or batch.shape[1] != self.series_length:
-            raise ValueError(
-                f"expected a (n, {self.series_length}) batch, got shape "
-                f"{batch.shape}"
-            )
-        n = batch.shape[0]
+        routed = self.prepare_batch(batch)
+        n = len(routed.partition_ids)
         if record_ids is None:
             record_ids = [self._next_record_id() for _ in range(n)]
         else:
@@ -345,19 +367,11 @@ class TardisIndex:
                 )
             for rid in record_ids:
                 self._raise_id_floor(rid)
-        converted = convert_records(
-            [(rid, batch[i]) for i, rid in enumerate(record_ids)],
-            self.config,
-        )
         report = IngestReport(record_ids=list(record_ids))
-        for signature, rid, values in converted:
-            partition_id = self.global_index.route(signature)
-            partition = self.partitions.get(partition_id)
-            if partition is None:
-                raise ValueError(
-                    f"record {rid} routes to partition {partition_id}, "
-                    f"which is not present in this index"
-                )
+        for rid, values, signature, partition_id in zip(
+            record_ids, routed.values, routed.signatures, routed.partition_ids
+        ):
+            partition = self.partitions[partition_id]
             if (
                 skip_existing
                 and partition.block.n_rows

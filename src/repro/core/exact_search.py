@@ -143,12 +143,7 @@ def knn_exact(index: TardisIndex, query: np.ndarray, k: int) -> ExactSearchResul
         ordered = sorted((-d, -negated_rid) for d, negated_rid in k_heap)
         result.neighbors = [Neighbor(dist, rid) for dist, rid in ordered]
         _annotate_exact_span(span, result)
-    _record_query_metrics(
-        candidates=result.candidates_examined,
-        nodes_visited=result.nodes_visited,
-        nodes_pruned=result.nodes_pruned,
-        simulated_s=result.ledger.clock_s,
-    )
+    _record_query_metrics(result, result.ledger)
     logger.debug(
         "exact kNN: %d/%d partitions loaded, %d candidates",
         result.partitions_loaded, len(index.partitions),
@@ -249,10 +244,5 @@ def range_query(
         result.neighbors = hits
         span.set("n_results", len(hits))
         _annotate_exact_span(span, result)
-    _record_query_metrics(
-        candidates=result.candidates_examined,
-        nodes_visited=result.nodes_visited,
-        nodes_pruned=result.nodes_pruned,
-        simulated_s=result.ledger.clock_s,
-    )
+    _record_query_metrics(result, result.ledger)
     return result

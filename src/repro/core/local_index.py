@@ -186,16 +186,20 @@ class LocalPartition:
         """Bloom-filter test (no false negatives)."""
         return signature in self.bloom
 
-    def exact_lookup(self, signature: str, query: np.ndarray) -> list[int]:
+    def exact_lookup(
+        self, signature: str, query: np.ndarray,
+        leaf: SigTreeNode | None = None,
+    ) -> list[int]:
         """Record ids of series identical to ``query`` (paper §V-A step 4).
 
-        Traverses Tardis-L to the covering leaf and compares the leaf's
-        block rows against the query in one vectorized pass; requires a
+        Traverses Tardis-L to the covering leaf — or takes ``leaf`` from a
+        caller that already descended — and compares the leaf's block
+        rows against the query in one vectorized pass; requires a
         clustered partition (raw series present).
         """
         if not self.clustered:
             raise RuntimeError("exact lookup needs a clustered partition")
-        node = self.tree.descend(signature)
+        node = self.tree.descend(signature) if leaf is None else leaf
         if not node.is_leaf or not node.entries:
             return []
         rows = np.fromiter(node.entries, dtype=np.int64, count=len(node.entries))
@@ -271,28 +275,6 @@ class LocalPartition:
             _KERNELS.record("leaf_scan", elements=len(collected),
                             seconds=perf_counter() - t0)
         return rows
-
-    def node_candidates(
-        self, node: SigTreeNode
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, record_ids)`` of the subtree's rows, gathered once.
-
-        The fancy-index copy out of the block dominates repeated
-        target-node scans; caching it per node (version-keyed, like
-        :meth:`entries_under`) turns each later scan into a pure
-        distance pass over an already-contiguous matrix.
-        """
-        version = self.tree.version
-        cached = node.subtree_values
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        rows = self.entries_under(node)
-        values = self.block.values[rows]
-        values.setflags(write=False)
-        rids = self.block.record_ids[rows]
-        rids.setflags(write=False)
-        node.subtree_values = (version, values, rids)
-        return values, rids
 
     def _node_table(self) -> _NodeTable:
         """The tree's flat scan table, rebuilt when the tree has moved on.

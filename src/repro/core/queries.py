@@ -13,8 +13,13 @@ short-circuit) and the three kNN-Approximate strategies:
   ``pth`` sibling partitions (from the Tardis-G parent's id list) and
   prunes them all in parallel with the same threshold.
 
-Every partition access is charged to a query ledger so average query times
-reproduce the Fig. 14-16 latency shapes.
+Each strategy has one body (:func:`_exact_match`, :func:`_target_node_knn`,
+:func:`_pruned_knn`) that every tier runs — the library calls below,
+:mod:`repro.core.batch` and the serving batcher.  A tier that already
+converted and routed its queries hands the conversion in; the simulated
+cost ledger is an optional observer (:func:`_stage`): library calls and
+the batch tier charge one so average query times reproduce the Fig. 14-16
+latency shapes, served point reads charge none.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from ..tsdb.paa import paa_transform
 from .builder import TardisIndex
 from .isaxt import signature_of_paa
 from .local_index import LocalPartition, ScanStats
+from .sigtree import SigTreeNode
 
 __all__ = [
     "Neighbor",
@@ -47,6 +53,8 @@ __all__ = [
     "knn_multi_partitions_access",
     "select_mpa_partitions",
     "sibling_bound_lookup",
+    "PartitionLoad",
+    "run_point_group",
     "PartitionScan",
     "scan_partitions",
     "merge_top_k",
@@ -129,34 +137,35 @@ def query_signature(index: TardisIndex, query: np.ndarray) -> tuple[str, np.ndar
     return signature_of_paa(paa, config.cardinality_bits), paa
 
 
-def _record_query_metrics(
-    candidates: int = 0,
-    nodes_visited: int = 0,
-    nodes_pruned: int = 0,
-    simulated_s: float = 0.0,
-) -> None:
-    """Fold one query's accounting into the shared metrics registry."""
+#: (result field, counter, help) of the per-query accounting counters.
+_QUERY_COUNTERS = (
+    ("candidates_examined", "query_candidates_examined_total",
+     "Candidate series ranked by true distance"),
+    ("nodes_visited", "query_nodes_visited_total",
+     "sigTree nodes touched by queries"),
+    ("nodes_pruned", "query_mindist_prunes_total",
+     "Subtrees/partitions skipped via the MINDIST lower bound"),
+)
+
+
+def _record_query_metrics(result, ledger: SimulationLedger | None) -> None:
+    """Fold one answered query's accounting into the metrics registry.
+
+    Once per query on every tier; the simulated latency is observed only
+    where a ledger simulated one.
+    """
     registry = get_registry()
     registry.counter(
         "queries_total", "Queries executed across all strategies"
     ).inc()
-    if candidates:
-        registry.counter(
-            "query_candidates_examined_total",
-            "Candidate series ranked by true distance",
-        ).inc(candidates)
-    if nodes_visited:
-        registry.counter(
-            "query_nodes_visited_total", "sigTree nodes touched by queries"
-        ).inc(nodes_visited)
-    if nodes_pruned:
-        registry.counter(
-            "query_mindist_prunes_total",
-            "Subtrees/partitions skipped via the MINDIST lower bound",
-        ).inc(nodes_pruned)
-    registry.histogram(
-        "query_simulated_seconds", "Simulated end-to-end query latency"
-    ).observe(simulated_s)
+    for attr, name, help_text in _QUERY_COUNTERS:
+        amount = getattr(result, attr, 0)
+        if amount:
+            registry.counter(name, help_text).inc(amount)
+    if ledger is not None:
+        registry.histogram(
+            "query_simulated_seconds", "Simulated end-to-end query latency"
+        ).observe(ledger.clock_s)
 
 
 def _annotate_knn_span(span, result: "KnnResult") -> None:
@@ -178,6 +187,68 @@ def _count_degraded() -> None:
     ).inc()
 
 
+def _stage(ledger: SimulationLedger | None, label: str):
+    """A ledger-charged (and traced) stage, or nothing without a ledger."""
+    return nullcontext() if ledger is None else timed_stage(ledger, label)
+
+
+@dataclass
+class PartitionLoad:
+    """The home-partition load of one point query, or of a whole group.
+
+    The first call loads the partition and every later one returns it,
+    so a group of co-routed queries pays one ``load_partition``; a load
+    that exhausted its retries is not attempted again — the rest of the
+    group sees the same error.  ``ledger`` follows the :func:`_stage` rule.
+    """
+
+    index: TardisIndex
+    partition_id: int
+    ledger: SimulationLedger | None = None
+    #: None until a query needed the partition; then it, or the error.
+    outcome: LocalPartition | PartitionUnavailableError | None = None
+
+    def __call__(self) -> LocalPartition:
+        if self.outcome is None:
+            try:
+                self.outcome = self.index.load_partition(
+                    self.partition_id, ledger=self.ledger
+                )
+            except PartitionUnavailableError as exc:
+                self.outcome = exc
+        if isinstance(self.outcome, PartitionUnavailableError):
+            raise self.outcome
+        return self.outcome
+
+
+def _route_home(
+    index: TardisIndex, query: np.ndarray, ledger: SimulationLedger | None
+) -> tuple[str, PartitionLoad]:
+    """One query's ``home``: its signature and its home-partition load."""
+    with _stage(ledger, "query/route"):
+        signature, _paa = query_signature(index, query)
+        partition_id = index.global_index.route(signature)
+    return signature, PartitionLoad(index, partition_id, ledger)
+
+
+def run_point_group(load: PartitionLoad, body, queries, signatures) -> list:
+    """Answer co-routed point queries off one shared partition load.
+
+    ``body(query, home=)`` is :func:`_exact_match` or
+    :func:`_target_node_knn` with its index and plan bound.  Results
+    align with ``queries``; an exact match whose partition would not
+    load holds its :class:`PartialResultError` in its slot, so
+    Bloom-rejected siblings keep their answers.
+    """
+    results: list = []
+    for query, signature in zip(queries, signatures):
+        try:
+            results.append(body(query, home=(signature, load)))
+        except PartialResultError as exc:
+            results.append(exc)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Exact match (paper §V-A)
 # ---------------------------------------------------------------------------
@@ -195,18 +266,37 @@ def exact_match(
     A negative Bloom test terminates with zero results *without* the
     partition load — the source of the Fig. 14 speedup on absent queries.
     """
+    return _exact_match(index, query, use_bloom, ledger=SimulationLedger())
+
+
+def _exact_match(
+    index: TardisIndex,
+    query: np.ndarray,
+    use_bloom: bool,
+    ledger: SimulationLedger | None = None,
+    home: tuple[str, PartitionLoad] | None = None,
+) -> ExactMatchResult:
+    """The exact-match body: Bloom test → load → one Tardis-L descent.
+
+    ``home`` comes from a tier that already converted and routed the
+    query (:func:`_route_home` otherwise).  A lost home partition raises
+    :class:`PartialResultError` — it may hold the only match.
+    """
     result = ExactMatchResult(record_ids=[])
+    if ledger is not None:
+        result.ledger = ledger
     registry = get_registry()
     with get_tracer().span(
         "query/exact-match", use_bloom=use_bloom
     ) as query_span:
-        with timed_stage(result.ledger, "query/route"):
-            signature, _paa = query_signature(index, query)
-            partition_id = index.global_index.route(signature)
-        partition = index.partitions[partition_id]
+        signature, load = home or _route_home(index, query, ledger)
+        partition_id = load.partition_id
         if use_bloom:
-            with timed_stage(result.ledger, "query/bloom test"):
-                positive = partition.might_contain(signature)
+            # In-memory, ahead of the load it may save.
+            with _stage(ledger, "query/bloom test"):
+                positive = index.partitions[partition_id].might_contain(
+                    signature
+                )
             if positive:
                 registry.counter(
                     "query_bloom_positives_total",
@@ -219,32 +309,25 @@ def exact_match(
                 ).inc()
                 result.bloom_rejected = True
                 query_span.set("bloom_rejected", True)
-                query_span.set("found", False)
-                _record_query_metrics(simulated_s=result.ledger.clock_s)
-                return result
-        try:
-            partition = index.load_partition(partition_id, ledger=result.ledger)
-        except PartitionUnavailableError as exc:
-            # Exact match has no sound partial answer — the lost partition
-            # may hold the only match — so surface the typed error.
-            raise PartialResultError(
-                [partition_id], detail="exact-match home partition"
-            ) from exc
-        result.partitions_loaded = 1
-        result.partition_ids_loaded = [partition_id]
-        with timed_stage(result.ledger, "query/local search"):
-            leaf = partition.tree.descend(signature)
-            result.nodes_visited = leaf.layer + 1
-            result.record_ids = partition.exact_lookup(
-                signature, np.asarray(query)
-            )
-        query_span.set("partition_id", partition_id)
-        query_span.set("nodes_visited", result.nodes_visited)
+        if not result.bloom_rejected:
+            try:
+                partition = load()
+            except PartitionUnavailableError as exc:
+                raise PartialResultError(
+                    [partition_id], detail="exact-match home partition"
+                ) from exc
+            result.partitions_loaded = 1
+            result.partition_ids_loaded = [partition_id]
+            with _stage(ledger, "query/local search"):
+                leaf = partition.tree.descend(signature)
+                result.nodes_visited = leaf.layer + 1
+                result.record_ids = partition.exact_lookup(
+                    signature, np.asarray(query), leaf=leaf
+                )
+            query_span.set("partition_id", partition_id)
+            query_span.set("nodes_visited", result.nodes_visited)
         query_span.set("found", result.found)
-    _record_query_metrics(
-        nodes_visited=result.nodes_visited,
-        simulated_s=result.ledger.clock_s,
-    )
+    _record_query_metrics(result, ledger)
     logger.debug(
         "exact-match: partition %d, found=%s", partition_id, result.found
     )
@@ -279,6 +362,20 @@ def _top_k(
     ]
 
 
+def _target_node_top_k(
+    partition: LocalPartition, signature: str, query: np.ndarray, k: int,
+    stats: ScanStats,
+) -> tuple[SigTreeNode, list[Neighbor], int]:
+    """Rank the home target node's entries: ``(node, top-k, candidates)``.
+
+    Target Node Access's answer and the threshold seed of the pruned
+    strategies (Alg. 1 lines 10-14) are this one step.
+    """
+    target = partition.target_node(signature, k)
+    rows = partition.entries_under(target, stats=stats)
+    return target, _top_k(query, partition, rows, k), len(rows)
+
+
 def _require_clustered(index: TardisIndex) -> None:
     if not index.clustered:
         raise RuntimeError(
@@ -291,39 +388,44 @@ def knn_target_node_access(
     index: TardisIndex, query: np.ndarray, k: int
 ) -> KnnResult:
     """Target Node Access: answer from the lowest ≥ k-entry node."""
+    return _target_node_knn(index, query, k, ledger=SimulationLedger())
+
+
+def _target_node_knn(
+    index: TardisIndex,
+    query: np.ndarray,
+    k: int,
+    ledger: SimulationLedger | None = None,
+    home: tuple[str, PartitionLoad] | None = None,
+) -> KnnResult:
+    """The Target Node Access body; ``home`` as for :func:`_exact_match`.
+
+    A lost home partition degrades to the empty (trivially correct)
+    subset rather than failing the query.
+    """
     _require_clustered(index)
     result = KnnResult(neighbors=[], strategy="target-node")
+    if ledger is not None:
+        result.ledger = ledger
     with get_tracer().span("query/knn", strategy="target-node", k=k) as span:
-        with timed_stage(result.ledger, "query/route"):
-            signature, _paa = query_signature(index, query)
-            partition_id = index.global_index.route(signature)
+        signature, load = home or _route_home(index, query, ledger)
         try:
-            partition = index.load_partition(partition_id, ledger=result.ledger)
+            partition = load()
         except PartitionUnavailableError:
-            # Home partition lost: degrade to the empty (trivially correct)
-            # subset rather than failing the query.
             result.degraded = True
-            result.missing_partitions = [partition_id]
-            _annotate_knn_span(span, result)
+            result.missing_partitions = [load.partition_id]
             _count_degraded()
-            _record_query_metrics(simulated_s=result.ledger.clock_s)
-            return result
-        result.partitions_loaded = 1
-        result.partition_ids_loaded = [partition_id]
-        with timed_stage(result.ledger, "query/local search"):
-            scan = ScanStats()
-            target = partition.target_node(signature, k)
-            candidates = partition.entries_under(target, stats=scan)
-            result.candidates_examined = len(candidates)
-            result.nodes_visited = (target.layer + 1) + scan.visited
-            result.neighbors = _top_k(query, partition, candidates, k)
+        else:
+            result.partitions_loaded = 1
+            result.partition_ids_loaded = [load.partition_id]
+            with _stage(ledger, "query/local search"):
+                scan = ScanStats()
+                target, result.neighbors, result.candidates_examined = (
+                    _target_node_top_k(partition, signature, query, k, scan)
+                )
+                result.nodes_visited = (target.layer + 1) + scan.visited
         _annotate_knn_span(span, result)
-    _record_query_metrics(
-        candidates=result.candidates_examined,
-        nodes_visited=result.nodes_visited,
-        nodes_pruned=result.nodes_pruned,
-        simulated_s=result.ledger.clock_s,
-    )
+    _record_query_metrics(result, ledger)
     return result
 
 
@@ -394,11 +496,6 @@ class PartitionScan:
     home_lost: bool = False
 
 
-def _stage(ledger: SimulationLedger | None, label: str):
-    """A ledger-charged (and traced) stage, or nothing without a ledger."""
-    return nullcontext() if ledger is None else timed_stage(ledger, label)
-
-
 def scan_partitions(
     index: TardisIndex,
     query: np.ndarray,
@@ -457,14 +554,13 @@ def scan_partitions(
             scan.home_lost = True
             return scan
         with _stage(ledger, "query/threshold"):
-            target = home.target_node(signature, k)
-            seed_rows = home.entries_under(target, stats=stats)
-            seed_top = _top_k(query, home, seed_rows, k)
+            target, seed_top, scan.candidates = _target_node_top_k(
+                home, signature, query, k, stats
+            )
             if len(seed_top) >= k:
                 scan.threshold = seed_top[-1].distance
         scan.target_layer = target.layer
         scan.tops.append(seed_top)
-        scan.candidates = len(seed_rows)
     scan_times = []
     for pid, partition in loaded.items():
         scratch = None if ledger is None else SimulationLedger()
@@ -516,25 +612,30 @@ def merge_top_k(tops, k: int, missing_bounds=()) -> list[Neighbor]:
 
 def _pruned_knn(
     index: TardisIndex, query: np.ndarray, k: int, strategy: str,
-    pth: int | None,
+    pth: int | None = None, converted: tuple | None = None,
 ) -> KnnResult:
     """plan → scan → merge, the body of both threshold-pruned strategies.
 
-    ``pth=None`` plans the home partition alone (One Partition Access);
-    otherwise the plan is :func:`select_mpa_partitions`' capped sibling
-    list.
+    ``one-partition`` plans the home partition alone; otherwise the plan
+    is :func:`select_mpa_partitions`' sibling list capped at ``pth``
+    (default: the config's).  ``converted`` is the query's
+    ``(signature, PAA)`` from a tier that already converted it.
     """
     _require_clustered(index)
     result = KnnResult(neighbors=[], strategy=strategy)
-    span_attrs = {} if pth is None else {"pth": pth}
+    if strategy == "one-partition":
+        span_attrs = {}
+    else:
+        pth = pth or index.config.pth
+        span_attrs = {"pth": pth}
     with get_tracer().span(
         "query/knn", strategy=strategy, k=k, **span_attrs
     ) as span:
         with timed_stage(result.ledger, "query/route"):
-            signature, paa = query_signature(index, query)
+            signature, paa = converted or query_signature(index, query)
             # One table per query: the selection and every scan read it.
             gaps = GapTable(paa, index.config.cardinality_bits)
-            if pth is None:
+            if strategy == "one-partition":
                 home_pid = index.global_index.route(signature)
                 pid_list = [home_pid]
             else:
@@ -563,12 +664,7 @@ def _pruned_knn(
             result.nodes_visited = (scan.target_layer + 1) + scan.stats.visited
             result.nodes_pruned = scan.stats.pruned
         _annotate_knn_span(span, result)
-    _record_query_metrics(
-        candidates=result.candidates_examined,
-        nodes_visited=result.nodes_visited,
-        nodes_pruned=result.nodes_pruned,
-        simulated_s=result.ledger.clock_s,
-    )
+    _record_query_metrics(result, result.ledger)
     logger.debug(
         "%s kNN: %d partitions, %d candidates",
         strategy, result.partitions_loaded, result.candidates_examined,
@@ -580,7 +676,7 @@ def knn_one_partition_access(
     index: TardisIndex, query: np.ndarray, k: int
 ) -> KnnResult:
     """One Partition Access: widen TNA with a pruned home-partition scan."""
-    return _pruned_knn(index, query, k, "one-partition", None)
+    return _pruned_knn(index, query, k, "one-partition")
 
 
 def knn_multi_partitions_access(
@@ -596,9 +692,7 @@ def knn_multi_partitions_access(
     region-synopsis MINDIST bound are kept (always including the home
     partition, which supplies the pruning threshold).
     """
-    return _pruned_knn(
-        index, query, k, "multi-partitions", pth or index.config.pth
-    )
+    return _pruned_knn(index, query, k, "multi-partitions", pth)
 
 
 #: Strategy registry used by benchmarks and examples.

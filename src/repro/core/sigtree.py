@@ -61,12 +61,6 @@ class SigTreeNode:
     #: entries under this node — entries *do* change, so the cache is
     #: keyed on :attr:`SigTree.version` and goes stale with the tree.
     subtree_rows: tuple | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached ``(tree_version, values_matrix, record_ids)`` — the
-    #: block columns gathered for this subtree's rows, so repeated
-    #: target-node scans skip the fancy-index copy.
-    subtree_values: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def is_leaf(self) -> bool:

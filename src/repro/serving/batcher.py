@@ -3,52 +3,46 @@
 The distributed idiom behind TARDIS's batch tier (repro.core.batch) is
 *group queries by target partition so each partition is loaded once*.
 The serving tier applies the same rule to whatever happens to be queued
-at flush time: a window of tickets is bucketed first by **plan** (op,
-strategy, k, pth — never mix different work; see
-tests/serving/test_result_cache.py) and then by **Tardis-G home
-partition** via :func:`repro.core.batch.group_queries_by_partition`, the
-exact routing the batch pass uses.
+at flush time: a window of tickets is converted and routed in one pass
+(:func:`repro.core.batch.group_queries_by_partition`, the batch tier's
+own routing) and bucketed by **plan** (op, strategy, k, pth — never mix
+different work; see tests/serving/test_result_cache.py) and **Tardis-G
+home partition**.  Every ticket keeps its ``(signature, PAA)`` from that
+pass, so a served read is converted and routed exactly once.
 
-Each resulting :class:`Group` becomes one task on the worker pool:
-
-* ``exact-match`` groups run through :func:`batch_exact_match`,
-* ``target-node`` kNN groups through :func:`batch_knn_target_node`
-  (both amortize the single partition load across the group), and
-* ``one-partition`` / ``multi-partitions`` groups run the interactive
-  strategy per query — the home-partition load still amortizes because
-  the group shares residency, and answers stay identical to
-  :mod:`repro.core.queries` by construction.
-
-Group runners always execute their inner batch serially: the group
-itself is already one task on the service's executor, and nested
-submission into a bounded pool can deadlock (see
-repro.cluster.executors).
+Each :class:`Group` is one task on the worker pool and runs, per ticket,
+the strategy's body from :mod:`repro.core.queries` — the code a direct
+library call runs, so answers, counters and ``query/*`` spans are the
+library's by construction.  ``exact-match`` and ``target-node`` groups
+share one partition load (:func:`~repro.core.queries.run_point_group`)
+and charge no simulated ledger; ``one-partition`` / ``multi-partitions``
+groups run the pruned scan per ticket, sharing residency.
 
 **Tracing.**  :func:`run_group` opens one ``serve/execute`` span per
-ticket under that ticket's request root.  The per-request strategies
-attach each ticket's span in turn, so the core ``query/*`` spans nest
-under the right request.  The shared batch passes (exact-match,
-target-node) run *once* for the whole group; the first ticket's span is
-elected **carrier** — the core spans nest under it — and every sibling
-records ``shared_execution_trace`` naming the carrier's trace so the
-shared work stays discoverable without double-counting it.
+ticket under that ticket's request root.  The scan strategies attach
+each ticket's span in turn, so the core ``query/*`` spans nest under the
+right request.  A point group shares its load, so the first ticket's
+span is elected **carrier** — every ticket's ``query/*`` span and the
+one ``query/load partition`` nest under it — and every sibling records
+``shared_execution_trace`` naming the carrier's trace so the shared work
+stays discoverable without double-counting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ..core.batch import (
-    batch_exact_match,
-    batch_knn_target_node,
-    group_queries_by_partition,
-)
+from ..core.batch import group_queries_by_partition
 from ..core.builder import TardisIndex
 from ..core.queries import (
-    knn_multi_partitions_access,
-    knn_one_partition_access,
+    PartitionLoad,
+    _exact_match,
+    _pruned_knn,
+    _target_node_knn,
+    run_point_group,
 )
 from ..telemetry.spans import NULL_SPAN, Span, get_tracer
 
@@ -62,6 +56,8 @@ class Group:
     plan_key: tuple
     partition_id: int
     tickets: list = field(default_factory=list)
+    #: Each ticket's ``(signature, PAA)`` from the window's one conversion.
+    converted: list = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -71,26 +67,24 @@ class Group:
 def group_tickets(index: TardisIndex, tickets: list) -> list[Group]:
     """Split a flushed window into per-(plan, home-partition) groups.
 
-    Deterministic order (plan key, then partition id) so executor task
-    dispatch — and therefore cost accounting — is reproducible.
+    Deterministic order (plan key, then partition id; tickets in window
+    order) so executor task dispatch is reproducible.
     """
-    by_plan: dict[tuple, list] = {}
-    for ticket in tickets:
-        by_plan.setdefault(ticket.request.plan_key(), []).append(ticket)
-    groups: list[Group] = []
-    for plan_key in sorted(by_plan, key=repr):
-        plan_tickets = by_plan[plan_key]
-        queries = np.vstack([t.request.series for t in plan_tickets])
-        pid_groups, _converted = group_queries_by_partition(index, queries)
-        for pid in sorted(pid_groups):
-            groups.append(
-                Group(
-                    plan_key=plan_key,
-                    partition_id=pid,
-                    tickets=[plan_tickets[i] for i in pid_groups[pid]],
-                )
-            )
-    return groups
+    if not tickets:
+        return []
+    by_partition, converted = group_queries_by_partition(
+        index, np.vstack([t.request.series for t in tickets])
+    )
+    groups: dict[tuple, Group] = {}
+    for pid, members in by_partition.items():
+        for i in members:
+            plan_key = tickets[i].request.plan_key()
+            key = (repr(plan_key), pid)
+            if key not in groups:
+                groups[key] = Group(plan_key, pid)
+            groups[key].tickets.append(tickets[i])
+            groups[key].converted.append(converted[i])
+    return [groups[key] for key in sorted(groups)]
 
 
 def run_group(index: TardisIndex, group: Group) -> list:
@@ -114,42 +108,35 @@ def run_group(index: TardisIndex, group: Group) -> list:
 
 
 def _dispatch(index: TardisIndex, group: Group, spans: list, tracer) -> list:
-    requests = [t.request for t in group.tickets]
-    queries = np.vstack([r.series for r in requests])
-    op = group.plan_key[0]
-    if op == "exact-match" or group.plan_key[1] == "target-node":
-        # One shared batch pass for the whole group: elect the first real
-        # span as carrier of the core child spans; siblings point at it.
+    queries = [t.request.series for t in group.tickets]
+    op, plan = group.plan_key[0], group.plan_key[1:]
+    if op == "exact-match" or plan[0] == "target-node":
+        # One shared load for the whole group: elect the first real span
+        # as carrier of the core child spans; siblings point at it.
         carrier = next((s for s in spans if isinstance(s, Span)), NULL_SPAN)
         for span in spans:
             if span is not carrier and isinstance(span, Span):
                 span.set("shared_execution_trace", carrier.trace_id)
+        if op == "exact-match":
+            body = partial(_exact_match, index, use_bloom=plan[0])
+        else:
+            body = partial(_target_node_knn, index, k=plan[1])
         token = tracer.attach(carrier)
         try:
-            if op == "exact-match":
-                use_bloom = group.plan_key[1]
-                report = batch_exact_match(
-                    index, queries, use_bloom=use_bloom, executor="serial"
-                )
-            else:
-                k = group.plan_key[2]
-                report = batch_knn_target_node(
-                    index, queries, k, executor="serial"
-                )
+            return run_point_group(
+                PartitionLoad(index, group.partition_id), body, queries,
+                [signature for signature, _paa in group.converted],
+            )
         finally:
             tracer.detach(token)
-        return report.results
-    _op, strategy, k, pth = group.plan_key
+    strategy, k, pth = plan
     results = []
-    for request, span in zip(requests, spans):
+    for query, converted, span in zip(queries, group.converted, spans):
         token = tracer.attach(span)
         try:
-            if strategy == "one-partition":
-                results.append(knn_one_partition_access(index, request.series, k))
-            else:
-                results.append(
-                    knn_multi_partitions_access(index, request.series, k, pth=pth)
-                )
+            results.append(
+                _pruned_knn(index, query, k, strategy, pth, converted)
+            )
         finally:
             tracer.detach(token)
     return results
@@ -158,9 +145,9 @@ def _dispatch(index: TardisIndex, group: Group, spans: list, tracer) -> list:
 def partitions_loaded(results) -> set[int]:
     """Distinct partitions a group's results touched (for SLO accounting).
 
-    For exact/target-node groups the batch pass performed exactly one
-    shared load per partition in this set; for the scan strategies the
-    set is what a residency-sharing group loads once.
+    An exact/target-node group performed exactly one shared load of the
+    one partition in this set; for the scan strategies the set is what a
+    residency-sharing group loads once.
     """
     touched: set[int] = set()
     for result in results:

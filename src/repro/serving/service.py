@@ -371,15 +371,15 @@ class QueryService(RequestFrontEnd):
         apply_span = tracer.start_span("serve/apply", parent=ticket.span)
         request = ticket.request
         try:
-            batch = request.batch
             # Route first: a batch that cannot route fails before it can
-            # reach the WAL (replay would hit the same error).
-            partition_ids = self.index.route_batch(batch)
+            # reach the WAL (replay would hit the same error).  The apply
+            # below reuses this one conversion.
+            routed = self.index.prepare_batch(request.batch)
             # A crash here fails the write *before* it reaches the WAL
             # (never durable, never acknowledged).
             _sit_out_injected_faults(
                 FaultInjector.ingest_fault, "ingest", "append",
-                int(partition_ids[0]),
+                int(routed.partition_ids[0]),
             )
             record_ids = request.record_ids
             durable = False
@@ -389,15 +389,14 @@ class QueryService(RequestFrontEnd):
                     # index will use (replay pins them).
                     record_ids = [
                         self.index._next_record_id()
-                        for _ in range(batch.shape[0])
+                        for _ in routed.partition_ids
                     ]
                 self.wal.log_appends(
-                    [(rid, batch[i]) for i, rid in enumerate(record_ids)],
-                    sync=False,
+                    list(zip(record_ids, routed.values)), sync=False
                 )
                 durable = True
             report = self.index.ingest(
-                batch, record_ids=record_ids,
+                routed, record_ids=record_ids,
                 skip_existing=self._idempotent_writes and record_ids is not None,
             )
             # index.ingest already invalidated partition-cache residency

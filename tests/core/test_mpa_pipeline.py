@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core import TardisConfig, build_tardis_index
+from repro.core.local_index import ScanStats
 from repro.core.queries import (
     Neighbor,
     knn_multi_partitions_access,
+    knn_target_node_access,
     merge_top_k,
     query_signature,
     scan_partitions,
@@ -94,6 +96,29 @@ def test_scan_seed_then_threshold_equals_one_scan(index, query):
     assert (seed.target_layer + 1 + seed.stats.visited
             + rest.stats.visited) == whole.nodes_visited
     assert seed.stats.pruned + rest.stats.pruned == whole.nodes_pruned
+
+
+def test_scan_seed_is_target_node_access(index, query):
+    """The seed step is Target Node Access on the home partition: same
+    top-k, same candidate count, same target node."""
+    tna = knn_target_node_access(index, query, 5)
+    [home] = tna.partition_ids_loaded
+    seed = _scan(index, query, 5, [home], home_pid=home)
+    # What the seed scan adds to its seed step: the pruned rest of home.
+    partition = index.partitions[home]
+    signature, paa = query_signature(index, query)
+    target = partition.target_node(signature, 5)
+    rest = ScanStats()
+    widened = partition.pruned_entries(
+        paa, seed.threshold, index.series_length, skip=target, stats=rest
+    )
+    assert seed.tops[0] == tna.neighbors
+    assert seed.threshold == tna.neighbors[-1].distance
+    assert seed.candidates - len(widened) == tna.candidates_examined
+    assert seed.target_layer == target.layer
+    assert tna.nodes_visited == (
+        target.layer + 1 + seed.stats.visited - rest.visited
+    )
 
 
 def test_scan_home_lost(index, query):

@@ -54,6 +54,29 @@ class TestWriteOps:
             got = svc.query(QueryRequest(stream[0], op="exact-match"))
             assert BASE_N in got.record_ids
 
+    def test_write_batch_is_converted_and_routed_once(
+        self, index, stream, tmp_path
+    ):
+        """The route-before-WAL step hands its conversion to the apply:
+        a durable write_batch of n rows is n rows of PAA/encode work, and
+        the order route → WAL → apply still rejects before logging."""
+        from repro.telemetry.perf import (
+            KERNELS, disable_kernel_counters, enable_kernel_counters,
+        )
+
+        with service(index, wal=tmp_path / "w.wal") as svc:
+            enable_kernel_counters(reset=True)
+            try:
+                ack = svc.write(stream[:8])
+            finally:
+                disable_kernel_counters()
+            totals = KERNELS.totals()
+            KERNELS.reset()
+        assert ack.durable and ack.acknowledged == 8
+        assert totals["paa"]["elements"] == 8 * LENGTH
+        assert totals["encode"]["elements"] == 8 * index.config.word_length
+        assert ack.partition_ids == index.route_batch(stream[:8])
+
     def test_reads_and_writes_interleave_in_one_window(self, index, stream):
         with service(index, max_batch=32, max_delay_ms=5.0) as svc:
             futures = []

@@ -73,6 +73,9 @@ def _assert_knn_identical(served, reference):
         assert sorted(got.partition_ids_loaded) == sorted(
             want.partition_ids_loaded
         )
+        assert got.partitions_loaded == want.partitions_loaded
+        assert got.nodes_visited == want.nodes_visited
+        assert got.nodes_pruned == want.nodes_pruned
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -88,6 +91,9 @@ class TestEquivalencePerBackend:
             assert got.record_ids == want.record_ids
             assert got.bloom_rejected == want.bloom_rejected
             assert got.found == want.found
+            assert got.partitions_loaded == want.partitions_loaded
+            assert got.partition_ids_loaded == want.partition_ids_loaded
+            assert got.nodes_visited == want.nodes_visited
 
     def test_knn_target_node(self, tardis_small, query_mix, backend):
         reference = _serial_reference(
@@ -118,6 +124,74 @@ class TestEquivalencePerBackend:
             10, 3,
         )
         _assert_knn_identical(served, reference)
+
+
+QUERY_COUNTERS = (
+    "queries_total",
+    "query_candidates_examined_total",
+    "query_nodes_visited_total",
+    "query_mindist_prunes_total",
+    "query_bloom_positives_total",
+    "query_bloom_negatives_total",
+)
+
+
+def test_query_counters_identical_on_every_tier(
+    tardis_small, rw_small, heldout_queries
+):
+    """One body per strategy, so a query moves the query counters by the
+    same amounts whether it arrives as a direct call, in a ``batch_*``
+    pass or through the service — a server answering point traffic used
+    to export all of them at 0."""
+    from repro.core import batch_exact_match, batch_knn_target_node
+    from repro.telemetry.metrics import get_registry
+
+    index, hit = tardis_small, rw_small.values[3]
+    ghost = next(
+        q for q in heldout_queries if exact_match(index, q).bloom_rejected
+    )
+    probe = heldout_queries[1]
+    # (query, plan, direct call, batch call or None)
+    cases = [
+        (hit, dict(op="exact-match"),
+         lambda: exact_match(index, hit),
+         lambda: batch_exact_match(index, hit[None, :])),
+        (ghost, dict(op="exact-match"),
+         lambda: exact_match(index, ghost),
+         lambda: batch_exact_match(index, ghost[None, :])),
+        (hit, dict(op="exact-match", use_bloom=False),
+         lambda: exact_match(index, hit, use_bloom=False),
+         lambda: batch_exact_match(index, hit[None, :], use_bloom=False)),
+        (probe, dict(op="knn", strategy="target-node", k=5),
+         lambda: knn_target_node_access(index, probe, 5),
+         lambda: batch_knn_target_node(index, probe[None, :], 5)),
+        (probe, dict(op="knn", strategy="one-partition", k=5),
+         lambda: knn_one_partition_access(index, probe, 5), None),
+        (probe, dict(op="knn", strategy="multi-partitions", k=5, pth=3),
+         lambda: knn_multi_partitions_access(index, probe, 5, pth=3), None),
+    ]
+    registry = get_registry()
+
+    def deltas(run):
+        before = [registry.counter(name).value for name in QUERY_COUNTERS]
+        run()
+        return [
+            registry.counter(name).value - was
+            for name, was in zip(QUERY_COUNTERS, before)
+        ]
+
+    with QueryService(
+        index, max_delay_ms=0.0, executor="serial", result_cache_size=None
+    ) as service:
+        for query, plan, direct, batch in cases:
+            want = deltas(direct)
+            assert want[0] == 1, plan
+            served = deltas(
+                lambda: service.submit(QueryRequest(query, **plan)).result(30)
+            )
+            assert served == want, plan
+            if batch is not None:
+                assert deltas(batch) == want, plan
 
 
 @pytest.mark.parametrize("max_batch", (1, 4, 32))

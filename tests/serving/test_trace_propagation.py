@@ -159,3 +159,51 @@ class TestCacheAndSharedPasses:
             s.attributes["shared_execution_trace"] == carriers[0].trace_id
             for s in siblings
         )
+
+    @pytest.mark.parametrize("plan", (
+        dict(op="exact-match"),
+        dict(op="knn", strategy="target-node", k=5),
+    ))
+    def test_served_point_request_carries_the_library_spans(
+        self, tracer, tardis_small, rw_small, plan
+    ):
+        """A served exact-match / target-node request runs the library's
+        body: its ``serve/execute`` subtree (the carrier's, for a shared
+        group) holds the direct call's ``query/*`` span with the direct
+        call's attributes and the partition load — and none of the batch
+        tier's stages."""
+        from repro.core.queries import exact_match, knn_target_node_access
+
+        query = rw_small.values[4]
+        if plan["op"] == "exact-match":
+            name = "query/exact-match"
+            exact_match(tardis_small, query)
+        else:
+            name = "query/knn"
+            knn_target_node_access(tardis_small, query, plan["k"])
+        [direct] = tracer.roots
+        assert direct.name == name
+        tracer.reset()
+
+        requests = [QueryRequest(query, **plan) for _ in range(2)]
+        _serve_all(tardis_small, requests, "serial")
+        by_trace = {root.trace_id: root for root in tracer.roots}
+        assert len(by_trace) == len(requests)
+        for root in by_trace.values():
+            [execute] = [c for c in root.children if c.name == "serve/execute"]
+            shared = execute.attributes.get("shared_execution_trace")
+            if shared is not None:
+                [execute] = [c for c in by_trace[shared].children
+                             if c.name == "serve/execute"]
+            spans = list(execute.iter_spans())
+            names = {span.name for span in spans}
+            assert "query/load partition" in names
+            assert not names & {"batch/route", "lookup", "search"}
+            # No ledger on the served path, so no ledger-stage spans.
+            assert not names & {"query/route", "query/local search"}
+            query_span = next(span for span in spans if span.name == name)
+            served = dict(query_span.attributes)
+            wanted = dict(direct.attributes)
+            assert served.pop("simulated_s", 0.0) == 0.0
+            wanted.pop("simulated_s", None)
+            assert served == wanted

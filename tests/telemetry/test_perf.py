@@ -350,6 +350,87 @@ def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
     assert fanned_out and capped, "fixture never fanned out past pth"
 
 
+def _window(rw_small, size):
+    """A flush window of exact-match / target-node tickets over present
+    rows (so every exact group needs its partition)."""
+    from concurrent.futures import Future
+
+    from repro.serving import QueryRequest
+    from repro.serving.service import Ticket
+
+    if size == 4:  # duplicates: one plan, one series, one group
+        requests = [QueryRequest(rw_small.values[5], op="exact-match")] * 4
+    else:
+        plans = (
+            dict(op="exact-match"),
+            dict(op="exact-match", use_bloom=False),
+            dict(op="knn", strategy="target-node", k=3),
+            dict(op="knn", strategy="target-node", k=7),
+        )
+        requests = [
+            QueryRequest(rw_small.values[11 * i], **plans[i % len(plans)])
+            for i in range(size)
+        ]
+    return [Ticket(request, Future(), 0.0) for request in requests]
+
+
+@pytest.mark.parametrize("size", (1, 4, 16))
+def test_served_point_read_is_flat(tardis_small, rw_small, monkeypatch, size):
+    """A served exact-match / target-node read is converted once, its
+    group loads its partition once, and the simulated ledger is never
+    charged on the way — while the library and batch entry points still
+    charge the stages the reproduction plane reads.  Counts, no clock."""
+    from repro.cluster import SimulationLedger
+    from repro.core import batch_exact_match, exact_match
+    from repro.core.builder import TardisIndex
+    from repro.serving.batcher import group_tickets, run_group
+
+    index = tardis_small
+    stages, loads = [], []
+    record_stage, load_partition = (
+        SimulationLedger.record_stage, TardisIndex.load_partition
+    )
+    monkeypatch.setattr(
+        SimulationLedger, "record_stage",
+        lambda self, label, *a, **kw: (
+            stages.append(label), record_stage(self, label, *a, **kw)
+        )[1],
+    )
+    monkeypatch.setattr(
+        TardisIndex, "load_partition",
+        lambda self, pid, *a, **kw: (
+            loads.append(pid), load_partition(self, pid, *a, **kw)
+        )[1],
+    )
+    tickets = _window(rw_small, size)
+    enable_kernel_counters(reset=True)
+    groups = group_tickets(index, tickets)
+    results = [run_group(index, group) for group in groups]
+    disable_kernel_counters()
+    totals = KERNELS.totals()
+    assert sum(group.size for group in groups) == size
+    assert totals["paa"]["elements"] == size * index.series_length
+    assert totals["encode"]["elements"] == size * index.config.word_length
+    assert sorted(loads) == sorted(group.partition_id for group in groups)
+    assert stages == []
+    assert all(r.ledger.stages == {} for group in results for r in group)
+    if size == 4:
+        assert len(groups) == 1 and all(r.found for r in results[0])
+
+    # The reproduction plane reads what it read.
+    exact_match(index, rw_small.values[5])
+    assert stages == [
+        "query/route", "query/bloom test", "query/load partition",
+        "query/local search",
+    ]
+    del stages[:]
+    batch_exact_match(index, rw_small.values[5:6])
+    assert sorted(stages) == [
+        "batch/partition pass", "batch/route", "lookup",
+        "query/load partition", "query/load partition (batch-shared)",
+    ]
+
+
 def test_cross_backend_answers_identical_with_counters_on(
     tardis_small, heldout_queries
 ):
