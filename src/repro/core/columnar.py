@@ -12,8 +12,8 @@ partition's records once, contiguously:
 * ``signatures`` — parallel fixed-width unicode array of full-cardinality
   iSAX-T strings;
 * ``symbols`` — the pre-decoded ``(n_records, w)`` SAX symbol matrix, so
-  signature-space scoring (un-clustered kNN, equivalence checks) never
-  re-parses hex strings.
+  signature-space scoring (the row bound of the pruned scans,
+  un-clustered kNN, equivalence checks) never re-parses hex strings.
 
 sigTree leaves hold *row indices* into the block, so candidate
 collection returns index arrays and ranking is one ``batch_euclidean``
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..tsdb.distance import table_index
 from .isaxt import batch_decode_signatures
 
 __all__ = ["ColumnarBlock"]
@@ -47,6 +48,7 @@ class ColumnarBlock:
 
     __slots__ = (
         "record_ids", "values", "signatures", "symbols", "_shm_handles",
+        "_symbol_index",
     )
 
     def __init__(
@@ -61,6 +63,7 @@ class ColumnarBlock:
         self.signatures = signatures
         self.symbols = symbols
         self._shm_handles: list = []
+        self._symbol_index: tuple | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -117,6 +120,23 @@ class ColumnarBlock:
         if self.values is not None:
             total += self.values.nbytes
         return total
+
+    def symbol_index(self, bits: int) -> np.ndarray:
+        """Every row's :func:`~repro.tsdb.distance.table_index` at the
+        block's (full) cardinality ``bits``: what a query's gap table is
+        gathered through to price rows.
+
+        Depends on the symbols alone, so it is computed once and kept,
+        tagged with the symbol array it was built from — :meth:`append`
+        replaces that array, and the tag is checked by identity at use.
+        Concurrent readers may each build one; each publishes a finished
+        pair in a single assignment.
+        """
+        symbols = self.symbols
+        cached = self._symbol_index
+        if cached is None or cached[0] is not symbols:
+            cached = self._symbol_index = (symbols, table_index(symbols, bits))
+        return cached[1]
 
     def signature_at(self, row: int) -> str:
         return str(self.signatures[row])
@@ -182,6 +202,7 @@ class ColumnarBlock:
         from ..cluster import shm
 
         self._shm_handles = []
+        self._symbol_index = None
         for key in ("record_ids", "values", "signatures", "symbols"):
             value = state[key]
             if isinstance(value, dict) and "__shm__" in value:

@@ -25,6 +25,7 @@ def _fmt_seconds(seconds: float) -> str:
 _STAT_FIELDS = (
     ("partitions_loaded", "partitions loaded"),
     ("candidates_examined", "candidates examined"),
+    ("rows_refined", "rows refined"),
     ("nodes_pruned", "subtrees pruned"),
     ("splits_performed", "adaptive splits"),
     ("leaves_materialized", "leaves materialized"),

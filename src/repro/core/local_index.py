@@ -46,6 +46,14 @@ __all__ = [
 #: signature prefix at this level is recorded.
 REGION_PREFIX_BITS = 2
 
+#: Relative slack of the row bound's comparison.  A row's bound and its
+#: true distance can be equal in exact arithmetic (a piecewise-constant
+#: series sitting on breakpoints) and then round a few ulps apart in
+#: either order — ``~(w + n) / 2`` ulps at worst, 1e-13 at length 1024 —
+#: so the filter keeps a row until its bound clears the threshold by
+#: more than any such rounding: soundness over pruning power.
+_ROW_BOUND_SLACK = 1e-9
+
 #: Legacy entry layout, still used at API edges (persistence, validate):
 #: (full-cardinality signature, record id, series-or-None).
 Entry = tuple[str, int, "np.ndarray | None"]
@@ -329,6 +337,32 @@ class LocalPartition:
             _KERNELS.record("leaf_scan", elements=len(rows),
                             seconds=perf_counter() - t0)
         return rows
+
+    def rows_within(
+        self,
+        rows: np.ndarray,
+        query_paa,
+        threshold: float,
+        series_length: int,
+    ) -> np.ndarray:
+        """The ``rows`` whose own MINDIST is ≤ ``threshold``, in order.
+
+        The row-level lower bound between :meth:`pruned_entries` and the
+        distance pass: each row is priced from its full-cardinality
+        symbols (``block.symbols``) through the query's gap table — the
+        node filter's kernel — and kept unless its bound exceeds the
+        threshold by more than float rounding can (``_ROW_BOUND_SLACK``),
+        so no series whose computed distance is within ``threshold`` is
+        dropped.  A leaf's stripes contain its rows' stripes, so a row's
+        bound is never below the bound of the leaf that kept it.  An
+        infinite threshold filters nothing and prices nothing.
+        """
+        if threshold == np.inf or len(rows) == 0:
+            return rows
+        gaps = as_gap_table(query_paa, self.tree.max_bits)
+        index = self.block.symbol_index(self.tree.max_bits).take(rows, axis=0)
+        bounds = gaps.mindist(index, series_length)
+        return rows[bounds <= threshold * (1.0 + _ROW_BOUND_SLACK)]
 
     def all_entries(self) -> list[Entry]:
         """Legacy tuple materialization, in tree-traversal order.

@@ -76,7 +76,11 @@ class KnnResult:
 
     neighbors: list[Neighbor]
     partitions_loaded: int = 0
+    #: Rows that passed the node filter (the target node's included).
     candidates_examined: int = 0
+    #: Rows whose true distance was computed: the candidates that also
+    #: passed the row bound (all of them under Target Node Access).
+    rows_refined: int = 0
     #: Which strategy produced this result (drives answer certification).
     strategy: str = ""
     #: Ids of the partitions actually loaded (used by answer certification).
@@ -140,6 +144,8 @@ def query_signature(index: TardisIndex, query: np.ndarray) -> tuple[str, np.ndar
 #: (result field, counter, help) of the per-query accounting counters.
 _QUERY_COUNTERS = (
     ("candidates_examined", "query_candidates_examined_total",
+     "Candidate series that passed the node filter"),
+    ("rows_refined", "query_rows_refined_total",
      "Candidate series ranked by true distance"),
     ("nodes_visited", "query_nodes_visited_total",
      "sigTree nodes touched by queries"),
@@ -168,13 +174,18 @@ def _record_query_metrics(result, ledger: SimulationLedger | None) -> None:
         ).observe(ledger.clock_s)
 
 
-def _annotate_knn_span(span, result: "KnnResult") -> None:
-    """Copy a kNN result's accounting onto its root trace span."""
+def _annotate_knn_span(
+    span, result: "KnnResult", ledger: SimulationLedger | None
+) -> None:
+    """Copy a kNN result's accounting onto its root trace span; the
+    simulated latency only where a ledger simulated one."""
     span.set("partitions_loaded", result.partitions_loaded)
     span.set("candidates_examined", result.candidates_examined)
+    span.set("rows_refined", result.rows_refined)
     span.set("nodes_visited", result.nodes_visited)
     span.set("nodes_pruned", result.nodes_pruned)
-    span.set("simulated_s", result.ledger.clock_s)
+    if ledger is not None:
+        span.set("simulated_s", ledger.clock_s)
     if result.degraded:
         span.set("degraded", True)
         span.set("missing_partitions", list(result.missing_partitions))
@@ -423,8 +434,9 @@ def _target_node_knn(
                 target, result.neighbors, result.candidates_examined = (
                     _target_node_top_k(partition, signature, query, k, scan)
                 )
+                result.rows_refined = result.candidates_examined
                 result.nodes_visited = (target.layer + 1) + scan.visited
-        _annotate_knn_span(span, result)
+        _annotate_knn_span(span, result, ledger)
     _record_query_metrics(result, ledger)
     return result
 
@@ -487,7 +499,10 @@ class PartitionScan:
     threshold: float
     #: One top-k list per scanned partition (plus the seed's, first).
     tops: list[list[Neighbor]] = field(default_factory=list)
+    #: Rows that passed the node filter / of those, the rows ranked by
+    #: true distance (the seed's rows count in both).
     candidates: int = 0
+    refined: int = 0
     #: sigTree nodes visited / MINDIST-pruned across all the scans.
     stats: ScanStats = field(default_factory=ScanStats)
     #: Layer of the home target node; None unless this scan seeded.
@@ -518,7 +533,12 @@ def scan_partitions(
     Otherwise ``threshold`` carries the value an earlier seed scan
     returned.  Each loaded partition is then MINDIST-pruned and ranked
     on its own (lines 15-16: ``partitions.scan(th).calEuSort(qts)``), so
-    only per-partition top-k lists reach :func:`merge_top_k`.
+    only per-partition top-k lists reach :func:`merge_top_k`.  Between
+    the two, the rows the node filter kept are priced once more at full
+    cardinality (:meth:`LocalPartition.rows_within`) and only those
+    still within the threshold are gathered and ranked: a dropped row is
+    farther than the seed's k-th, which is in the merge, so the answer
+    is the unfiltered one.
 
     ``ledger``, when given, is charged as the paper's cluster would be —
     loads and scans run in parallel across workers, so each costs its
@@ -559,6 +579,7 @@ def scan_partitions(
             )
             if len(seed_top) >= k:
                 scan.threshold = seed_top[-1].distance
+        scan.refined = scan.candidates
         scan.target_layer = target.layer
         scan.tops.append(seed_top)
     scan_times = []
@@ -569,8 +590,12 @@ def scan_partitions(
                 gaps, scan.threshold, index.series_length,
                 skip=target if pid == home_pid else None, stats=stats,
             )
+            scan.candidates += len(rows)
+            rows = partition.rows_within(
+                rows, gaps, scan.threshold, index.series_length
+            )
+            scan.refined += len(rows)
             scan.tops.append(_top_k(query, partition, rows, k))
-        scan.candidates += len(rows)
         if scratch is not None:
             scan_times.append(scratch.clock_s)
     if ledger is not None:
@@ -661,9 +686,10 @@ def _pruned_knn(
                     if scan.missing else (),
                 )
             result.candidates_examined = scan.candidates
+            result.rows_refined = scan.refined
             result.nodes_visited = (scan.target_layer + 1) + scan.stats.visited
             result.nodes_pruned = scan.stats.pruned
-        _annotate_knn_span(span, result)
+        _annotate_knn_span(span, result, result.ledger)
     _record_query_metrics(result, result.ledger)
     logger.debug(
         "%s kNN: %d partitions, %d candidates",

@@ -221,6 +221,7 @@ def result_to_wire(result) -> dict:
         "partitions_loaded": result.partitions_loaded,
         "partition_ids_loaded": list(result.partition_ids_loaded),
         "candidates_examined": result.candidates_examined,
+        "rows_refined": result.rows_refined,
         "nodes_visited": result.nodes_visited,
         "nodes_pruned": result.nodes_pruned,
         "degraded": bool(getattr(result, "degraded", False)),
@@ -254,6 +255,7 @@ def wire_to_result(doc: dict):
         ],
         partitions_loaded=int(doc.get("partitions_loaded", 0)),
         candidates_examined=int(doc.get("candidates_examined", 0)),
+        rows_refined=int(doc.get("rows_refined", 0)),
         strategy=doc.get("strategy", ""),
         partition_ids_loaded=list(doc.get("partition_ids_loaded", [])),
         nodes_visited=int(doc.get("nodes_visited", 0)),

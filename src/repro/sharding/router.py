@@ -795,6 +795,9 @@ class RouterService(RequestFrontEnd):
             candidates_examined=sum(
                 int(reply.get("candidates", 0)) for reply in replies
             ),
+            rows_refined=sum(
+                int(reply.get("refined", 0)) for reply in replies
+            ),
             nodes_visited=(
                 int(seed_reply.get("target_layer", -1)) + 1
                 + sum(int(reply.get("visited", 0)) for reply in replies)

@@ -12,9 +12,12 @@ distributed Multi-Partitions Access.  The router decides *which*
 partitions participate (the ``pth`` fan-out cap) and splits them by
 host; each shard runs :func:`repro.core.queries.scan_partitions` over
 its slice — as the seed (threshold from the home target node) on the
-home shard, with the seed's threshold everywhere else.  Only
-per-partition top-k lists travel back, to the router's
-:func:`~repro.core.queries.merge_top_k`.
+home shard, with the seed's threshold everywhere else — and merges its
+per-partition top-k lists into one (:func:`~repro.core.queries.merge_top_k`
+without bounds).  At most ``k`` neighbors a call travel back to the
+router's own ``merge_top_k``: the top-k of per-shard top-ks is the top-k
+of their union, and the degraded cut stays at the router, the only place
+that knows which partitions went missing everywhere.
 
 ``shard-knn`` runs in the connection handler thread and bypasses the
 shard's admission queue: backpressure, deadlines, caching and SLO
@@ -30,7 +33,7 @@ import time
 import numpy as np
 
 from ..core.builder import TardisIndex
-from ..core.queries import query_signature, scan_partitions
+from ..core.queries import merge_top_k, query_signature, scan_partitions
 from ..telemetry.carrier import extract, reply_trace
 from ..telemetry.context import trace_id_of
 from ..telemetry.metrics import get_registry
@@ -145,9 +148,10 @@ class ShardService(QueryService):
             "loaded": sorted(scan.loaded),
             "missing": sorted(scan.missing),
             "neighbors": [
-                [n.distance, n.record_id] for top in scan.tops for n in top
+                [n.distance, n.record_id] for n in merge_top_k(scan.tops, k)
             ],
             "candidates": scan.candidates,
+            "refined": scan.refined,
             "visited": scan.stats.visited,
             "pruned": scan.stats.pruned,
         }

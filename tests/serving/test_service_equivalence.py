@@ -70,6 +70,7 @@ def _assert_knn_identical(served, reference):
         assert got.record_ids == want.record_ids
         assert got.distances == want.distances  # exact float equality
         assert got.candidates_examined == want.candidates_examined
+        assert got.rows_refined == want.rows_refined
         assert sorted(got.partition_ids_loaded) == sorted(
             want.partition_ids_loaded
         )
@@ -129,6 +130,7 @@ class TestEquivalencePerBackend:
 QUERY_COUNTERS = (
     "queries_total",
     "query_candidates_examined_total",
+    "query_rows_refined_total",
     "query_nodes_visited_total",
     "query_mindist_prunes_total",
     "query_bloom_positives_total",
@@ -142,7 +144,9 @@ def test_query_counters_identical_on_every_tier(
     """One body per strategy, so a query moves the query counters by the
     same amounts whether it arrives as a direct call, in a ``batch_*``
     pass or through the service — a server answering point traffic used
-    to export all of them at 0."""
+    to export all of them at 0.  ``rows_refined`` is the one count the
+    row bound moves: the same on every tier, all of the candidates under
+    Target Node Access, fewer under a finite threshold."""
     from repro.core import batch_exact_match, batch_knn_target_node
     from repro.telemetry.metrics import get_registry
 
@@ -172,13 +176,20 @@ def test_query_counters_identical_on_every_tier(
     ]
     registry = get_registry()
 
+    refined_at = QUERY_COUNTERS.index("query_rows_refined_total")
+
     def deltas(run):
+        """Counter movements of one query, after checking the refined
+        counter moved by what the result itself reports."""
         before = [registry.counter(name).value for name in QUERY_COUNTERS]
-        run()
-        return [
+        result = run()
+        moved = [
             registry.counter(name).value - was
             for name, was in zip(QUERY_COUNTERS, before)
         ]
+        [result] = getattr(result, "results", [result])  # a batch report
+        assert moved[refined_at] == getattr(result, "rows_refined", 0)
+        return moved
 
     with QueryService(
         index, max_delay_ms=0.0, executor="serial", result_cache_size=None
@@ -192,6 +203,13 @@ def test_query_counters_identical_on_every_tier(
             assert served == want, plan
             if batch is not None:
                 assert deltas(batch) == want, plan
+            candidates = want[QUERY_COUNTERS.index(
+                "query_candidates_examined_total"
+            )]
+            if plan.get("strategy") == "target-node":
+                assert want[refined_at] == candidates > 0
+            elif "strategy" in plan:
+                assert 0 < want[refined_at] < candidates, plan
 
 
 @pytest.mark.parametrize("max_batch", (1, 4, 32))

@@ -60,6 +60,7 @@ def assert_knn_identical(served, reference):
         assert got.record_ids == want.record_ids
         assert got.distances == want.distances  # exact float equality
         assert got.candidates_examined == want.candidates_examined
+        assert got.rows_refined == want.rows_refined
         assert sorted(got.partition_ids_loaded) == sorted(
             want.partition_ids_loaded
         )

@@ -327,13 +327,16 @@ def test_disabled_counters_make_zero_record_calls(
 
 def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
     """One multi-partitions query prices MINDIST at most once for the
-    ``pth`` selection plus once per loaded partition, and scans each
-    loaded partition's tree exactly once — not once per sibling
-    partition and per tree level, as the loops it replaced did.  A count,
-    no clock: the speed it buys is gated in ``perf/`` (``lib-mpa``)."""
+    ``pth`` selection, once per loaded partition for the node filter and
+    at most once more per partition for the row bound (never under a +inf
+    threshold); it scans each loaded partition's tree exactly once — not
+    once per sibling partition and per tree level, as the loops it
+    replaced did — and computes true distances for the rows the row
+    bound kept, no others.  Counts, no clock: the speed they buy is gated
+    in ``perf/`` (``lib-mpa``)."""
     from repro.core import knn_multi_partitions_access
 
-    fanned_out = capped = 0
+    fanned_out = capped = filtered = 0
     for query in heldout_queries:
         enable_kernel_counters(reset=True)
         result = knn_multi_partitions_access(tardis_small, query, k=5)
@@ -341,13 +344,19 @@ def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
         totals = KERNELS.totals()
         loaded = result.partitions_loaded
         mindist_calls = totals["mindist"]["calls"]
-        assert loaded <= mindist_calls <= 1 + loaded
+        assert loaded <= mindist_calls <= 1 + 2 * loaded
         # the seed's target-node scan, then one pruned scan a partition
         assert totals["leaf_scan"]["calls"] == 1 + loaded
         assert totals["leaf_scan"]["elements"] == result.candidates_examined
+        assert result.rows_refined <= result.candidates_examined
+        assert totals["euclidean"]["elements"] == (
+            result.rows_refined * tardis_small.series_length
+        )
         fanned_out += loaded > 1
-        capped += mindist_calls == 1 + loaded
-    assert fanned_out and capped, "fixture never fanned out past pth"
+        capped += mindist_calls == 1 + 2 * loaded
+        filtered += result.rows_refined < result.candidates_examined
+    assert fanned_out and capped, "fixture never reached the call bound"
+    assert filtered, "the row bound never dropped a row"
 
 
 def _window(rw_small, size):
