@@ -86,8 +86,8 @@ def main() -> None:
         raise SystemExit("motif recovery degraded — investigate")
 
     # Approximate search only probes sibling partitions; a planted site
-    # whose window landed elsewhere can be missed.  Exact best-first
-    # search (guaranteed complete) closes the gap.
+    # whose window landed elsewhere can be missed.  Exact search
+    # (guaranteed complete) closes the gap.
     from repro.core import knn_exact
 
     exact = knn_exact(index, query, k=60)

@@ -3,7 +3,7 @@
 
 Scenario: the classic UCR-archive workflow — classify test series by the
 label of their nearest training neighbor — but with the training set
-behind a TARDIS index instead of a linear scan.  Exact best-first kNN
+behind a TARDIS index instead of a linear scan.  Exact kNN
 gives the identical classifier (1-NN-ED) while loading only the
 partitions the lower bound cannot exclude; the approximate strategies
 give a faster, slightly noisier classifier.

@@ -7,7 +7,7 @@ code:
 * ``build`` — build a TARDIS index over a dataset and persist it
 * ``info`` — summarize a persisted index
 * ``exact`` — exact-match lookup of a series against a persisted index
-* ``knn`` — kNN with an approximate strategy or exact best-first search
+* ``knn`` — kNN with an approximate strategy or the exact search
 * ``range`` — all series within a Euclidean radius
 * ``stats`` — pretty-print a trace (or ``repro.perf/v1`` kernel
   report) previously saved with ``--trace``/``--perf``
@@ -74,6 +74,7 @@ from .core import (
     range_query,
 )
 from .core.persistence import load_index, save_index
+from .faults.errors import PartialResultError
 from .tsdb import DATASET_GENERATORS, TimeSeriesDataset, make_dataset
 from .tsdb.io import read_csv_dataset, read_npz_dataset, read_ucr
 
@@ -198,15 +199,9 @@ def _load_query_index(args):
 
 
 def _cmd_exact(args) -> int:
-    from .faults.errors import PartialResultError
-
     index = _load_query_index(args)
     query = _load_query(args)
-    try:
-        result = exact_match(index, query, use_bloom=not args.no_bloom)
-    except PartialResultError as exc:
-        print(f"partial result: {exc}")
-        return 2
+    result = exact_match(index, query, use_bloom=not args.no_bloom)
     if result.found:
         print(f"found record ids: {result.record_ids}")
     else:
@@ -223,7 +218,7 @@ def _cmd_knn(args) -> int:
     print(f"{args.strategy} {args.k}-NN "
           f"({result.partitions_loaded} partitions, "
           f"{result.candidates_examined:,} candidates):")
-    if getattr(result, "degraded", False):
+    if result.degraded:
         missing = ", ".join(str(p) for p in result.missing_partitions)
         print(f"  (degraded: partitions {missing} unavailable; answer "
               "truncated to provably correct prefix)")
@@ -461,7 +456,6 @@ def _cmd_serve_sharded(args) -> int:
 
 
 def _cmd_query_remote(args) -> int:
-    from .faults.errors import PartialResultError
     from .serving import (
         DeadlineExceededError,
         OverloadedError,
@@ -1108,6 +1102,11 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.get_registry().reset()
     try:
         code = args.fn(args)
+    except PartialResultError as exc:
+        # exact / knn --strategy exact / range: a partition the exact
+        # answer needs stayed unavailable (--faults).
+        print(f"partial result: {exc}")
+        code = 2
     finally:
         # Written even when the command fails (an exact-match miss exits
         # 1) — the trace of a failed run is the one worth keeping.

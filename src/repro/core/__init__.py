@@ -38,7 +38,7 @@ from .isaxt import (
     signature_of_paa,
     signature_of_series,
 )
-from .local_index import LocalPartition, build_local_partition, node_mindist
+from .local_index import LocalPartition, build_local_partition
 from .partitioning import assign_partitions, first_fit_decreasing
 from .queries import (
     KNN_STRATEGIES,
@@ -81,7 +81,6 @@ __all__ = [
     "collect_layer_statistics",
     "LocalPartition",
     "build_local_partition",
-    "node_mindist",
     "SigTree",
     "SigTreeNode",
     "first_fit_decreasing",

@@ -26,7 +26,7 @@ import numpy as np
 from ..bloom import BloomFilter
 from ..cluster.costmodel import estimate_bytes
 from ..telemetry.perf import KERNELS as _KERNELS
-from ..tsdb.distance import as_gap_table, mindist_paa_to_word, table_index
+from ..tsdb.distance import as_gap_table, table_index
 from .columnar import ColumnarBlock
 from .config import TardisConfig
 from .isaxt import batch_decode_signatures, decode_signature
@@ -37,7 +37,6 @@ __all__ = [
     "LocalPartition",
     "ScanStats",
     "build_local_partition",
-    "node_mindist",
     "REGION_PREFIX_BITS",
 ]
 
@@ -71,24 +70,6 @@ class ScanStats:
 
     visited: int = 0
     pruned: int = 0
-
-
-def _node_decoded(node: SigTreeNode, word_length: int) -> tuple:
-    """Cached ``(symbols, bits)`` of a node's signature."""
-    if node.decoded is None:
-        node.decoded = decode_signature(node.signature, word_length)
-    return node.decoded
-
-
-def node_mindist(node: SigTreeNode, query_paa: np.ndarray, n: int, word_length: int) -> float:
-    """MINDIST lower bound from a query's PAA word to a sigTree node region.
-
-    The root (layer 0) covers the whole space, so its bound is 0.
-    """
-    if node.layer == 0:
-        return 0.0
-    symbols, bits = _node_decoded(node, word_length)
-    return mindist_paa_to_word(query_paa, symbols, bits, n)
 
 
 class _NodeTable:

@@ -54,9 +54,6 @@ class SigTreeNode:
     partition_id: int | None = None
     #: Union of descendant partition ids ("id list" synchronized upward).
     partition_ids: set[int] = field(default_factory=set)
-    #: Lazily cached ``(symbols, bits)`` of this node's signature; node
-    #: signatures are immutable, so the decode never goes stale.
-    decoded: tuple | None = field(default=None, repr=False, compare=False)
     #: Lazily cached ``(tree_version, row_array, n_subtree_nodes)`` of the
     #: entries under this node — entries *do* change, so the cache is
     #: keyed on :attr:`SigTree.version` and goes stale with the tree.

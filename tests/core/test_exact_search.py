@@ -1,11 +1,11 @@
-"""Tests for exact kNN (best-first) and range queries."""
+"""Tests for exact kNN and range queries."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import brute_force_knn
+from repro.core import brute_force_knn, query_signature
 from repro.core.exact_search import knn_exact, range_query
 from repro.tsdb.series import z_normalize
 
@@ -104,3 +104,76 @@ class TestRangeQuery:
     def test_small_radius_prunes(self, tardis_small):
         result = range_query(tardis_small, _query(4), 0.5)
         assert result.partitions_loaded < len(tardis_small.partitions)
+
+
+class TestBoundOrderedWalk:
+    """The stop rule both exact searches share: partitions in ascending
+    ``(region bound, pid)`` order, until the next bound is strictly
+    above the threshold."""
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_knn_loads_a_bound_ordered_prefix(self, tardis_small, seed, k):
+        q = _query(seed)
+        bounds = tardis_small.region_bounds(query_signature(tardis_small, q)[1])
+        result = knn_exact(tardis_small, q, k)
+        order = sorted((bound, pid) for pid, bound in bounds.items())
+        loaded = result.partition_ids_loaded
+        assert [(bounds[pid], pid) for pid in loaded] == order[:len(loaded)]
+        skipped = order[len(loaded):]
+        assert all(bound > result.distances[-1] for bound, _pid in skipped)
+        assert result.nodes_pruned >= len(skipped)
+        assert result.rows_refined <= result.candidates_examined
+
+    @given(seed=st.integers(0, 10_000), radius=st.floats(0.0, 9.0))
+    @settings(max_examples=20, deadline=None)
+    def test_range_loads_every_partition_within_the_radius(
+        self, tardis_small, seed, radius
+    ):
+        q = _query(seed)
+        bounds = tardis_small.region_bounds(query_signature(tardis_small, q)[1])
+        result = range_query(tardis_small, q, radius)
+        within = sorted(
+            (bound, pid) for pid, bound in bounds.items() if bound <= radius
+        )
+        assert result.partition_ids_loaded == [pid for _bound, pid in within]
+        assert result.nodes_pruned >= len(bounds) - len(within)
+
+    def test_exact_after_splits_and_removals(self, rw_small, small_config):
+        """A warm node table does not outlive the tree it flattened:
+        after inserts that split leaves and after removals, exact kNN is
+        brute force over the surviving rows, floats and ids."""
+        from repro.core import build_tardis_index
+        from repro.tsdb.series import TimeSeriesDataset
+
+        base = rw_small.subset(np.arange(600))
+        index = build_tardis_index(base, small_config)
+        q = _query(11)
+        knn_exact(index, q, 5)  # flattens every tree the walk loads
+        rng = np.random.default_rng(5)
+        rows = {int(rid): row for rid, row in base}
+
+        def n_nodes():
+            return sum(
+                1 for p in index.partitions.values()
+                for _node in p.tree.iter_nodes()
+            )
+
+        nodes_before = n_nodes()
+        for source in rng.integers(0, 600, size=200):
+            series = z_normalize(
+                base.values[source] + rng.normal(0.0, 0.05, base.length)
+            )
+            rows[index.insert_series(series)] = series
+        assert nodes_before < n_nodes()
+        for rid in sorted(rows)[::7]:
+            assert index.delete_series(rows.pop(rid), rid)
+        survivors = TimeSeriesDataset(
+            np.stack(list(rows.values())), record_ids=np.array(list(rows))
+        )
+        for query in (q, _query(12), base.values[3]):
+            got = knn_exact(index, query, 10)
+            truth = brute_force_knn(survivors, query, 10)
+            assert [(n.distance, n.record_id) for n in got.neighbors] == [
+                (n.distance, n.record_id) for n in truth
+            ]

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TardisConfig
-from repro.core.local_index import build_local_partition, node_mindist
-from repro.core.isaxt import signature_of_series
-from repro.tsdb.distance import euclidean
+from repro.core.local_index import build_local_partition
+from repro.core.isaxt import decode_signature, signature_of_series
+from repro.tsdb.distance import euclidean, mindist_paa_to_word
 from repro.tsdb.paa import paa_transform
 from repro.tsdb.series import z_normalize
 
@@ -175,11 +175,16 @@ class TestNodeMindist:
         records, _ = make_records(10)
         partition = build_local_partition(0, records, CFG)
         paa = np.full(CFG.word_length, 3.0)
-        assert node_mindist(partition.tree.root, paa, LENGTH, CFG.word_length) == 0.0
+        root = partition.tree.root
+        assert mindist_paa_to_word(
+            paa, *decode_signature(root.signature, CFG.word_length), LENGTH
+        ) == 0.0
 
     def test_own_leaf_is_zero(self):
         records, values = make_records(30)
         partition = build_local_partition(0, records, CFG)
         paa = paa_transform(values[4], CFG.word_length)
         leaf = partition.tree.descend(records[4][0])
-        assert node_mindist(leaf, paa, LENGTH, CFG.word_length) == 0.0
+        assert mindist_paa_to_word(
+            paa, *decode_signature(leaf.signature, CFG.word_length), LENGTH
+        ) == 0.0

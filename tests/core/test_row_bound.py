@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core import TardisConfig
 from repro.core.builder import convert_records
-from repro.core.isaxt import signature_of_paa
-from repro.core.local_index import (
-    _ROW_BOUND_SLACK,
-    build_local_partition,
-    node_mindist,
-)
+from repro.core.isaxt import decode_signature, signature_of_paa
+from repro.core.local_index import _ROW_BOUND_SLACK, build_local_partition
 from repro.core.queries import Neighbor, _top_k, merge_top_k
 from repro.telemetry.perf import (
     KERNELS,
@@ -28,7 +24,11 @@ from repro.telemetry.perf import (
     enable_kernel_counters,
 )
 from repro.tsdb import paa_transform, random_walk
-from repro.tsdb.distance import batch_euclidean, mindist_paa_to_words
+from repro.tsdb.distance import (
+    batch_euclidean,
+    mindist_paa_to_word,
+    mindist_paa_to_words,
+)
 from repro.tsdb.sax import breakpoints
 
 LENGTH = 32
@@ -163,7 +163,9 @@ def test_row_bound_is_the_kernel_bound_and_nests_in_the_leaf(
         )
         for node in partition.tree.iter_nodes():
             held = np.isin(rows, node.entries)
-            assert (want[held] >= node_mindist(node, paa, LENGTH, w)).all()
+            assert (want[held] >= mindist_paa_to_word(
+                paa, *decode_signature(node.signature, w), LENGTH
+            )).all()
         for threshold in (0.0, *np.unique(want).tolist()):
             slackened = threshold * (1.0 + _ROW_BOUND_SLACK)
             got = partition.rows_within(rows, paa, threshold, LENGTH)

@@ -18,9 +18,11 @@ import pytest
 from repro.core import (
     build_tardis_index,
     exact_match,
+    knn_exact,
     knn_multi_partitions_access,
     knn_one_partition_access,
     knn_target_node_access,
+    range_query,
 )
 from repro.faults import (
     PartialResultError,
@@ -103,6 +105,14 @@ class TestRetryEqualsBaseline:
                 assert got.record_ids == ref.record_ids
                 assert got.partition_ids_loaded == ref.partition_ids_loaded
 
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_exact_knn_unchanged(self, chaos_index, chaos_queries, seed):
+        refs = [knn_exact(chaos_index, q, 10) for q in chaos_queries[:3]]
+        with active_plan(transient_plan(seed)) as injector:
+            for q, ref in zip(chaos_queries[:3], refs):
+                assert_same_knn(knn_exact(chaos_index, q, 10), ref)
+            assert injector.stats()["injected"] > 0
+
     def test_retries_are_journaled(self, chaos_index, chaos_queries):
         with active_plan(transient_plan(0)) as injector:
             knn_multi_partitions_access(chaos_index, chaos_queries[0], 10)
@@ -171,6 +181,32 @@ class TestDegradedSubset:
             with pytest.raises(PartialResultError) as excinfo:
                 exact_match(chaos_index, row)
         assert excinfo.value.missing_partitions == [home]
+
+    @pytest.mark.parametrize("row", (0, 3, 6))
+    def test_exact_search_raises_typed_partial_result(
+        self, chaos_index, chaos_queries, row
+    ):
+        """An exact answer that needs a lost partition is a
+        ``PartialResultError`` naming it, never the raw load error; a
+        lost partition the walk never reaches changes nothing."""
+        query = chaos_queries[row]
+        searches = (
+            lambda: knn_exact(chaos_index, query, 10),
+            lambda: range_query(chaos_index, query, 6.0),
+        )
+        for search in searches:
+            ref = search()
+            needed = ref.partition_ids_loaded[-1]
+            with active_plan(loss_plan(4, [needed])):
+                with pytest.raises(PartialResultError) as excinfo:
+                    search()
+            assert excinfo.value.missing_partitions == [needed]
+            unneeded = sorted(
+                set(chaos_index.partitions) - set(ref.partition_ids_loaded)
+            )
+            if unneeded:
+                with active_plan(loss_plan(4, unneeded)):
+                    assert_same_knn(search(), ref)
 
     def test_load_partition_exhaustion_is_typed(self, chaos_index):
         pid = sorted(chaos_index.partitions)[0]

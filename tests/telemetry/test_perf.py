@@ -359,6 +359,32 @@ def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
     assert filtered, "the row bound never dropped a row"
 
 
+def test_exact_walk_is_flat(tardis_small, heldout_queries):
+    """One exact kNN query prices MINDIST once for every partition's
+    region, then once per loaded partition for the node filter and at
+    most once more for the row bound (never under the first partition's
+    +inf threshold) — not once per tree node; it scans each loaded
+    partition's tree exactly once and computes true distances for the
+    rows the row bound kept, no others.  Counts, no clock."""
+    from repro.core import knn_exact
+
+    filtered = 0
+    for query in heldout_queries:
+        enable_kernel_counters(reset=True)
+        result = knn_exact(tardis_small, query, k=5)
+        disable_kernel_counters()
+        totals = KERNELS.totals()
+        loaded = result.partitions_loaded
+        assert 1 + loaded <= totals["mindist"]["calls"] <= 1 + 2 * loaded
+        assert totals["leaf_scan"]["calls"] == loaded
+        assert totals["leaf_scan"]["elements"] == result.candidates_examined
+        assert totals["euclidean"]["elements"] == (
+            result.rows_refined * tardis_small.series_length
+        )
+        filtered += result.rows_refined < result.candidates_examined
+    assert filtered, "the row bound never dropped a row"
+
+
 def _window(rw_small, size):
     """A flush window of exact-match / target-node tickets over present
     rows (so every exact group needs its partition)."""

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,31 @@ class TestKnnExactAndRange:
         assert code == 0
         out = capsys.readouterr().out
         assert "1 series within radius" in out
+
+    @pytest.mark.parametrize("command", (
+        ["exact"],
+        ["knn", "--k", "3", "--strategy", "exact"],
+        ["range", "--radius", "5"],
+    ))
+    def test_lost_partition_is_a_partial_result(self, workspace, tmp_path,
+                                                capsys, command):
+        """An exact answer that needs an unloadable partition prints the
+        typed error and exits 2 — no traceback."""
+        from repro.faults import clear_injector
+
+        _root, data, index = workspace
+        plan = tmp_path / "loss.json"
+        plan.write_text(json.dumps({
+            "schema": "repro.faults/v1", "seed": 1,
+            "rules": [{"kind": "partition-load-error"}],
+        }))
+        try:
+            code = main([*command, "--index", str(index), "--data", str(data),
+                         "--row", "2", "--faults", str(plan)])
+        finally:
+            clear_injector()  # --faults installs a process-wide plan
+        assert code == 2
+        assert "partial result: partitions [" in capsys.readouterr().out
 
     def test_range_limit_truncates(self, workspace, capsys):
         _root, data, index = workspace
