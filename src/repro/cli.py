@@ -43,8 +43,9 @@ Execution (docs/PARALLELISM.md): every command accepts ``--executor
 backend the engine and batch paths run on.
 
 Serving (docs/SERVING.md): ``serve`` exposes admission control
-(``--queue``/``--policy``), micro-batching (``--batch-max``/
-``--batch-delay-ms``), both caches (``--cache``/``--result-cache``) and
+(``--queue``/``--policy``), batching (``--batch-max`` caps a window;
+windows form from backlog, ``--batch-delay-ms`` opts into a linger),
+both caches (``--cache``/``--result-cache``) and
 an SLO report (``--report FILE`` on shutdown, or live via
 ``query-remote --stats``).
 """
@@ -256,13 +257,18 @@ def _cmd_serve(args) -> int:
         # long-lived server cannot grow without limit.
         tracer = telemetry.enable_tracing()
         tracer.set_root_limit(args.trace_roots)
+    # The linger default is QueryService's own; the flag only overrides.
+    linger = (
+        {} if args.batch_delay_ms is None
+        else {"max_delay_ms": args.batch_delay_ms}
+    )
     try:
         service = QueryService(
             index,
             queue_capacity=args.queue,
             policy=args.policy,
             max_batch=args.batch_max,
-            max_delay_ms=args.batch_delay_ms,
+            **linger,
             result_cache_size=args.result_cache,
             slow_query_threshold_ms=args.slow_query_ms,
             journal_sample=args.journal_sample,
@@ -285,7 +291,8 @@ def _cmd_serve(args) -> int:
     print(
         f"serving {args.index} on {host}:{port} "
         f"(policy={args.policy}, queue={args.queue}, "
-        f"batch<={args.batch_max}/{args.batch_delay_ms}ms{ingest}; "
+        f"batch<={args.batch_max}/{service.max_delay_s * 1000.0:g}ms"
+        f"{ingest}; "
         "Ctrl-C to stop)",
         flush=True,
     )
@@ -865,9 +872,12 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--policy", choices=("block", "shed"), default="block",
                      help="backpressure when the queue is full")
     srv.add_argument("--batch-max", type=int, default=16, metavar="N",
-                     help="micro-batch flush size")
-    srv.add_argument("--batch-delay-ms", type=float, default=2.0,
-                     metavar="MS", help="micro-batch max flush delay")
+                     help="most requests one batch window takes")
+    srv.add_argument("--batch-delay-ms", type=float, default=None,
+                     metavar="MS",
+                     help="hold a window open until MS after its first "
+                          "request arrived (default: no linger; a window "
+                          "is what queued while the last one ran)")
     srv.add_argument("--max-seconds", type=float, default=None, metavar="S",
                      help="stop after S seconds (default: run until signal)")
     srv.add_argument("--report", metavar="FILE",

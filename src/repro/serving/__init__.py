@@ -10,7 +10,8 @@ serving tier (docs/SERVING.md), built from five cooperating pieces:
 * :mod:`~repro.serving.batcher` — a dynamic micro-batcher that groups
   queued queries by their Tardis-G home partition (reusing
   :mod:`repro.core.batch`'s grouping) so one partition load is amortized
-  across concurrent requests, flushed by size or a max-delay timer.
+  across the requests that queued up behind a busy consumer (an opt-in
+  ``max_delay_ms`` linger can hold a window open for more).
 * :mod:`~repro.serving.result_cache` — a keyed result cache (query
   digest + strategy + k + pth) layered over the partition cache and
   invalidated with it.
@@ -28,7 +29,7 @@ Typical embedded use::
 
     from repro.serving import QueryRequest, QueryService
 
-    with QueryService(index, max_batch=16, max_delay_ms=2.0) as service:
+    with QueryService(index, max_batch=16) as service:
         result = service.query(QueryRequest(series, op="knn", k=10))
 
 Answers are identical to the serial :mod:`repro.core.queries` path —

@@ -11,11 +11,16 @@ with one of two policies when full:
   ``overloaded`` wire error so clients can back off).
 
 The consumer side is batch-oriented: :meth:`AdmissionQueue.take_batch`
-returns up to ``max_batch`` tickets, waiting at most ``max_delay_s``
-after the first arrival so a lone request is never held hostage by the
-batcher.  :meth:`close` stops admissions while letting the consumer
-drain what was already accepted — the graceful-shutdown half of the
-serving contract.
+blocks for the first ticket and returns it with whatever else has queued
+up, at most ``max_batch`` — batches form from backlog, exactly when the
+consumer is the bottleneck, and a request that finds the consumer idle
+goes at once.  A positive ``max_delay_s`` is an opt-in linger: the
+window then stays open until ``max_delay_s`` after its first ticket
+*arrived* (:meth:`put` stamps every arrival), so time a ticket already
+spent queued behind a busy consumer counts against the linger and a lone
+request is never held longer than the bound.  :meth:`close` stops
+admissions while letting the consumer drain what was already accepted —
+the graceful-shutdown half of the serving contract.
 """
 
 from __future__ import annotations
@@ -125,15 +130,16 @@ class AdmissionQueue:
                     self._not_full.wait(remaining)
                 if self._closed:
                     raise RuntimeError("admission queue is closed")
-            self._items.append(item)
+            self._items.append((time.monotonic(), item))
             self._not_empty.notify()
 
     def take_batch(self, max_batch: int, max_delay_s: float) -> list:
         """Up to ``max_batch`` items; [] only when closed *and* drained.
 
-        Blocks for the first item, then keeps collecting until the batch
-        is full or ``max_delay_s`` has elapsed since that first take —
-        the micro-batcher's flush timer.
+        Blocks for the first item, then takes what is already queued.
+        Only a positive ``max_delay_s`` waits for more: until the batch
+        is full or ``max_delay_s`` has elapsed since the first item
+        *arrived* — queue wait it already served is not charged again.
         """
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
@@ -143,8 +149,9 @@ class AdmissionQueue:
                 self._not_empty.wait()
             if not self._items:
                 return batch  # closed and drained
-            batch.append(self._items.popleft())
-            deadline = time.monotonic() + max(0.0, max_delay_s)
+            arrived_at, item = self._items.popleft()
+            batch.append(item)
+            deadline = arrived_at + max_delay_s
             while len(batch) < max_batch:
                 if not self._items:
                     if self._closed:
@@ -154,7 +161,7 @@ class AdmissionQueue:
                         break
                     self._not_empty.wait(remaining)
                     continue
-                batch.append(self._items.popleft())
+                batch.append(self._items.popleft()[1])
             self._not_full.notify(len(batch))
         return batch
 

@@ -7,7 +7,10 @@ happens to a request *around* its execution: the running check, the
 trace root (``serve/*`` minted locally, ``shard/*`` joined to a router's
 trace from a carrier), the result-cache probe, admission (queue-wait
 span, deadline arithmetic, :class:`Ticket`, overload shed), the consumer
-threads and their deadline shed at dequeue, the single finish (root
+threads — each window is the first ticket plus whatever queued behind it
+while the previous window ran, up to ``max_batch``; ``max_delay_s`` > 0
+lingers for more, measured from that ticket's arrival — and their
+deadline shed at dequeue, the single finish (root
 ended *before* the future resolves, SLO tracker, slow-query log), the
 common ``stats`` keys, ``recent_traces``, the drain-or-fail ``stop`` and
 the wire parse of write documents.

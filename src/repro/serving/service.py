@@ -6,10 +6,12 @@ per-request trace root and the finish (SLO tracker, slow-query log) are
 the :class:`~repro.serving.frontend.RequestFrontEnd`'s; this module is
 what happens to a dequeued window in between:
 
-1. One batcher thread flushes the queue in micro-batches (size or
-   max-delay triggered).  Writes in the window are applied first —
-   route → fault gate → WAL → index → caches — under the maintenance
-   lock the online rebalancer shares.
+1. One batcher thread takes the queue a window at a time: the first
+   ticket plus whatever queued behind it while the previous window ran
+   (natural batching; ``max_delay_ms`` > 0 opts into a linger measured
+   from that first ticket's arrival).  Writes in the window are applied
+   first — route → fault gate → WAL → index → caches — under the
+   maintenance lock the online rebalancer shares.
 2. The window's reads are grouped by plan + Tardis-G home partition and
    dispatched, one task per group, onto the configured
    :mod:`repro.cluster.executors` backend — per-strategy routing happens
@@ -91,7 +93,7 @@ class QueryService(RequestFrontEnd):
         queue_capacity: int = 256,
         policy: str = "block",
         max_batch: int = 16,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
         executor: object | str | None = None,
         jobs: int | None = None,
         result_cache_size: int | None = 1024,

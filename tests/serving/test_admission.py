@@ -112,6 +112,39 @@ class TestTakeBatch:
         thread.join(2.0)
         assert result == ["now"]
 
+    def test_linger_is_measured_from_arrival(self, monkeypatch):
+        """Regression: the timer used to start when the consumer *took*
+        the first ticket, so one that had already queued behind a busy
+        consumer for longer than the linger was held the linger again.
+        Counts, not the clock: a fake clock, and a wait that only
+        advances it."""
+        import types
+
+        clock = types.SimpleNamespace(now=100.0)
+        monkeypatch.setattr(
+            "repro.serving.admission.time",
+            types.SimpleNamespace(monotonic=lambda: clock.now),
+        )
+        queue = AdmissionQueue(16)
+        waits: list = []
+
+        def wait(timeout=None):
+            waits.append(timeout)
+            clock.now += timeout
+            return False
+
+        queue._not_empty.wait = wait
+        queue.put("aged")
+        clock.now += 0.2  # the consumer was busy for 4x the linger
+        assert queue.take_batch(8, 0.05) == ["aged"]
+        assert waits == []  # the linger was spent in the queue
+        # A ticket taken 20 ms after it arrived is held the remaining
+        # 30 ms of a 50 ms linger, not 50 more.
+        queue.put("fresh")
+        clock.now += 0.02
+        assert queue.take_batch(8, 0.05) == ["fresh"]
+        assert waits == [pytest.approx(0.03)]
+
 
 class TestDeadlineBudget:
     """Per-request deadline: queue wait counts, expired work is cancelled

@@ -47,10 +47,15 @@ def _serial_reference(index, queries, op, strategy, k, pth):
 
 
 def _served(index, queries, backend, max_batch, op, strategy, k, pth):
+    # ``max_batch=None`` is the default construction: the shipped window
+    # cap and no linger, so the windows are whatever the backlog made.
+    window = (
+        {} if max_batch is None
+        else {"max_batch": max_batch, "max_delay_ms": 5.0}
+    )
     with QueryService(
         index,
-        max_batch=max_batch,
-        max_delay_ms=5.0,
+        **window,
         executor=backend,
         jobs=4,
         result_cache_size=None,  # compare executions, not memoization
@@ -212,17 +217,51 @@ def test_query_counters_identical_on_every_tier(
                 assert 0 < want[refined_at] < candidates, plan
 
 
-@pytest.mark.parametrize("max_batch", (1, 4, 32))
+@pytest.mark.parametrize("max_batch", (1, 4, 32, None))
 def test_equivalence_across_batch_sizes(tardis_small, query_mix, max_batch):
-    """Batch size is a performance knob, never a correctness knob."""
-    reference = _serial_reference(
+    """Window shape is a performance knob, never a correctness knob:
+    answers, query counters and ``query/knn`` spans are the direct
+    call's whether the windows were sized, lingered for, or (``None``,
+    the default construction) formed from backlog."""
+    from repro.telemetry.metrics import get_registry
+    from repro.telemetry.spans import disable_tracing, enable_tracing
+
+    registry = get_registry()
+
+    def observed(run):
+        """(results, query-counter movements, every ``query/knn``
+        span's attributes) of one pass over the query mix."""
+        tracer = enable_tracing(reset=True)
+        before = [registry.counter(name).value for name in QUERY_COUNTERS]
+        try:
+            results = run()
+        finally:
+            disable_tracing()
+        moved = [
+            registry.counter(name).value - was
+            for name, was in zip(QUERY_COUNTERS, before)
+        ]
+        spans = [
+            {k: v for k, v in span.attributes.items() if k != "simulated_s"}
+            for root in tracer.roots for span in root.iter_spans()
+            if span.name == "query/knn"
+        ]
+        return results, moved, spans
+
+    def by_answer(spans):  # windows finish in any order
+        return sorted(spans, key=lambda attrs: repr(sorted(attrs.items())))
+
+    reference, want_moved, want_spans = observed(lambda: _serial_reference(
         tardis_small, query_mix, "knn", "target-node", 5, None
-    )
-    served = _served(
+    ))
+    served, moved, spans = observed(lambda: _served(
         tardis_small, query_mix, "threads", max_batch, "knn", "target-node",
         5, None,
-    )
+    ))
     _assert_knn_identical(served, reference)
+    assert moved == want_moved
+    assert len(want_spans) == len(query_mix)
+    assert by_answer(spans) == by_answer(want_spans)
 
 
 def test_mixed_plan_window_routes_per_strategy(tardis_small, query_mix):
