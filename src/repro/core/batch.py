@@ -75,7 +75,7 @@ def group_queries_by_partition(
     """
     if len(queries) == 0:
         return {}, []
-    signatures, paa = convert_batch(
+    signatures, paa, _symbols = convert_batch(
         np.asarray(queries, dtype=np.float64), index.config
     )
     t0 = perf_counter() if _KERNELS.enabled else 0.0

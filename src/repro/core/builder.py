@@ -57,8 +57,9 @@ _COST_MODEL = CostModel()
 
 def convert_batch(
     values: np.ndarray, config: TardisConfig
-) -> tuple[list[str], np.ndarray]:
-    """``(n, length)`` series → ``(isaxt(b) signatures, (n, w) PAA words)``.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(n, length)`` series → ``(isaxt(b) signatures, (n, w) PAA words,
+    (n, w) SAX symbols)``.
 
     One PAA + SAX + transpose-encode pass over the whole matrix — the
     cheap, small-initial-cardinality conversion TARDIS is credited with
@@ -68,7 +69,7 @@ def convert_batch(
     """
     paa = paa_transform(values, config.word_length)
     symbols = sax_symbols(paa, config.cardinality_bits)
-    return batch_signatures(symbols, config.cardinality_bits), paa
+    return batch_signatures(symbols, config.cardinality_bits), paa, symbols
 
 
 def convert_records(
@@ -78,7 +79,7 @@ def convert_records(
     whole partition's records."""
     if not records:
         return []
-    signatures, _paa = convert_batch(
+    signatures, _paa, _symbols = convert_batch(
         np.vstack([ts for _, ts in records]), config
     )
     return [
@@ -95,6 +96,9 @@ class RoutedBatch(NamedTuple):
     values: np.ndarray
     signatures: list
     partition_ids: list
+    #: The ``(n, w)`` SAX symbols the conversion computed on the way to
+    #: the signatures; a batch built without them has them decoded back.
+    symbols: np.ndarray | None = None
 
 
 @dataclass
@@ -266,9 +270,8 @@ class TardisIndex:
     ) -> int:
         """Insert one series into the built index; returns its record id.
 
-        The series must be z-normalized and of the indexed length.  Its
-        iSAX-T signature routes it to a partition via Tardis-G; the
-        partition's Tardis-L and Bloom filter are updated in place.
+        The series must be z-normalized and of the indexed length:
+        :meth:`ingest` of a batch of one.
         """
         series = np.asarray(series, dtype=np.float64)
         if series.shape != (self.series_length,):
@@ -276,25 +279,11 @@ class TardisIndex:
                 f"expected a series of length {self.series_length}, got "
                 f"shape {series.shape}"
             )
-        if record_id is None:
-            record_id = self._next_record_id()
-        else:
-            self._raise_id_floor(record_id)
-        converted = convert_records([(record_id, series)], self.config)
-        signature, rid, values = converted[0]
-        partition_id = self.global_index.route(signature)
-        partition = self.partitions.get(partition_id)
-        if partition is None:
-            raise ValueError(
-                f"record routes to partition {partition_id}, which is not "
-                f"present in this index"
-            )
-        partition.insert_record(signature, rid, values)
-        cache = getattr(self, "_partition_cache", None)
-        if cache is not None:
-            cache.invalidate(partition_id)
-        self.n_records += 1
-        return rid
+        report = self.ingest(
+            series[np.newaxis, :],
+            record_ids=None if record_id is None else [record_id],
+        )
+        return report.record_ids[0]
 
     def prepare_batch(self, batch) -> RoutedBatch:
         """Validate, convert and route a ``(n, length)`` batch.
@@ -313,7 +302,7 @@ class TardisIndex:
                 f"expected a (n, {self.series_length}) batch, got shape "
                 f"{batch.shape}"
             )
-        signatures, _paa = convert_batch(batch, self.config)
+        signatures, _paa, symbols = convert_batch(batch, self.config)
         partition_ids = []
         for i, signature in enumerate(signatures):
             partition_id = self.global_index.route(signature)
@@ -323,7 +312,7 @@ class TardisIndex:
                     f"not present in this index"
                 )
             partition_ids.append(partition_id)
-        return RoutedBatch(batch, signatures, partition_ids)
+        return RoutedBatch(batch, signatures, partition_ids, symbols)
 
     def route_batch(self, batch) -> list[int]:
         """Home partition of each row of a ``(n, length)`` batch
@@ -338,22 +327,31 @@ class TardisIndex:
         The streaming-ingest workhorse behind the serving tier's
         ``write``/``write-batch`` ops: one vectorized signature pass for
         the whole batch (:meth:`prepare_batch` — a batch the caller
-        already prepared is taken as is), then per-record insertion into
-        the owning partition's block and Tardis-L (hot leaves split on
-        L-MaxSize overflow inside ``insert_entry``; Bloom filters and
-        region synopses update in place).  Partition-cache residency for
-        every touched partition is invalidated once at the end, which
-        also notifies subscribed result caches.
+        already prepared is taken as is), then one block write per
+        touched partition and per-record insertion into its Tardis-L
+        (hot leaves split on L-MaxSize overflow inside ``insert_entry``;
+        Bloom filters and region synopses update in place).
+        Partition-cache residency for every touched partition is
+        invalidated once at the end, which also notifies subscribed
+        result caches.
 
         ``record_ids``, when given, must be unique and align with the
         batch (the WAL-replay and router paths pin ids); otherwise ids
         are assigned from the index's insert counter.
 
         ``skip_existing`` makes pinned-id appends idempotent: a row
-        whose record id is already present in its routed partition is
-        acknowledged but not re-inserted.  Replica-fan-out writes need
-        this — a retried delivery (or a threads-mode cluster where
-        replicas share partition objects) must not double-insert.
+        whose record id is live in its routed partition is acknowledged
+        but not re-inserted.  Replica-fan-out writes need this — a
+        retried delivery (or a threads-mode cluster where replicas share
+        partition objects) must not double-insert.  Block rows are
+        append-only, so "live" is read from the rows under the tree
+        root: a deleted id is absent and is written again.
+
+        Rows are grouped by partition (first-touch order, batch order
+        within a group) and each group lands through one
+        :meth:`LocalPartition.insert_records`; a partition only ever sees
+        its own rows, so the state is the one row-by-row insertion in
+        batch order leaves.
         """
         routed = self.prepare_batch(batch)
         n = len(routed.partition_ids)
@@ -367,28 +365,31 @@ class TardisIndex:
                 )
             for rid in record_ids:
                 self._raise_id_floor(rid)
-        report = IngestReport(record_ids=list(record_ids))
-        for rid, values, signature, partition_id in zip(
-            record_ids, routed.values, routed.signatures, routed.partition_ids
-        ):
-            partition = self.partitions[partition_id]
-            if (
-                skip_existing
-                and partition.block.n_rows
-                and rid in partition.block.record_ids
-            ):
-                report.partition_ids.append(partition_id)
-                continue
-            prefix = partition.region_prefix(signature)
-            new_region = prefix not in partition.region_prefixes
-            partition.insert_record(signature, rid, values)
-            self.n_records += 1
-            report.partition_ids.append(partition_id)
-            if partition_id not in report.regions_added:
-                report.touched.append(partition_id)
-                report.regions_added[partition_id] = []
-            if new_region:
-                report.regions_added[partition_id].append(prefix)
+        report = IngestReport(
+            record_ids=record_ids, partition_ids=list(routed.partition_ids)
+        )
+        groups: dict[int, list[int]] = {}
+        live: dict[int, set] = {}
+        for at, partition_id in enumerate(routed.partition_ids):
+            if skip_existing:
+                if partition_id not in live:
+                    live[partition_id] = self.partitions[
+                        partition_id
+                    ].live_record_ids()
+                if record_ids[at] in live[partition_id]:
+                    continue
+            groups.setdefault(partition_id, []).append(at)
+        for partition_id, ats in groups.items():
+            report.touched.append(partition_id)
+            report.regions_added[partition_id] = self.partitions[
+                partition_id
+            ].insert_records(
+                [routed.signatures[at] for at in ats],
+                [record_ids[at] for at in ats],
+                routed.values[ats],
+                None if routed.symbols is None else routed.symbols[ats],
+            )
+            self.n_records += len(ats)
         cache = getattr(self, "_partition_cache", None)
         if cache is not None:
             for partition_id in report.touched:

@@ -22,6 +22,17 @@ per-record Python to whole-frontier numpy.  The block is also the unit
 of zero-copy transport: when the fork executor ships a built partition
 back to the driver, these arrays travel as shared-memory descriptors
 instead of pickle bytes (see :mod:`repro.cluster.shm`).
+
+Appends are amortised.  Each column lives in a private buffer that
+doubles when it fills (:data:`_GROWTH`); the four public attributes are
+exact-length *views* of the buffers, republished after every append —
+values, signatures and symbols first, the row ids last, and only then
+does the caller thread the new rows through the tree.  Readers, the
+persistence layer and pickling therefore never see spare capacity, and a
+view someone already holds is never written again: later rows land
+beyond its end, and a regrow or a widened signature column copies into a
+new buffer and leaves the old one to its holders.  Spare capacity is
+allocated, never initialised, so it costs address space, not memory.
 """
 
 from __future__ import annotations
@@ -36,6 +47,31 @@ __all__ = ["ColumnarBlock"]
 #: Arrays smaller than this pickle faster than a segment round-trip.
 _SHM_MIN_BYTES = 16 * 1024
 
+#: A full column buffer is replaced by one this many times its capacity.
+_GROWTH = 2
+
+_COLUMNS = ("record_ids", "values", "signatures", "symbols")
+
+
+def _extended(buffer: np.ndarray, used: int, rows: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``rows`` written at ``[used, used + len(rows))``.
+
+    Written in place while the rows fit; otherwise — the buffer is full,
+    the rows need a wider dtype (a longer signature), or an empty block
+    meets its first series length — into a new, geometrically larger
+    buffer that takes over the ``used`` leading rows.
+    """
+    end = used + len(rows)
+    dtype = np.promote_types(buffer.dtype, rows.dtype)
+    shape = rows.shape[1:] if used == 0 else buffer.shape[1:]
+    if end > len(buffer) or dtype != buffer.dtype or shape != buffer.shape[1:]:
+        grown = np.empty((max(end, _GROWTH * len(buffer)), *shape), dtype)
+        if used:
+            grown[:used] = buffer[:used]
+        buffer = grown
+    buffer[used:end] = rows
+    return buffer
+
 
 class ColumnarBlock:
     """Contiguous column arrays for one partition's records.
@@ -47,8 +83,8 @@ class ColumnarBlock:
     """
 
     __slots__ = (
-        "record_ids", "values", "signatures", "symbols", "_shm_handles",
-        "_symbol_index",
+        "record_ids", "values", "signatures", "symbols", "_buffers",
+        "_shm_handles", "_symbol_index",
     )
 
     def __init__(
@@ -62,6 +98,10 @@ class ColumnarBlock:
         self.values = values
         self.signatures = signatures
         self.symbols = symbols
+        #: Column name → the buffer its public view is a prefix of.  The
+        #: arrays handed in are the first buffers, full to capacity, so
+        #: nothing is ever written into memory the block did not allocate.
+        self._buffers = {name: getattr(self, name) for name in _COLUMNS}
         self._shm_handles: list = []
         self._symbol_index: tuple | None = None
 
@@ -82,9 +122,7 @@ class ColumnarBlock:
         symbols, _bits = batch_decode_signatures(signatures, word_length)
         values = None
         if clustered:
-            values = np.vstack(
-                [np.asarray(r[2], dtype=np.float64) for r in records]
-            )
+            values = np.asarray([r[2] for r in records], dtype=np.float64)
         return cls(record_ids, values, signatures, symbols)
 
     @classmethod
@@ -127,8 +165,8 @@ class ColumnarBlock:
         gathered through to price rows.
 
         Depends on the symbols alone, so it is computed once and kept,
-        tagged with the symbol array it was built from — :meth:`append`
-        replaces that array, and the tag is checked by identity at use.
+        tagged with the symbol view it was built from — every append
+        publishes a fresh view, and the tag is checked by identity at use.
         Concurrent readers may each build one; each publishes a finished
         pair in a single assignment.
         """
@@ -148,6 +186,40 @@ class ColumnarBlock:
 
     # -- maintenance ------------------------------------------------------------
 
+    def append_rows(
+        self,
+        signatures,
+        record_ids,
+        values: np.ndarray | None,
+        symbols: np.ndarray,
+    ) -> int:
+        """Append ``m`` records in order; returns the first one's row index.
+
+        ``signatures`` and ``record_ids`` are length-``m`` sequences,
+        ``symbols`` the ``(m, w)`` SAX symbols and ``values`` the
+        ``(m, series_length)`` raw series (ignored by an un-clustered
+        block).  Amortised O(rows written): see the module docstring for
+        the growth policy and the publication order.
+        """
+        start = self.n_rows
+        if len(record_ids) == 0:
+            return start
+        rows = {}  # in publication order
+        if self.values is not None:
+            if values is None:
+                raise ValueError("clustered block needs the raw series")
+            rows["values"] = np.asarray(values, dtype=np.float64)
+        rows["signatures"] = np.asarray(signatures, dtype=str)
+        rows["symbols"] = np.asarray(symbols, dtype=np.uint32)
+        rows["record_ids"] = np.asarray(record_ids, dtype=np.int64)
+        end = start + len(record_ids)
+        for name, new in rows.items():
+            buffer = self._buffers[name] = _extended(
+                self._buffers[name], start, new
+            )
+            setattr(self, name, buffer[:end])
+        return start
+
     def append(
         self,
         signature: str,
@@ -155,43 +227,22 @@ class ColumnarBlock:
         series: np.ndarray | None,
         symbols: np.ndarray,
     ) -> int:
-        """Append one record; returns its row index.
-
-        Row-level inserts are the maintenance path (bulk construction
-        goes through :meth:`from_records`), so plain reallocation keeps
-        the arrays contiguous without growth bookkeeping.
-        """
-        row = self.n_rows
-        self.record_ids = np.append(self.record_ids, np.int64(record_id))
-        if len(signature) > self.signatures.dtype.itemsize // 4:
-            self.signatures = self.signatures.astype(f"<U{len(signature)}")
-        self.signatures = np.append(self.signatures, signature)
-        self.symbols = np.vstack(
-            [self.symbols, np.asarray(symbols, dtype=np.uint32)[None, :]]
+        """Append one record; returns its row index."""
+        return self.append_rows(
+            [signature], [record_id],
+            None if series is None else np.asarray(series)[None, :],
+            np.asarray(symbols)[None, :],
         )
-        if self.values is not None:
-            if series is None:
-                raise ValueError("clustered block needs the raw series")
-            series = np.asarray(series, dtype=np.float64)
-            if self.values.shape[0] == 0 and self.values.shape[1] != series.shape[0]:
-                self.values = np.zeros((0, series.shape[0]))
-            self.values = np.vstack([self.values, series[None, :]])
-        return row
 
     # -- zero-copy transport ------------------------------------------------------
 
     def __getstate__(self) -> dict:
         from ..cluster import shm
 
-        state = {
-            "record_ids": self.record_ids,
-            "values": self.values,
-            "signatures": self.signatures,
-            "symbols": self.symbols,
-        }
+        state = {key: getattr(self, key) for key in _COLUMNS}
         if not shm.export_enabled():
             return state
-        for key in ("record_ids", "values", "signatures", "symbols"):
+        for key in _COLUMNS:
             array = state[key]
             if array is None or array.nbytes < _SHM_MIN_BYTES:
                 continue
@@ -203,10 +254,11 @@ class ColumnarBlock:
 
         self._shm_handles = []
         self._symbol_index = None
-        for key in ("record_ids", "values", "signatures", "symbols"):
+        for key in _COLUMNS:
             value = state[key]
             if isinstance(value, dict) and "__shm__" in value:
                 array, handle = shm.attach_array(value["__shm__"])
                 self._shm_handles.append(handle)
                 value = array
             setattr(self, key, value)
+        self._buffers = {name: getattr(self, name) for name in _COLUMNS}

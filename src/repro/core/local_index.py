@@ -29,7 +29,7 @@ from ..telemetry.perf import KERNELS as _KERNELS
 from ..tsdb.distance import as_gap_table, table_index
 from .columnar import ColumnarBlock
 from .config import TardisConfig
-from .isaxt import batch_decode_signatures, decode_signature
+from .isaxt import batch_decode_signatures
 from .region import RegionSynopsis
 from .sigtree import SigTree, SigTreeNode
 
@@ -356,25 +356,69 @@ class LocalPartition:
 
     # -- maintenance ------------------------------------------------------------
 
+    def live_record_ids(self) -> set:
+        """Ids of the records the tree references.  Block rows are
+        append-only — a deleted record's row stays behind, detached — so
+        this, not the block's id column, says what the partition holds."""
+        rows = self.entries_under(self.tree.root)
+        return set(self.block.record_ids[rows].tolist())
+
+    def insert_records(
+        self,
+        signatures: list,
+        record_ids: list,
+        values: np.ndarray | None,
+        symbols: np.ndarray | None = None,
+        with_bloom: bool = True,
+    ) -> list:
+        """Append records to the block and index them, in order.
+
+        The one write body: the rows go into the block in one
+        :meth:`~repro.core.columnar.ColumnarBlock.append_rows`, then each
+        is threaded through the tree (leaves split as they overflow, the
+        version moves once per row), the Bloom filter and the region
+        synopsis — the state row-by-row insertion leaves.  ``symbols`` is
+        the rows' ``(m, w)`` SAX symbol matrix when the caller's
+        conversion still has it; without it the signatures are decoded.
+        Returns the region prefixes the synopsis gained, in first-seen
+        order (what cached region bounds must be told about).
+        """
+        if symbols is None:
+            symbols, _bits = batch_decode_signatures(
+                signatures, self.tree.word_length
+            )
+        row = self.block.append_rows(
+            signatures, record_ids, values if self.clustered else None, symbols
+        )
+        gained = []
+        for at, signature in enumerate(signatures):
+            self.tree.insert_entry(row + at)
+            if with_bloom:
+                self.bloom.add(signature)
+            prefix = self.region_prefix(signature)
+            if prefix not in self.region_prefixes:
+                self.region.add([prefix])
+                gained.append(prefix)
+        self.n_records += len(signatures)
+        self.nbytes += (
+            sum(map(len, signatures)) + 8 * len(signatures)
+            + estimate_bytes(values)
+        )
+        return gained
+
     def insert_record(
         self,
         signature: str,
         record_id: int,
         series: np.ndarray | None,
         with_bloom: bool = True,
-    ) -> SigTreeNode:
-        """Append one record to the block and index it; returns its leaf."""
-        symbols, _bits = decode_signature(signature, self.tree.word_length)
-        row = self.block.append(
-            signature, record_id, series if self.clustered else None, symbols
+    ) -> list:
+        """:meth:`insert_records` of one record."""
+        return self.insert_records(
+            [signature], [record_id],
+            None if series is None else np.asarray(series)[None, :],
+            with_bloom=with_bloom,
         )
-        leaf = self.tree.insert_entry(row)
-        if with_bloom:
-            self.bloom.add(signature)
-        self.region.add([self.region_prefix(signature)])
-        self.n_records += 1
-        self.nbytes += len(signature) + 8 + estimate_bytes(series)
-        return leaf
 
     def remove_record(
         self, record_id: int, series: np.ndarray | None = None

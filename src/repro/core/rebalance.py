@@ -36,11 +36,18 @@ a background thread as a snapshot→repack→swap→invalidate cycle: the
 snapshot and swap run under a caller-supplied *gate* (the serving tier
 passes its window lock, so reads and writes never observe a half-swapped
 index), while the expensive repack runs outside it — reads proceed
-against the old layout for the whole build.  Each partition's
+against the old layout for the whole build.  The partition's
 ``(n_records, tree.version)`` fingerprint is checked at swap time; a
 write that slipped in aborts the cycle, which retries on the next
-trigger.  Cycles are bracketed in the write-ahead log so a crash
-mid-split replays to the pre-split state and a crash after commit
+trigger.  A cycle splits **one** partition — the first overflowing one
+that can be split — and the background loop runs cycles back to back
+while they commit, so the window a write can slip into is one
+partition's build and a stale fingerprint throws away one build.  (One
+all-or-nothing cycle over every overflowing partition does not survive
+a write stream: the more partitions overflow, the longer the build and
+the surer one of them is written to before the swap, and each abort
+discards every build.)  Cycles are bracketed in the write-ahead log so
+a crash mid-split replays to the pre-split state and a crash after commit
 replays the split itself (docs/ROBUSTNESS.md).
 """
 
@@ -497,8 +504,11 @@ class OnlineRebalancer:
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_s):
             try:
-                if self.overflowing():
-                    self.run_cycle()
+                # One partition a cycle, so keep going while cycles commit;
+                # an abort waits out the interval before the next attempt.
+                while self.overflowing() and not self._stop.is_set():
+                    if self.run_cycle().report is None:
+                        break
             except BaseException:  # never kill the maintenance thread
                 logger.exception("rebalance cycle failed")
 
@@ -515,7 +525,8 @@ class OnlineRebalancer:
         ]
 
     def run_cycle(self) -> RebalanceCycle:
-        """Run one snapshot→repack→swap→invalidate cycle now.
+        """Run one snapshot→repack→swap→invalidate cycle now: split the
+        first overflowing partition that can be split.
 
         Fault sites: ``ingest/split`` fires between snapshot and repack
         (a crash there aborts the cycle before any mutation, leaving the
@@ -590,9 +601,14 @@ class OnlineRebalancer:
         # partitions, with the begin marker logged before any append can
         # interleave behind it.
         def snapshot():
-            plan = plan_rebalance(
-                index, overflow_factor=self.overflow_factor, build=False
-            )
+            plan = None
+            for pid in self.overflowing():
+                plan = plan_rebalance(
+                    index, overflow_factor=self.overflow_factor,
+                    partition_ids=[pid], build=False,
+                )
+                if plan is not None:
+                    break
             if plan is not None and wal is not None:
                 wal.log_rebalance_begin(
                     cycle.cycle, self.overflow_factor, plan.partition_ids

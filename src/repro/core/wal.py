@@ -55,6 +55,10 @@ __all__ = [
 #: Format tag stamped on the header line and checked by replay.
 WAL_FORMAT = "repro.wal/v1"
 
+#: Replay hands consecutive appends to ``ingest`` in runs of at most this
+#: many rows (bounds the matrix a long append-only log is staged in).
+_REPLAY_RUN_ROWS = 1024
+
 
 class WalError(RuntimeError):
     """The log is unreadable beyond the torn-tail allowance."""
@@ -111,7 +115,7 @@ class WriteAheadLog:
                 {
                     "kind": "append",
                     "record_id": int(record_id),
-                    "series": [float(v) for v in series],
+                    "series": series.tolist(),
                 },
                 separators=(",", ":"),
             ))
@@ -230,7 +234,10 @@ def replay_wal(index, path: str | Path) -> WalReplayReport:
     ``index`` must be the snapshot the log was opened against (same
     records, same layout — normally ``load_index`` of the served
     directory).  Appends re-insert through Tardis-G with their original
-    record ids; each committed rebalance re-runs the deterministic
+    record ids — each run of consecutive appends as one
+    :meth:`~repro.core.builder.TardisIndex.ingest` batch, closed at every
+    other record, so the order against rebalance markers is the log's;
+    each committed rebalance re-runs the deterministic
     :func:`~repro.core.rebalance.rebalance_index` at its commit point,
     reproducing the exact split the live process applied.
     """
@@ -239,15 +246,29 @@ def replay_wal(index, path: str | Path) -> WalReplayReport:
     records, torn = read_wal(path)
     report = WalReplayReport(torn_tail=torn)
     begun: dict[int, tuple] = {}
+    run: list[dict] = []
+
+    def apply_run() -> None:
+        if run:
+            applied = index.ingest(
+                np.asarray([doc["series"] for doc in run], dtype=np.float64),
+                record_ids=[doc["record_id"] for doc in run],
+            )
+            report.appends_applied += len(run)
+            report.record_ids.extend(applied.record_ids)
+            run.clear()
+
     for doc in records:
         report.lines_read += 1
         kind = doc["kind"]
         if kind == "append":
-            series = np.asarray(doc["series"], dtype=np.float64)
-            rid = index.insert_series(series, record_id=int(doc["record_id"]))
-            report.appends_applied += 1
-            report.record_ids.append(rid)
-        elif kind == "rebalance-begin":
+            run.append(doc)
+            if len(run) == _REPLAY_RUN_ROWS:
+                apply_run()
+            continue
+        # Everything else is ordered against the appends around it.
+        apply_run()
+        if kind == "rebalance-begin":
             begun[int(doc["cycle"])] = (
                 float(doc["overflow_factor"]),
                 [int(pid) for pid in doc.get("partitions", [])] or None,
@@ -267,5 +288,6 @@ def replay_wal(index, path: str | Path) -> WalReplayReport:
             continue
         else:
             raise WalError(f"{path}: unknown WAL record kind {kind!r}")
+    apply_run()
     report.rebalances_discarded += len(begun)
     return report

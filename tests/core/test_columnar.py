@@ -126,6 +126,157 @@ class TestColumnarBlock:
 
 
 # ---------------------------------------------------------------------------
+# One write body: append_rows == m x append == from_records
+
+_COLUMN_NAMES = ("record_ids", "values", "signatures", "symbols")
+
+
+def assert_blocks_equal(a: ColumnarBlock, b: ColumnarBlock) -> None:
+    for name in _COLUMN_NAMES:
+        left, right = getattr(a, name), getattr(b, name)
+        if left is None or right is None:
+            assert left is right, name
+            continue
+        assert left.dtype == right.dtype, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+
+
+def columns_of(records):
+    """The ``append_rows`` arguments for ``(signature, id, series)`` tuples."""
+    signatures = [r[0] for r in records]
+    symbols = np.array(
+        [decode_signature(sig, CFG.word_length)[0] for sig in signatures],
+        dtype=np.uint32,
+    ).reshape(len(records), CFG.word_length)
+    values = np.array([r[2] for r in records]).reshape(len(records), LENGTH)
+    return signatures, [r[1] for r in records], values, symbols
+
+
+class TestAppendRows:
+    @given(
+        n_base=st.integers(0, 30),
+        m=st.integers(0, 40),
+        clustered=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_append_rows_equals_appends_equals_from_records(
+        self, n_base, m, clustered
+    ):
+        records, _ = make_records(n_base + m, seed=n_base)
+        base, extra = records[:n_base], records[n_base:]
+        batched = ColumnarBlock.from_records(base, CFG.word_length, clustered)
+        first = batched.append_rows(*columns_of(extra))
+        assert first == n_base
+        one_by_one = ColumnarBlock.from_records(base, CFG.word_length, clustered)
+        for (sig, rid, series), symbols in zip(extra, columns_of(extra)[3]):
+            one_by_one.append(sig, rid, series, symbols)
+        assert_blocks_equal(batched, one_by_one)
+        assert batched.n_rows == one_by_one.n_rows == n_base + m
+        if records:
+            assert_blocks_equal(
+                batched,
+                ColumnarBlock.from_records(records, CFG.word_length, clustered),
+            )
+
+    def test_widened_signature_column(self):
+        """A longer signature widens the column for both spellings alike
+        and leaves a view taken before it untouched."""
+        records, _ = make_records(6)
+        wide = [(sig * 2, 100 + rid, series) for sig, rid, series in records[:3]]
+        zeros = np.zeros((3, CFG.word_length), dtype=np.uint32)
+        batched = ColumnarBlock.from_records(records, CFG.word_length)
+        held = batched.signatures
+        values = columns_of(records[:3])[2]
+        batched.append_rows([r[0] for r in wide], [r[1] for r in wide],
+                            values, zeros)
+        one_by_one = ColumnarBlock.from_records(records, CFG.word_length)
+        for (sig, rid, series), symbols in zip(wide, zeros):
+            one_by_one.append(sig, rid, series, symbols)
+        assert_blocks_equal(batched, one_by_one)
+        assert batched.signatures.dtype.itemsize == 2 * held.dtype.itemsize
+        assert batched.signatures.tolist() == (
+            [r[0] for r in records] + [r[0] for r in wide]
+        )
+        assert held.tolist() == [r[0] for r in records]
+
+    def test_empty_block_takes_its_first_rows(self):
+        records, values = make_records(7)
+        block = ColumnarBlock.empty(CFG.word_length, series_length=0)
+        assert block.append_rows(*columns_of(records)) == 0
+        assert_blocks_equal(
+            block, ColumnarBlock.from_records(records, CFG.word_length)
+        )
+        np.testing.assert_array_equal(block.values, values)
+
+    def test_clustered_block_needs_the_series(self):
+        records, _ = make_records(3)
+        block = ColumnarBlock.from_records(records, CFG.word_length)
+        signatures, rids, _values, symbols = columns_of(records)
+        with pytest.raises(ValueError):
+            block.append_rows(signatures, rids, None, symbols)
+        assert block.n_rows == 3
+
+    def test_held_views_survive_appends_and_regrows(self):
+        """A reader's view is never written again: later rows land past
+        its end, and a regrow copies into a new buffer."""
+        records, _ = make_records(1_020)
+        block = ColumnarBlock.from_records(records[:20], CFG.word_length)
+        held = {name: getattr(block, name) for name in _COLUMN_NAMES}
+        frozen = {name: view.copy() for name, view in held.items()}
+        buffers = set()
+        for (sig, rid, series), symbols in zip(
+            records[20:], columns_of(records[20:])[3]
+        ):
+            block.append(sig, rid, series, symbols)
+            buffers.add(id(block.values.base))
+        assert len(buffers) >= 3  # 20 -> 1,020 rows takes several regrows
+        assert block.n_rows == 1_020
+        for name in _COLUMN_NAMES:
+            np.testing.assert_array_equal(held[name], frozen[name])
+            assert held[name].shape == frozen[name].shape
+        assert_blocks_equal(
+            block, ColumnarBlock.from_records(records, CFG.word_length)
+        )
+
+    def test_round_trips_after_appends_are_exact_length(self):
+        from repro.cluster import shm
+
+        records, _ = make_records(900, length=LENGTH)
+        block = ColumnarBlock.from_records(records[:500], CFG.word_length)
+        block.append_rows(*columns_of(records[500:]))
+        assert len(block.values.base) > block.n_rows  # spare capacity exists
+        assert block.nbytes == ColumnarBlock.from_records(
+            records, CFG.word_length
+        ).nbytes
+        plain = pickle.dumps(block)
+        assert len(plain) < 1.05 * block.nbytes + 4096  # capacity not shipped
+        clones = [pickle.loads(plain)]
+        if shm.available():
+            with shm.exporting():
+                exported = pickle.dumps(block)
+            clones.append(pickle.loads(exported))
+        for clone in clones:
+            assert_blocks_equal(clone, block)
+            assert clone.n_rows == 900
+            # A clone appends like any block (its arrays are its buffers).
+            clone.append_rows(*columns_of(records[:2]))
+            assert clone.n_rows == 902 and block.n_rows == 900
+        shm.release_all()
+
+    def test_symbol_index_follows_appends(self):
+        records, _ = make_records(12)
+        block = ColumnarBlock.from_records(records[:10], CFG.word_length)
+        bits = CFG.cardinality_bits
+        first = block.symbol_index(bits)
+        assert block.symbol_index(bits) is first  # reused without an append
+        block.append_rows(*columns_of(records[10:]))
+        second = block.symbol_index(bits)
+        assert second is not first and len(second) == 12
+        np.testing.assert_array_equal(second[:10], first)
+        assert block.symbol_index(bits) is second
+
+
+# ---------------------------------------------------------------------------
 # Batched kernels == scalar references
 
 

@@ -13,7 +13,8 @@ from repro.core import (
     read_wal,
     replay_wal,
 )
-from repro.core.wal import WalError
+from repro.core import rebalance_index
+from repro.core.wal import WalError, WalReplayReport
 from repro.tsdb import random_walk
 
 LENGTH = 48
@@ -57,6 +58,24 @@ class TestWalFile:
         # bits exactly, not a lossy decimal rendering.
         logged = np.asarray(records[0]["series"], dtype=np.float64)
         np.testing.assert_array_equal(logged, stream[0])
+
+    def test_append_lines_are_byte_stable(self, tmp_path, stream):
+        """The encoder may get cheaper, the bytes may not move: each line
+        is the compact JSON of the record with every value a ``float``."""
+        path = tmp_path / "bytes.wal"
+        with WriteAheadLog(path) as wal:
+            wal.log_appends([(i, row) for i, row in enumerate(stream[:6])])
+            wal.log_appends([(9, stream[6].astype(np.float32))])
+        rows = list(stream[:6]) + [stream[6].astype(np.float32)]
+        expected = ['{"kind":"header","format":"repro.wal/v1"}'] + [
+            json.dumps(
+                {"kind": "append", "record_id": rid,
+                 "series": [float(v) for v in np.asarray(row, np.float64)]},
+                separators=(",", ":"),
+            )
+            for rid, row in zip([0, 1, 2, 3, 4, 5, 9], rows)
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_torn_tail_is_tolerated(self, tmp_path, base_dataset, stream):
         index = build_base(base_dataset)
@@ -119,3 +138,89 @@ class TestReplay:
         assert report.rebalances_replayed == 0
         assert sorted(fresh.partitions) == sorted(live.partitions)
         fresh.validate()
+
+
+def replay_row_by_row(index, path) -> WalReplayReport:
+    """The reference replay: every append alone, in log order."""
+    records, torn = read_wal(path)
+    report = WalReplayReport(torn_tail=torn)
+    begun = {}
+    for doc in records:
+        report.lines_read += 1
+        kind = doc["kind"]
+        if kind == "append":
+            report.record_ids.append(index.insert_series(
+                np.asarray(doc["series"]), record_id=doc["record_id"]
+            ))
+            report.appends_applied += 1
+        elif kind == "rebalance-begin":
+            begun[doc["cycle"]] = (doc["overflow_factor"], doc["partitions"])
+        elif kind == "rebalance-commit":
+            factor, pids = begun.pop(doc["cycle"])
+            rebalance_index(index, overflow_factor=factor, partition_ids=pids)
+            report.rebalances_replayed += 1
+        elif kind == "rebalance-abort":
+            report.rebalances_discarded += begun.pop(doc["cycle"], None) is not None
+    report.rebalances_discarded += len(begun)
+    return report
+
+
+def partition_state(index) -> dict:
+    return {
+        pid: (
+            p.block.record_ids.tolist(), p.block.values.tolist(),
+            p.block.signatures.tolist(), p.block.symbols.tolist(),
+            p.tree.version,
+            sorted((n.signature, n.count, tuple(n.entries))
+                   for n in p.tree.iter_nodes()),
+            p.bloom.bits.tobytes(), p.bloom.n_items,
+            sorted(p.region_prefixes), p.n_records,
+        )
+        for pid, p in index.partitions.items()
+    }
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("run_rows", (3, None))
+    def test_batched_replay_equals_row_by_row(
+        self, tmp_path, monkeypatch, base_dataset, stream, run_rows
+    ):
+        """Appends on both sides of a committed split, an aborted cycle,
+        a begin that never committed and a torn tail: runs of appends
+        applied as batches land where one-at-a-time replay lands."""
+        if run_rows is not None:  # also cut runs at the fixed length
+            monkeypatch.setattr("repro.core.wal._REPLAY_RUN_ROWS", run_rows)
+        live = build_base(base_dataset)
+        path = tmp_path / "mixed.wal"
+        with WriteAheadLog(path) as wal:
+            append(live, wal, stream[:14])
+            pids = sorted(live.partitions)
+            wal.log_rebalance_begin(1, 1.0, pids)
+            append(live, wal, stream[14:18])  # lands between begin and commit
+            split = rebalance_index(live, overflow_factor=1.0, partition_ids=pids)
+            assert split.partitions_split
+            wal.log_rebalance_commit(1)
+            append(live, wal, stream[18:27])
+            wal.log_rebalance_begin(2, 1.0, sorted(live.partitions))
+            wal.log_rebalance_abort(2, "stale")
+            append(live, wal, stream[27:33])
+            wal.log_rebalance_begin(3, 1.0, sorted(live.partitions))
+            append(live, wal, stream[33:38])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"append","record_id":777,"series":[0.5,')
+        batched, reference = build_base(base_dataset), build_base(base_dataset)
+        got = replay_wal(batched, path)
+        want = replay_row_by_row(reference, path)
+        assert got == want
+        assert got.appends_applied == 38 and got.torn_tail
+        assert got.record_ids == list(range(300, 338))
+        assert (got.rebalances_replayed, got.rebalances_discarded) == (1, 2)
+        assert partition_state(batched) == partition_state(reference)
+        assert partition_state(batched) == partition_state(live)
+        assert batched.n_records == live.n_records == 338
+        batched.validate()
+        for row in stream[:38]:
+            assert (
+                exact_match(batched, row).record_ids
+                == exact_match(live, row).record_ids
+            )

@@ -308,3 +308,111 @@ class TestReadsDuringMigration:
         assert got.degraded
         assert victim in got.missing_partitions
         assert len(got.record_ids) <= 3
+
+
+class TestOneSplitPerCycle:
+    """A cycle splits one partition, so a write that lands on it during
+    the build costs that one build — not the build of every overflowing
+    partition, over and over, for as long as the write stream lasts."""
+
+    FACTOR = 1.0
+
+    def aged(self, base_dataset, stream, tmp_path):
+        live = build_base(base_dataset)
+        wal = WriteAheadLog(tmp_path / "aged.wal")
+        append(live, wal, stream)
+        return live, wal
+
+    def test_cycle_plans_one_partition_and_the_loop_clears_the_rest(
+        self, base_dataset, stream, probes, tmp_path
+    ):
+        import time
+
+        from repro.core.rebalance import plan_rebalance
+
+        live, wal = self.aged(base_dataset, stream, tmp_path)
+        rebalancer = OnlineRebalancer(
+            live, overflow_factor=self.FACTOR, wal=wal, interval_s=0.01
+        )
+        before = rebalancer.overflowing()
+        assert len(before) >= 3
+        pre_layout = layout(live)
+        cycle = rebalancer.run_cycle()
+        assert cycle.aborted is None
+        (pid,) = cycle.report.split_partition_ids
+        assert pid in before
+        post_layout = layout(live)
+        assert all(
+            post_layout[p] == rows
+            for p, rows in pre_layout.items() if p != pid
+        )
+        # The background loop goes on, cycle after cycle, until nothing
+        # that overflows can be split.
+        rebalancer.start()
+        deadline = time.monotonic() + 60.0
+        while rebalancer._gate(lambda: plan_rebalance(
+            live, self.FACTOR, build=False
+        )) is not None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        rebalancer.stop()
+        live.validate()
+        wal.close()
+        records, _ = read_wal(tmp_path / "aged.wal")
+        begins = [r for r in records if r["kind"] == "rebalance-begin"]
+        commits = [r for r in records if r["kind"] == "rebalance-commit"]
+        assert len(commits) >= len(before) - len(rebalancer.overflowing())
+        assert all(len(r["partitions"]) == 1 for r in begins)
+        fresh = build_base(base_dataset)
+        report = replay_wal(fresh, tmp_path / "aged.wal")
+        assert report.rebalances_replayed == len(commits)
+        assert layout(fresh) == layout(live)
+        assert answers(fresh, probes) == answers(live, probes)
+
+    def test_write_during_the_build_discards_one_build(
+        self, base_dataset, stream, probes, tmp_path
+    ):
+        live, wal = self.aged(base_dataset, stream, tmp_path)
+        planned = []
+        late = iter([True])
+
+        def gate(fn):
+            if fn.__name__ == "snapshot":
+                plan = fn()
+                planned.append(plan.partition_ids)
+                return plan
+            # Between snapshot and swap: a write reaches the partition.
+            if next(late, False):
+                (pid,) = planned[0]
+                append(live, wal, live.partitions[pid].block.values[:1])
+            return fn()
+
+        rebalancer = OnlineRebalancer(
+            live, overflow_factor=self.FACTOR, wal=wal, gate=gate
+        )
+        before = rebalancer.overflowing()
+        assert len(before) >= 3
+        pre_layout = layout(live)
+        cycle = rebalancer.run_cycle()
+        assert cycle.aborted.startswith("stale")
+        assert [len(pids) for pids in planned] == [1]
+        (pid,) = planned[0]
+        after = layout(live)
+        assert after.keys() == pre_layout.keys()
+        assert all(
+            after[p] == rows for p, rows in pre_layout.items() if p != pid
+        )
+        assert rebalancer.overflowing() == before
+        # The retry plans the same partition again and commits.
+        cycle = rebalancer.run_cycle()
+        assert cycle.aborted is None
+        assert planned[1] == [pid]
+        assert cycle.report.split_partition_ids == [pid]
+        live.validate()
+        wal.close()
+        fresh = build_base(base_dataset)
+        report = replay_wal(fresh, tmp_path / "aged.wal")
+        assert report.rebalances_replayed == 1
+        assert report.rebalances_discarded == 1
+        assert layout(fresh) == layout(live)
+        assert answers(fresh, probes) == answers(live, probes)

@@ -490,3 +490,89 @@ def test_cross_backend_answers_identical_with_counters_on(
     assert "exec_serialize" in totals
     assert "exec_deserialize" in totals
     assert totals["exec_serialize"]["elements"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the write path is flat: amortised appends, one body per served batch
+
+
+def test_block_append_is_amortised(monkeypatch):
+    """1,000 single-row appends onto a 1,000-row block replace the column
+    buffers a handful of times, not once per row, and go nowhere near the
+    reallocating numpy helpers.  Counts, no clock."""
+    import numpy as np
+
+    from repro.core.columnar import ColumnarBlock
+
+    rng = np.random.default_rng(5)
+    series = rng.standard_normal(64)
+    symbols = np.arange(8, dtype=np.uint32)
+    block = ColumnarBlock.from_records(
+        [("0f" * 4, rid, series) for rid in range(1_000)], word_length=8
+    )
+
+    def banned(*_args, **_kwargs):
+        raise AssertionError("a block append reallocated through numpy")
+
+    monkeypatch.setattr(np, "vstack", banned)
+    monkeypatch.setattr(np, "append", banned)
+    buffers = []  # held, so an identity is never reused
+    for rid in range(1_000, 2_000):
+        assert block.append("0f" * 4, rid, series, symbols) == rid
+        if not buffers or block.values.base is not buffers[-1]:
+            buffers.append(block.values.base)
+    assert 1 <= len(buffers) <= 3
+    assert all(buffer is not None for buffer in buffers)
+    assert block.n_rows == 2_000 and block.values.shape == (2_000, 64)
+    assert block.record_ids.tolist() == list(range(2_000))
+
+
+def test_served_write_batch_is_flat(tmp_path, monkeypatch):
+    """One served ``write_batch`` of 8 rows on a WAL-backed service: one
+    conversion, no signature decoded back, one log write, one fsync
+    barrier, one block write per touched partition.  Counts, no clock."""
+    from repro.core import TardisConfig, WriteAheadLog, build_tardis_index
+    from repro.core import isaxt, local_index
+    from repro.core.columnar import ColumnarBlock
+    from repro.serving import QueryService
+    from repro.tsdb import random_walk
+
+    index = build_tardis_index(
+        random_walk(400, length=48, seed=21).z_normalized(),
+        TardisConfig(g_max_size=100, l_max_size=20, seed=9),
+    )
+    rows = random_walk(8, length=48, seed=22).z_normalized().values
+    calls = {"decode": 0, "log_appends": 0, "sync": 0, "blocks": []}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            if key == "blocks":
+                calls[key].append(id(args[0]))
+            else:
+                calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(isaxt, "decode_signature", "decode")
+    counted(isaxt, "batch_decode_signatures", "decode")
+    counted(local_index, "batch_decode_signatures", "decode")
+    counted(WriteAheadLog, "log_appends", "log_appends")
+    counted(WriteAheadLog, "sync", "sync")
+    counted(ColumnarBlock, "append_rows", "blocks")
+    with QueryService(index, wal=tmp_path / "flat.wal", max_batch=8,
+                      max_delay_ms=0.0) as svc:
+        enable_kernel_counters(reset=True)
+        ack = svc.write(rows)
+        disable_kernel_counters()
+        totals = KERNELS.totals()
+    assert ack.durable and ack.acknowledged == 8
+    assert totals["paa"]["calls"] == 1
+    assert totals["paa"]["elements"] == 8 * 48
+    assert "decode" not in totals and calls["decode"] == 0
+    assert calls["log_appends"] == 1 and calls["sync"] == 1
+    touched = set(ack.partition_ids)
+    assert len(calls["blocks"]) == len(set(calls["blocks"])) == len(touched)
+    assert len(touched) < 8  # some partition took several rows in one write
