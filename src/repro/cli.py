@@ -19,8 +19,6 @@ code:
 * ``query-remote`` — query (or fetch SLO stats from) a running server
 * ``top`` — live operational view of a running server (SLO, queue,
   caches, partition skew), refreshed on an interval
-* ``bench`` — run/ingest/compare/history for versioned benchmark
-  records (``repro.bench/v1``; see docs/EXPERIMENTS.md)
 
 Series inputs are ``.npy`` files (one 1-D array) or ``--row N`` of a
 generated ``.npz`` dataset.
@@ -38,9 +36,11 @@ collapsed stacks from the span profiles); the query commands take
 dumps its span forest with ``--trace-file FILE``; ``query-remote
 --trace`` prints one request's span timeline.
 
-Execution (docs/PARALLELISM.md): every command accepts ``--executor
-{serial,threads,processes}`` and ``--jobs N`` to choose the task
-backend the engine and batch paths run on.
+Execution (DESIGN.md, "Executors"): every command accepts ``--executor
+{serial,threads}`` and ``--jobs N`` to choose the task backend the
+engine and batch paths run on; ``REPRO_EXECUTOR`` / ``REPRO_JOBS`` set
+the default, and a bad value of either stops the command before it
+starts.
 
 Serving (docs/SERVING.md): ``serve`` exposes admission control
 (``--queue``/``--policy``), batching (``--batch-max`` caps a window;
@@ -63,7 +63,11 @@ from pathlib import Path
 import numpy as np
 
 from . import telemetry
-from .cluster.executors import EXECUTOR_KINDS, set_default_executor
+from .cluster.executors import (
+    EXECUTOR_KINDS,
+    get_default_executor,
+    set_default_executor,
+)
 from .core import (
     TardisConfig,
     build_tardis_index,
@@ -1062,21 +1066,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max span depth (traces) or kernel rows "
                             "(perf reports) to print")
     stats.set_defaults(fn=_cmd_stats)
-
-    from .bench.cli import register as register_bench
-
-    register_bench(add_parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     telemetry.log.configure(verbosity=args.verbose - args.quiet)
-    if args.executor is not None or args.jobs is not None:
-        try:
+    try:
+        if args.executor is not None or args.jobs is not None:
             set_default_executor(args.executor, args.jobs)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        else:
+            get_default_executor()  # REPRO_EXECUTOR / REPRO_JOBS
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if getattr(args, "faults", None):
         from .faults import install_plan
 

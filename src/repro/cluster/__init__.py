@@ -16,7 +16,6 @@ from .costmodel import (
 from .engine import Broadcast, PartitionedData, SimCluster, TaskFailedError
 from .executors import (
     EXECUTOR_KINDS,
-    ForkProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     get_default_executor,
@@ -41,7 +40,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "SerialExecutor",
     "ThreadExecutor",
-    "ForkProcessExecutor",
     "make_executor",
     "resolve_executor",
     "get_default_executor",

@@ -127,7 +127,7 @@ class SimCluster:
         jobs: int | None = None,
     ):
         """``executor`` selects the real execution backend for stage tasks:
-        ``"serial"`` | ``"threads"`` | ``"processes"`` (or an instance from
+        ``"serial"`` | ``"threads"`` (or an instance from
         :mod:`repro.cluster.executors`).  ``None`` uses the process-wide
         default (``threads``).  Results, partition layouts and ledger task
         counts are identical across backends; only wall-clock differs.
@@ -272,8 +272,8 @@ class SimCluster:
 
         ``task(index, records)`` returns ``(output_records, io_seconds)``;
         its CPU time is measured around the call.  Tasks are dispatched
-        through the cluster's executor — concurrently for ``threads`` /
-        ``processes`` — while cost attribution stays per-task: each task
+        through the cluster's executor — concurrently for ``threads`` —
+        while cost attribution stays per-task: each task
         measures its own CPU and the driver folds the per-task charges
         into the per-worker latency model in task order.
         """

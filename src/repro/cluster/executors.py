@@ -9,28 +9,21 @@ execution layer behind :class:`~repro.cluster.engine.SimCluster`,
 * ``serial`` — the seed behaviour: one task after another on the driver.
 * ``threads`` — a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
   numpy-heavy tasks (conversion, distance ranking) release the GIL and
-  scale across cores; pure-Python tasks at least overlap with I/O.
-* ``processes`` — a fork-based pool (POSIX only).  Children inherit the
-  driver's memory, so closures and whole indices need no pickling on the
-  way in; only task *results* travel back.  True multicore parallelism
-  for GIL-bound tree work.
+  may overlap across cores; pure-Python tasks at least overlap with I/O.
 
-Every backend preserves the engine's contract:
+Both backends keep the engine's contract:
 
 * **Result order** — ``map_tasks`` returns results indexed like its
   inputs, so downstream merges (shuffle bucket concatenation, partition
   dict construction) are byte-identical to serial execution.
 * **Deterministic errors** — when several tasks fail, the failure of the
   lowest task index is raised.
-* **Telemetry** — thread tasks mutate the shared (thread-safe) tracer and
-  metrics registry directly; fork children ship their metric deltas and
-  finished trace spans back through the result pipe and the driver merges
-  them (see docs/PARALLELISM.md).
+* **Telemetry** — tasks mutate the shared (thread-safe) tracer, metrics
+  registry and kernel counters directly.
 * **Trace context** — ``map_tasks`` captures the driver thread's current
-  span and attaches it inside every worker task (threads) or re-parents
-  shipped spans under it (processes), so spans opened by tasks stitch
-  into the dispatching trace instead of fragmenting into orphan roots
-  (see docs/OBSERVABILITY.md).
+  span and attaches it inside every pool task (:func:`_propagating`), so
+  spans opened by tasks stitch into the dispatching trace instead of
+  fragmenting into orphan roots (see docs/OBSERVABILITY.md).
 
 The process-wide default backend is ``threads`` and can be changed with
 :func:`set_default_executor`, the CLI's ``--executor``/``--jobs`` flags,
@@ -41,19 +34,16 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..telemetry.perf import KERNELS as _KERNELS
-from . import shm as _shm
 
 __all__ = [
     "EXECUTOR_KINDS",
     "SerialExecutor",
     "ThreadExecutor",
-    "ForkProcessExecutor",
     "default_jobs",
     "make_executor",
     "resolve_executor",
@@ -64,7 +54,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Recognized values of the ``executor=`` knob, in cost order.
-EXECUTOR_KINDS = ("serial", "threads", "processes")
+EXECUTOR_KINDS = ("serial", "threads")
 
 _DEFAULT_KIND = "threads"
 
@@ -219,255 +209,6 @@ def _propagating(fn):
     return run
 
 
-class ForkProcessExecutor:
-    """Fork one child per job; results, metric deltas and spans return
-    through a pipe.  POSIX only (the whole point is inheriting the
-    driver's memory — indices, closures, broadcast values — for free).
-    """
-
-    kind = "processes"
-    task_clock = staticmethod(time.thread_time)
-
-    def __init__(self, jobs: int | None = None):
-        self.jobs = jobs or default_jobs()
-
-    def map_tasks(self, fn, items) -> list:
-        items = list(items)
-        n_children = min(self.jobs, len(items))
-        if n_children <= 1:
-            if not _KERNELS.enabled:
-                return [fn(i, item) for i, item in enumerate(items)]
-            walls: list[float] = []
-            timed = _timed_task(fn, walls)
-            t0 = time.perf_counter()
-            results = [timed(i, item) for i, item in enumerate(items)]
-            _record_dispatch(t0, walls, len(items))
-            return results
-        if not hasattr(os, "fork"):
-            raise RuntimeError(
-                "executor='processes' needs os.fork (POSIX); use 'threads'"
-            )
-        payloads = self._fork_and_gather(fn, items, n_children)
-        self._merge_telemetry(payloads)
-        errors = [p["error"] for p in payloads if p["error"] is not None]
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
-        results: list = [None] * len(items)
-        for payload in payloads:
-            for index, value in payload["results"]:
-                results[index] = value
-        return results
-
-    def _fork_and_gather(self, fn, items: list, n_children: int) -> list[dict]:
-        counters = _KERNELS.enabled
-        _shm.ensure_tracker()
-        t_fork = time.perf_counter() if counters else 0.0
-        read_fds, pids = [], []
-        for rank in range(n_children):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # child
-                status = 0
-                try:
-                    os.close(read_fd)
-                    payload = _run_child(fn, items, rank, n_children)
-                    with os.fdopen(write_fd, "wb") as out:
-                        _write_payload(out, payload)
-                except BaseException:  # pragma: no cover - child diagnostics
-                    status = 1
-                finally:
-                    # Never run the parent's atexit/pytest machinery.
-                    os._exit(status)
-            os.close(write_fd)
-            read_fds.append(read_fd)
-            pids.append(pid)
-        fork_s = (time.perf_counter() - t_fork) if counters else 0.0
-        payloads = []
-        # Read every pipe BEFORE reaping: a child blocks writing a large
-        # payload until the driver drains its pipe.
-        for rank, read_fd in enumerate(read_fds):
-            with os.fdopen(read_fd, "rb") as source:
-                try:
-                    payloads.append(_read_payload(source))
-                except (EOFError, KeyError, TypeError,
-                        pickle.UnpicklingError) as exc:
-                    payloads.append({
-                        "results": [],
-                        "error": (
-                            rank,
-                            RuntimeError(
-                                f"process-executor child {rank} died "
-                                f"without a result: {exc}"
-                            ),
-                        ),
-                        "metrics": {},
-                        "spans": [],
-                        "kernels": {},
-                    })
-        t_reap = time.perf_counter() if counters else 0.0
-        for pid in pids:
-            os.waitpid(pid, 0)
-        # Every segment referenced by a successfully read payload was
-        # attached (and unlinked) in _read_payload above, so anything
-        # still named under a child's prefix is an orphan — left by a
-        # crash between export and attach — and is swept here.
-        for pid in pids:
-            _shm.cleanup_orphans(pid)
-        if counters:
-            # Fork setup plus child reaping: the driver-side overhead of
-            # running this stage on processes, separate from the pickle
-            # costs charged by _write_payload/_read_payload.
-            _KERNELS.record(
-                "exec_dispatch", elements=n_children,
-                seconds=fork_s + (time.perf_counter() - t_reap),
-            )
-        return payloads
-
-    @staticmethod
-    def _merge_telemetry(payloads: list[dict]) -> None:
-        """Fold child-side metric deltas and trace spans into the shared
-        driver registry/tracer (children mutated copies lost at exit).
-
-        When the dispatching thread is inside a span, shipped child roots
-        are re-parented under it so fork fan-outs stay inside the
-        request trace instead of surfacing as orphan roots.
-        """
-        from ..telemetry.metrics import get_registry
-        from ..telemetry.spans import Span, get_tracer
-
-        registry = get_registry()
-        tracer = get_tracer()
-        parent = tracer.current() if tracer.enabled else None
-        if not isinstance(parent, Span):
-            parent = None
-        for payload in payloads:
-            if payload["metrics"]:
-                registry.absorb(payload["metrics"])
-            if payload.get("kernels"):
-                _KERNELS.absorb(payload["kernels"])
-            if payload["spans"]:
-                tracer.adopt(payload["spans"], parent=parent)
-
-
-def _run_child(fn, items: list, rank: int, n_children: int) -> dict:
-    """Child body: run tasks ``rank, rank + n, ...`` and package results."""
-    from ..telemetry.metrics import get_registry
-    from ..telemetry.spans import get_tracer
-
-    registry = get_registry()
-    tracer = get_tracer()
-    snapshot = registry.snapshot()
-    # The fork inherited the parent's counter state too; ship only what
-    # this child adds (exec_compute per task + any nested kernels).
-    counters = _KERNELS.enabled
-    kernel_snapshot = _KERNELS.snapshot() if counters else None
-    # The fork inherited the dispatching thread's span stack; drop it so
-    # task spans become fresh roots that ship (the driver re-parents them
-    # under its current span in _merge_telemetry).
-    tracer.clear_thread_context()
-    span_mark = len(tracer.roots) if tracer.enabled else 0
-    results, error = [], None
-    for index in range(rank, len(items), n_children):
-        try:
-            if counters:
-                t0 = time.perf_counter()
-                value = fn(index, items[index])
-                _KERNELS.record(
-                    "exec_compute", seconds=time.perf_counter() - t0
-                )
-                results.append((index, value))
-            else:
-                results.append((index, fn(index, items[index])))
-        except BaseException as exc:
-            error = (index, _picklable_error(exc))
-            break
-    return {
-        "results": results,
-        "error": error,
-        "metrics": registry.delta_since(snapshot),
-        "spans": tracer.roots[span_mark:] if tracer.enabled else [],
-        "kernels": _KERNELS.delta_since(kernel_snapshot) if counters else {},
-    }
-
-
-def _write_payload(out, payload: dict) -> None:
-    """Child side of the result pipe: stats envelope + raw pickle blob.
-
-    The payload is pickled to bytes first (timed), then a tiny envelope
-    ``{"nbytes", "serialize_s"}`` precedes the blob on the wire — so the
-    driver can attribute pickle bytes and child-side serialization time
-    (``exec_serialize``) without measuring its own measurement.  An
-    unpicklable task result degrades to the deterministic error payload,
-    keeping the pre-envelope contract.
-
-    Pickling runs inside :class:`repro.cluster.shm.exporting`, so
-    shared-memory-aware results (columnar partition blocks) replace their
-    large arrays with segment descriptors: the bytes crossing the pipe
-    collapse to metadata and the driver re-attaches the segments without
-    copying.  Plain results are byte-identical to the non-shm path.
-    """
-    t0 = time.perf_counter()
-    try:
-        with _shm.exporting():
-            blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # unpicklable task output
-        results = payload.get("results") or []
-        payload = {
-            "results": [],
-            "error": (
-                results[0][0] if results else 0,
-                RuntimeError(f"task result is not picklable: {exc}"),
-            ),
-            "metrics": payload.get("metrics", {}),
-            "spans": [],
-            "kernels": payload.get("kernels", {}),
-        }
-        blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-    serialize_s = time.perf_counter() - t0
-    pickle.dump(
-        {"nbytes": len(blob), "serialize_s": serialize_s},
-        out, pickle.HIGHEST_PROTOCOL,
-    )
-    out.write(blob)
-
-
-def _read_payload(source) -> dict:
-    """Driver side of the result pipe: envelope, then the timed unpickle.
-
-    ``exec_deserialize`` gets the driver-side unpickle time (elements =
-    payload bytes); ``exec_serialize`` gets the child-reported pickle
-    time from the envelope.  The blocking envelope read is *not* charged
-    anywhere — that wait is the child's compute, already attributed by
-    the ``exec_compute`` deltas the payload carries.
-    """
-    envelope = pickle.load(source)
-    nbytes = envelope["nbytes"]
-    blob = source.read(nbytes)
-    if len(blob) != nbytes:
-        raise EOFError(f"short payload: {len(blob)} of {nbytes} bytes")
-    t0 = time.perf_counter() if _KERNELS.enabled else 0.0
-    payload = pickle.loads(blob)
-    if _KERNELS.enabled:
-        _KERNELS.record(
-            "exec_deserialize", elements=nbytes,
-            seconds=time.perf_counter() - t0,
-        )
-        _KERNELS.record(
-            "exec_serialize", elements=nbytes,
-            seconds=float(envelope.get("serialize_s", 0.0)),
-        )
-    return payload
-
-
-def _picklable_error(exc: BaseException) -> BaseException:
-    """The exception itself when it pickles, else a faithful stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # Registry of shared executor instances + the process-wide default
 # ---------------------------------------------------------------------------
@@ -475,7 +216,6 @@ def _picklable_error(exc: BaseException) -> BaseException:
 _EXECUTOR_CLASSES = {
     "serial": SerialExecutor,
     "threads": ThreadExecutor,
-    "processes": ForkProcessExecutor,
 }
 
 _instances: dict = {}
@@ -505,12 +245,28 @@ def make_executor(kind: str, jobs: int | None = None):
 
 def get_default_executor():
     """The process-wide default backend (``threads`` unless overridden by
-    :func:`set_default_executor` or ``REPRO_EXECUTOR``/``REPRO_JOBS``)."""
+    :func:`set_default_executor` or ``REPRO_EXECUTOR``/``REPRO_JOBS``).
+
+    A bad environment value raises ``ValueError`` naming the variable,
+    the value and what it accepts.
+    """
     global _default
     if _default is None:
         kind = os.environ.get("REPRO_EXECUTOR", _DEFAULT_KIND)
+        if kind not in EXECUTOR_KINDS:
+            raise ValueError(
+                f"REPRO_EXECUTOR={kind!r} is not an executor; "
+                f"choose from {EXECUTOR_KINDS}"
+            )
         jobs_env = os.environ.get("REPRO_JOBS")
-        jobs = int(jobs_env) if jobs_env else None
+        try:
+            jobs = int(jobs_env) if jobs_env else None
+        except ValueError:
+            jobs = 0
+        if jobs is not None and jobs < 1:
+            raise ValueError(
+                f"REPRO_JOBS={jobs_env!r} is not a positive worker count"
+            )
         _default = make_executor(kind, jobs)
         logger.debug(
             "default executor: %s (jobs=%d)", _default.kind, _default.jobs

@@ -12,12 +12,11 @@ by construction; the conversion (one pass for the batch), the load (one
 per group) and the cost model differ.
 
 Each group is one task on the configured execution backend
-(``executor=`` — see :mod:`repro.cluster.executors` and
-docs/PARALLELISM.md), defaulting to the process-wide executor.  Per-query
-accounting keeps the interactive invariant (tests/test_accounting.py):
-every result reports its ``partition_ids_loaded``, ``strategy``,
-``nodes_visited``, and a ledger whose partition-load tasks match
-``partitions_loaded``.
+(``executor=`` — see :mod:`repro.cluster.executors`), defaulting to
+the process-wide executor.  Per-query accounting keeps the interactive
+invariant (tests/test_accounting.py): every result reports its
+``partition_ids_loaded``, ``strategy``, ``nodes_visited``, and a ledger
+whose partition-load tasks match ``partitions_loaded``.
 """
 
 from __future__ import annotations

@@ -635,8 +635,8 @@ def build_tardis_index(
                 cluster.charge_disk_read(spilled_bytes, label="local/spill read")
             def build_one(index: int, records: list) -> tuple[list, float]:
                 # The partition is the task OUTPUT (not a closure side
-                # effect) so construction runs identically on the serial,
-                # thread, and fork-process executors.
+                # effect) so results merge in task order on every
+                # executor.
                 partition = build_local_partition(
                     index, records, config, clustered=clustered,
                     with_bloom=with_bloom,

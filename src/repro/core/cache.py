@@ -36,7 +36,7 @@ class PartitionCache:
 
     Thread-safe: batch query passes load partitions from executor worker
     threads concurrently, so residency updates and statistics are guarded
-    by a lock (see docs/PARALLELISM.md).
+    by a lock.
     """
 
     capacity: int

@@ -18,10 +18,7 @@ partition's records once, contiguously:
 sigTree leaves hold *row indices* into the block, so candidate
 collection returns index arrays and ranking is one ``batch_euclidean``
 over a fancy-indexed slice — the ParIS+/MESSI-style move from
-per-record Python to whole-frontier numpy.  The block is also the unit
-of zero-copy transport: when the fork executor ships a built partition
-back to the driver, these arrays travel as shared-memory descriptors
-instead of pickle bytes (see :mod:`repro.cluster.shm`).
+per-record Python to whole-frontier numpy.
 
 Appends are amortised.  Each column lives in a private buffer that
 doubles when it fills (:data:`_GROWTH`); the four public attributes are
@@ -43,9 +40,6 @@ from ..tsdb.distance import table_index
 from .isaxt import batch_decode_signatures
 
 __all__ = ["ColumnarBlock"]
-
-#: Arrays smaller than this pickle faster than a segment round-trip.
-_SHM_MIN_BYTES = 16 * 1024
 
 #: A full column buffer is replaced by one this many times its capacity.
 _GROWTH = 2
@@ -84,7 +78,7 @@ class ColumnarBlock:
 
     __slots__ = (
         "record_ids", "values", "signatures", "symbols", "_buffers",
-        "_shm_handles", "_symbol_index",
+        "_symbol_index",
     )
 
     def __init__(
@@ -102,7 +96,6 @@ class ColumnarBlock:
         #: arrays handed in are the first buffers, full to capacity, so
         #: nothing is ever written into memory the block did not allocate.
         self._buffers = {name: getattr(self, name) for name in _COLUMNS}
-        self._shm_handles: list = []
         self._symbol_index: tuple | None = None
 
     # -- construction -----------------------------------------------------------
@@ -234,31 +227,15 @@ class ColumnarBlock:
             np.asarray(symbols)[None, :],
         )
 
-    # -- zero-copy transport ------------------------------------------------------
+    # -- pickling ---------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        from ..cluster import shm
-
-        state = {key: getattr(self, key) for key in _COLUMNS}
-        if not shm.export_enabled():
-            return state
-        for key in _COLUMNS:
-            array = state[key]
-            if array is None or array.nbytes < _SHM_MIN_BYTES:
-                continue
-            state[key] = {"__shm__": shm.create_segment(array)}
-        return state
+        # The exact-length views, never the spare capacity behind them.
+        return {key: getattr(self, key) for key in _COLUMNS}
 
     def __setstate__(self, state: dict) -> None:
-        from ..cluster import shm
-
-        self._shm_handles = []
         self._symbol_index = None
         for key in _COLUMNS:
-            value = state[key]
-            if isinstance(value, dict) and "__shm__" in value:
-                array, handle = shm.attach_array(value["__shm__"])
-                self._shm_handles.append(handle)
-                value = array
-            setattr(self, key, value)
+            setattr(self, key, state[key])
+        # The loaded arrays become the first buffers, full to capacity.
         self._buffers = {name: getattr(self, name) for name in _COLUMNS}

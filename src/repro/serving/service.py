@@ -132,19 +132,6 @@ class QueryService(RequestFrontEnd):
             default_deadline_ms=default_deadline_ms,
         )
         self.executor = resolve_executor(executor, jobs)
-        if self.executor.kind == "processes":
-            # The fork executor is unsafe inside a multithreaded serving
-            # process: server handler threads may hold the telemetry,
-            # partition-cache, or SLO locks at fork time, and a child
-            # that touches those (every query records metrics) inherits
-            # them held forever — deadlock.  The batch CLI forks from a
-            # single-threaded driver; serving cannot.
-            logger.warning(
-                "executor='processes' is unsupported for serving "
-                "(fork from a multithreaded process can deadlock); "
-                "falling back to 'threads'"
-            )
-            self.executor = resolve_executor("threads", jobs)
         if partition_cache_size:
             index.enable_cache(partition_cache_size)
         # Invalidate cached answers together with the partition cache:

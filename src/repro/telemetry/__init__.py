@@ -76,10 +76,8 @@ from .journal import (
 from .perf import (
     KERNELS,
     PERF_SCHEMA,
-    TOP_LEVEL_KERNELS,
     FoldedAccumulator,
     KernelProfiler,
-    attributed_fraction,
     disable_kernel_counters,
     enable_kernel_counters,
     get_folded,
@@ -172,7 +170,6 @@ __all__ = [
     "merge_journal_events",
     "write_merged_journal",
     "PERF_SCHEMA",
-    "TOP_LEVEL_KERNELS",
     "KERNELS",
     "KernelProfiler",
     "get_kernel_profiler",
@@ -187,7 +184,6 @@ __all__ = [
     "write_perf",
     "validate_perf",
     "summarize_kernels",
-    "attributed_fraction",
     "context",
     "log",
 ]

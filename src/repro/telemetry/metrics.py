@@ -309,68 +309,13 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
 
-    # -- cross-process merging ------------------------------------------------
-    #
-    # The fork-based process executor (repro.cluster.executors) runs tasks
-    # in children whose registry mutations die with them.  A child takes a
-    # snapshot() before its tasks, computes delta_since() after, and ships
-    # the delta to the driver, which absorb()s it — so counters and
-    # histograms stay correct no matter which backend ran the work.
-
-    def snapshot(self) -> dict:
-        """Current instrument state, keyed by name (for delta_since)."""
-        state: dict = {}
-        for instrument in self.instruments():
-            if isinstance(instrument, Histogram):
-                with instrument._lock:
-                    state[instrument.name] = (
-                        "histogram",
-                        list(instrument._bucket_counts),
-                        instrument._sum,
-                    )
-            else:
-                state[instrument.name] = (instrument.kind, instrument.value)
-        return state
-
-    def delta_since(self, snapshot: dict) -> dict:
-        """What changed since ``snapshot``, in absorb()-ready form."""
-        deltas: dict = {}
-        for instrument in self.instruments():
-            before = snapshot.get(instrument.name)
-            if isinstance(instrument, Histogram):
-                with instrument._lock:
-                    counts = list(instrument._bucket_counts)
-                    total = instrument._sum
-                base_counts = before[1] if before else [0] * len(counts)
-                base_sum = before[2] if before else 0.0
-                bucket_deltas = [
-                    now - then for now, then in zip(counts, base_counts)
-                ]
-                if any(bucket_deltas):
-                    deltas[instrument.name] = (
-                        "histogram",
-                        instrument.help,
-                        list(instrument.bounds),
-                        bucket_deltas,
-                        total - base_sum,
-                    )
-            else:
-                base = before[1] if before else 0.0
-                change = instrument.value - base
-                if change:
-                    deltas[instrument.name] = (
-                        instrument.kind, instrument.help, change
-                    )
-        return deltas
-
     def to_wire(self) -> dict:
         """Full instrument state in JSON-safe form, keyed by name.
 
         The federation scrape payload (see
-        :mod:`repro.telemetry.federation`): unlike :meth:`snapshot`,
-        this form carries kind/help/bounds so the *receiving* side can
-        reconstruct instruments it has never seen, and it is plain
-        lists/dicts so it survives the JSON wire.
+        :mod:`repro.telemetry.federation`): it carries kind/help/bounds
+        so the *receiving* side can reconstruct instruments it has never
+        seen, and it is plain lists/dicts so it survives the JSON wire.
         """
         wire: dict = {}
         for instrument in self.instruments():
@@ -391,25 +336,6 @@ class MetricsRegistry:
                     "value": instrument.value,
                 }
         return wire
-
-    def absorb(self, deltas: dict) -> None:
-        """Apply a delta_since() document from another process."""
-        for name, payload in deltas.items():
-            kind = payload[0]
-            if kind == "counter":
-                self.counter(name, payload[1]).inc(payload[2])
-            elif kind == "gauge":
-                self.gauge(name, payload[1]).inc(payload[2])
-            elif kind == "histogram":
-                _kind, help_text, bounds, bucket_deltas, sum_delta = payload
-                histogram = self.histogram(name, help_text, buckets=bounds)
-                with histogram._lock:
-                    for i, change in enumerate(bucket_deltas):
-                        histogram._bucket_counts[i] += change
-                    histogram._sum += sum_delta
-                    histogram._count += sum(bucket_deltas)
-            else:  # pragma: no cover - future instrument kinds
-                raise ValueError(f"cannot absorb instrument kind {kind!r}")
 
 
 #: The library-wide registry used by all built-in instrumentation.

@@ -8,21 +8,16 @@ layer (docs/OBSERVABILITY.md, "Cost attribution & profiling"):
   (:data:`KERNELS`) accumulating ``(calls, elements, seconds)`` per
   *named kernel*: ``paa``, ``sax``, ``encode``, ``mindist``,
   ``euclidean``, ``leaf_scan``, ``deserialize``, ``partition_load``,
-  and the executor-overhead kernels ``exec_compute`` /
-  ``exec_dispatch`` / ``exec_serialize`` / ``exec_deserialize``.  The
+  and the executor kernels ``exec_compute`` / ``exec_dispatch``.  The
   hot paths guard every measurement behind ``KERNELS.enabled`` so the
   disabled cost is one attribute check (the same contract the tracer's
-  ``NULL_SPAN`` makes; the bench gate asserts <3%).  When tracing is
-  also on, each recorded kernel adds a ``kernel_<name>_s`` attribute to
-  the innermost live span, giving per-span cost attribution for free.
+  ``NULL_SPAN`` makes).  When tracing is also on, each recorded kernel
+  adds a ``kernel_<name>_s`` attribute to the innermost live span,
+  giving per-span cost attribution for free.
 
-* **Cross-process + registry export** — the profiler exposes the same
-  ``snapshot()`` / ``delta_since()`` / ``absorb()`` triple as the
-  metrics registry, so the fork-based process executor ships child-side
-  kernel deltas through its result pipe, and
-  :func:`publish_to_registry` mirrors the totals into the shared
-  registry as ``kernel_<name>_{calls,elements,seconds}_total`` counters
-  for Prometheus exposition.
+* **Registry export** — :func:`publish_to_registry` mirrors the totals
+  into the shared registry as ``kernel_<name>_{calls,elements,seconds}
+  _total`` counters for Prometheus exposition.
 
 * **Collapsed-stack profiles** — :func:`profile_to_folded` turns
   cProfile data into flamegraph-compatible folded stacks
@@ -39,11 +34,9 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import Iterable
 
 __all__ = [
     "PERF_SCHEMA",
-    "TOP_LEVEL_KERNELS",
     "KernelProfiler",
     "KERNELS",
     "get_kernel_profiler",
@@ -59,26 +52,11 @@ __all__ = [
     "write_perf",
     "validate_perf",
     "summarize_kernels",
-    "attributed_fraction",
 ]
 
 PERF_SCHEMA = "repro.perf/v1"
 
 _KERNEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
-#: Kernels that partition wall time without overlapping each other:
-#: ``route`` (query → signature grouping), ``exec_compute`` (task bodies
-#: on any backend, which *contain* the fine-grained kernels), and the
-#: process-executor overhead kernels.  Benchmarks sum exactly these when
-#: checking that named kernels account for >= 90% of a measured wall
-#: (summing fine-grained kernels too would double-count nested work).
-TOP_LEVEL_KERNELS = (
-    "route",
-    "exec_compute",
-    "exec_dispatch",
-    "exec_serialize",
-    "exec_deserialize",
-)
 
 # Cached module handle: resolving the tracer through the module avoids a
 # perf->spans->perf import cycle while keeping the enabled-path cost at
@@ -216,36 +194,10 @@ class KernelProfiler:
             row = self._kernels.get(name)
             return row[2] if row else 0.0
 
-    # -- cross-process merging (mirrors MetricsRegistry's triple) ------------
-
     def snapshot(self) -> dict[str, tuple]:
-        """Current state keyed by kernel name (for :meth:`delta_since`)."""
+        """Current state keyed by kernel name: ``(calls, elements, seconds)``."""
         with self._lock:
             return {name: tuple(row) for name, row in self._kernels.items()}
-
-    def delta_since(self, snapshot: dict) -> dict[str, tuple]:
-        """What changed since ``snapshot``, in :meth:`absorb`-ready form."""
-        deltas: dict[str, tuple] = {}
-        with self._lock:
-            for name, row in self._kernels.items():
-                base = snapshot.get(name, (0, 0, 0.0))
-                change = (row[0] - base[0], row[1] - base[1], row[2] - base[2])
-                if any(change):
-                    deltas[name] = change
-        return deltas
-
-    def absorb(self, deltas: dict) -> None:
-        """Fold a :meth:`delta_since` document from another process in."""
-        if not deltas:
-            return
-        with self._lock:
-            for name, (calls, elements, seconds) in deltas.items():
-                row = self._kernels.get(name)
-                if row is None:
-                    row = self._kernels[name] = [0, 0, 0.0]
-                row[0] += calls
-                row[1] += elements
-                row[2] += seconds
 
 
 #: The library-wide kernel profiler.  Disabled by default; the CLI's
@@ -285,7 +237,7 @@ def publish_to_registry(registry=None,
     Creates three counters per kernel —
     ``kernel_<name>_calls_total`` / ``_elements_total`` /
     ``_seconds_total`` — so kernel costs ride the existing Prometheus
-    exposition, validation, and cross-process absorb machinery.
+    exposition and validation.
     Idempotent: only the delta since the previous publish is added.
     """
     from .metrics import get_registry
@@ -529,18 +481,3 @@ def summarize_kernels(kernels: dict[str, dict],
     lines.append(f"{'total':<18} {'':>10} {'':>14} {total_s:>10.4f}")
     return "\n".join(lines)
 
-
-def attributed_fraction(kernels: dict[str, dict], wall_s: float,
-                        top_level: Iterable[str] = TOP_LEVEL_KERNELS,
-                        ) -> tuple[float, float]:
-    """``(attributed_seconds, fraction_of_wall)`` over top-level kernels.
-
-    The fraction can exceed 1.0 when kernels ran concurrently (their
-    wall seconds sum across workers); callers treating this as a
-    coverage check should test ``fraction >= threshold`` directly.
-    """
-    attributed = sum(
-        kernels.get(name, {}).get("seconds", 0.0) for name in top_level
-    )
-    fraction = (attributed / wall_s) if wall_s > 0 else 0.0
-    return attributed, fraction

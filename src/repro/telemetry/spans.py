@@ -390,16 +390,6 @@ class Tracer:
             )
         stack.pop()
 
-    def clear_thread_context(self) -> None:
-        """Forget this thread's inherited span stack.
-
-        Fork children inherit the dispatching thread's stack; clearing it
-        lets spans opened by child tasks register as fresh roots that
-        ship back through the pipe for re-parenting on the driver (see
-        ``ForkProcessExecutor``).
-        """
-        self._local.stack = []
-
     def current(self):
         """The innermost live span of this thread (or the no-op span).
 
@@ -534,12 +524,11 @@ class Tracer:
     def adopt(self, spans: list[Span], parent: Span | None = None) -> None:
         """Fold finished spans collected elsewhere into this tracer.
 
-        Used by the fork-based process executor: children ship the spans
-        their tasks finished back to the driver, which adopts them so the
-        trace stays complete regardless of execution backend.  With
-        ``parent`` given (the driver's span that dispatched the work),
-        the shipped spans are stitched under it instead of becoming
-        orphan roots.
+        Used by the router: a shard ships the span tree of its part of a
+        request back with the response, and the router adopts it so the
+        trace stays complete across processes.  With ``parent`` given
+        (the router's span that dispatched the call), the shipped spans
+        are stitched under it instead of becoming orphan roots.
         """
         if not spans:
             return

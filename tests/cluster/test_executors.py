@@ -1,27 +1,24 @@
 """Tests for the pluggable task-execution backends.
 
-The contract every backend must keep (docs/PARALLELISM.md): results come
-back in input order, the lowest failing task index wins when several
-fail, and telemetry mutations made inside tasks reach the shared driver
-registry/tracer — directly for threads, via pipe-merged deltas for fork
-children.
+The contract every backend must keep (DESIGN.md §9): results come back
+in input order, the lowest failing task index wins when several fail,
+and telemetry mutations made inside tasks reach the shared driver
+registry/tracer.
 """
-
-import os
 
 import pytest
 
 from repro.cluster import SimCluster, TaskFailedError
 from repro.cluster.executors import (
     EXECUTOR_KINDS,
-    ForkProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     make_executor,
     resolve_executor,
     set_default_executor,
 )
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.cluster import executors
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
 
 ALL_KINDS = list(EXECUTOR_KINDS)
@@ -101,32 +98,6 @@ class TestTelemetryMerging:
         assert sorted(s.attributes["index"] for s in new) == list(range(6))
 
 
-class TestRegistrySnapshots:
-    def test_delta_since_and_absorb_round_trip(self):
-        source = MetricsRegistry()
-        sink = MetricsRegistry()
-        source.counter("c_total", "h").inc(3)
-        source.gauge("g", "h").set(2.5)
-        source.histogram("h_seconds", "h").observe(0.1)
-        snapshot = source.snapshot()
-        source.counter("c_total", "h").inc(4)
-        source.gauge("g", "h").inc(1.5)
-        source.histogram("h_seconds", "h").observe(0.2)
-        source.histogram("h_seconds", "h").observe(3.0)
-
-        sink.absorb(source.delta_since(snapshot))
-        assert sink.counter("c_total", "h").value == 4
-        assert sink.gauge("g", "h").value == 1.5
-        hist = sink.histogram("h_seconds", "h")
-        assert hist._count == 2
-        assert hist._sum == pytest.approx(3.2)
-
-    def test_zero_delta_is_empty(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", "h").inc()
-        assert registry.delta_since(registry.snapshot()) == {}
-
-
 class TestResolution:
     def test_make_executor_caches_instances(self):
         assert make_executor("threads", 3) is make_executor("threads", 3)
@@ -145,7 +116,9 @@ class TestResolution:
         assert resolve_executor(ex) is ex
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("threads", 2), ThreadExecutor)
-        assert isinstance(resolve_executor("processes", 2), ForkProcessExecutor)
+
+    def test_kinds_are_serial_and_threads(self):
+        assert EXECUTOR_KINDS == ("serial", "threads")
 
     def test_default_executor_round_trip(self):
         original = resolve_executor(None)
@@ -209,16 +182,35 @@ class TestEngineIntegration:
             data.map(lambda x: x, label="doomed")
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork is POSIX-only")
-class TestForkExecutor:
-    def test_unpicklable_result_is_reported(self):
-        ex = ForkProcessExecutor(jobs=2)
-        with pytest.raises(RuntimeError, match="not picklable"):
-            ex.map_tasks(lambda i, item: lambda: item, list(range(4)))
+class TestEnvironmentDefault:
+    """A bad ``REPRO_EXECUTOR`` / ``REPRO_JOBS`` names itself."""
 
-    def test_large_payload_does_not_deadlock(self):
-        # Bigger than the 64 KiB pipe buffer: exercises the read-before-
-        # reap ordering in _fork_and_gather.
-        ex = ForkProcessExecutor(jobs=2)
-        results = ex.map_tasks(lambda i, item: "x" * 300_000, list(range(4)))
-        assert all(len(r) == 300_000 for r in results)
+    @pytest.fixture(autouse=True)
+    def _fresh_default(self, monkeypatch):
+        monkeypatch.setattr(executors, "_default", None)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+    @pytest.mark.parametrize("value", ["bogus", "processes"])
+    def test_unknown_kind_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        with pytest.raises(ValueError) as info:
+            executors.get_default_executor()
+        message = str(info.value)
+        assert f"REPRO_EXECUTOR={value!r}" in message
+        assert "'serial', 'threads'" in message
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1"])
+    def test_bad_jobs_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS={value!r}"):
+            executors.get_default_executor()
+
+    def test_good_values_are_used(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        assert executors.get_default_executor().kind == "serial"
+        monkeypatch.setattr(executors, "_default", None)
+        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        default = executors.get_default_executor()
+        assert (default.kind, default.jobs) == ("threads", 2)

@@ -114,8 +114,8 @@ class TestColumnarBlock:
         assert block.signature_at(0) == records[0][0]  # others intact
 
     def test_plain_pickle_round_trip(self):
-        """Outside an exporting block, pickling must not create shm
-        segments — persistence and deepcopy rely on plain arrays."""
+        """Pickling ships plain arrays — persistence and deepcopy rely
+        on it."""
         records, _ = make_records(20)
         block = ColumnarBlock.from_records(records, CFG.word_length)
         clone = pickle.loads(pickle.dumps(block))
@@ -239,8 +239,6 @@ class TestAppendRows:
         )
 
     def test_round_trips_after_appends_are_exact_length(self):
-        from repro.cluster import shm
-
         records, _ = make_records(900, length=LENGTH)
         block = ColumnarBlock.from_records(records[:500], CFG.word_length)
         block.append_rows(*columns_of(records[500:]))
@@ -250,18 +248,12 @@ class TestAppendRows:
         ).nbytes
         plain = pickle.dumps(block)
         assert len(plain) < 1.05 * block.nbytes + 4096  # capacity not shipped
-        clones = [pickle.loads(plain)]
-        if shm.available():
-            with shm.exporting():
-                exported = pickle.dumps(block)
-            clones.append(pickle.loads(exported))
-        for clone in clones:
-            assert_blocks_equal(clone, block)
-            assert clone.n_rows == 900
-            # A clone appends like any block (its arrays are its buffers).
-            clone.append_rows(*columns_of(records[:2]))
-            assert clone.n_rows == 902 and block.n_rows == 900
-        shm.release_all()
+        clone = pickle.loads(plain)
+        assert_blocks_equal(clone, block)
+        assert clone.n_rows == 900
+        # A clone appends like any block (its arrays are its buffers).
+        clone.append_rows(*columns_of(records[:2]))
+        assert clone.n_rows == 902 and block.n_rows == 900
 
     def test_symbol_index_follows_appends(self):
         records, _ = make_records(12)

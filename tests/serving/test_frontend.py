@@ -293,3 +293,26 @@ def test_windows_form_from_backlog(private_index, stream, tmp_path):
     assert report["requests_deadline_shed"] == 1
     assert report["requests_completed"] == 6
     assert report["ingest"]["writes_total"] == 3
+
+
+@pytest.mark.parametrize("max_batch", [1, 8])
+def test_a_window_shares_partition_loads(private_index, stream, max_batch):
+    """Eight target-node reads queued behind a busy consumer: one at a
+    time each loads its partition; as one window they load each partition
+    once, so loads per query drop below one.  Per-result accounting is
+    unchanged either way.  Counts only."""
+    with QueryService(
+        private_index, max_batch=max_batch, result_cache_size=None,
+        journal=EventJournal(),
+    ) as service:
+        blocker, release = _hold_consumer(service, stream[0])
+        futures = [service.submit(_read(series)) for series in stream]
+        release.set()
+        results = [future.result(30.0) for future in futures]
+        assert blocker.result(30.0).record_ids
+        report = service.stats()
+    assert [r.partitions_loaded for r in results] == [1] * len(stream)
+    if max_batch == 1:
+        assert report["partitions_per_query"] == 1.0
+    else:
+        assert report["partitions_per_query"] < 1.0

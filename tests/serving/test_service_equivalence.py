@@ -20,11 +20,7 @@ from repro.core.queries import (
 )
 from repro.serving import QueryRequest, QueryService
 
-# "processes" is accepted but coerced to "threads" by QueryService (fork
-# from a multithreaded serving process can deadlock on inherited locks);
-# parametrizing it here proves the coerced configuration still answers
-# identically to the serial reference.
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads")
 
 
 @pytest.fixture(scope="module")
@@ -303,15 +299,6 @@ def test_drain_on_shutdown_completes_backlog(tardis_small, query_mix):
     service.stop(drain=True)
     assert all(f.done() for f in futures)
     assert all(f.exception() is None for f in futures)
-
-
-def test_processes_executor_coerced_to_threads(tardis_small):
-    """Fork-based execution is unsupported in the multithreaded serving
-    process (handler threads may hold telemetry/cache/SLO locks at fork
-    time); the service must fall back to threads rather than deadlock."""
-    service = QueryService(tardis_small, executor="processes", jobs=2)
-    assert service.executor.kind == "threads"
-    assert service.stats()["config"]["executor"] == "threads"
 
 
 def test_unclustered_index_rejected_at_construction():

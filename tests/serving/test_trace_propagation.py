@@ -14,10 +14,7 @@ from repro.serving import QueryRequest, QueryService
 from repro.telemetry.spans import disable_tracing, enable_tracing
 from repro.telemetry.journal import EventJournal
 
-# "processes" is coerced to "threads" inside QueryService (fork from a
-# multithreaded server can deadlock); parametrizing it proves the
-# coercion path still stitches one trace per request.
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads")
 
 SEGMENTS = ("serve/queue-wait", "serve/batch-wait", "serve/execute")
 

@@ -1,9 +1,8 @@
 """Kernel cost counters, perf reports, and collapsed-stack profiles.
 
 Covers the ``repro.telemetry.perf`` contract end to end: counter
-arithmetic and the snapshot/delta/absorb fork-merge triple, registry
-publication idempotence, the ``repro.perf/v1`` report and validator,
-collapsed-stack conversion, attribution accounting — and the two
+arithmetic, registry publication idempotence, the ``repro.perf/v1``
+report and validator, collapsed-stack conversion — and the two
 acceptance gates: disabled counters never reach ``record`` on the
 batch-kNN hot path, and cross-backend answer equivalence holds with
 counters on.
@@ -21,10 +20,8 @@ from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.perf import (
     KERNELS,
     PERF_SCHEMA,
-    TOP_LEVEL_KERNELS,
     FoldedAccumulator,
     KernelProfiler,
-    attributed_fraction,
     disable_kernel_counters,
     enable_kernel_counters,
     folded_to_lines,
@@ -91,56 +88,6 @@ def test_seconds_lookup_for_missing_kernel_is_zero():
     prof = KernelProfiler()
     prof.enable()
     assert prof.seconds("never_ran") == 0.0
-
-
-# ---------------------------------------------------------------------------
-# snapshot / delta / absorb (the fork-merge triple)
-
-
-def test_delta_since_reports_only_new_work():
-    prof = KernelProfiler()
-    prof.enable()
-    prof.record("encode", elements=5, seconds=0.1)
-    snap = prof.snapshot()
-    prof.record("encode", elements=3, seconds=0.2)
-    prof.record("mindist", elements=1, seconds=0.05)
-    delta = prof.delta_since(snap)
-    # deltas are (calls, elements, seconds) tuples, absorb-ready
-    assert delta["encode"][0] == 1
-    assert delta["encode"][1] == 3
-    assert delta["encode"][2] == pytest.approx(0.2)
-    assert delta["mindist"][0] == 1
-    assert "euclidean" not in delta
-
-
-def test_absorb_merges_child_deltas():
-    parent = KernelProfiler()
-    parent.enable()
-    parent.record("euclidean", elements=10, seconds=0.3)
-    parent.absorb({"euclidean": (2, 4, 0.1), "deserialize": (1, 9, 0.01)})
-    totals = parent.totals()
-    assert totals["euclidean"]["calls"] == 3
-    assert totals["euclidean"]["elements"] == 14
-    assert totals["euclidean"]["seconds"] == pytest.approx(0.4)
-    assert totals["deserialize"]["elements"] == 9
-
-
-def test_absorb_empty_delta_is_a_no_op():
-    prof = KernelProfiler()
-    prof.enable()
-    prof.absorb({})
-    assert prof.totals() == {}
-
-
-def test_delta_round_trips_through_absorb():
-    child = KernelProfiler()
-    child.enable()
-    snap = child.snapshot()
-    child.record("paa", elements=8, seconds=0.125)
-    parent = KernelProfiler()
-    parent.enable()
-    parent.absorb(child.delta_since(snap))
-    assert parent.totals() == child.totals()
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +158,6 @@ def test_summarize_kernels_orders_by_seconds():
     table = summarize_kernels(kernels, limit=1)
     assert "sax" in table
     assert "paa" not in table  # limit=1 keeps only the hottest kernel
-
-
-# ---------------------------------------------------------------------------
-# attribution accounting
-
-
-def test_attributed_fraction_sums_top_level_only():
-    kernels = {
-        "route": {"calls": 1, "elements": 1, "seconds": 0.2},
-        "exec_compute": {"calls": 1, "elements": 1, "seconds": 0.6},
-        # fine-grained kernels nest inside exec_compute: not re-counted
-        "euclidean": {"calls": 9, "elements": 9, "seconds": 0.5},
-    }
-    attributed_s, fraction = attributed_fraction(kernels, wall_s=1.0)
-    assert attributed_s == pytest.approx(0.8)
-    assert fraction == pytest.approx(0.8)
-    assert "euclidean" not in TOP_LEVEL_KERNELS
-
-
-def test_attributed_fraction_zero_wall_is_zero():
-    assert attributed_fraction({}, 0.0) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +395,7 @@ def test_served_point_read_is_flat(tardis_small, rw_small, monkeypatch, size):
 def test_cross_backend_answers_identical_with_counters_on(
     tardis_small, heldout_queries
 ):
-    """serial vs forked processes agree while counters run in both."""
+    """serial vs threads agree while counters run in both."""
     from repro.cluster.executors import make_executor
     from repro.core.batch import batch_knn_target_node
 
@@ -478,18 +404,19 @@ def test_cross_backend_answers_identical_with_counters_on(
     serial = batch_knn_target_node(
         index, queries, k=5, executor=make_executor("serial", 1)
     )
-    forked = batch_knn_target_node(
-        index, queries, k=5, executor=make_executor("processes", 2)
+    threaded = batch_knn_target_node(
+        index, queries, k=5, executor=make_executor("threads", 2)
     )
     assert [r.record_ids for r in serial.results] == \
-        [r.record_ids for r in forked.results]
+        [r.record_ids for r in threaded.results]
     totals = KERNELS.totals()
-    # Child kernel deltas crossed the pipe and were absorbed: the fork
-    # pass contributes serialize/deserialize on top of serial's compute.
-    assert "exec_compute" in totals
-    assert "exec_serialize" in totals
-    assert "exec_deserialize" in totals
-    assert totals["exec_serialize"]["elements"] > 0
+    # Both passes charged their task bodies and dispatch residual, and
+    # each routed its whole query set in one batched call.
+    assert totals["exec_compute"]["calls"] > 0
+    assert totals["exec_dispatch"]["calls"] == 2
+    assert totals["route"]["calls"] == 2
+    assert totals["route"]["elements"] == 2 * len(queries)
+    assert totals["euclidean"]["calls"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -276,3 +276,40 @@ class TestMultiFormatBuild:
         bad.write_text("x")
         with pytest.raises(SystemExit, match="unsupported"):
             main(["build", "--data", str(bad), "--out", str(tmp_path / "i")])
+
+
+class TestExecutorEnvironment:
+    """A bad ``REPRO_EXECUTOR`` / ``REPRO_JOBS`` stops the command up
+    front with one line naming the variable, never mid-build."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_default(self, monkeypatch):
+        from repro.cluster import executors
+
+        monkeypatch.setattr(executors, "_default", None)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_EXECUTOR", "bogus"),
+        ("REPRO_EXECUTOR", "processes"),
+        ("REPRO_JOBS", "two"),
+        ("REPRO_JOBS", "0"),
+    ])
+    def test_bad_value_exits_before_work(self, workspace, tmp_path,
+                                         monkeypatch, name, value):
+        _root, data, _index = workspace
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "idx"
+        with pytest.raises(SystemExit, match=f"{name}={value!r}"):
+            main(["build", "--data", str(data), "--out", str(out)])
+        assert not out.exists()
+
+    def test_explicit_flag_wins_over_bad_environment(self, workspace,
+                                                     tmp_path, monkeypatch):
+        _root, data, _index = workspace
+        monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
+        assert main(["build", "--executor", "serial", "--data", str(data),
+                     "--out", str(tmp_path / "idx"),
+                     "--partition-capacity", "300",
+                     "--leaf-capacity", "30", "-q"]) == 0

@@ -1,5 +1,5 @@
-"""Cross-backend equivalence: serial, threads, and processes executors
-must be observationally identical.
+"""Cross-backend equivalence: the serial and threads executors must be
+observationally identical.
 
 The executor layer changes *how fast the wall clock runs*, never what is
 computed: index contents, query answers, ledger stage structure (labels,
@@ -30,7 +30,7 @@ from repro.core import (
 from repro.core.batch import batch_exact_match, batch_knn_target_node
 from repro.tsdb import random_walk
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads")
 
 N_SERIES = 900
 CONFIG_KW = dict(g_max_size=150, l_max_size=25, pth=4)
@@ -220,9 +220,7 @@ class TestFaultJournalEquivalence:
 
     The injector's draws hash (seed, rule, site) instead of consuming a
     shared RNG stream, so thread interleaving cannot move a fault from
-    one site to another.  (The processes backend recovers identically
-    but journals inside forked children, so only serial/threads can
-    assert on journal bytes.)
+    one site to another.
     """
 
     FAULT_PLAN = {
