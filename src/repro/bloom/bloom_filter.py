@@ -65,30 +65,44 @@ class BloomFilter:
         n_hashes = max(1, round(n_bits / expected_items * math.log(2)))
         return cls(n_bits=n_bits, n_hashes=n_hashes)
 
-    def _positions(self, item: str | bytes) -> np.ndarray:
-        h1, h2 = _digest_pair(item)
+    def _positions(self, items) -> np.ndarray:
+        """The ``(n, k)`` probe positions ``(h1 + i * h2) mod n_bits`` of
+        ``items``, the sum and product wrapping at 2**64."""
+        digests = np.array(
+            [_digest_pair(item) for item in items], dtype=np.uint64
+        ).reshape(-1, 2)
         i = np.arange(self.n_hashes, dtype=np.uint64)
-        return (h1 + i * h2) % np.uint64(self.n_bits)
+        return (digests[:, :1] + i * digests[:, 1:]) % np.uint64(self.n_bits)
 
     def add(self, item: str | bytes) -> None:
-        """Insert an item (idempotent).
+        """Insert an item (idempotent): :meth:`add_many` of one."""
+        self.add_many([item])
+
+    def add_many(self, items) -> None:
+        """Insert ``items`` in order, leaving what a loop of adds leaves.
 
         ``n_items`` counts *distinct* bit patterns: re-adding an item whose
         probe bits are all set already changes nothing, so it is not
         counted — otherwise duplicate-heavy inserts (every record sharing a
         leaf signature) would inflate the count that sizes reports and
-        drives :meth:`estimated_fp_rate` interpretation.
+        drives :meth:`estimated_fp_rate` interpretation.  In one batch an
+        item therefore counts iff it is the first to set some bit: a
+        position clear beforehand whose first occurrence, in item order,
+        is its own.  One digest per item, one ``(n, k)`` position array,
+        one bit write.
         """
-        positions = self._positions(item)
+        positions = self._positions(items).ravel()
         mask = (1 << (positions & 7)).astype(np.uint8)
-        if bool(np.all(self.bits[positions >> 3] & mask)):
+        clear = (self.bits[positions >> 3] & mask) == 0
+        if not clear.any():
             return
+        _bits, first = np.unique(positions, return_index=True)
+        self.n_items += len(np.unique(first[clear[first]] // self.n_hashes))
         np.bitwise_or.at(self.bits, positions >> 3, mask)
-        self.n_items += 1
 
     def __contains__(self, item: str | bytes) -> bool:
         """Membership test: False is definitive, True may be spurious."""
-        positions = self._positions(item)
+        positions = self._positions([item])[0]
         mask = (1 << (positions & 7)).astype(np.uint8)
         return bool(np.all(self.bits[positions >> 3] & mask))
 

@@ -53,7 +53,7 @@ REGION_PREFIX_BITS = 2
 #: more than any such rounding: soundness over pruning power.
 _ROW_BOUND_SLACK = 1e-9
 
-#: Legacy entry layout, still used at API edges (persistence, validate):
+#: Legacy entry layout, still used at API edges (build input, validate):
 #: (full-cardinality signature, record id, series-or-None).
 Entry = tuple[str, int, "np.ndarray | None"]
 
@@ -348,8 +348,8 @@ class LocalPartition:
     def all_entries(self) -> list[Entry]:
         """Legacy tuple materialization, in tree-traversal order.
 
-        Kept for the structural consumers (persistence, validate,
-        rebalance, tests); the query path never calls it.
+        Kept for the structural consumers (validate, rebalance, tests);
+        the query path and persistence never call it.
         """
         rows = self.entries_under(self.tree.root)
         return [self.block.entry_at(int(row)) for row in rows]
@@ -376,10 +376,12 @@ class LocalPartition:
         The one write body: the rows go into the block in one
         :meth:`~repro.core.columnar.ColumnarBlock.append_rows`, then each
         is threaded through the tree (leaves split as they overflow, the
-        version moves once per row), the Bloom filter and the region
-        synopsis — the state row-by-row insertion leaves.  ``symbols`` is
-        the rows' ``(m, w)`` SAX symbol matrix when the caller's
-        conversion still has it; without it the signatures are decoded.
+        version moves once per row) and the region synopsis, and the
+        group goes into the Bloom filter in one
+        :meth:`~repro.bloom.BloomFilter.add_many` — the state row-by-row
+        insertion leaves.  ``symbols`` is the rows' ``(m, w)`` SAX symbol
+        matrix when the caller's conversion still has it; without it the
+        signatures are decoded.
         Returns the region prefixes the synopsis gained, in first-seen
         order (what cached region bounds must be told about).
         """
@@ -393,12 +395,12 @@ class LocalPartition:
         gained = []
         for at, signature in enumerate(signatures):
             self.tree.insert_entry(row + at)
-            if with_bloom:
-                self.bloom.add(signature)
             prefix = self.region_prefix(signature)
             if prefix not in self.region_prefixes:
                 self.region.add([prefix])
                 gained.append(prefix)
+        if with_bloom:
+            self.bloom.add_many(signatures)
         self.n_records += len(signatures)
         self.nbytes += (
             sum(map(len, signatures)) + 8 * len(signatures)
@@ -468,12 +470,13 @@ def build_local_partition(
     """Construct Tardis-L for one partition (the ``mapPartition`` of Fig. 8).
 
     The columnar block is built first — one pass assembles the value
-    matrix, record ids, and the batch-decoded symbol matrix — then rows
-    are threaded through the sigTree while the Bloom filter and region
-    synopsis are encoded from the same signature array, as the paper's
-    single-pass pipeline does.  ``with_bloom=False`` models the NoBF
-    variant — a (tiny) filter is still allocated so the structure stays
-    uniform, but nothing is inserted and queries must not consult it.
+    matrix, record ids, and the batch-decoded symbol matrix — then the
+    sigTree is bulk-loaded over its rows and the Bloom filter (one batched
+    insert) and region synopsis are encoded from the same signature
+    array, as the paper's single-pass pipeline does.
+    ``with_bloom=False`` models the NoBF variant — a (tiny) filter is
+    still allocated so the structure stays uniform, but nothing is
+    inserted and queries must not consult it.
     """
     tree = SigTree(
         word_length=config.word_length,
@@ -496,12 +499,10 @@ def build_local_partition(
         nbytes=0,
         block=block,
     )
-    for row in range(block.n_rows):
-        tree.insert_entry(row)
+    tree.bulk_load()
     signatures = block.signatures.tolist()
     if with_bloom:
-        for signature in signatures:
-            bloom.add(signature)
+        bloom.add_many(signatures)
     chars = partition._region_chars
     partition.region.add({s[:chars] for s in signatures})
     nbytes = 0

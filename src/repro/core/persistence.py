@@ -11,17 +11,37 @@ versions — no pickle.
       meta.json             # config, dataset identity, counts
       global_index.json     # sigTree nodes: signature, count, pid
       partitions/
-        p00000.npz          # signatures, record ids, series, bloom bits
+        p00000.npz          # one zip of .npy members per partition:
+                            #   signatures, record_ids, region_prefixes,
+                            #   bloom_bits, bloom_geometry, nbytes (deflated)
+                            #   values_low   (m, n, 6) uint8, stored raw
+                            #   values_high  (2, m, n) uint8, deflated
 
-Local sigTrees are rebuilt by re-inserting the stored entries (insertion
-is deterministic and fast); Bloom filters are restored bit-exactly, so
-the no-false-negative guarantee carries over without re-hashing.
+Format 3 stores a partition's ``(m, n)`` float64 value matrix as byte
+planes of its little-endian bytes.  The six low-order planes are
+mantissa noise that no compressor shrinks, so ``values_low`` is written
+uncompressed; the two high-order planes (sign, exponent, top mantissa
+bits) are where the redundancy is, so ``values_high`` holds them
+plane-major and deflated at :data:`_HIGH_LEVEL`.  The shapes travel in
+the ``.npy`` headers, and ``np.load`` still lists every member.  Format 2
+(one deflated ``values`` member) is still read.
+
+A save writes one file per partition and removes any other ``p*.npz``
+left in the directory, so a smaller index saved over a larger one does
+not inherit its partitions; a load refuses a directory whose partition
+files are not exactly the partitions Tardis-G references.  Local
+sigTrees are rebuilt from the stored rows by one
+:meth:`SigTree.bulk_load` (the tree row-by-row inserts would build);
+Bloom filters are restored bit-exactly, so the no-false-negative
+guarantee carries over without re-hashing.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +60,18 @@ __all__ = ["save_index", "load_index"]
 
 logger = logging.getLogger(__name__)
 
-#: Bumped to 2 when the per-partition region synopsis was added.
-_FORMAT_VERSION = 2
+#: Bumped to 2 when the per-partition region synopsis was added, to 3
+#: when the value matrix moved to byte planes.
+_FORMAT_VERSION = 3
+#: Versions :func:`load_index` reads.
+_READABLE_VERSIONS = (2, 3)
+
+#: Low-order bytes of every float64 stored raw in ``values_low``; the
+#: rest go plane-major into ``values_high``.
+_RAW_PLANES = 6
+#: zlib level of ``values_high``: its planes are nearly constant, so the
+#: cheapest level already finds their runs.
+_HIGH_LEVEL = 1
 
 
 def _string_array(strings) -> np.ndarray:
@@ -52,9 +82,45 @@ def _string_array(strings) -> np.ndarray:
     chars at the default 9 bits × 32 words), and a truncated signature
     corrupts every lookup after a round-trip.
     """
-    strings = list(strings)
-    width = max((len(s) for s in strings), default=1)
-    return np.array(strings, dtype=f"U{max(1, width)}")
+    strings = np.asarray(strings, dtype=str)
+    return strings.astype(f"U{np.char.str_len(strings).max(initial=1)}")
+
+
+def _split_planes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values_low, values_high)`` of an ``(m, n)`` float64 matrix."""
+    planes = np.ascontiguousarray(values, dtype="<f8").view(np.uint8)
+    planes = planes.reshape(*values.shape, 8)
+    low = np.ascontiguousarray(planes[..., :_RAW_PLANES])
+    high = np.ascontiguousarray(np.moveaxis(planes[..., _RAW_PLANES:], -1, 0))
+    return low, high
+
+
+def _join_planes(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The float64 matrix :func:`_split_planes` took apart, bit-exactly."""
+    m, n = low.shape[:2]
+    planes = np.empty((m, n, 8), dtype=np.uint8)
+    planes[..., :_RAW_PLANES] = low
+    planes[..., _RAW_PLANES:] = np.moveaxis(high, 0, -1)
+    return planes.view("<f8").reshape(m, n).astype(np.float64, copy=False)
+
+
+def _write_members(file: Path, members: dict) -> None:
+    """One ``.npz`` of ``.npy`` members: ``values_low`` stored,
+    ``values_high`` deflated at :data:`_HIGH_LEVEL`, the rest deflated at
+    zlib's default level."""
+    with zipfile.ZipFile(file, "w") as archive:
+        for name, array in members.items():
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, array, allow_pickle=False)
+            if name == "values_low":
+                method, level = zipfile.ZIP_STORED, None
+            else:
+                method = zipfile.ZIP_DEFLATED
+                level = _HIGH_LEVEL if name == "values_high" else None
+            archive.writestr(
+                f"{name}.npy", buffer.getvalue(),
+                compress_type=method, compresslevel=level,
+            )
 
 
 def save_index(index: TardisIndex, path: str | Path) -> None:
@@ -103,38 +169,47 @@ def save_index(index: TardisIndex, path: str | Path) -> None:
     }
     (root / "global_index.json").write_text(json.dumps(global_doc))
 
+    written = set()
     for pid, partition in index.partitions.items():
-        entries = partition.all_entries()
-        signatures = _string_array(e[0] for e in entries)
-        rids = np.array([e[1] for e in entries], dtype=np.int64)
-        if index.clustered and entries:
-            values = np.vstack([e[2] for e in entries])
+        # The live rows in tree order — what a reload re-indexes as rows
+        # 0..m-1 — one gather per column.
+        rows = partition.entries_under(partition.tree.root)
+        block = partition.block
+        if index.clustered and len(rows):
+            values = block.values[rows]
         else:
             values = np.zeros((0, index.series_length))
-        np.savez_compressed(
-            root / "partitions" / f"p{pid:05d}.npz",
-            signatures=signatures,
-            record_ids=rids,
-            values=values,
-            region_prefixes=_string_array(sorted(partition.region_prefixes)),
-            bloom_bits=partition.bloom.bits,
-            bloom_geometry=np.array(
+        values_low, values_high = _split_planes(values)
+        file = root / "partitions" / f"p{pid:05d}.npz"
+        _write_members(file, {
+            "signatures": _string_array(block.signatures[rows]),
+            "record_ids": block.record_ids[rows],
+            "values_low": values_low,
+            "values_high": values_high,
+            "region_prefixes": _string_array(sorted(partition.region_prefixes)),
+            "bloom_bits": partition.bloom.bits,
+            "bloom_geometry": np.array(
                 [partition.bloom.n_bits, partition.bloom.n_hashes,
                  partition.bloom.n_items],
                 dtype=np.int64,
             ),
-            nbytes=np.array([partition.nbytes], dtype=np.int64),
-        )
+            "nbytes": np.array([partition.nbytes], dtype=np.int64),
+        })
+        written.add(file.name)
+    # A smaller index saved over a larger one must not leave the larger
+    # one's partitions behind.
+    for file in (root / "partitions").glob("p*.npz"):
+        if file.name not in written:
+            file.unlink()
 
 
 def load_index(path: str | Path) -> TardisIndex:
     """Reconstruct a :class:`TardisIndex` saved by :func:`save_index`."""
     root = Path(path)
     meta = json.loads((root / "meta.json").read_text())
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported index format version {meta.get('format_version')}"
-        )
+    version = meta.get("format_version")
+    if version not in _READABLE_VERSIONS:
+        raise ValueError(f"unsupported index format version {version}")
     config = TardisConfig(**meta["config"])
 
     global_index = TardisGlobalIndex(config)
@@ -151,18 +226,36 @@ def load_index(path: str | Path) -> TardisIndex:
     _synchronize_id_lists(global_index.tree)
     global_index.n_partitions = meta["n_partitions"]
 
-    partitions: dict[int, LocalPartition] = {}
-    for file in sorted((root / "partitions").glob("p*.npz")):
-        pid = int(file.stem[1:])
-        payload = np.load(file, allow_pickle=False)
-        tree = SigTree(
-            word_length=config.word_length,
-            max_bits=config.cardinality_bits,
-            split_threshold=config.l_max_size,
+    files = {
+        int(file.stem[1:]): file
+        for file in (root / "partitions").glob("p*.npz")
+    }
+    referenced = {
+        node["partition_id"] for node in global_doc["nodes"]
+        if node["partition_id"] is not None
+    }
+    if set(files) != referenced:
+        raise ValueError(
+            f"{root}: partition files do not match Tardis-G (stray "
+            f"{sorted(set(files) - referenced)}, missing "
+            f"{sorted(referenced - set(files))})"
         )
-        signatures = payload["signatures"]
-        rids = payload["record_ids"]
-        values = payload["values"]
+
+    partitions: dict[int, LocalPartition] = {}
+    for pid in sorted(files):
+        with np.load(files[pid], allow_pickle=False) as payload:
+            signatures = payload["signatures"]
+            rids = payload["record_ids"]
+            if version == 2:
+                values = payload["values"]
+            else:
+                values = _join_planes(
+                    payload["values_low"], payload["values_high"]
+                )
+            bloom_geometry = payload["bloom_geometry"]
+            bloom_bits = payload["bloom_bits"]
+            nbytes = int(payload["nbytes"][0])
+            region_prefixes = payload["region_prefixes"]
         clustered = meta["clustered"] and len(values) == len(rids)
         symbols, _bits = batch_decode_signatures(
             signatures, config.word_length
@@ -175,12 +268,16 @@ def load_index(path: str | Path) -> TardisIndex:
             signatures=np.asarray(signatures),
             symbols=symbols,
         )
+        tree = SigTree(
+            word_length=config.word_length,
+            max_bits=config.cardinality_bits,
+            split_threshold=config.l_max_size,
+        )
         tree.attach_block(block)
-        for row in range(block.n_rows):
-            tree.insert_entry(row)
-        n_bits, n_hashes, n_items = payload["bloom_geometry"]
+        tree.bulk_load()
+        n_bits, n_hashes, n_items = bloom_geometry
         bloom = BloomFilter(n_bits=int(n_bits), n_hashes=int(n_hashes))
-        bloom.bits = payload["bloom_bits"].copy()
+        bloom.bits = bloom_bits
         bloom.n_items = int(n_items)
         partitions[pid] = LocalPartition(
             partition_id=pid,
@@ -188,10 +285,9 @@ def load_index(path: str | Path) -> TardisIndex:
             bloom=bloom,
             n_records=len(rids),
             clustered=meta["clustered"],
-            nbytes=int(payload["nbytes"][0]),
+            nbytes=nbytes,
             region=RegionSynopsis(
-                config.word_length,
-                (str(p) for p in payload["region_prefixes"]),
+                config.word_length, (str(p) for p in region_prefixes)
             ),
             block=block,
         )

@@ -12,7 +12,8 @@ The same structure backs both TARDIS indices:
   (:meth:`SigTree.insert_stat_node`) and stores partition ids at leaves.
 * **Tardis-L** populates it with actual data *entries*
   (:meth:`SigTree.insert_entry`), splitting leaves that exceed the
-  ``split_threshold`` by one bit plane.
+  ``split_threshold`` by one bit plane; a whole block is indexed at once
+  by :meth:`SigTree.bulk_load`, which leaves the same tree.
 
 Nodes are doubly linked (parent and children) so query processing can reach
 sibling nodes/partitions through the parent, as the paper requires for the
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator
+
+import numpy as np
 
 from .isaxt import chars_per_plane, signature_bits
 
@@ -227,6 +230,56 @@ class SigTree:
             child.count += 1
         leaf.entries = []
         return leaf.children[self._prefix(followed, next_layer)]
+
+    def bulk_load(self) -> None:
+        """Index rows ``0..n-1`` of the attached block into this empty tree.
+
+        The whole-array body of ``n`` :meth:`insert_entry` calls, leaving
+        the same tree.  A leaf splits the moment it holds
+        ``split_threshold + 1`` entries and counts never fall while a tree
+        is built, so a node ends up split iff its final count exceeds the
+        threshold and ``layer < max_bits``.  Each node's rows are grouped
+        by their next-plane prefix; children are created in the rows'
+        first-occurrence order and a leaf keeps its rows in row order.
+        Signatures are validated once per distinct value; the version
+        advances by ``n``.
+        """
+        if self.block is None:
+            raise ValueError("bulk_load needs an attached block")
+        if self.root.count or self.root.children:
+            raise ValueError("bulk_load builds an empty tree only")
+        signatures = self.block.signatures
+        for signature in set(signatures.tolist()):
+            self._check_full_signature(signature)
+        n = len(signatures)
+        self.root.count = n
+        # The root holds no entries (paper §III-B): it always splits.
+        stack = [(self.root, np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            if node.layer and (
+                len(rows) <= self.split_threshold
+                or node.layer >= self.max_bits
+            ):
+                node.entries = rows.tolist()
+                continue
+            layer = node.layer + 1
+            keys = signatures[rows].astype(f"U{layer * self.per_plane}")
+            prefixes, first, group = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            counts = np.bincount(group, minlength=len(prefixes))
+            starts = np.cumsum(counts) - counts
+            grouped = rows[np.argsort(group, kind="stable")]
+            for at in np.argsort(first):
+                start, count = int(starts[at]), int(counts[at])
+                key = str(prefixes[at])
+                child = SigTreeNode(
+                    signature=key, layer=layer, parent=node, count=count
+                )
+                node.children[key] = child
+                stack.append((child, grouped[start:start + count]))
+        self.version += n
 
     # -- Tardis-G style construction (node statistics) ----------------------------
 

@@ -141,3 +141,64 @@ class TestUnion:
         a = BloomFilter(n_bits=256, n_hashes=3)
         b = BloomFilter(n_bits=256, n_hashes=3)
         assert a.union(b).n_items == 0
+
+
+class TestAddMany:
+    """``add_many`` leaves the bits and ``n_items`` of adds one at a time."""
+
+    @staticmethod
+    def _sequential(bf, items):
+        """Reference: the one-item insert, counting an item iff it set a
+        bit that was clear."""
+        import numpy as np
+
+        from repro.bloom.bloom_filter import _digest_pair
+
+        i = np.arange(bf.n_hashes, dtype=np.uint64)
+        for item in items:
+            h1, h2 = _digest_pair(item)
+            positions = (h1 + i * h2) % np.uint64(bf.n_bits)
+            mask = (1 << (positions & 7)).astype(np.uint8)
+            if bool(np.all(bf.bits[positions >> 3] & mask)):
+                continue
+            np.bitwise_or.at(bf.bits, positions >> 3, mask)
+            bf.n_items += 1
+
+    items = st.lists(
+        st.one_of(st.text(alphabet="abc", max_size=3), st.binary(max_size=2)),
+        max_size=30,
+    )
+
+    @given(
+        n_bits=st.integers(8, 48), n_hashes=st.integers(1, 5),
+        prefill=items, batch=items,
+    )
+    @settings(max_examples=200)
+    def test_equals_one_at_a_time(self, n_bits, n_hashes, prefill, batch):
+        many, loop, reference = (
+            BloomFilter(n_bits=n_bits, n_hashes=n_hashes) for _ in range(3)
+        )
+        for bf in (many, loop, reference):
+            self._sequential(bf, prefill)
+        many.add_many(batch)
+        for item in batch:
+            loop.add(item)
+        self._sequential(reference, batch)
+        for bf in (many, loop):
+            assert bf.bits.tobytes() == reference.bits.tobytes()
+            assert bf.n_items == reference.n_items
+
+    def test_duplicates_and_collisions_count_once(self):
+        bf = BloomFilter(n_bits=8, n_hashes=2)
+        bf.add_many(["x", "x", b"x", "y"])
+        reference = BloomFilter(n_bits=8, n_hashes=2)
+        self._sequential(reference, ["x", "x", b"x", "y"])
+        assert bf.n_items == reference.n_items <= 2
+        assert bf.bits.tobytes() == reference.bits.tobytes()
+
+    def test_empty_batch_changes_nothing(self):
+        bf = BloomFilter(n_bits=64, n_hashes=3)
+        bf.add("seed")
+        before = (bf.bits.tobytes(), bf.n_items)
+        bf.add_many([])
+        assert (bf.bits.tobytes(), bf.n_items) == before

@@ -148,3 +148,229 @@ class TestCorruption:
         (tmp_path / "idx" / "global_index.json").unlink()
         with pytest.raises(FileNotFoundError):
             load_index(tmp_path / "idx")
+
+
+# ---------------------------------------------------------------------------
+# format 3: byte-plane codec, stale partitions, format-2 compatibility
+
+
+def _state(index):
+    """Everything a save/load must carry, in comparable form."""
+    parts = []
+    for pid, partition in index.partitions.items():
+        block, tree = partition.block, partition.tree
+        nodes = [
+            (node.signature, node.layer, node.count, list(node.entries),
+             list(node.children))
+            for node in tree.iter_nodes()
+        ]
+        parts.append((
+            pid, partition.n_records, partition.nbytes, partition.clustered,
+            block.record_ids.tolist(), block.signatures.tolist(),
+            block.signatures.dtype.str, block.symbols.tolist(),
+            None if block.values is None
+            else block.values.view(np.uint64).tolist(),
+            nodes, tree.version,
+            partition.bloom.bits.tobytes(), partition.bloom.n_items,
+            sorted(partition.region_prefixes),
+        ))
+    return index.n_records, parts
+
+
+def _logical(index):
+    """:func:`_state` up to row numbering.  A save writes the live rows in
+    tree order and a load re-indexes them as rows ``0..m-1``, so a
+    reloaded block is a permutation of the saved one."""
+    parts = []
+    for pid, partition in index.partitions.items():
+        block, tree = partition.block, partition.tree
+        rid = block.record_ids
+        nodes = sorted(
+            (node.signature, node.layer, node.count,
+             sorted(rid[node.entries].tolist()))
+            for node in tree.iter_nodes()
+        )
+        live = partition.entries_under(tree.root)
+        records = sorted(
+            (int(rid[row]), str(block.signatures[row]),
+             None if block.values is None
+             else block.values[row].view(np.uint64).tolist())
+            for row in live
+        )
+        parts.append((
+            pid, partition.n_records, partition.nbytes, partition.clustered,
+            nodes, records, partition.bloom.bits.tobytes(),
+            partition.bloom.n_items, sorted(partition.region_prefixes),
+        ))
+    return index.n_records, parts
+
+
+def _string_array_v2(strings) -> np.ndarray:
+    strings = list(strings)
+    width = max((len(s) for s in strings), default=1)
+    return np.array(strings, dtype=f"U{max(1, width)}")
+
+
+def _save_format2(index, path):
+    """The format-2 layout: one deflated ``values`` member per partition."""
+    import json
+
+    save_index(index, path)
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["format_version"] = 2
+    meta_path.write_text(json.dumps(meta, indent=2))
+    root = path
+    for pid, partition in index.partitions.items():
+        entries = partition.all_entries()
+        signatures = _string_array_v2(e[0] for e in entries)
+        rids = np.array([e[1] for e in entries], dtype=np.int64)
+        if index.clustered and entries:
+            values = np.vstack([e[2] for e in entries])
+        else:
+            values = np.zeros((0, index.series_length))
+        np.savez_compressed(
+            root / "partitions" / f"p{pid:05d}.npz",
+            signatures=signatures,
+            record_ids=rids,
+            values=values,
+            region_prefixes=_string_array_v2(sorted(partition.region_prefixes)),
+            bloom_bits=partition.bloom.bits,
+            bloom_geometry=np.array(
+                [partition.bloom.n_bits, partition.bloom.n_hashes,
+                 partition.bloom.n_items],
+                dtype=np.int64,
+            ),
+            nbytes=np.array([partition.nbytes], dtype=np.int64),
+        )
+
+
+def _small_index(n, seed=5, **kw):
+    from repro.core import TardisConfig, build_tardis_index
+    from repro.tsdb import random_walk
+
+    dataset = random_walk(n, length=32, seed=seed).z_normalized()
+    config = TardisConfig(g_max_size=300, l_max_size=30)
+    return build_tardis_index(dataset, config, **kw), dataset
+
+
+class TestByteplaneCodec:
+    def test_special_values_round_trip_bit_exactly(self, tmp_path):
+        from repro.core.persistence import (
+            _join_planes, _split_planes, _write_members,
+        )
+
+        nan_payload = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64)
+        special = np.array([
+            -0.0, 0.0, np.inf, -np.inf, np.nan,
+            nan_payload.view(np.float64)[0],
+            5e-324, -5e-324, 2.2250738585072009e-308,
+            np.finfo(np.float64).max, -np.finfo(np.float64).max,
+            np.finfo(np.float64).tiny, 1.0, -1.5, np.pi,
+        ])
+        values = np.tile(special, (3, 1))
+        values[1] = special[::-1]
+        _write_members(tmp_path / "p.npz", dict(zip(
+            ("values_low", "values_high"), _split_planes(values)
+        )))
+        with np.load(tmp_path / "p.npz", allow_pickle=False) as payload:
+            assert sorted(payload.files) == ["values_high", "values_low"]
+            back = _join_planes(payload["values_low"], payload["values_high"])
+        assert back.dtype == np.float64 and back.shape == values.shape
+        np.testing.assert_array_equal(
+            back.view(np.uint64), values.view(np.uint64)
+        )
+
+    def test_partition_file_layout(self, tardis_small, tmp_path):
+        import zipfile
+
+        save_index(tardis_small, tmp_path / "idx")
+        file = tmp_path / "idx" / "partitions" / "p00000.npz"
+        with zipfile.ZipFile(file) as archive:
+            methods = {
+                info.filename: info.compress_type
+                for info in archive.infolist()
+            }
+        assert methods.pop("values_low.npy") == zipfile.ZIP_STORED
+        assert set(methods.values()) == {zipfile.ZIP_DEFLATED}
+        with np.load(file, allow_pickle=False) as payload:
+            low, high = payload["values_low"], payload["values_high"]
+            n_rows = len(payload["record_ids"])
+        length = tardis_small.series_length
+        assert low.shape == (n_rows, length, 6) and low.dtype == np.uint8
+        assert high.shape == (2, n_rows, length) and high.dtype == np.uint8
+
+    def test_reload_is_the_built_state(self, tardis_small, tmp_path):
+        save_index(tardis_small, tmp_path / "idx")
+        assert _logical(load_index(tmp_path / "idx")) == _logical(tardis_small)
+
+    def test_unclustered_round_trip(self, tmp_path):
+        index, _data = _small_index(600, clustered=False)
+        save_index(index, tmp_path / "idx")
+        back = load_index(tmp_path / "idx")
+        assert _logical(back) == _logical(index)
+        assert all(p.block.values is None for p in back.partitions.values())
+
+    def test_empty_partition_round_trips(self, tmp_path):
+        index, data = _small_index(600)
+        pid, victim = min(
+            index.partitions.items(), key=lambda item: item[1].n_records
+        )
+        for rid in victim.block.record_ids.tolist():
+            assert index.delete_series(data.values[rid], rid)
+        assert victim.n_records == 0 and victim.block.n_rows > 0
+        save_index(index, tmp_path / "idx")
+        back = load_index(tmp_path / "idx")
+        back.validate()
+        empty = back.partitions[pid]
+        assert empty.n_records == 0 and empty.tree.root.count == 0
+        assert empty.block.values.shape == (0, index.series_length)
+        save_index(back, tmp_path / "again")
+        assert _logical(load_index(tmp_path / "again")) == _logical(back)
+
+    def test_format2_directory_loads_like_format3(self, tmp_path):
+        index, _data = _small_index(600)
+        _save_format2(index, tmp_path / "v2")
+        save_index(index, tmp_path / "v3")
+        with np.load(tmp_path / "v2" / "partitions" / "p00000.npz") as payload:
+            assert "values" in payload.files
+        old, new = load_index(tmp_path / "v2"), load_index(tmp_path / "v3")
+        assert _state(old) == _state(new)
+        # ... and the format-2 load, re-saved as format 3, is the
+        # format-3 load re-saved.
+        save_index(old, tmp_path / "v2v3")
+        save_index(new, tmp_path / "v3v3")
+        assert _state(load_index(tmp_path / "v2v3")) == _state(
+            load_index(tmp_path / "v3v3")
+        )
+
+
+class TestStalePartitions:
+    def test_smaller_index_saved_over_larger_loads_alone(self, tmp_path):
+        big, _data = _small_index(3000)
+        small, _data = _small_index(600, seed=6)
+        assert len(big.partitions) > len(small.partitions) > 1
+        save_index(big, tmp_path / "d")
+        save_index(small, tmp_path / "d")
+        files = sorted((tmp_path / "d" / "partitions").glob("p*.npz"))
+        assert len(files) == len(small.partitions)
+        back = load_index(tmp_path / "d")
+        back.validate()
+        assert back.n_records == 600
+        save_index(small, tmp_path / "fresh")
+        assert _state(back) == _state(load_index(tmp_path / "fresh"))
+
+    def test_stray_partition_file_is_refused(self, tardis_small, tmp_path):
+        save_index(tardis_small, tmp_path / "idx")
+        partitions = tmp_path / "idx" / "partitions"
+        (partitions / "p00999.npz").write_bytes(
+            (partitions / "p00000.npz").read_bytes()
+        )
+        with pytest.raises(ValueError, match="stray \\[999\\]"):
+            load_index(tmp_path / "idx")
+
+    def test_missing_partition_file_is_refused(self, tardis_small, tmp_path):
+        save_index(tardis_small, tmp_path / "idx")
+        (tmp_path / "idx" / "partitions" / "p00001.npz").unlink()
+        with pytest.raises(ValueError, match="missing \\[1\\]"):
+            load_index(tmp_path / "idx")

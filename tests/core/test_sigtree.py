@@ -182,3 +182,82 @@ class TestFanout:
         for node in tree.iter_nodes():
             assert len(node.children) <= 16
         tree.validate()
+
+
+class TestBulkLoad:
+    """``bulk_load`` leaves exactly the tree of row-by-row inserts."""
+
+    @staticmethod
+    def _block(signatures):
+        from repro.core.columnar import ColumnarBlock
+
+        return ColumnarBlock.from_records(
+            [(s, rid, None) for rid, s in enumerate(signatures)],
+            word_length=4, clustered=False,
+        )
+
+    @staticmethod
+    def _walk(tree):
+        return [
+            (node.signature, node.layer, node.count, list(node.entries),
+             list(node.children))
+            for node in tree.iter_nodes()
+        ], tree.version
+
+    def _both(self, signatures, threshold, max_bits):
+        block = self._block(signatures)
+        inserted = make_tree(threshold=threshold, max_bits=max_bits)
+        inserted.attach_block(block)
+        for row in range(block.n_rows):
+            inserted.insert_entry(row)
+        bulk = make_tree(threshold=threshold, max_bits=max_bits)
+        bulk.attach_block(block)
+        bulk.bulk_load()
+        bulk.validate()
+        return self._walk(inserted), self._walk(bulk)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_row_by_row_inserts(self, data):
+        max_bits = data.draw(st.integers(1, 3))
+        threshold = data.draw(st.integers(1, 5))
+        top = (1 << max_bits) - 1
+        # A few distinct symbol words, drawn from often: rows share long
+        # prefixes and whole signatures, so leaves reach the last layer.
+        pool = data.draw(st.lists(
+            st.lists(st.integers(0, top), min_size=4, max_size=4),
+            min_size=1, max_size=4,
+        ))
+        words = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+        signatures = [sig(word, bits=max_bits) for word in words]
+        inserted, bulk = self._both(signatures, threshold, max_bits)
+        assert bulk == inserted
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_happens_past_the_threshold_only(self, n):
+        # Two rows sharing the first plane stay one leaf at threshold 2;
+        # a third splits it.
+        words = [[0b00, 0b01, 0b10, 0b11], [0b01, 0b00, 0b11, 0b10],
+                 [0b00, 0b00, 0b10, 0b10]][:n]
+        signatures = [sig(w, bits=2) for w in words]
+        inserted, bulk = self._both(signatures, threshold=2, max_bits=2)
+        assert bulk == inserted
+        (first,) = [node for node in bulk[0] if node[1] == 1]
+        assert (first[3] == []) == (n == 3)
+
+    def test_empty_block(self):
+        inserted, bulk = self._both([], threshold=2, max_bits=2)
+        assert bulk == inserted == ([("", 0, 0, [], [])], 0)
+
+    def test_refuses_a_populated_tree_and_bad_signatures(self):
+        tree = make_tree(threshold=2, max_bits=2)
+        with pytest.raises(ValueError, match="attached block"):
+            tree.bulk_load()
+        tree.attach_block(self._block([sig([0, 1, 2, 3], bits=2)]))
+        tree.bulk_load()
+        with pytest.raises(ValueError, match="empty tree"):
+            tree.bulk_load()
+        wrong = make_tree(threshold=2, max_bits=3)
+        wrong.attach_block(self._block([sig([0, 1, 2, 3], bits=2)]))
+        with pytest.raises(ValueError, match="3-bit-cardinality"):
+            wrong.bulk_load()

@@ -503,3 +503,57 @@ def test_served_write_batch_is_flat(tmp_path, monkeypatch):
     touched = set(ack.partition_ids)
     assert len(calls["blocks"]) == len(set(calls["blocks"])) == len(touched)
     assert len(touched) < 8  # some partition took several rows in one write
+
+
+# ---------------------------------------------------------------------------
+# construction and persistence are whole-array
+
+
+def test_build_and_load_are_flat(tmp_path, monkeypatch):
+    """``build_tardis_index`` and ``load_index`` index every partition in
+    one bulk tree body and one batched Bloom insert — no per-row
+    ``insert_entry``, no per-item ``add``, one digest per inserted item —
+    and a save stores the low value planes uncompressed.  Counts, no
+    clock: the set-up time they buy is gated in ``perf/`` (``setup_s``)."""
+    import zipfile
+
+    from repro.bloom import bloom_filter
+    from repro.core import (
+        TardisConfig, build_tardis_index, load_index, save_index,
+    )
+    from repro.core.sigtree import SigTree
+    from repro.tsdb import random_walk
+
+    calls = {"insert_entry": 0, "add": 0, "_digest_pair": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(SigTree, "insert_entry")
+    counted(bloom_filter.BloomFilter, "add")
+    counted(bloom_filter, "_digest_pair")
+    dataset = random_walk(1_200, length=32, seed=3).z_normalized()
+    index = build_tardis_index(
+        dataset, TardisConfig(g_max_size=300, l_max_size=20)
+    )
+    assert len(index.partitions) > 1
+    assert calls == {
+        "insert_entry": 0, "add": 0, "_digest_pair": len(dataset),
+    }
+    save_index(index, tmp_path / "idx")
+    back = load_index(tmp_path / "idx")
+    assert back.n_records == len(dataset)
+    assert calls == {
+        "insert_entry": 0, "add": 0, "_digest_pair": len(dataset),
+    }
+    for file in (tmp_path / "idx" / "partitions").glob("p*.npz"):
+        with zipfile.ZipFile(file) as archive:
+            info = archive.getinfo("values_low.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        assert info.compress_size == info.file_size
