@@ -26,10 +26,8 @@ generated ``.npz`` dataset.
 Observability (docs/OBSERVABILITY.md): ``-v``/``-q`` tune diagnostic
 logging; ``build``/``exact``/``knn``/``range`` accept ``--trace FILE``
 (JSON span tree of the run), ``--metrics FILE`` (Prometheus-style
-counters), ``--profile-spans [SUBSTR]`` (cProfile hot functions per
-span), ``--perf FILE`` (kernel-level cost counters as a
-``repro.perf/v1`` report), and ``--folded FILE`` (flamegraph-ready
-collapsed stacks from the span profiles); the query commands take
+counters) and ``--perf FILE`` (kernel-level cost counters as a
+``repro.perf/v1`` report); the query commands take
 ``--cache N`` to enable the LRU partition cache.  ``serve`` traces every request by default
 (``--no-trace-requests`` opts out), journals slow queries
 (``--slow-query-ms``, ``--journal-sample``, ``--journal FILE``), and
@@ -699,15 +697,13 @@ def _print_cluster_view(cluster: dict) -> None:
         flush=True,
     )
     for row in cluster.get("shards", []):
-        hot = row.get("hot_kernel")
         queue = row.get("queue_depth")
         print(
             f"    shard {row['shard_id']} | "
             f"qps {row.get('qps', 0.0):7.1f} | "
             f"shard-knn {row.get('shard_knn_requests', 0):.0f} | "
             f"queue {'-' if queue is None else int(queue)} | "
-            f"journal {row.get('journal_events', 0)}"
-            + (f" | hot {hot}" if hot else ""),
+            f"journal {row.get('journal_events', 0)}",
             flush=True,
         )
 
@@ -741,9 +737,6 @@ def _cmd_stats(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"invalid perf report {args.trace_file}: {exc}")
         print(telemetry.summarize_kernels(doc["kernels"], limit=args.depth))
-        profiles = doc.get("folded_profiles", 0)
-        if profiles:
-            print(f"({profiles} folded span profile(s) captured)")
         return 0
     try:
         print(telemetry.summarize_trace(doc, max_depth=args.depth))
@@ -760,20 +753,6 @@ def _add_telemetry_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--perf", metavar="FILE",
                      help="enable kernel cost counters and write a "
                           "repro.perf/v1 report for this command")
-    cmd.add_argument("--folded", metavar="FILE",
-                     help="write flamegraph-compatible collapsed stacks "
-                          "from the span profiles (implies span "
-                          "profiling)")
-    _add_profile_flag(cmd)
-
-
-def _add_profile_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--profile-spans", metavar="SUBSTR", nargs="?",
-                     const="", default=None,
-                     help="attach cProfile to spans whose name contains "
-                          "SUBSTR (no value: profile every span); hot "
-                          "functions land in the span's profile_top "
-                          "attribute")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -785,20 +764,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    # Shared verbosity flags, accepted both before and after the subcommand.
+    # Shared flags, accepted both before and after the subcommand.  The
+    # subcommand's copies default to SUPPRESS: a subparser's defaults
+    # would otherwise overwrite what was given before the subcommand.
     common = argparse.ArgumentParser(add_help=False)
-    for p in (parser, common):
-        p.add_argument("-v", "--verbose", action="count", default=0,
+    suppress = argparse.SUPPRESS
+    for p, zero, unset in ((parser, 0, None), (common, suppress, suppress)):
+        p.add_argument("-v", "--verbose", action="count", default=zero,
                        help="more diagnostic logging (repeatable)")
-        p.add_argument("-q", "--quiet", action="count", default=0,
+        p.add_argument("-q", "--quiet", action="count", default=zero,
                        help="less diagnostic logging (repeatable)")
-        p.add_argument("--executor", choices=EXECUTOR_KINDS, default=None,
+        p.add_argument("--executor", choices=EXECUTOR_KINDS, default=unset,
                        help="task execution backend (default: threads, or "
                             "REPRO_EXECUTOR)")
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
+        p.add_argument("--jobs", type=int, default=unset, metavar="N",
                        help="worker count for parallel executors "
                             "(default: all cores, or REPRO_JOBS)")
-        p.add_argument("--faults", metavar="PLAN", default=None,
+        p.add_argument("--faults", metavar="PLAN", default=unset,
                        help="inject faults from a repro.faults/v1 plan "
                             "(JSON file) for this command")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -924,7 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enable kernel cost counters for the server's "
                           "lifetime and write a repro.perf/v1 report on "
                           "shutdown (repro top shows the hot kernel live)")
-    _add_profile_flag(srv)
     srv.set_defaults(fn=_cmd_serve)
 
     rpl = add_parser("replay",
@@ -985,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     shrv.add_argument("--scrape-interval", type=float, default=2.0,
                       metavar="S",
                       help="seconds between federation scrapes of shard "
-                           "journals/metrics/kernels (0 disables)")
+                           "journals/metrics (0 disables)")
     shrv.add_argument("--slow-query-ms", type=float, default=100.0,
                       metavar="MS",
                       help="journal requests slower than MS as slow-query")
@@ -1093,18 +1074,7 @@ def main(argv: list[str] | None = None) -> int:
         trace_path = None
     metrics_path = getattr(args, "metrics", None)
     perf_path = getattr(args, "perf", None)
-    folded_path = getattr(args, "folded", None)
-    profile_pattern = getattr(args, "profile_spans", None)
-    if profile_pattern is not None or folded_path:
-        # "" (bare --profile-spans) means profile every span; --folded
-        # without --profile-spans profiles everything too.
-        telemetry.get_tracer().enable_span_profiling(
-            pattern=profile_pattern or None,
-            folded=bool(folded_path),
-        )
-    if trace_path or folded_path:
-        # Folded capture rides the span-profiling hook, which only
-        # fires on live spans — so --folded implies tracing.
+    if trace_path:
         telemetry.enable_tracing()
     if perf_path:
         telemetry.enable_kernel_counters()
@@ -1129,9 +1099,6 @@ def main(argv: list[str] | None = None) -> int:
             if perf_path:
                 telemetry.write_perf(perf_path)
                 logger.info("wrote kernel perf report to %s", perf_path)
-            if folded_path:
-                telemetry.get_folded().write(folded_path)
-                logger.info("wrote folded stacks to %s", folded_path)
             if metrics_path:
                 if perf_path:
                     # Kernel totals ride the Prometheus exposition too.
@@ -1141,7 +1108,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise SystemExit(f"cannot write telemetry output: {exc}")
         finally:
-            if trace_path or folded_path:
+            if trace_path:
                 telemetry.disable_tracing()
             if perf_path:
                 telemetry.disable_kernel_counters()

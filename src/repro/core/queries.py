@@ -19,7 +19,7 @@ Each strategy has one body (:func:`_exact_match`, :func:`_target_node_knn`,
 converted and routed its queries hands the conversion in; the simulated
 cost ledger is an optional observer (:func:`_stage`): library calls and
 the batch tier charge one so average query times reproduce the Fig. 14-16
-latency shapes, served point reads charge none.
+latency shapes, served reads charge none.
 """
 
 from __future__ import annotations
@@ -638,6 +638,7 @@ def merge_top_k(tops, k: int, missing_bounds=()) -> list[Neighbor]:
 def _pruned_knn(
     index: TardisIndex, query: np.ndarray, k: int, strategy: str,
     pth: int | None = None, converted: tuple | None = None,
+    ledger: SimulationLedger | None = None,
 ) -> KnnResult:
     """plan → scan → merge, the body of both threshold-pruned strategies.
 
@@ -645,9 +646,12 @@ def _pruned_knn(
     is :func:`select_mpa_partitions`' sibling list capped at ``pth``
     (default: the config's).  ``converted`` is the query's
     ``(signature, PAA)`` from a tier that already converted it.
+    ``ledger`` follows the :func:`_stage` rule.
     """
     _require_clustered(index)
     result = KnnResult(neighbors=[], strategy=strategy)
+    if ledger is not None:
+        result.ledger = ledger
     if strategy == "one-partition":
         span_attrs = {}
     else:
@@ -656,7 +660,7 @@ def _pruned_knn(
     with get_tracer().span(
         "query/knn", strategy=strategy, k=k, **span_attrs
     ) as span:
-        with timed_stage(result.ledger, "query/route"):
+        with _stage(ledger, "query/route"):
             signature, paa = converted or query_signature(index, query)
             # One table per query: the selection and every scan read it.
             gaps = GapTable(paa, index.config.cardinality_bits)
@@ -670,7 +674,7 @@ def _pruned_knn(
                 )
         scan = scan_partitions(
             index, query, signature, gaps, k, pid_list,
-            home_pid=home_pid, ledger=result.ledger,
+            home_pid=home_pid, ledger=ledger,
         )
         result.partitions_loaded = len(scan.loaded)
         result.partition_ids_loaded = scan.loaded
@@ -679,7 +683,7 @@ def _pruned_knn(
             result.missing_partitions = sorted(scan.missing)
             _count_degraded()
         if not scan.home_lost:
-            with timed_stage(result.ledger, "query/merge"):
+            with _stage(ledger, "query/merge"):
                 result.neighbors = merge_top_k(
                     scan.tops, k,
                     index.region_bounds(gaps, scan.missing).values()
@@ -689,8 +693,8 @@ def _pruned_knn(
             result.rows_refined = scan.refined
             result.nodes_visited = (scan.target_layer + 1) + scan.stats.visited
             result.nodes_pruned = scan.stats.pruned
-        _annotate_knn_span(span, result, result.ledger)
-    _record_query_metrics(result, result.ledger)
+        _annotate_knn_span(span, result, ledger)
+    _record_query_metrics(result, ledger)
     logger.debug(
         "%s kNN: %d partitions, %d candidates",
         strategy, result.partitions_loaded, result.candidates_examined,
@@ -702,7 +706,9 @@ def knn_one_partition_access(
     index: TardisIndex, query: np.ndarray, k: int
 ) -> KnnResult:
     """One Partition Access: widen TNA with a pruned home-partition scan."""
-    return _pruned_knn(index, query, k, "one-partition")
+    return _pruned_knn(
+        index, query, k, "one-partition", ledger=SimulationLedger()
+    )
 
 
 def knn_multi_partitions_access(
@@ -718,7 +724,9 @@ def knn_multi_partitions_access(
     region-synopsis MINDIST bound are kept (always including the home
     partition, which supplies the pruning threshold).
     """
-    return _pruned_knn(index, query, k, "multi-partitions", pth)
+    return _pruned_knn(
+        index, query, k, "multi-partitions", pth, ledger=SimulationLedger()
+    )
 
 
 #: Strategy registry used by benchmarks and examples.

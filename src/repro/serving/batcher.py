@@ -14,9 +14,11 @@ Each :class:`Group` is one task on the worker pool and runs, per ticket,
 the strategy's body from :mod:`repro.core.queries` — the code a direct
 library call runs, so answers, counters and ``query/*`` spans are the
 library's by construction.  ``exact-match`` and ``target-node`` groups
-share one partition load (:func:`~repro.core.queries.run_point_group`)
-and charge no simulated ledger; ``one-partition`` / ``multi-partitions``
-groups run the pruned scan per ticket, sharing residency.
+share one partition load (:func:`~repro.core.queries.run_point_group`);
+``one-partition`` / ``multi-partitions`` groups run the pruned scan per
+ticket, sharing residency.  No served read charges the simulated
+ledger: it reproduces the paper's cluster, not this process, so served
+spans carry no ``simulated_s`` and no ledger stage spans.
 
 **Tracing.**  :func:`run_group` opens one ``serve/execute`` span per
 ticket under that ticket's request root.  The scan strategies attach

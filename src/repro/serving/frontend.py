@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry.carrier import extract as extract_trace
-from ..telemetry.context import trace_id_of
 from ..telemetry.journal import EventJournal, SlowQueryLog, get_journal
-from ..telemetry.spans import NULL_SPAN, Span, get_tracer
+from ..telemetry.spans import NULL_SPAN, Span, get_tracer, trace_id_of
 from .admission import AdmissionQueue, DeadlineExceededError, OverloadedError
 from .requests import QueryRequest, WriteRequest
 from .result_cache import ResultCache

@@ -188,21 +188,19 @@ def _parse_request(doc: dict) -> QueryRequest:
 
 
 def _telemetry_payload(service: QueryService, doc: dict) -> dict:
-    """Answer the ``telemetry`` wire op: journal drain + metrics + kernels.
+    """Answer the ``telemetry`` wire op: journal drain + metrics.
 
     The router's federation scraper calls this periodically.  The
     journal ships incrementally (``since_seq`` is the caller's
-    watermark; only newer events return), the metrics registry ships as
-    its full :meth:`MetricsRegistry.to_wire` state (the scraper diffs
-    against its previous scrape), and kernel-profiler totals ride along
-    when counters are enabled.
+    watermark; only newer events return) and the metrics registry ships
+    as its full :meth:`MetricsRegistry.to_wire` state (the scraper diffs
+    against its previous scrape).
     """
     from ..telemetry.metrics import get_registry
-    from ..telemetry.perf import KERNELS
 
     since = int(doc.get("since_seq", 0) or 0)
     events = [e for e in service.journal.snapshot() if e["seq"] > since]
-    payload = {
+    return {
         "shard_id": getattr(service, "shard_id", None),
         "journal": {
             "events": events,
@@ -210,9 +208,6 @@ def _telemetry_payload(service: QueryService, doc: dict) -> dict:
         },
         "metrics": get_registry().to_wire(),
     }
-    if KERNELS.enabled:
-        payload["kernels"] = KERNELS.totals()
-    return payload
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -473,9 +468,8 @@ class ServingClient:
     def telemetry(self, since_seq: int = 0) -> dict:
         """Drain the server's observability state (federation scrape).
 
-        Returns journal events newer than ``since_seq``, the full
-        metrics registry in wire form, and kernel totals when profiling
-        is enabled — see ``_telemetry_payload``.
+        Returns journal events newer than ``since_seq`` and the full
+        metrics registry in wire form — see ``_telemetry_payload``.
         """
         return self._result({"op": "telemetry", "since_seq": since_seq})
 

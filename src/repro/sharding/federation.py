@@ -2,7 +2,7 @@
 
 :class:`ClusterTelemetry` periodically drains every shard's
 ``telemetry`` wire op (see ``serving.server._telemetry_payload``) and
-accumulates the three island states PR 8 left behind on each shard:
+accumulates two per-shard states:
 
 * **journal events** — drained incrementally by sequence watermark and
   kept per shard, ready for :func:`~repro.telemetry.journal.
@@ -10,10 +10,7 @@ accumulates the three island states PR 8 left behind on each shard:
 * **metrics registries** — the latest full wire form per shard, merged
   on demand through :func:`~repro.telemetry.federation.
   merge_registry_wires` (counters sum, gauges keep per-shard labels,
-  histogram buckets add losslessly);
-* **kernel totals** — per-shard cumulative kernel-profiler counters,
-  with per-scrape deltas for the "what is this shard burning CPU on
-  right now" column of cluster ``top``.
+  histogram buckets add losslessly).
 
 The scraper is transport-agnostic: it is handed a ``fetch(shard_id,
 since_seq)`` callable (the router wires it to ``_call_once``), so tests
@@ -48,8 +45,6 @@ class ClusterTelemetry:
         self._events: dict[int, list] = {s: [] for s in self.shard_ids}
         self._journal_stats: dict[int, dict] = {}
         self._metrics: dict[int, dict] = {}
-        self._kernels: dict[int, dict] = {}
-        self._kernel_deltas: dict[int, dict] = {}
         self._qps: dict[int, float] = {}
         self._prev_requests: dict[int, float] = {}
         self._prev_scrape_at: float | None = None
@@ -90,7 +85,6 @@ class ClusterTelemetry:
         journal = payload.get("journal") or {}
         events = journal.get("events") or []
         metrics = payload.get("metrics")
-        kernels = payload.get("kernels")
         with self._lock:
             if events:
                 bucket = self._events.setdefault(shard_id, [])
@@ -116,17 +110,6 @@ class ClusterTelemetry:
                 if prev is not None and elapsed and elapsed > 0:
                     self._qps[shard_id] = max(0.0, requests - prev) / elapsed
                 self._prev_requests[shard_id] = requests
-            if isinstance(kernels, dict):
-                previous = self._kernels.get(shard_id, {})
-                self._kernel_deltas[shard_id] = {
-                    name: {
-                        key: row.get(key, 0)
-                        - previous.get(name, {}).get(key, 0)
-                        for key in ("calls", "elements", "seconds")
-                    }
-                    for name, row in kernels.items()
-                }
-                self._kernels[shard_id] = kernels
 
     # -- merged views -------------------------------------------------------
 
@@ -144,18 +127,6 @@ class ClusterTelemetry:
         with self._lock:
             wires = dict(self._metrics)
         return merge_registry_wires(wires)
-
-    def hot_kernel(self, shard_id: int) -> str | None:
-        """Hottest kernel (by seconds) in the shard's last scrape delta."""
-        with self._lock:
-            deltas = self._kernel_deltas.get(shard_id) \
-                or self._kernels.get(shard_id)
-        if not deltas:
-            return None
-        name, row = max(
-            deltas.items(), key=lambda kv: kv[1].get("seconds", 0.0)
-        )
-        return name if row.get("seconds", 0.0) > 0 else None
 
     def cluster_report(self) -> dict:
         """The ``cluster`` section of router stats (per-shard rows +
@@ -177,12 +148,9 @@ class ClusterTelemetry:
                         .get("value")
                     ),
                     "journal_events": len(self._events.get(shard_id, [])),
-                    "hot_kernel": None,
                 })
             scrapes = self.scrapes
             failed = self.failed_scrapes
-        for row in rows:
-            row["hot_kernel"] = self.hot_kernel(row["shard_id"])
         report = {
             "scrapes": scrapes,
             "failed_scrapes": failed,

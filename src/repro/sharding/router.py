@@ -60,10 +60,9 @@ from ..serving.server import (
     unwrap_reply,
 )
 from ..telemetry.carrier import inject, spans_from_compact
-from ..telemetry.context import trace_id_of
 from ..telemetry.journal import EventJournal, write_merged_journal
 from ..telemetry.metrics import get_registry
-from ..telemetry.spans import Span, get_tracer, span_from_dict
+from ..telemetry.spans import Span, get_tracer, span_from_dict, trace_id_of
 from .assignment import ShardPlan
 from .federation import ClusterTelemetry
 from .synopsis import RouterIndex

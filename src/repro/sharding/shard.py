@@ -35,9 +35,8 @@ import numpy as np
 from ..core.builder import TardisIndex
 from ..core.queries import merge_top_k, query_signature, scan_partitions
 from ..telemetry.carrier import extract, reply_trace
-from ..telemetry.context import trace_id_of
 from ..telemetry.metrics import get_registry
-from ..telemetry.spans import Span, get_tracer
+from ..telemetry.spans import Span, get_tracer, trace_id_of
 from ..serving.service import QueryService
 from ..serving.slo import LATENCY_BUCKETS
 

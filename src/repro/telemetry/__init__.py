@@ -1,22 +1,32 @@
 """Telemetry: structured tracing, metrics, exporters, and logging.
 
 The observability layer for the whole reproduction (see
-docs/OBSERVABILITY.md).  Four pieces:
+docs/OBSERVABILITY.md):
 
 * :mod:`~repro.telemetry.spans` — a :class:`Tracer` producing nested,
   timed spans with attributes.  Disabled by default and near-free when
   disabled; the library's hot paths are instrumented unconditionally.
+  ``Tracer.attach`` / ``detach`` / ``current`` and ``span(parent=...)``
+  carry a request's trace across threads and queues.
+* :mod:`~repro.telemetry.carrier` — the ``repro.tracectx/v1`` wire
+  carrier and compact span summaries that carry a trace across
+  processes.
 * :mod:`~repro.telemetry.metrics` — a :class:`MetricsRegistry` of
   counters, gauges, and fixed-bucket histograms (Bloom outcomes, cache
   hits, MINDIST prunes, partitions loaded, ...).
 * :mod:`~repro.telemetry.exporters` — JSON trace dumps
   (``repro.trace/v1``) and Prometheus text exposition, plus validators
   and human-oriented summaries.
+* :mod:`~repro.telemetry.federation` — merges per-shard registries into
+  one cluster view (counters sum, histogram buckets add).
+* :mod:`~repro.telemetry.journal` — the event journal and slow-query
+  log (``repro.journal/v1``).
 * :mod:`~repro.telemetry.log` — one-call stdlib-logging setup for the
   ``repro.*`` module loggers.
 * :mod:`~repro.telemetry.perf` — kernel-level cost attribution
-  (``KERNELS`` counters, ``repro.perf/v1`` reports) and
-  flamegraph-compatible collapsed-stack profiles.
+  (``KERNELS`` counters, ``repro.perf/v1`` reports).
+* :mod:`~repro.telemetry.validate` — the schema gate CI runs over
+  emitted files (``python -m repro.telemetry.validate``).
 
 Typical use::
 
@@ -29,7 +39,7 @@ Typical use::
     telemetry.write_metrics(telemetry.get_registry(), "metrics.prom")
 """
 
-from . import context, log
+from . import log
 from .carrier import (
     CARRIER_SCHEMA,
     COMPACT_SPAN_CAP,
@@ -40,7 +50,6 @@ from .carrier import (
     should_ship,
     spans_from_compact,
 )
-from .context import attach, current_span, detach, trace_id_of, under_parent
 from .exporters import (
     TRACE_SCHEMA,
     aggregate_spans,
@@ -57,7 +66,6 @@ from .exporters import (
 from .federation import (
     federated_percentiles,
     federated_quantile,
-    federation_to_text,
     histogram_from_wire,
     merge_registry_wires,
 )
@@ -76,18 +84,13 @@ from .journal import (
 from .perf import (
     KERNELS,
     PERF_SCHEMA,
-    FoldedAccumulator,
     KernelProfiler,
     disable_kernel_counters,
     enable_kernel_counters,
-    get_folded,
-    get_kernel_profiler,
     perf_report,
-    profile_to_folded,
     publish_to_registry,
     summarize_kernels,
     validate_perf,
-    write_folded,
     write_perf,
 )
 from .metrics import (
@@ -109,6 +112,7 @@ from .spans import (
     get_tracer,
     new_trace_id,
     span_from_dict,
+    trace_id_of,
     traced,
 )
 
@@ -123,6 +127,7 @@ __all__ = [
     "traced",
     "new_trace_id",
     "span_from_dict",
+    "trace_id_of",
     "CARRIER_SCHEMA",
     "COMPACT_SPAN_CAP",
     "TraceContext",
@@ -131,11 +136,6 @@ __all__ = [
     "should_ship",
     "compact_spans",
     "spans_from_compact",
-    "current_span",
-    "attach",
-    "detach",
-    "under_parent",
-    "trace_id_of",
     "Counter",
     "Gauge",
     "Histogram",
@@ -158,7 +158,6 @@ __all__ = [
     "histogram_from_wire",
     "federated_quantile",
     "federated_percentiles",
-    "federation_to_text",
     "JOURNAL_SCHEMA",
     "EventJournal",
     "SlowQueryLog",
@@ -172,18 +171,12 @@ __all__ = [
     "PERF_SCHEMA",
     "KERNELS",
     "KernelProfiler",
-    "get_kernel_profiler",
     "enable_kernel_counters",
     "disable_kernel_counters",
     "publish_to_registry",
-    "FoldedAccumulator",
-    "get_folded",
-    "profile_to_folded",
-    "write_folded",
     "perf_report",
     "write_perf",
     "validate_perf",
     "summarize_kernels",
-    "context",
     "log",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import NamedTuple
 
-from .spans import Span
+from .spans import Span, _jsonable
 
 __all__ = [
     "CARRIER_SCHEMA",
@@ -203,11 +203,3 @@ def spans_from_compact(payload, base_s: float = 0.0) -> Span | None:
     if root is not None and payload.get("truncated"):
         root.set("spans_truncated", int(payload["truncated"]))
     return root
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)

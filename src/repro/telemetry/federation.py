@@ -7,20 +7,17 @@ document with per-kind merge semantics:
 * **counters sum** — a cluster total is meaningful and lossless;
 * **gauges keep per-shard labels** — summing queue depths or ``*_up``
   flags across shards destroys the signal, so gauges federate as
-  ``{shard: value}`` maps and render with a ``shard="..."`` label;
+  ``{shard: value}`` maps;
 * **histograms merge buckets** — bucket counts add element-wise
   (:meth:`Histogram.merge`), so cluster p50/p95/p99 come from the
   *merged distribution*, not from averaging per-shard percentiles
   (which is not a percentile of anything).
 
-The federated document is plain JSON, renderable as Prometheus
-exposition text (:func:`federation_to_text`) and queryable for cluster
-quantiles (:func:`federated_quantile`).
+The federated document is plain JSON, queryable for cluster quantiles
+(:func:`federated_quantile`).
 """
 
 from __future__ import annotations
-
-import math
 
 from .metrics import Histogram
 
@@ -29,7 +26,6 @@ __all__ = [
     "histogram_from_wire",
     "federated_quantile",
     "federated_percentiles",
-    "federation_to_text",
 ]
 
 
@@ -130,48 +126,3 @@ def federated_percentiles(merged_doc: dict) -> dict:
         "p99_s": federated_quantile(merged_doc, 0.99),
         "samples": int(merged_doc.get("count", 0)),
     }
-
-
-def _fmt(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def federation_to_text(merged: dict) -> str:
-    """Render a federated doc as Prometheus exposition text.
-
-    Counters emit their cluster sum; gauges emit one ``shard``-labelled
-    sample per shard; histograms expand their *merged* buckets into the
-    standard ``_bucket``/``_sum``/``_count`` series.  The output passes
-    :func:`repro.telemetry.exporters.validate_metrics_text`.
-    """
-    lines: list[str] = []
-    for name, doc in merged.items():
-        kind = doc.get("kind")
-        if doc.get("help"):
-            lines.append(f"# HELP {name} {_escape(doc['help'])}")
-        lines.append(f"# TYPE {name} {kind}")
-        if kind == "counter":
-            lines.append(f"{name} {_fmt(doc.get('value', 0.0))}")
-        elif kind == "gauge":
-            for label in sorted(doc.get("by_shard", {})):
-                value = doc["by_shard"][label]
-                lines.append(f'{name}{{shard="{label}"}} {_fmt(value)}')
-        elif kind == "histogram":
-            running = 0
-            bounds = list(doc["bounds"]) + [math.inf]
-            for bound, n in zip(bounds, doc["buckets"]):
-                running += int(n)
-                lines.append(
-                    f'{name}_bucket{{le="{_fmt(bound)}"}} {running}'
-                )
-            lines.append(f"{name}_sum {_fmt(doc.get('sum', 0.0))}")
-            lines.append(f"{name}_count {int(doc.get('count', 0))}")
-    return "\n".join(lines) + ("\n" if lines else "")

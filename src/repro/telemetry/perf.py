@@ -1,8 +1,7 @@
-"""Kernel-level cost attribution and collapsed-stack profiling.
+"""Kernel-level cost attribution: named kernel counters.
 
-Traces (PR 4) answer "where did this request go"; this module answers
-"where do the cycles go".  It adds three pieces to the observability
-layer (docs/OBSERVABILITY.md, "Cost attribution & profiling"):
+Traces answer "where did this request go"; this module answers "where
+do the cycles go" (docs/OBSERVABILITY.md, "Cost attribution"):
 
 * **Kernel counters** — a process-wide :class:`KernelProfiler`
   (:data:`KERNELS`) accumulating ``(calls, elements, seconds)`` per
@@ -19,12 +18,11 @@ layer (docs/OBSERVABILITY.md, "Cost attribution & profiling"):
   into the shared registry as ``kernel_<name>_{calls,elements,seconds}
   _total`` counters for Prometheus exposition.
 
-* **Collapsed-stack profiles** — :func:`profile_to_folded` turns
-  cProfile data into flamegraph-compatible folded stacks
-  (``caller;callee microseconds``); the tracer's ``--profile-spans``
-  hook feeds a shared :class:`FoldedAccumulator` when folded capture is
-  enabled, and :func:`perf_report` / :func:`write_perf` emit the whole
-  picture as a validated ``repro.perf/v1`` JSON document.
+* **Reports** — :func:`perf_report` / :func:`write_perf` emit the
+  totals as a validated ``repro.perf/v1`` JSON document.
+
+A function-level profile needs none of this: ``python -m cProfile -o
+knn.prof -m repro knn ...`` profiles any command.
 """
 
 from __future__ import annotations
@@ -35,19 +33,15 @@ import threading
 import time
 from pathlib import Path
 
+from .spans import get_tracer
+
 __all__ = [
     "PERF_SCHEMA",
     "KernelProfiler",
     "KERNELS",
-    "get_kernel_profiler",
     "enable_kernel_counters",
     "disable_kernel_counters",
     "publish_to_registry",
-    "FoldedAccumulator",
-    "get_folded",
-    "profile_to_folded",
-    "folded_to_lines",
-    "write_folded",
     "perf_report",
     "write_perf",
     "validate_perf",
@@ -58,57 +52,9 @@ PERF_SCHEMA = "repro.perf/v1"
 
 _KERNEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
-# Cached module handle: resolving the tracer through the module avoids a
-# perf->spans->perf import cycle while keeping the enabled-path cost at
-# one attribute chain (spans imports perf lazily for folded capture).
-_tracer = None
-
-
-def _get_tracer():
-    global _tracer
-    if _tracer is None:
-        from .spans import get_tracer
-
-        _tracer = get_tracer()
-    return _tracer
-
-
-class _KernelSection:
-    """Context-manager convenience over :meth:`KernelProfiler.record`."""
-
-    __slots__ = ("_profiler", "_name", "_elements", "_start")
-
-    def __init__(self, profiler: "KernelProfiler", name: str, elements: int):
-        self._profiler = profiler
-        self._name = name
-        self._elements = elements
-        self._start = 0.0
-
-    def __enter__(self) -> "_KernelSection":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._profiler.record(
-            self._name,
-            elements=self._elements,
-            seconds=time.perf_counter() - self._start,
-        )
-
-
-class _NullSection:
-    """Shared no-op section for the disabled path (no allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SECTION = _NullSection()
+#: The shared tracer, resolved once: recorded seconds also land on its
+#: innermost live span.
+_tracer = get_tracer()
 
 
 class KernelProfiler:
@@ -147,21 +93,8 @@ class KernelProfiler:
             row[0] += calls
             row[1] += elements
             row[2] += seconds
-        if seconds:
-            tracer = _get_tracer()
-            if tracer.enabled:
-                tracer.current().incr(f"kernel_{name}_s", seconds)
-
-    def section(self, name: str, elements: int = 0):
-        """``with KERNELS.section("paa", n): ...`` timing convenience.
-
-        Hot paths should instead guard explicit clock reads behind
-        ``enabled`` (no allocation); this is for cold call sites and
-        tests.
-        """
-        if not self.enabled:
-            return _NULL_SECTION
-        return _KernelSection(self, name, elements)
+        if seconds and _tracer.enabled:
+            _tracer.current().incr(f"kernel_{name}_s", seconds)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -203,11 +136,6 @@ class KernelProfiler:
 #: The library-wide kernel profiler.  Disabled by default; the CLI's
 #: ``--perf`` flag or :func:`enable_kernel_counters` turns it on.
 KERNELS = KernelProfiler(enabled=False)
-
-
-def get_kernel_profiler() -> KernelProfiler:
-    """The shared kernel profiler used by all built-in instrumentation."""
-    return KERNELS
 
 
 def enable_kernel_counters(reset: bool = True) -> KernelProfiler:
@@ -277,125 +205,15 @@ def _reset_published() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Collapsed stacks (flamegraph .folded) from cProfile data
-# ---------------------------------------------------------------------------
-
-
-def _frame_name(func: tuple) -> str:
-    """``file:line:function`` frame label, flamegraph-safe.
-
-    Semicolons separate stack frames and spaces separate the stack from
-    its value in the folded format, so both are scrubbed.
-    """
-    filename, lineno, name = func
-    if filename == "~":  # builtins have no file
-        label = name.strip("<>")
-    else:
-        label = f"{Path(filename).name}:{lineno}:{name}"
-    return label.replace(";", ",").replace(" ", "_")
-
-
-def profile_to_folded(profile_or_stats) -> dict[str, float]:
-    """Collapse cProfile data into folded ``caller;callee`` stacks.
-
-    Values are *self* seconds: each function's total time (``tt``) is
-    split across its callers proportionally to the per-caller cumulative
-    time, so the folded values sum to the profile's total self time —
-    the invariant flamegraph renderers expect.  cProfile records only
-    pairwise caller/callee edges, so stacks are two frames deep; that is
-    enough to see which caller makes a kernel hot.
-    """
-    import cProfile
-    import pstats
-
-    if isinstance(profile_or_stats, cProfile.Profile):
-        stats = pstats.Stats(profile_or_stats)
-    else:
-        stats = profile_or_stats
-    folded: dict[str, float] = {}
-    for func, (_cc, _nc, tt, _ct, callers) in stats.stats.items():
-        if tt <= 0:
-            continue
-        frame = _frame_name(func)
-        if not callers:
-            folded[frame] = folded.get(frame, 0.0) + tt
-            continue
-        total_caller_ct = sum(entry[3] for entry in callers.values())
-        for caller, (_ccc, _cnc, _ctt, cct) in callers.items():
-            weight = (cct / total_caller_ct) if total_caller_ct > 0 else (
-                1.0 / len(callers)
-            )
-            stack = f"{_frame_name(caller)};{frame}"
-            folded[stack] = folded.get(stack, 0.0) + tt * weight
-    return folded
-
-
-def folded_to_lines(folded: dict[str, float]) -> list[str]:
-    """Render folded stacks as ``stack microseconds`` lines, sorted."""
-    lines = []
-    for stack in sorted(folded):
-        micros = max(1, round(folded[stack] * 1e6))
-        lines.append(f"{stack} {micros}")
-    return lines
-
-
-def write_folded(folded: dict[str, float], path: str | Path) -> Path:
-    """Write folded stacks in flamegraph.pl / speedscope format."""
-    path = Path(path)
-    lines = folded_to_lines(folded)
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
-
-
-class FoldedAccumulator:
-    """Thread-safe merge of folded-stack dictionaries across spans."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._folded: dict[str, float] = {}
-        self.profiles = 0
-
-    def add(self, folded: dict[str, float]) -> None:
-        with self._lock:
-            self.profiles += 1
-            for stack, seconds in folded.items():
-                self._folded[stack] = self._folded.get(stack, 0.0) + seconds
-
-    def folded(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._folded)
-
-    def write(self, path: str | Path) -> Path:
-        return write_folded(self.folded(), path)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._folded.clear()
-            self.profiles = 0
-
-
-#: Shared accumulator fed by the tracer's ``--profile-spans`` hook when
-#: folded capture is enabled (``enable_span_profiling(folded=True)``).
-_FOLDED = FoldedAccumulator()
-
-
-def get_folded() -> FoldedAccumulator:
-    """The shared folded-stack accumulator."""
-    return _FOLDED
-
-
-# ---------------------------------------------------------------------------
 # repro.perf/v1 document: export + validation (CI contract)
 # ---------------------------------------------------------------------------
 
 
-def perf_report(profiler: KernelProfiler | None = None,
-                folded: FoldedAccumulator | None = None) -> dict:
+def perf_report(profiler: KernelProfiler | None = None) -> dict:
     """Assemble the ``repro.perf/v1`` document for the current process."""
     from .. import __version__
 
     profiler = profiler if profiler is not None else KERNELS
-    folded = folded if folded is not None else _FOLDED
     kernels = profiler.totals()
     return {
         "schema": PERF_SCHEMA,
@@ -409,16 +227,14 @@ def perf_report(profiler: KernelProfiler | None = None,
             }
             for name, row in sorted(kernels.items())
         },
-        "folded_profiles": folded.profiles,
     }
 
 
 def write_perf(path: str | Path,
-               profiler: KernelProfiler | None = None,
-               folded: FoldedAccumulator | None = None) -> Path:
+               profiler: KernelProfiler | None = None) -> Path:
     """Write the ``repro.perf/v1`` document as JSON; returns the path."""
     path = Path(path)
-    doc = perf_report(profiler=profiler, folded=folded)
+    doc = perf_report(profiler=profiler)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
@@ -451,9 +267,6 @@ def validate_perf(doc: object) -> int:
                 )
         if not isinstance(row.get("calls"), int):
             raise ValueError(f"kernel {name}: calls must be an integer")
-    profiles = doc.get("folded_profiles", 0)
-    if not isinstance(profiles, int) or profiles < 0:
-        raise ValueError("'folded_profiles' must be an integer >= 0")
     return len(kernels)
 
 

@@ -32,8 +32,8 @@ Design constraints, in priority order:
   queue boundaries through explicit parent handoff: ``span(parent=...)``,
   the manual :meth:`Tracer.start_span` / :meth:`Tracer.end_span` pair, and
   :meth:`Tracer.attach` / :meth:`Tracer.detach` tokens that make a foreign
-  span the current parent of this thread (see
-  :mod:`repro.telemetry.context` and docs/OBSERVABILITY.md).
+  span the current parent of this thread (see docs/OBSERVABILITY.md,
+  "Trace context").
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import functools
 import threading
 import time
 import uuid
-from pathlib import Path
 from typing import Callable, Iterator
 
 __all__ = [
@@ -55,6 +54,7 @@ __all__ = [
     "disable_tracing",
     "traced",
     "new_trace_id",
+    "trace_id_of",
     "span_from_dict",
 ]
 
@@ -62,6 +62,13 @@ __all__ = [
 def new_trace_id() -> str:
     """A fresh 128-bit-derived hex trace/span identifier (16 chars)."""
     return uuid.uuid4().hex[:16]
+
+
+def trace_id_of(span) -> str | None:
+    """The trace id of a span handle, or ``None`` for no-op spans."""
+    if isinstance(span, Span):
+        return span.trace_id
+    return None
 
 
 class Span:
@@ -254,22 +261,18 @@ class _SpanContext:
     happens to top this thread's stack.
     """
 
-    __slots__ = ("_tracer", "_span", "_linked", "_profile")
+    __slots__ = ("_tracer", "_span", "_linked")
 
     def __init__(self, tracer: "Tracer", span: Span, linked: bool = False):
         self._tracer = tracer
         self._span = span
         self._linked = linked
-        self._profile = None
 
     def __enter__(self) -> Span:
         self._tracer._push(self._span, linked=self._linked)
-        self._profile = self._tracer._maybe_start_profile(self._span.name)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._profile is not None:
-            self._tracer._finish_profile(self._profile, self._span)
         if exc_type is not None:
             self._span.set("error", f"{exc_type.__name__}: {exc}")
         self._span.finish()
@@ -288,10 +291,6 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._roots = []  # list, or deque(maxlen=...) after set_root_limit
-        self._profile_enabled = False
-        self._profile_pattern: str | None = None
-        self._profile_top = 5
-        self._profile_folded = False
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -423,64 +422,6 @@ class Tracer:
         if span.parent_id is None:
             with self._lock:
                 self._roots.append(span)
-
-    # -- per-span profiling --------------------------------------------------
-
-    def enable_span_profiling(self, pattern: str | None = None,
-                              top: int = 5, folded: bool = False) -> None:
-        """Attach a cProfile capture to matching spans (``--profile-spans``).
-
-        ``pattern`` is a substring filter on span names (``None`` matches
-        everything).  Each profiled span gains a ``profile_top`` attribute
-        listing its ``top`` hottest functions by cumulative time.  Only
-        one profile runs per thread at a time (cProfile cannot nest), so
-        the outermost matching span wins.  With ``folded=True`` each
-        profile is also collapsed into flamegraph stacks and merged into
-        the shared :func:`repro.telemetry.perf.get_folded` accumulator
-        (the CLI's ``--folded FILE`` writes it out).
-        """
-        self._profile_enabled = True
-        self._profile_pattern = pattern
-        self._profile_top = max(1, int(top))
-        self._profile_folded = bool(folded)
-
-    def disable_span_profiling(self) -> None:
-        self._profile_enabled = False
-
-    def _maybe_start_profile(self, name: str):
-        if not self._profile_enabled:
-            return None
-        pattern = self._profile_pattern
-        if pattern is not None and pattern not in name:
-            return None
-        if getattr(self._local, "profiling", False):
-            return None  # cProfile cannot nest within a thread
-        import cProfile
-
-        profile = cProfile.Profile()
-        self._local.profiling = True
-        profile.enable()
-        return profile
-
-    def _finish_profile(self, profile, span: Span) -> None:
-        profile.disable()
-        self._local.profiling = False
-        import pstats
-
-        stats = pstats.Stats(profile)
-        rows = sorted(
-            stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
-        )[: self._profile_top]
-        span.set("profile_top", [
-            f"{Path(filename).name}:{lineno}:{func} "
-            f"calls={callcount} cum={cumtime:.6f}s"
-            for (filename, lineno, func),
-                (callcount, _nc, _tt, cumtime, _callers) in rows
-        ])
-        if self._profile_folded:
-            from .perf import get_folded, profile_to_folded
-
-            get_folded().add(profile_to_folded(stats))
 
     # -- collection ----------------------------------------------------------
 

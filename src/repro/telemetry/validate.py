@@ -13,6 +13,11 @@ schema::
 set — the orphan-span check: after parent handoff, a serving trace must
 contain only ``serve/request`` roots.
 
+A trace with no spans, a metrics file with no samples or a perf report
+with no kernels fails too: the run it describes recorded nothing, so
+there is nothing to pass.  A journal may be empty (a clean run may log
+no event).
+
 Exit code 0 when every given file validates, 1 otherwise.
 """
 
@@ -28,6 +33,12 @@ from .journal import validate_journal_lines
 from .perf import validate_perf
 
 __all__ = ["main"]
+
+
+def _nonempty(count: int, what: str) -> int:
+    if count == 0:
+        raise ValueError(f"0 {what}: the run recorded nothing")
+    return count
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in args.trace:
         try:
             doc = json.loads(Path(path).read_text())
-            n_spans = validate_trace(doc)
+            n_spans = _nonempty(validate_trace(doc), "spans")
             if expected_roots:
                 orphans = orphan_roots(doc, expected_roots)
                 if orphans:
@@ -77,7 +88,9 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
     for path in args.metrics:
         try:
-            n_samples = validate_metrics_text(Path(path).read_text())
+            n_samples = _nonempty(
+                validate_metrics_text(Path(path).read_text()), "samples"
+            )
             print(f"ok: {path}: {n_samples} samples")
         except (OSError, ValueError) as exc:
             print(f"FAIL: {path}: {exc}")
@@ -91,7 +104,9 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
     for path in args.perf:
         try:
-            n_kernels = validate_perf(json.loads(Path(path).read_text()))
+            n_kernels = _nonempty(
+                validate_perf(json.loads(Path(path).read_text())), "kernels"
+            )
             print(f"ok: {path}: {n_kernels} kernels")
         except (OSError, ValueError) as exc:
             print(f"FAIL: {path}: {exc}")

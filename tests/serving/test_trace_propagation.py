@@ -208,3 +208,39 @@ class TestCacheAndSharedPasses:
             if name == "query/knn":
                 assert wanted.pop("simulated_s") > 0
             assert served == wanted
+
+    @pytest.mark.parametrize("strategy", ("one-partition", "multi-partitions"))
+    def test_served_scan_request_carries_the_library_spans(
+        self, tracer, tardis_small, rw_small, strategy
+    ):
+        """A served scan runs the library's pruned body per ticket, with
+        no ledger: its ``query/knn`` span has the direct call's
+        attributes minus ``simulated_s``, and none of the ledger's stage
+        spans (route, threshold, scan partition, merge)."""
+        from repro.core.queries import KNN_STRATEGIES
+
+        query = rw_small.values[5]
+        KNN_STRATEGIES[strategy](tardis_small, query, 5)
+        [direct] = tracer.roots
+        assert direct.name == "query/knn"
+        direct_names = {span.name for span in direct.iter_spans()}
+        assert {"query/route", "query/scan partition"} <= direct_names
+        tracer.reset()
+
+        request = QueryRequest(query, op="knn", strategy=strategy, k=5)
+        _serve_all(tardis_small, [request], "serial")
+        [root] = tracer.roots
+        [execute] = [c for c in root.children if c.name == "serve/execute"]
+        spans = list(execute.iter_spans())
+        names = {span.name for span in spans}
+        assert "query/load partition" in names
+        assert not names & {
+            "query/route", "query/threshold", "query/scan partition",
+            "query/merge", "query/load partitions",
+        }
+        [query_span] = [span for span in spans if span.name == "query/knn"]
+        served = dict(query_span.attributes)
+        wanted = dict(direct.attributes)
+        assert "simulated_s" not in served
+        assert wanted.pop("simulated_s") > 0
+        assert served == wanted

@@ -4,19 +4,16 @@ import threading
 
 import pytest
 
-from repro.telemetry.context import (
-    attach,
-    current_span,
-    detach,
-    trace_id_of,
-    under_parent,
-)
 from repro.telemetry.spans import (
     NULL_SPAN,
     NULL_TOKEN,
     Span,
     Tracer,
+    disable_tracing,
+    enable_tracing,
+    get_tracer,
     new_trace_id,
+    trace_id_of,
 )
 
 
@@ -113,6 +110,7 @@ class TestAttachDetach:
         with tracer.span("child"):
             pass
         tracer.detach(token)
+        assert tracer.current() is NULL_SPAN
         tracer.end_span(root)
         assert [c.name for c in root.children] == ["child"]
         assert [r.name for r in tracer.roots] == ["root"]
@@ -127,28 +125,16 @@ class TestAttachDetach:
             tracer.detach(token_a)
 
     def test_module_level_helpers_use_shared_tracer(self):
-        from repro.telemetry.spans import disable_tracing, enable_tracing
-
         tracer = enable_tracing()
         try:
+            assert get_tracer() is tracer
             root = tracer.start_span("root")
-            token = attach(root)
-            assert current_span() is root
-            detach(token)
-            tracer.end_span(root)
-        finally:
-            disable_tracing()
-
-    def test_under_parent_context_manager(self):
-        from repro.telemetry.spans import disable_tracing, enable_tracing
-
-        tracer = enable_tracing()
-        try:
-            root = tracer.start_span("root")
-            with under_parent(root):
-                with tracer.span("nested"):
-                    pass
-            assert tracer.current() is not root
+            token = get_tracer().attach(root)
+            assert get_tracer().current() is root
+            with tracer.span("nested"):
+                pass
+            get_tracer().detach(token)
+            assert get_tracer().current() is not root
             tracer.end_span(root)
             assert [c.name for c in root.children] == ["nested"]
         finally:

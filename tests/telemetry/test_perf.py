@@ -1,8 +1,8 @@
-"""Kernel cost counters, perf reports, and collapsed-stack profiles.
+"""Kernel cost counters and perf reports.
 
 Covers the ``repro.telemetry.perf`` contract end to end: counter
 arithmetic, registry publication idempotence, the ``repro.perf/v1``
-report and validator, collapsed-stack conversion — and the two
+report and validator — and the two
 acceptance gates: disabled counters never reach ``record`` on the
 batch-kNN hot path, and cross-backend answer equivalence holds with
 counters on.
@@ -10,9 +10,7 @@ counters on.
 
 from __future__ import annotations
 
-import cProfile
 import json
-import time
 
 import pytest
 
@@ -20,17 +18,13 @@ from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.perf import (
     KERNELS,
     PERF_SCHEMA,
-    FoldedAccumulator,
     KernelProfiler,
     disable_kernel_counters,
     enable_kernel_counters,
-    folded_to_lines,
     perf_report,
-    profile_to_folded,
     publish_to_registry,
     summarize_kernels,
     validate_perf,
-    write_folded,
     write_perf,
 )
 
@@ -71,17 +65,6 @@ def test_enable_reset_clears_previous_totals():
     prof.record("sax", seconds=1.0)
     prof.enable(reset=True)
     assert prof.totals() == {}
-
-
-def test_section_context_manager_times_block():
-    prof = KernelProfiler()
-    prof.enable()
-    with prof.section("leaf_scan", elements=7):
-        time.sleep(0.002)
-    totals = prof.totals()
-    assert totals["leaf_scan"]["calls"] == 1
-    assert totals["leaf_scan"]["elements"] == 7
-    assert totals["leaf_scan"]["seconds"] >= 0.001
 
 
 def test_seconds_lookup_for_missing_kernel_is_zero():
@@ -158,54 +141,6 @@ def test_summarize_kernels_orders_by_seconds():
     table = summarize_kernels(kernels, limit=1)
     assert "sax" in table
     assert "paa" not in table  # limit=1 keeps only the hottest kernel
-
-
-# ---------------------------------------------------------------------------
-# collapsed stacks
-
-
-def _stats_for(fn) -> cProfile.Profile:
-    prof = cProfile.Profile()
-    prof.enable()
-    fn()
-    prof.disable()
-    return prof
-
-
-def test_profile_to_folded_produces_caller_callee_stacks(tmp_path):
-    def leaf():
-        return sum(range(2000))
-
-    def trunk():
-        return [leaf() for _ in range(50)]
-
-    folded = profile_to_folded(_stats_for(trunk))
-    assert folded, "expected at least one folded stack"
-    assert all(t >= 0 for t in folded.values())
-    joined = "\n".join(folded_to_lines(folded))
-    assert "leaf" in joined
-    path = tmp_path / "out.folded"
-    write_folded(folded, path)
-    lines = path.read_text().splitlines()
-    # flamegraph.pl format: "frame;frame <integer-microseconds>"
-    for line in lines:
-        stack, _, value = line.rpartition(" ")
-        assert stack
-        assert int(value) >= 1
-
-
-def test_folded_accumulator_merges_spans(tmp_path):
-    acc = FoldedAccumulator()
-    acc.add({"a;b": 1.0})
-    acc.add({"a;b": 2.0, "c": 0.5})
-    merged = acc.folded()
-    assert merged["a;b"] == pytest.approx(3.0)
-    assert acc.profiles == 2
-    path = tmp_path / "merged.folded"
-    acc.write(path)
-    assert path.read_text().strip()
-    acc.reset()
-    assert acc.folded() == {}
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,51 @@ class TestMultiFormatBuild:
             main(["build", "--data", str(bad), "--out", str(tmp_path / "i")])
 
 
+class TestSharedFlags:
+    """``-v`` / ``-q`` / ``--executor`` / ``--jobs`` / ``--faults`` mean
+    the same before and after the subcommand: the subcommand's defaults
+    must not overwrite a value given before it."""
+
+    @pytest.mark.parametrize("flag, dest, expected", [
+        (["-v"], "verbose", 1),
+        (["-q", "-q"], "quiet", 2),
+        (["--executor", "serial"], "executor", "serial"),
+        (["--jobs", "3"], "jobs", 3),
+        (["--faults", "plan.json"], "faults", "plan.json"),
+    ])
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_flag_survives_either_position(self, flag, dest, expected,
+                                           position):
+        from repro.cli import build_parser
+
+        command = ["info", "--index", "idx"]
+        argv = flag + command if position == "before" else command + flag
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == expected
+
+    @pytest.mark.parametrize("argv_head, level", [
+        (["-v"], "DEBUG"), (["-q"], "WARNING"), ([], "INFO"),
+    ])
+    def test_verbosity_before_subcommand_reaches_the_logger(
+        self, workspace, capsys, argv_head, level
+    ):
+        import logging
+
+        _root, _data, index = workspace
+        assert main(argv_head + ["info", "--index", str(index)]) == 0
+        capsys.readouterr()
+        logger = logging.getLogger("repro")
+        assert logging.getLevelName(logger.level) == level
+
+    @pytest.mark.parametrize("flag", [["--profile-spans"],
+                                      ["--folded", "knn.folded"]])
+    def test_removed_profile_flags_are_rejected(self, workspace, flag):
+        _root, data, index = workspace
+        with pytest.raises(SystemExit):
+            main(["knn", "--index", str(index), "--data", str(data),
+                  "--row", "0"] + flag)
+
+
 class TestExecutorEnvironment:
     """A bad ``REPRO_EXECUTOR`` / ``REPRO_JOBS`` stops the command up
     front with one line naming the variable, never mid-build."""
