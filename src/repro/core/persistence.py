@@ -29,7 +29,9 @@ the ``.npy`` headers, and ``np.load`` still lists every member.  Format 2
 A save writes one file per partition and removes any other ``p*.npz``
 left in the directory, so a smaller index saved over a larger one does
 not inherit its partitions; a load refuses a directory whose partition
-files are not exactly the partitions Tardis-G references.  Local
+files are not exactly the partitions Tardis-G references — also when it
+is asked for only some of them, as a shard process asks for the
+partitions it hosts and reads no other partition file.  Local
 sigTrees are rebuilt from the stored rows by one
 :meth:`SigTree.bulk_load` (the tree row-by-row inserts would build);
 Bloom filters are restored bit-exactly, so the no-false-negative
@@ -203,8 +205,15 @@ def save_index(index: TardisIndex, path: str | Path) -> None:
             file.unlink()
 
 
-def load_index(path: str | Path) -> TardisIndex:
-    """Reconstruct a :class:`TardisIndex` saved by :func:`save_index`."""
+def load_index(path: str | Path, partition_ids=None) -> TardisIndex:
+    """Reconstruct a :class:`TardisIndex` saved by :func:`save_index`.
+
+    With ``partition_ids`` only those partition files are read — the
+    same index :func:`repro.sharding.shard.subset_index` would cut out
+    of a full load (the whole Tardis-G, ``n_records`` summed over the
+    loaded partitions), without ever holding the others.  An id the
+    directory does not hold raises ``KeyError``.
+    """
     root = Path(path)
     meta = json.loads((root / "meta.json").read_text())
     version = meta.get("format_version")
@@ -241,8 +250,16 @@ def load_index(path: str | Path) -> TardisIndex:
             f"{sorted(referenced - set(files))})"
         )
 
+    if partition_ids is None:
+        wanted = sorted(files)
+    else:
+        wanted = sorted(partition_ids)
+        missing = [pid for pid in wanted if pid not in files]
+        if missing:
+            raise KeyError(f"partitions not in index: {missing}")
+
     partitions: dict[int, LocalPartition] = {}
-    for pid in sorted(files):
+    for pid in wanted:
         with np.load(files[pid], allow_pickle=False) as payload:
             signatures = payload["signatures"]
             rids = payload["record_ids"]
@@ -292,16 +309,20 @@ def load_index(path: str | Path) -> TardisIndex:
             block=block,
         )
 
+    n_records = (
+        meta["n_records"] if partition_ids is None
+        else sum(p.n_records for p in partitions.values())
+    )
     logger.info(
         "loaded index %s: %d records, %d partitions",
-        root, meta["n_records"], len(partitions),
+        root, n_records, len(partitions),
     )
     return TardisIndex(
         config=config,
         global_index=global_index,
         partitions=partitions,
         dataset_name=meta["dataset_name"],
-        n_records=meta["n_records"],
+        n_records=n_records,
         series_length=meta["series_length"],
         clustered=meta["clustered"],
     )

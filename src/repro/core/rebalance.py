@@ -478,6 +478,9 @@ class OnlineRebalancer:
         self.last_pause_s = 0.0
         self.max_pause_s = 0.0
         self.in_progress = False
+        #: Why the last stale or injected abort happened (``None`` until
+        #: one does); the same string the WAL and the journal get.
+        self.last_abort_reason: str | None = None
 
     def _default_gate(self, fn):
         with self._default_gate_lock:
@@ -687,6 +690,8 @@ class OnlineRebalancer:
 
     def _abort(self, cycle: RebalanceCycle, reason: str) -> None:
         cycle.aborted = reason
+        with self._stats_lock:
+            self.last_abort_reason = reason
         if self.wal is not None:
             self.wal.log_rebalance_abort(cycle.cycle, reason)
         if self.journal is not None:
@@ -709,4 +714,5 @@ class OnlineRebalancer:
                 "last_pause_s": self.last_pause_s,
                 "max_pause_s": self.max_pause_s,
                 "in_progress": self.in_progress,
+                "last_abort_reason": self.last_abort_reason,
             }

@@ -10,11 +10,13 @@ Two modes, one surface:
   exercise the real connection-refused path.
 * ``processes`` — every shard is a spawned process that loads its
   partition subset from a persisted index directory
-  (:func:`repro.core.persistence.load_index`) and reports its bound
-  address back over a pipe.  ``spawn`` (not fork) because the parent is
-  threaded by the time a cluster starts, and because it forces the
-  child to read from disk — the topology the paper's deployment
-  actually has.  ``kill_shard`` is ``SIGKILL``, the honest crash.
+  (:func:`repro.core.persistence.load_index` with ``partition_ids``:
+  Tardis-G plus the files of the partitions it hosts, and no other
+  partition file) and reports its bound address back over a pipe.
+  ``spawn`` (not fork) because the parent is threaded by the time a
+  cluster starts, and because it forces the child to read from disk —
+  the topology the paper's deployment actually has.  ``kill_shard`` is
+  ``SIGKILL``, the honest crash.
 
 Fault plans travel to spawned shards by *path* (``faults_path``): each
 child installs the same plan file, so injected partition-load faults
@@ -59,9 +61,8 @@ def _shard_main(
         enable_tracing().set_root_limit(256)
     from ..core.persistence import load_index
 
-    index = load_index(index_dir)
     service = ShardService(
-        subset_index(index, hosted),
+        load_index(index_dir, hosted),
         shard_id=shard_id,
         **(service_kwargs or {}),
     )

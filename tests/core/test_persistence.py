@@ -374,3 +374,104 @@ class TestStalePartitions:
         (tmp_path / "idx" / "partitions" / "p00001.npz").unlink()
         with pytest.raises(ValueError, match="missing \\[1\\]"):
             load_index(tmp_path / "idx")
+
+
+def _global_nodes(index):
+    return [
+        (node.signature, node.count, node.partition_id)
+        for node in index.global_index.tree.iter_nodes()
+    ]
+
+
+class TestHostedLoad:
+    """``load_index(d, ids)`` — what a shard process loads — is
+    ``subset_index(load_index(d), ids)`` without reading the other
+    partitions."""
+
+    @pytest.fixture()
+    def saved(self, tardis_small, tmp_path):
+        save_index(tardis_small, tmp_path / "idx")
+        pids = sorted(tardis_small.partitions)
+        assert len(pids) >= 4
+        return tmp_path / "idx", pids[1::2]
+
+    def test_equals_subset_of_full_load(self, saved, heldout_queries):
+        from repro.core.queries import (
+            knn_target_node_access, merge_top_k, query_signature,
+            scan_partitions,
+        )
+        from repro.sharding import subset_index
+
+        path, hosted = saved
+        full = load_index(path)
+        part = load_index(path, hosted)
+        sub = subset_index(full, hosted)
+        assert sorted(part.partitions) == hosted
+        assert _state(part) == _state(sub)
+        assert part.n_records == sub.n_records < full.n_records
+        assert _global_nodes(part) == _global_nodes(sub)
+        assert (part.config, part.dataset_name, part.series_length,
+                part.clustered) == (sub.config, sub.dataset_name,
+                                    sub.series_length, sub.clustered)
+
+        def answers(index, query):
+            """The hosted slice of an MPA scatter (seeded when the home
+            partition is hosted) and, then, target-node access."""
+            signature, paa = query_signature(index, query)
+            home = index.global_index.route(signature)
+            seeded = home in hosted
+            scan = scan_partitions(
+                index, query, signature, paa, 10, hosted,
+                home_pid=home if seeded else None,
+            )
+            out = [
+                [(n.distance, n.record_id) for n in merge_top_k(scan.tops, 10)],
+                scan.loaded, scan.missing, scan.threshold, scan.candidates,
+                scan.refined,
+            ]
+            if seeded:
+                tna = knn_target_node_access(index, query, 10)
+                out += [[(n.distance, n.record_id) for n in tna.neighbors],
+                        tna.candidates_examined, tna.nodes_visited]
+            return seeded, out
+
+        seeded = 0
+        for query in heldout_queries:
+            got = answers(part, query)
+            assert got == answers(sub, query)
+            seeded += got[0]
+        assert seeded > 0
+
+    def test_reads_only_the_hosted_files(self, saved):
+        path, hosted = saved
+        reference = _state(load_index(path, hosted))
+        for file in (path / "partitions").glob("p*.npz"):
+            if int(file.stem[1:]) not in hosted:
+                file.write_bytes(b"not a zip archive")
+        assert _state(load_index(path, hosted)) == reference
+        with pytest.raises(Exception):
+            load_index(path)
+
+    def test_unknown_id_raises_key_error(self, saved):
+        path, hosted = saved
+        with pytest.raises(KeyError, match="999"):
+            load_index(path, hosted + [999])
+
+    def test_stray_file_is_refused_for_a_subset(self, saved):
+        path, hosted = saved
+        partitions = path / "partitions"
+        (partitions / "p00999.npz").write_bytes(
+            (partitions / f"p{hosted[0]:05d}.npz").read_bytes()
+        )
+        with pytest.raises(ValueError, match="stray \\[999\\]"):
+            load_index(path, hosted)
+
+    def test_missing_file_is_refused_for_a_subset(self, saved):
+        path, hosted = saved
+        absent = next(
+            int(f.stem[1:]) for f in sorted((path / "partitions").glob("p*"))
+            if int(f.stem[1:]) not in hosted
+        )
+        (path / "partitions" / f"p{absent:05d}.npz").unlink()
+        with pytest.raises(ValueError, match=f"missing \\[{absent}\\]"):
+            load_index(path, hosted)

@@ -416,3 +416,31 @@ class TestOneSplitPerCycle:
         assert report.rebalances_discarded == 1
         assert layout(fresh) == layout(live)
         assert answers(fresh, probes) == answers(live, probes)
+
+
+class TestAbortReason:
+    def test_stats_carry_the_last_abort_reason(self, base_dataset, stream,
+                                               tmp_path):
+        index = build_base(base_dataset)
+        wal = WriteAheadLog(tmp_path / "reason.wal")
+        overflow(index, wal, stream)
+        crash = {"schema": "repro.faults/v1", "seed": 0, "rules": [
+            {"kind": "task-crash", "stage": "ingest/split"},
+        ]}
+        # The background loop waits out its interval before its first
+        # cycle, so only the cycles run here happen.
+        with QueryService(index, max_delay_ms=0.0, result_cache_size=0,
+                          rebalance=True, rebalance_overflow=1.2,
+                          rebalance_interval_s=3600.0) as svc:
+            assert svc.stats()["rebalance"]["last_abort_reason"] is None
+            with active_plan(crash):
+                cycle = svc.rebalancer.run_cycle()
+            reason = svc.stats()["rebalance"]["last_abort_reason"]
+            assert reason == cycle.aborted
+            assert reason.startswith("injected: ")
+            assert "ingest/split" in reason
+            # A later commit does not clear why the last abort happened.
+            assert svc.rebalancer.run_cycle().report is not None
+            stats = svc.stats()["rebalance"]
+            assert stats["last_abort_reason"] == reason
+            assert stats["cycles_aborted"] == 1

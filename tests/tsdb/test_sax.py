@@ -1,6 +1,9 @@
 """Tests for SAX breakpoints and symbols, especially the nesting property
 that makes iSAX/iSAX-T cardinality reduction a pure bit operation."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.tsdb.sax import (
     MAX_CARDINALITY_BITS,
+    _ndtri,
     breakpoints,
     reduce_symbol,
     sax_symbols,
@@ -64,6 +68,59 @@ class TestBreakpoints:
         bps = breakpoints(3).copy()
         bps[0] = 42.0  # a copy must not inherit the freeze
         assert breakpoints(3)[0] != 42.0
+
+
+#: blake2b (16-byte digest) of ``breakpoints(b).tobytes()`` as computed by
+#: ``scipy.stats.norm.ppf`` (scipy 1.17.1), before the Cephes port
+#: replaced it.  A symbol is a ``searchsorted`` against these arrays, so
+#: one ulp of drift can move a value into the neighbouring stripe and
+#: change signatures, partitions and answers.
+_SCIPY_DIGESTS = [
+    "cae66941d9efbd404e4d88758ea67670",
+    "c804ce198ec337e3dc762bdd1a09aece",
+    "721a483df02a82d4471ac8199009b312",
+    "a4ea89f930aa2559032ef3adf65db9fe",
+    "801a25aab460619c6e4bc0413e7a630f",
+    "d84b90ed53d650debf3684763ab7ff3e",
+    "0491ba8b86eab796e0e5901404a07118",
+    "a58f9d05bd78d87d9ad0d680bbdc467c",
+    "0ee6b6e690af3c168cf108ed31675272",
+    "616ccac799257390a1e1edae5d570be3",
+    "b04700d25bdb7de13f4eb28238d696de",
+    "e00269bbe37770c00aac5d32d10a4ca9",
+    "d2a55611b76abf87d4c9ab996e23146d",
+    "cd8f9f224c1128abd3f14b0756386329",
+    "022eddb922fdd1e0e7c79d8b40c6f1aa",
+    "44ccb7655a49d2b57dfc852c1fadb2d7",
+    "96f59ea5cb9e46a7aa1ed2524c369d5f",
+]
+
+
+class TestNdtri:
+    @pytest.mark.parametrize("bits", range(MAX_CARDINALITY_BITS + 1))
+    def test_breakpoints_are_bit_identical_to_scipy(self, bits):
+        digest = hashlib.blake2b(
+            breakpoints(bits).tobytes(), digest_size=16
+        ).hexdigest()
+        assert digest == _SCIPY_DIGESTS[bits]
+
+    def test_edge_cases(self):
+        assert _ndtri(0.0) == -math.inf
+        assert _ndtri(1.0) == math.inf
+        assert _ndtri(0.5) == 0.0
+        for y in (-1e-300, -0.5, 1.0 + 2**-52, 2.0, math.inf, -math.inf,
+                  math.nan):
+            assert math.isnan(_ndtri(y))
+
+    def test_symmetric_and_monotone_across_branches(self):
+        # Probabilities in all three branches: the central rational
+        # approximation, z in [2, 8) and z >= 8 (y < exp(-32)).
+        ys = [1e-300, 1e-20, 1e-14, 1e-3, 0.1, 0.2, 0.4, 0.5]
+        xs = [_ndtri(y) for y in ys]
+        assert xs == sorted(xs) and len(set(xs)) == len(xs)
+        # 1 - y is exact for these, in the central and the tail branch.
+        for y in (0.375, 0.25, 0.125, 2.0**-10):
+            assert _ndtri(1.0 - y) == -_ndtri(y)
 
 
 class TestSaxSymbols:
