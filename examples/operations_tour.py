@@ -5,7 +5,7 @@ Walks one index through everything an operator does between rebuilds:
 
 1. build and validate,
 2. persist to disk, reload, re-validate,
-3. serve queries with a hot-partition cache and an EXPLAIN report,
+3. model a hot-partition cache (simulated loads) and explain a query,
 4. absorb a skewed stream of inserts (plus a deletion),
 5. rebalance the overflowed partitions,
 6. answer with a *certified* prefix — provably-exact leading neighbors.
@@ -53,7 +53,7 @@ def main() -> None:
         index.validate()
         print(f"persisted + reloaded: {files} files, still valid")
 
-    # 3. Serve with a cache; explain one query.
+    # 3. Model a hot-partition cache (simulated loads); explain one query.
     cache = index.enable_cache(8)
     query = z_normalize(np.cumsum(rng.standard_normal(128)))
     for _ in range(3):  # warm the cache on this query's partitions

@@ -18,7 +18,7 @@ code:
   serve WAL (crash recovery; ``--check`` deep-validates the result)
 * ``query-remote`` — query (or fetch SLO stats from) a running server
 * ``top`` — live operational view of a running server (SLO, queue,
-  caches, partition skew), refreshed on an interval
+  result cache, partition skew), refreshed on an interval
 
 Series inputs are ``.npy`` files (one 1-D array) or ``--row N`` of a
 generated ``.npz`` dataset.
@@ -27,8 +27,7 @@ Observability (docs/OBSERVABILITY.md): ``-v``/``-q`` tune diagnostic
 logging; ``build``/``exact``/``knn``/``range`` accept ``--trace FILE``
 (JSON span tree of the run), ``--metrics FILE`` (Prometheus-style
 counters) and ``--perf FILE`` (kernel-level cost counters as a
-``repro.perf/v1`` report); the query commands take
-``--cache N`` to enable the LRU partition cache.  ``serve`` traces every request by default
+``repro.perf/v1`` report).  ``serve`` traces every request by default
 (``--no-trace-requests`` opts out), journals slow queries
 (``--slow-query-ms``, ``--journal-sample``, ``--journal FILE``), and
 dumps its span forest with ``--trace-file FILE``; ``query-remote
@@ -43,9 +42,8 @@ starts.
 Serving (docs/SERVING.md): ``serve`` exposes admission control
 (``--queue``/``--policy``), batching (``--batch-max`` caps a window;
 windows form from backlog, ``--batch-delay-ms`` opts into a linger),
-both caches (``--cache``/``--result-cache``) and
-an SLO report (``--report FILE`` on shutdown, or live via
-``query-remote --stats``).
+the keyed result cache (``--result-cache``) and an SLO report
+(``--report FILE`` on shutdown, or live via ``query-remote --stats``).
 """
 
 from __future__ import annotations
@@ -175,34 +173,11 @@ def _cmd_info(args) -> int:
           f"height {index.global_index.tree.height()}")
     print(f"local indices  : {index.local_index_nbytes() / 1024:.1f} KB "
           f"(incl. {index.bloom_nbytes() / 1024:.1f} KB bloom filters)")
-    print(f"partition cache: {_format_cache(index.cache_stats())}")
     return 0
 
 
-def _format_cache(stats: dict | None) -> str:
-    """One ``repro info`` line for the partition cache's statistics."""
-    if stats is None:
-        return "not attached (enable_cache() or --cache N)"
-    return (
-        f"{stats['resident']}/{stats['capacity']} resident, "
-        f"{stats['hits']} hits / {stats['misses']} misses "
-        f"({stats['hit_rate']:.0%}), {stats['evictions']} evictions"
-    )
-
-
-def _load_query_index(args):
-    """Load the index for a query command, honouring ``--cache``."""
-    cache = getattr(args, "cache", None)
-    if cache is not None and cache < 1:
-        raise SystemExit("--cache must be a positive partition count")
-    index = load_index(Path(args.index))
-    if cache:
-        index.enable_cache(cache)
-    return index
-
-
 def _cmd_exact(args) -> int:
-    index = _load_query_index(args)
+    index = load_index(Path(args.index))
     query = _load_query(args)
     result = exact_match(index, query, use_bloom=not args.no_bloom)
     if result.found:
@@ -214,7 +189,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_knn(args) -> int:
-    index = _load_query_index(args)
+    index = load_index(Path(args.index))
     query = _load_query(args)
     strategy = _STRATEGIES[args.strategy]
     result = strategy(index, query, args.k)
@@ -236,7 +211,7 @@ def _cmd_knn(args) -> int:
 
 
 def _cmd_range(args) -> int:
-    index = _load_query_index(args)
+    index = load_index(Path(args.index))
     query = _load_query(args)
     result = range_query(index, query, args.radius)
     print(f"{len(result.neighbors)} series within radius {args.radius} "
@@ -251,7 +226,7 @@ def _cmd_range(args) -> int:
 def _cmd_serve(args) -> int:
     from .serving import QueryService, TardisServer
 
-    index = _load_query_index(args)
+    index = load_index(Path(args.index))
     if not args.no_trace_requests:
         # Request tracing is on by default for the serving tier: spans
         # are the per-request timeline behind query-remote --trace and
@@ -379,7 +354,7 @@ def _cmd_serve_sharded(args) -> int:
         plan_shards,
     )
 
-    index = _load_query_index(args)
+    index = load_index(Path(args.index))
     if not args.no_trace_requests:
         tracer = telemetry.enable_tracing()
         tracer.set_root_limit(args.trace_roots)
@@ -825,8 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--query", help="query series .npy")
         cmd.add_argument("--data", help="dataset .npz to take --row from")
         cmd.add_argument("--row", type=int, help="row of --data to query")
-        cmd.add_argument("--cache", type=int, metavar="N",
-                         help="enable an N-partition LRU cache")
         _add_telemetry_flags(cmd)
         if name == "exact":
             cmd.add_argument("--no-bloom", action="store_true")
@@ -849,8 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=0,
                      help="TCP port (0 picks a free one, printed at start)")
-    srv.add_argument("--cache", type=int, metavar="N",
-                     help="enable an N-partition LRU cache")
     srv.add_argument("--result-cache", type=int, default=1024, metavar="N",
                      help="keyed result-cache entries (0 disables)")
     srv.add_argument("--queue", type=int, default=256, metavar="N",

@@ -12,10 +12,13 @@ whose loads cost nothing while resident.  Attach one to an index with
 :meth:`TardisIndex.enable_cache`; every query strategy picks it up
 automatically because all loads funnel through ``load_partition``.
 
+The cache belongs to the reproduction plane (``benchmarks/`` and the
+accounting tests): in real execution every partition is already in
+memory, so neither the CLI nor the serving tier attaches one.
+
 Every access also updates hit/miss/eviction statistics — locally on the
-cache (``stats()``, surfaced by ``repro info``) and on the shared
-telemetry registry (``partition_cache_*_total`` counters, surfaced by
-``--metrics``).
+cache (``stats()``, surfaced by :meth:`TardisIndex.cache_stats`) and on
+the shared telemetry registry (``partition_cache_*_total`` counters).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..faults.injector import get_injector
 from ..telemetry.metrics import get_registry
 
 __all__ = ["PartitionCache"]
@@ -47,19 +49,10 @@ class PartitionCache:
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
-    _listeners: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-
-    def subscribe_invalidations(self, callback) -> None:
-        """Register ``callback(partition_id)`` to fire after every
-        invalidation — the hook the serving tier's result cache uses to
-        stay coherent with partition-level maintenance.  Callbacks run
-        outside the cache lock (they may take their own)."""
-        with self._lock:
-            self._listeners.append(callback)
 
     def admit(self, partition_id: int) -> bool:
         """Record an access; True if it hit (no load charge needed).
@@ -68,17 +61,8 @@ class PartitionCache:
         resident when over capacity.
         """
         registry = get_registry()
-        injector = get_injector()
         with self._lock:
             hit = partition_id in self._resident
-            if hit and injector is not None and injector.cached_copy_lost(
-                partition_id
-            ):
-                # The worker holding the hot copy "died" (a cached-scope
-                # partition-load-error rule fired): drop residency so this
-                # load takes the faultable disk path.
-                del self._resident[partition_id]
-                hit = False
             evicted = False
             if hit:
                 self._resident.move_to_end(partition_id)
@@ -108,26 +92,13 @@ class PartitionCache:
         return False
 
     def invalidate(self, partition_id: int) -> None:
-        """Drop a partition (e.g. after maintenance mutated it on disk).
-
-        Fires even when the partition was not resident: subscribers cache
-        *derived* state (query answers) that exists independently of
-        residency.
-        """
+        """Drop a partition (e.g. after maintenance mutated it on disk)."""
         with self._lock:
             self._resident.pop(partition_id, None)
-            listeners = list(self._listeners)
-        for callback in listeners:
-            callback(partition_id)
 
     def clear(self) -> None:
         with self._lock:
-            dropped = list(self._resident)
             self._resident.clear()
-            listeners = list(self._listeners)
-        for partition_id in dropped:
-            for callback in listeners:
-                callback(partition_id)
 
     @property
     def resident_ids(self) -> list[int]:
@@ -141,7 +112,7 @@ class PartitionCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """Snapshot of the cache's accounting, for reports and ``repro info``."""
+        """Snapshot of the cache's accounting, for reports."""
         with self._lock:
             return {
                 "capacity": self.capacity,

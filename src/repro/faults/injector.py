@@ -13,7 +13,6 @@ Site keys are built from stable coordinates:
 
 * engine stage tasks:   ``stage/<label>/<stage#>/<task>/<attempt>``
 * partition loads:      ``partition/<pid>/<load#>/<attempt>``
-* cached-copy checks:   ``cache/<pid>/<admit#>``
 * storage block reads:  ``storage/<block>/<read#>/<attempt>``
 * serving groups:       ``serve/<op>/<pid>/<group#>/<attempt>``
 * router→shard calls:   ``shard/<sid>/<op>/<call#>/<attempt>``
@@ -103,13 +102,10 @@ class FaultInjector:
         block_id: int | None = None,
         attempt: int | None = None,
         shard_id: int | None = None,
-        cached: bool = False,
     ) -> FaultRule | None:
         """First rule whose kind, scope, and probability draw fire here."""
         for index, rule in enumerate(self._rules):
             if rule.kind not in kinds:
-                continue
-            if rule.cached != cached:
                 continue
             if not rule.matches(
                 label=label, partition_id=partition_id,
@@ -187,21 +183,6 @@ class FaultInjector:
             ("partition", partition_id, load_seq, attempt),
             label="query/load", partition_id=partition_id, attempt=attempt,
         )
-
-    def cached_copy_lost(self, partition_id: int) -> bool:
-        """Should the cache's resident copy of this partition be dropped?
-
-        Matches ``partition-load-error`` rules carrying ``"cached":
-        true`` — modeling the loss of the worker that held the hot copy,
-        so the subsequent load takes the (faultable) disk path.
-        """
-        seq = self.next_seq("cache", partition_id)
-        return self._match(
-            ("partition-load-error",),
-            ("cache", partition_id, seq),
-            label="query/load", partition_id=partition_id,
-            cached=True,
-        ) is not None
 
     def storage_fault(
         self, block_id: int, read_seq: int, attempt: int

@@ -52,8 +52,7 @@ FAULT_PLAN_SCHEMA = "repro.faults/v1"
 #:   router→shard calls (``stage: "shard/*"`` / ``shard_id`` scopes)
 #: * ``task-slow``      — stage tasks, partition loads, serving groups,
 #:   router→shard calls
-#: * ``partition-load-error`` — partition loads (plus the cached copy
-#:   when the rule sets ``"cached": true``)
+#: * ``partition-load-error`` — partition loads
 #: * ``storage-read-error``   — storage block reads
 #: * ``socket-drop``    — serving replies (connection cut mid-response)
 FAULT_KINDS = (
@@ -66,7 +65,7 @@ FAULT_KINDS = (
 
 _RULE_FIELDS = {
     "kind", "stage", "partition_id", "block_id", "shard_id", "attempt",
-    "probability", "delay_ms", "cached",
+    "probability", "delay_ms",
 }
 _RETRY_FIELDS = {
     "max_attempts", "backoff_ms", "multiplier", "jitter", "max_backoff_ms",
@@ -113,7 +112,6 @@ class FaultRule:
     attempt: frozenset | None = None
     probability: float = 1.0
     delay_ms: float = 0.0
-    cached: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -167,7 +165,6 @@ class FaultRule:
             attempt=_as_id_set(doc.get("attempt"), "attempt"),
             probability=float(doc.get("probability", 1.0)),
             delay_ms=float(doc.get("delay_ms", 0.0)),
-            cached=bool(doc.get("cached", False)),
         )
 
     def to_dict(self) -> dict:
@@ -182,8 +179,6 @@ class FaultRule:
             doc["probability"] = self.probability
         if self.delay_ms:
             doc["delay_ms"] = self.delay_ms
-        if self.cached:
-            doc["cached"] = True
         return doc
 
 

@@ -13,8 +13,8 @@ serving tier (docs/SERVING.md), built from five cooperating pieces:
   across the requests that queued up behind a busy consumer (an opt-in
   ``max_delay_ms`` linger can hold a window open for more).
 * :mod:`~repro.serving.result_cache` — a keyed result cache (query
-  digest + strategy + k + pth) layered over the partition cache and
-  invalidated with it.
+  digest + strategy + k + pth), invalidated by the service's own write
+  and rebalance paths.
 * :mod:`~repro.serving.slo` — an SLO tracker publishing p50/p95/p99
   latency (log-bucketed histogram estimates), queue depth, shed count,
   batch occupancy, partition skew and cache hit-rate through

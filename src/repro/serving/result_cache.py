@@ -1,4 +1,4 @@
-"""Keyed result cache layered over the partition cache.
+"""Keyed result cache over finished query answers.
 
 Skewed serving traffic repeats whole *queries*, not just partitions: the
 same probe series arrives from many clients.  The result cache memoizes
@@ -8,12 +8,12 @@ with different ``(strategy, k, pth)`` occupy distinct entries and can
 never satisfy each other (the cross-strategy regression test in
 tests/serving/test_result_cache.py).
 
-Coherence follows the partition cache: every entry remembers which
-partitions produced it, and :meth:`invalidate_partition` drops exactly
-the entries touching a mutated partition.  :class:`QueryService`
-subscribes this to :meth:`PartitionCache.subscribe_invalidations`, so an
-``insert_series`` that invalidates a hot partition invalidates the
-answers derived from it in the same call.
+Coherence is by partition: every entry remembers which partitions
+produced it, and :meth:`invalidate_partition` drops exactly the entries
+touching a mutated partition.  :class:`QueryService` calls it from its
+own write path (every partition an applied write touched) and after a
+committed rebalance cycle (every split or created partition); writes
+must therefore go through the service, never straight to the index.
 
 Partition indexing alone is not enough for every write, though: a
 Multi-Partitions Access answer may have *pruned* a partition by its

@@ -97,7 +97,6 @@ class QueryService(RequestFrontEnd):
         executor: object | str | None = None,
         jobs: int | None = None,
         result_cache_size: int | None = 1024,
-        partition_cache_size: int | None = None,
         slow_query_threshold_ms: float = 100.0,
         journal_sample: float = 0.0,
         journal: EventJournal | None = None,
@@ -132,16 +131,6 @@ class QueryService(RequestFrontEnd):
             default_deadline_ms=default_deadline_ms,
         )
         self.executor = resolve_executor(executor, jobs)
-        if partition_cache_size:
-            index.enable_cache(partition_cache_size)
-        # Invalidate cached answers together with the partition cache:
-        # maintenance that drops a partition from residency also drops the
-        # results derived from it.
-        partition_cache = getattr(index, "_partition_cache", None)
-        if partition_cache is not None and self.result_cache is not None:
-            partition_cache.subscribe_invalidations(
-                self.result_cache.invalidate_partition
-            )
         # -- streaming ingest ---------------------------------------------
         # Writes are applied by the batcher thread under this lock; the
         # online rebalancer's snapshot and swap phases take it too, so a
@@ -303,9 +292,9 @@ class QueryService(RequestFrontEnd):
                     # transient unavailability, not the index's truth.
                     # Bloom-rejected exact matches never load a partition,
                     # so index the cached "not found" under the routed home
-                    # partition (the group key): an insert_series into that
-                    # partition then invalidates the negative answer
-                    # instead of leaving it stale forever.
+                    # partition (the group key): a write into that partition
+                    # then invalidates the negative answer instead of
+                    # leaving it stale forever.
                     pids = (
                         result.partition_ids_loaded or (group.partition_id,)
                     )
@@ -388,14 +377,9 @@ class QueryService(RequestFrontEnd):
                 routed, record_ids=record_ids,
                 skip_existing=self._idempotent_writes and record_ids is not None,
             )
-            # index.ingest already invalidated partition-cache residency
-            # (which notifies the result cache); partitions without a
-            # partition cache still need their cached answers dropped.
             if self.result_cache is not None:
-                cache = getattr(self.index, "_partition_cache", None)
-                if cache is None:
-                    for pid in report.touched:
-                        self.result_cache.invalidate_partition(pid)
+                for pid in report.touched:
+                    self.result_cache.invalidate_partition(pid)
                 if any(report.regions_added.values()):
                     # Region growth shrinks MINDIST bounds: an MPA answer
                     # that *pruned* a touched partition may now be wrong
@@ -468,20 +452,21 @@ class QueryService(RequestFrontEnd):
             return fn()
 
     def _on_rebalanced(self, report) -> None:
-        """Cache coherence after a committed rebalance cycle.
+        """Result-cache coherence after a committed rebalance cycle.
 
         Every split or created partition changes both contents and
-        MINDIST bounds, so residency and derived answers go; MPA answers
+        MINDIST bounds, so answers derived from it go; MPA answers
         planned against the old layout go wholesale (a replan may select
         the new partitions even for queries that never loaded the old
         ones).
         """
+        if self.result_cache is None:
+            return
         for pid in list(report.split_partition_ids) + list(
             report.created_partition_ids
         ):
-            self.invalidate_partition(pid)
-        if self.result_cache is not None:
-            self.result_cache.invalidate_strategy("multi-partitions")
+            self.result_cache.invalidate_partition(pid)
+        self.result_cache.invalidate_strategy("multi-partitions")
 
     def _run_group_safely(self, group):
         """(results, error) so one bad group cannot sink its siblings."""
@@ -515,9 +500,6 @@ class QueryService(RequestFrontEnd):
             executor=self.executor.kind,
             jobs=self.executor.jobs,
         )
-        partition_stats = self.index.cache_stats()
-        if partition_stats is not None:
-            report["partition_cache"] = partition_stats
         report["ingest"] = {
             "writes_total": self._writes_total,
             "write_records_total": self._write_records_total,
@@ -539,11 +521,3 @@ class QueryService(RequestFrontEnd):
             # Live kernel cost attribution for repro top / --stats.
             report["kernels"] = KERNELS.totals()
         return report
-
-    def invalidate_partition(self, partition_id: int) -> None:
-        """Drop one partition from both caches (after index maintenance)."""
-        cache = getattr(self.index, "_partition_cache", None)
-        if cache is not None:
-            cache.invalidate(partition_id)  # notifies the result cache
-        elif self.result_cache is not None:
-            self.result_cache.invalidate_partition(partition_id)

@@ -1,8 +1,8 @@
 """Concurrent stress tests for the shared PartitionCache.
 
-The serving tier hands one cache to many executor worker threads at
+Batch query passes hand one cache to many executor worker threads at
 once (admit from batch groups, invalidate from maintenance, stats from
-the SLO reporter).  These tests hammer all three entry points together
+a reporter).  These tests hammer all three entry points together
 and assert the accounting invariants that only hold when every mutation
 is lock-protected.
 """
@@ -97,38 +97,6 @@ class TestConcurrentAdmit:
         stop.set()
         assert not errors
         assert not any(t.is_alive() for t in threads)
-
-    def test_invalidation_listeners_fire_concurrently(self):
-        cache = PartitionCache(4)
-        seen: list[int] = []
-        lock = threading.Lock()
-
-        def listener(pid: int) -> None:
-            with lock:
-                seen.append(pid)
-
-        cache.subscribe_invalidations(listener)
-
-        def worker(rank: int) -> None:
-            for i in range(200):
-                cache.admit((rank + i) % 8)
-                cache.invalidate((rank + i) % 8)
-
-        threads = [
-            threading.Thread(target=worker, args=(r,)) for r in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(seen) == 4 * 200
-
-    def test_listener_fires_even_for_non_resident(self):
-        cache = PartitionCache(2)
-        fired: list[int] = []
-        cache.subscribe_invalidations(fired.append)
-        cache.invalidate(99)  # never admitted
-        assert fired == [99]
 
 
 def test_eviction_invariant_is_exact_serial():

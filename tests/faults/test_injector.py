@@ -102,16 +102,13 @@ class TestMatching:
         assert fault.kind == "task-slow"
         assert fault.delay_ms == 7.0
 
-    def test_cached_rules_only_fire_on_cache_hook(self):
+    def test_removed_cached_field_is_rejected(self):
+        # A plan written for the deleted cached-copy site is refused, not
+        # silently run as an ordinary load rule.
         cached_rule = {"kind": "partition-load-error", "cached": True}
-        inj = FaultInjector(plan(rules=[cached_rule]))
-        assert inj.partition_load_fault(3, 0, 1) is None
-        assert inj.cached_copy_lost(3)
-        inj = FaultInjector(plan(rules=[
-            {"kind": "partition-load-error"},
-        ]))
-        assert not inj.cached_copy_lost(3)
-        assert inj.partition_load_fault(3, 0, 1) is not None
+        with pytest.raises(ValueError) as info:
+            plan(rules=[cached_rule])
+        assert str(info.value) == "unknown fault-rule fields: ['cached']"
 
     def test_drop_reply_deterministic_per_payload(self):
         rules = [{"kind": "socket-drop", "probability": 0.5}]

@@ -199,16 +199,15 @@ class TestInvalidationCoupling:
         )
         probe = dataset.values[5]
         with QueryService(index, max_batch=2, max_delay_ms=1.0,
-                          executor="serial",
-                          partition_cache_size=4) as service:
+                          executor="serial") as service:
             before = service.query(
                 QueryRequest(probe, op="exact-match")
             )
             assert before.record_ids == [5]
-            # Inserting a duplicate of the probe mutates its home
-            # partition; the partition-cache invalidation must cascade
-            # into the result cache so the next ask re-executes.
-            new_id = index.insert_series(probe)
+            # Writing a duplicate of the probe mutates its home
+            # partition; the service's write path must drop the answers
+            # derived from it so the next ask re-executes.
+            [new_id] = service.write(probe).record_ids
             after = service.query(QueryRequest(probe, op="exact-match"))
             stats = service.stats()["result_cache"]
         assert stats["invalidations"] >= 1
@@ -226,15 +225,14 @@ class TestInvalidationCoupling:
         )
         absent = random_walk(1, length=32, seed=999).z_normalized().values[0]
         with QueryService(index, max_batch=2, max_delay_ms=1.0,
-                          executor="serial",
-                          partition_cache_size=4) as service:
+                          executor="serial") as service:
             before = service.query(QueryRequest(absent, op="exact-match"))
             assert before.bloom_rejected
             assert not before.found
-            # The negative answer is now cached; inserting the series
+            # The negative answer is now cached; writing the series
             # updates its home partition's bloom filter and must drop the
-            # stale negative through the invalidation coupling.
-            new_id = index.insert_series(absent)
+            # stale negative on the write path.
+            [new_id] = service.write(absent).record_ids
             after = service.query(QueryRequest(absent, op="exact-match"))
             stats = service.stats()["result_cache"]
         assert stats["invalidations"] >= 1

@@ -232,15 +232,19 @@ class TestTelemetryFlags:
         assert main(["info", "--index", str(index), "-q"]) == 0
         capsys.readouterr()
 
-    def test_cache_flag_and_info_line(self, workspace, capsys):
+    @pytest.mark.parametrize("command", ["knn", "exact", "range", "serve"])
+    def test_removed_cache_flag_is_rejected(self, workspace, capsys,
+                                            command):
         _root, data, index = workspace
-        code = main(["knn", "--index", str(index), "--data", str(data),
-                     "--row", "4", "--cache", "8"])
-        assert code == 0
-        capsys.readouterr()
-        assert main(["info", "--index", str(index)]) == 0
-        out = capsys.readouterr().out
-        assert "partition cache: not attached" in out
+        argv = [command, "--index", str(index), "--cache", "8"]
+        if command != "serve":
+            argv += ["--data", str(data), "--row", "4"]
+        if command == "range":
+            argv += ["--radius", "5"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --cache 8" in capsys.readouterr().err
 
 
 class TestMultiFormatBuild:
