@@ -74,6 +74,8 @@ _RAW_PLANES = 6
 #: zlib level of ``values_high``: its planes are nearly constant, so the
 #: cheapest level already finds their runs.
 _HIGH_LEVEL = 1
+#: Modification time of every archive member: the zip epoch.
+_MEMBER_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 def _string_array(strings) -> np.ndarray:
@@ -109,7 +111,12 @@ def _join_planes(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 def _write_members(file: Path, members: dict) -> None:
     """One ``.npz`` of ``.npy`` members: ``values_low`` stored,
     ``values_high`` deflated at :data:`_HIGH_LEVEL`, the rest deflated at
-    zlib's default level."""
+    zlib's default level.
+
+    Every member carries the fixed :data:`_MEMBER_DATE_TIME` stamp (a
+    bare name would take the current time), so saving one index twice
+    writes the same bytes.
+    """
     with zipfile.ZipFile(file, "w") as archive:
         for name, array in members.items():
             buffer = io.BytesIO()
@@ -119,8 +126,10 @@ def _write_members(file: Path, members: dict) -> None:
             else:
                 method = zipfile.ZIP_DEFLATED
                 level = _HIGH_LEVEL if name == "values_high" else None
+            member = zipfile.ZipInfo(f"{name}.npy", _MEMBER_DATE_TIME)
+            member.external_attr = 0o600 << 16  # what a bare name gets
             archive.writestr(
-                f"{name}.npy", buffer.getvalue(),
+                member, buffer.getvalue(),
                 compress_type=method, compresslevel=level,
             )
 

@@ -300,6 +300,25 @@ class TestByteplaneCodec:
         assert low.shape == (n_rows, length, 6) and low.dtype == np.uint8
         assert high.shape == (2, n_rows, length) and high.dtype == np.uint8
 
+    def test_saves_are_reproducible_across_clock_ticks(
+        self, tardis_small, tmp_path, monkeypatch
+    ):
+        import time
+
+        real_time = time.time
+        for name, offset in (("first", 0.0), ("second", 86400.0 + 2.0)):
+            monkeypatch.setattr(time, "time", lambda: real_time() + offset)
+            save_index(tardis_small, tmp_path / name)
+        monkeypatch.setattr(time, "time", real_time)
+        first = sorted((tmp_path / "first").rglob("*"))
+        second = sorted((tmp_path / "second").rglob("*"))
+        assert [p.relative_to(tmp_path / "first") for p in first] == [
+            p.relative_to(tmp_path / "second") for p in second
+        ]
+        for a, b in zip(first, second):
+            if a.is_file():
+                assert a.read_bytes() == b.read_bytes(), a.name
+
     def test_reload_is_the_built_state(self, tardis_small, tmp_path):
         save_index(tardis_small, tmp_path / "idx")
         assert _logical(load_index(tmp_path / "idx")) == _logical(tardis_small)
