@@ -245,7 +245,7 @@ def build_dpisax_index(
     partitioner: PartitionTable = broadcast.value
     n_partitions = max(1, len(partitioner))
     shuffled = converted.partition_by(
-        lambda record: partitioner.route(record[0]),
+        lambda records: [partitioner.route(word) for word, _, _ in records],
         n_partitions=n_partitions,
         label="local/shuffle",
     )

@@ -23,6 +23,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from ..faults.injector import get_injector
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
@@ -108,10 +110,25 @@ class PartitionedData:
         return self._cluster._reduce_by_key(self, combine, label)
 
     def partition_by(
-        self, key_fn: Callable, n_partitions: int, label: str
+        self,
+        key_fn: Callable,
+        n_partitions: int,
+        label: str,
+        nbytes_fn: Callable | None = None,
     ) -> "PartitionedData":
-        """Shuffle records so record ``r`` lands in partition ``key_fn(r)``."""
-        return self._cluster._shuffle(self, key_fn, n_partitions, label)
+        """Shuffle records so record ``j`` of a partition lands in
+        partition ``key_fn(records)[j]``.
+
+        ``key_fn`` takes a whole partition's record list and returns one
+        destination per record (an integer array or sequence), so a
+        partitioner routes a partition per call.  ``nbytes_fn`` takes a
+        list of the records that leave their node and returns what each
+        weighs on the wire; the default is
+        :func:`~repro.cluster.costmodel.estimate_bytes` of each.
+        """
+        return self._cluster._shuffle(
+            self, key_fn, n_partitions, label, nbytes_fn
+        )
 
 
 class SimCluster:
@@ -139,9 +156,7 @@ class SimCluster:
         self.cost_model = cost_model or CostModel()
         self.ledger = ledger or SimulationLedger()
         self.executor = resolve_executor(executor, jobs)
-        import numpy as _np
-
-        self._failure_rng = _np.random.default_rng(failure_seed)
+        self._failure_rng = np.random.default_rng(failure_seed)
 
     # -- data ingestion --------------------------------------------------------
 
@@ -409,12 +424,16 @@ class SimCluster:
         key_fn: Callable,
         n_partitions: int,
         label: str,
+        nbytes_fn: Callable | None = None,
     ) -> PartitionedData:
         """Repartition records; cross-worker bytes are charged to network."""
         if n_partitions <= 0:
             raise ValueError("n_partitions must be positive")
         with self._stage_span(label) as span:
-            result = self._shuffle_inner(data, key_fn, n_partitions, label, span)
+            result = self._shuffle_inner(
+                data, key_fn, n_partitions, label, span,
+                nbytes_fn or _record_nbytes,
+            )
         return result
 
     def _shuffle_inner(
@@ -424,29 +443,53 @@ class SimCluster:
         n_partitions: int,
         label: str,
         span,
+        nbytes_fn: Callable,
     ) -> PartitionedData:
         cpu_scale = self.cost_model.cpu_scale
         clock = self.executor.task_clock
+        dest_worker = np.arange(n_partitions) % self.n_workers
+        dest_node = dest_worker % max(1, self.cost_model.n_nodes)
 
         def route_task(i: int, records: list):
-            """Map side of the shuffle for one source partition: bucket
-            records by destination and tally cross-node bytes."""
+            """Map side of the shuffle for one source partition: a stable
+            scatter of its records by destination, and the bytes each
+            worker pulls from another node."""
             start = clock()
+            dests = np.asarray(key_fn(records), dtype=np.int64).reshape(-1)
+            if len(dests) != len(records):
+                raise ValueError(
+                    f"partitioner returned {len(dests)} destinations for "
+                    f"{len(records)} records"
+                )
+            bad = (dests < 0) | (dests >= n_partitions)
+            if bad.any():
+                raise ValueError(
+                    f"partitioner returned {int(dests[bad][0])}, outside "
+                    f"[0, {n_partitions})"
+                )
+            ordered = [
+                records[j] for j in np.argsort(dests, kind="stable").tolist()
+            ]
+            counts = np.bincount(dests, minlength=n_partitions)
+            present = np.flatnonzero(counts)
+            buckets = {
+                dest: ordered[end - count:end]
+                for dest, end, count in zip(
+                    present.tolist(), np.cumsum(counts)[present].tolist(),
+                    counts[present].tolist(),
+                )
+            }
             src_node = self._node_of(self._worker_of(i))
-            buckets: dict[int, list] = {}
-            incoming = [0] * self.n_workers
-            for record in records:
-                dest = key_fn(record)
-                if not 0 <= dest < n_partitions:
-                    raise ValueError(
-                        f"partitioner returned {dest}, outside [0, {n_partitions})"
-                    )
-                buckets.setdefault(dest, []).append(record)
-                dest_worker = self._worker_of(dest)
-                if self._node_of(dest_worker) != src_node:
-                    incoming[dest_worker] += estimate_bytes(record)
+            remote = np.flatnonzero(dest_node[dests] != src_node)
+            incoming = np.zeros(self.n_workers, dtype=np.int64)
+            if remote.size:
+                sizes = nbytes_fn([records[j] for j in remote.tolist()])
+                np.add.at(
+                    incoming, dest_worker[dests[remote]],
+                    np.asarray(sizes, dtype=np.int64),
+                )
             cpu = (clock() - start) * cpu_scale
-            return buckets, incoming, cpu
+            return buckets, incoming.tolist(), cpu
 
         routed = self.executor.map_tasks(route_task, data.partitions)
         # Merge in source-partition order: per-destination record order is
@@ -494,7 +537,7 @@ class SimCluster:
         n_out = max(1, min(combined.n_partitions, self.n_workers))
         shuffled = self._shuffle(
             combined,
-            lambda record: _stable_hash(record[0]) % n_out,
+            lambda records: [_stable_hash(key) % n_out for key, _ in records],
             n_out,
             f"{label}/shuffle",
         )
@@ -509,6 +552,11 @@ class SimCluster:
             span.set("tasks", data.n_partitions)
             span.set("simulated_s", network)
         return [record for partition in data.partitions for record in partition]
+
+
+def _record_nbytes(records: list) -> list:
+    """:func:`estimate_bytes` of each record (the default shuffle sizer)."""
+    return [estimate_bytes(record) for record in records]
 
 
 def _stable_hash(key: object) -> int:

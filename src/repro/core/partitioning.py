@@ -71,6 +71,7 @@ def assign_partitions(tree: SigTree, capacity: int) -> int:
             # Degenerate single-node tree: the root itself is the only leaf.
             parent.partition_id = next_pid
             parent.partition_ids.add(next_pid)
+            tree.version += 1
             return next_pid + 1
         if not leaf_children:
             continue
@@ -85,7 +86,11 @@ def assign_partitions(tree: SigTree, capacity: int) -> int:
 
 
 def _synchronize_id_lists(tree: SigTree) -> None:
-    """Fold leaf partition ids into every ancestor's ``partition_ids``."""
+    """Fold leaf partition ids into every ancestor's ``partition_ids``.
+
+    Every partition (re)assignment ends here, so this is where the tree's
+    version moves on and Tardis-G's routing table goes stale.
+    """
     for leaf in tree.leaves():
         if leaf.partition_id is None:
             raise RuntimeError(f"leaf {leaf.signature!r} missed assignment")
@@ -93,3 +98,4 @@ def _synchronize_id_lists(tree: SigTree) -> None:
         while node is not None:
             node.partition_ids.add(leaf.partition_id)
             node = node.parent
+    tree.version += 1

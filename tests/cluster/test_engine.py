@@ -79,7 +79,9 @@ class TestReduceByKey:
 class TestShuffle:
     def test_records_land_in_keyed_partition(self, cluster):
         data = cluster.parallelize(list(range(12)), 3)
-        out = data.partition_by(lambda x: x % 4, n_partitions=4, label="mod")
+        out = data.partition_by(
+            lambda xs: [x % 4 for x in xs], n_partitions=4, label="mod"
+        )
         for pid in range(4):
             assert all(x % 4 == pid for x in out.partitions[pid])
         assert out.count() == 12
@@ -87,27 +89,72 @@ class TestShuffle:
     def test_out_of_range_partitioner_raises(self, cluster):
         data = cluster.parallelize([1], 1)
         with pytest.raises(ValueError, match="outside"):
-            data.partition_by(lambda x: 5, n_partitions=2, label="bad")
+            data.partition_by(
+                lambda xs: [5] * len(xs), n_partitions=2, label="bad"
+            )
 
     def test_invalid_partition_count(self, cluster):
         data = cluster.parallelize([1], 1)
         with pytest.raises(ValueError):
-            data.partition_by(lambda x: 0, n_partitions=0, label="bad")
+            data.partition_by(
+                lambda xs: [0] * len(xs), n_partitions=0, label="bad"
+            )
 
     def test_cross_node_bytes_charged(self):
         # 2 workers on 2 nodes: moving everything to partition 1 (worker 1,
         # node 1) from partition 0 (worker 0, node 0) crosses the network.
         cluster = SimCluster(n_workers=2, cost_model=CostModel(n_nodes=2))
         data = cluster.parallelize([1.0] * 100, 1)  # all in partition 0
-        data.partition_by(lambda x: 1, n_partitions=2, label="move")
+        data.partition_by(
+            lambda xs: [1] * len(xs), n_partitions=2, label="move"
+        )
         assert cluster.ledger.stage("move").network_s > 0
 
     def test_same_node_bytes_free(self):
         # Single node: shuffles never touch the network.
         cluster = SimCluster(n_workers=4, cost_model=CostModel(n_nodes=1))
         data = cluster.parallelize(list(range(100)), 4)
-        data.partition_by(lambda x: x % 4, n_partitions=4, label="move")
+        data.partition_by(
+            lambda xs: [x % 4 for x in xs], n_partitions=4, label="move"
+        )
         assert cluster.ledger.stage("move").network_s == 0.0
+
+    def test_scatter_is_stable_in_source_partition_order(self, cluster):
+        data = cluster.parallelize(list(range(40)), 4)
+        out = data.partition_by(
+            lambda xs: [x % 3 for x in xs], n_partitions=3, label="stable"
+        )
+        for pid in range(3):
+            expected = [
+                x for source in data.partitions for x in source
+                if x % 3 == pid
+            ]
+            assert out.partitions[pid] == expected
+
+    def test_destination_count_must_match(self, cluster):
+        data = cluster.parallelize([1, 2], 1)
+        with pytest.raises(ValueError, match="destinations"):
+            data.partition_by(lambda xs: [0], n_partitions=2, label="short")
+
+    def test_sizer_prices_only_remote_records(self):
+        # Partition 0 lives on node 0; records bound for partition 1 (node
+        # 1) are the only ones a sizer is asked about.
+        seen = []
+
+        def sizes(records):
+            seen.extend(records)
+            return [100] * len(records)
+
+        cluster = SimCluster(n_workers=2, cost_model=CostModel(n_nodes=2))
+        data = cluster.parallelize(list(range(10)), 1)
+        data.partition_by(
+            lambda xs: [x % 2 for x in xs], n_partitions=2, label="sized",
+            nbytes_fn=sizes,
+        )
+        assert seen == [1, 3, 5, 7, 9]
+        assert cluster.ledger.stage("sized").network_s == (
+            cluster.cost_model.network_time(500)
+        )
 
 
 class TestStorageIntegration:

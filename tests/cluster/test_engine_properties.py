@@ -42,7 +42,9 @@ def _apply(op: str, engine_data, model: list):
         )
     if op == "repartition":
         return (
-            engine_data.partition_by(lambda x: abs(x) % 3, 3, label="part"),
+            engine_data.partition_by(
+                lambda xs: [abs(x) % 3 for x in xs], 3, label="part"
+            ),
             model,
         )
     raise AssertionError(op)
@@ -81,7 +83,9 @@ class TestEngineAgainstModel:
     def test_shuffle_preserves_multiset(self, records, n_out):
         cluster = SimCluster(n_workers=4)
         data = cluster.parallelize(records, 3)
-        shuffled = data.partition_by(lambda x: x % n_out, n_out, label="s")
+        shuffled = data.partition_by(
+            lambda xs: [x % n_out for x in xs], n_out, label="s"
+        )
         assert Counter(shuffled.collect()) == Counter(records)
         for pid, partition in enumerate(shuffled.partitions):
             assert all(x % n_out == pid for x in partition)

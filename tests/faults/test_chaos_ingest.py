@@ -444,3 +444,39 @@ class TestAbortReason:
             stats = svc.stats()["rebalance"]
             assert stats["last_abort_reason"] == reason
             assert stats["cycles_aborted"] == 1
+
+    def test_nothing_to_split_is_recorded_like_any_abort(
+        self, base_dataset, stream, tmp_path
+    ):
+        from repro.telemetry.journal import EventJournal
+
+        index = build_base(base_dataset)
+        wal = WriteAheadLog(tmp_path / "nothing.wal")
+        overflow(index, wal, stream)
+        journal = EventJournal()
+        rebalancer = OnlineRebalancer(
+            index, overflow_factor=1.2, wal=wal, journal=journal
+        )
+        crash = {"schema": "repro.faults/v1", "seed": 0, "rules": [
+            {"kind": "task-crash", "stage": "ingest/split"},
+        ]}
+        with active_plan(crash):
+            injected = rebalancer.run_cycle()
+        assert injected.aborted.startswith("injected: ")
+        # Nothing overflows at a watermark no partition reaches.
+        rebalancer.overflow_factor = 1000.0
+        cycle = rebalancer.run_cycle()
+        wal.close()
+        assert cycle.aborted == "nothing to split"
+        stats = rebalancer.stats()
+        assert stats["last_abort_reason"] == "nothing to split"
+        assert stats["cycles_aborted"] == 2
+        aborts = journal.tail(kind="rebalance-abort")
+        assert [e["reason"] for e in aborts] == [
+            injected.aborted, "nothing to split",
+        ]
+        assert aborts[-1]["cycle"] == cycle.cycle
+        # No begin marker was logged for it, so the WAL closes none.
+        records, _clean = read_wal(tmp_path / "nothing.wal")
+        wal_aborts = [r for r in records if r["kind"] == "rebalance-abort"]
+        assert [r["cycle"] for r in wal_aborts] == [injected.cycle]
