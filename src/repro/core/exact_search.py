@@ -21,8 +21,6 @@ exactness benchmark uses to show the index's pruning power.
 from __future__ import annotations
 
 import logging
-import sys
-from operator import attrgetter
 
 import numpy as np
 
@@ -33,10 +31,9 @@ from ..tsdb.distance import GapTable
 from .builder import TardisIndex
 from .queries import (
     KnnResult,
-    Neighbor,
+    RunningTopK,
     _annotate_knn_span,
     _record_query_metrics,
-    merge_top_k,
     query_signature,
     scan_partitions,
 )
@@ -59,17 +56,17 @@ def _bound_ordered_walk(
     """Scan partitions in ascending ``(region bound, pid)`` order until
     the next bound is strictly above the threshold.
 
-    With ``k`` the answer is the top-k within ``threshold`` and the
-    threshold tightens to the running k-th distance after each
-    partition; without, it stays put and every series within it is
-    kept.  Either way nothing closer than the final threshold is
-    skipped: an unvisited partition's bound, like a pruned node's or
-    row's, is a lower bound on its distances.  The region synopses cover
-    each partition's *actual* contents, fallback-routed records
-    included, which the sampled Tardis-G leaf regions do not
-    (EXPERIMENTS.md methodology notes); consulting them loads no
-    partition.  A partition the walk needs and cannot load raises
-    :class:`PartialResultError`.
+    Every partition's rows go through one :class:`RunningTopK`.  With
+    ``k`` the answer is the top-k within ``threshold`` and the threshold
+    tightens to the running k-th distance after each partition; without,
+    it stays put and every series within it is kept.  Either way nothing
+    closer than the final threshold is skipped: an unvisited partition's
+    bound, like a pruned node's or row's, is a lower bound on its
+    distances.  The region synopses cover each partition's *actual*
+    contents, fallback-routed records included, which the sampled
+    Tardis-G leaf regions do not (EXPERIMENTS.md methodology notes);
+    consulting them loads no partition.  A partition the walk needs and
+    cannot load raises :class:`PartialResultError`.
     """
     result = KnnResult(neighbors=[], strategy=strategy)
     with timed_stage(result.ledger, "query/route"):
@@ -79,14 +76,13 @@ def _bound_ordered_walk(
         order = sorted(
             (bound, pid) for pid, bound in index.region_bounds(gaps).items()
         )
-    keep = sys.maxsize if k is None else k
-    tops: list[list[Neighbor]] = []
+    top = RunningTopK(k)
     for at, (bound, pid) in enumerate(order):
         if bound > threshold:
             result.nodes_pruned += len(order) - at
             break
         scan = scan_partitions(
-            index, query, signature, gaps, keep, [pid],
+            index, query, signature, gaps, k, [pid],
             threshold=threshold, ledger=result.ledger,
         )
         if scan.missing:
@@ -96,19 +92,16 @@ def _bound_ordered_walk(
         result.rows_refined += scan.refined
         result.nodes_visited += 1 + scan.stats.visited
         result.nodes_pruned += scan.stats.pruned
-        tops += scan.tops
-        if k is not None:
-            with timed_stage(result.ledger, "query/merge"):
-                tops = [merge_top_k(tops, k)]
-            if len(tops[0]) == k:
-                threshold = min(threshold, tops[0][-1].distance)
+        with timed_stage(result.ledger, "query/merge"):
+            top.refine(query, scan.found)
+        threshold = min(threshold, top.kth)
     result.partitions_loaded = len(result.partition_ids_loaded)
+    result.rows_scored = top.scored
     with timed_stage(result.ledger, "query/merge"):
         # The row bound keeps a rounding slack; the answer does not.
-        result.neighbors = sorted(
-            (n for top in tops for n in top if n.distance <= threshold),
-            key=attrgetter("distance", "record_id"),
-        )
+        result.neighbors = [
+            n for n in top.neighbors() if n.distance <= threshold
+        ]
     return result
 
 

@@ -26,6 +26,7 @@ _STAT_FIELDS = (
     ("partitions_loaded", "partitions loaded"),
     ("candidates_examined", "candidates examined"),
     ("rows_refined", "rows refined"),
+    ("rows_scored", "rows scored"),
     ("nodes_pruned", "subtrees pruned"),
     ("splits_performed", "adaptive splits"),
     ("leaves_materialized", "leaves materialized"),

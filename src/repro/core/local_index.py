@@ -325,8 +325,9 @@ class LocalPartition:
         query_paa,
         threshold: float,
         series_length: int,
-    ) -> np.ndarray:
-        """The ``rows`` whose own MINDIST is ≤ ``threshold``, in order.
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(rows, bounds)``: the ``rows`` whose own MINDIST is ≤
+        ``threshold``, in order, and those MINDISTs.
 
         The row-level lower bound between :meth:`pruned_entries` and the
         distance pass: each row is priced from its full-cardinality
@@ -336,14 +337,18 @@ class LocalPartition:
         so no series whose computed distance is within ``threshold`` is
         dropped.  A leaf's stripes contain its rows' stripes, so a row's
         bound is never below the bound of the leaf that kept it.  An
-        infinite threshold filters nothing and prices nothing.
+        infinite threshold filters nothing and prices nothing: the rows
+        come back as given, with ``None`` for bounds.
         """
-        if threshold == np.inf or len(rows) == 0:
-            return rows
+        if threshold == np.inf:
+            return rows, None
+        if len(rows) == 0:
+            return rows, np.empty(0)
         gaps = as_gap_table(query_paa, self.tree.max_bits)
         index = self.block.symbol_index(self.tree.max_bits).take(rows, axis=0)
         bounds = gaps.mindist(index, series_length)
-        return rows[bounds <= threshold * (1.0 + _ROW_BOUND_SLACK)]
+        keep = bounds <= threshold * (1.0 + _ROW_BOUND_SLACK)
+        return rows[keep], bounds[keep]
 
     def all_entries(self) -> list[Entry]:
         """Legacy tuple materialization, in tree-traversal order.

@@ -13,6 +13,10 @@ short-circuit) and the three kNN-Approximate strategies:
   ``pth`` sibling partitions (from the Tardis-G parent's id list) and
   prunes them all in parallel with the same threshold.
 
+The pruned strategies refine what the scans kept in one
+:class:`RunningTopK`, partitions in lower-bound order under the running
+k-th distance.
+
 Each strategy has one body (:func:`_exact_match`, :func:`_target_node_knn`,
 :func:`_pruned_knn`) that every tier runs — the library calls below,
 :mod:`repro.core.batch` and the serving batcher.  A tier that already
@@ -27,6 +31,8 @@ from __future__ import annotations
 import logging
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from ..tsdb.distance import GapTable, as_gap_table, batch_euclidean
 from ..tsdb.paa import paa_transform
 from .builder import TardisIndex
 from .isaxt import signature_of_paa
-from .local_index import LocalPartition, ScanStats
+from .local_index import _ROW_BOUND_SLACK, LocalPartition, ScanStats
 from .sigtree import SigTreeNode
 
 __all__ = [
@@ -57,6 +63,8 @@ __all__ = [
     "run_point_group",
     "PartitionScan",
     "scan_partitions",
+    "Candidates",
+    "RunningTopK",
     "merge_top_k",
     "KNN_STRATEGIES",
 ]
@@ -78,9 +86,13 @@ class KnnResult:
     partitions_loaded: int = 0
     #: Rows that passed the node filter (the target node's included).
     candidates_examined: int = 0
-    #: Rows whose true distance was computed: the candidates that also
-    #: passed the row bound (all of them under Target Node Access).
+    #: The candidates that also passed the row bound under the seed's
+    #: threshold (all of them under Target Node Access).
     rows_refined: int = 0
+    #: Rows whose true distance was computed: the refined rows the
+    #: running k-th did not cut.  Depends on the host (a shard sees only
+    #: its own partitions), so it is equal across tiers only on one host.
+    rows_scored: int = 0
     #: Which strategy produced this result (drives answer certification).
     strategy: str = ""
     #: Ids of the partitions actually loaded (used by answer certification).
@@ -146,7 +158,9 @@ _QUERY_COUNTERS = (
     ("candidates_examined", "query_candidates_examined_total",
      "Candidate series that passed the node filter"),
     ("rows_refined", "query_rows_refined_total",
-     "Candidate series ranked by true distance"),
+     "Candidate series that passed the row bound"),
+    ("rows_scored", "query_rows_scored_total",
+     "Candidate series whose true distance was computed"),
     ("nodes_visited", "query_nodes_visited_total",
      "sigTree nodes touched by queries"),
     ("nodes_pruned", "query_mindist_prunes_total",
@@ -182,6 +196,7 @@ def _annotate_knn_span(
     span.set("partitions_loaded", result.partitions_loaded)
     span.set("candidates_examined", result.candidates_examined)
     span.set("rows_refined", result.rows_refined)
+    span.set("rows_scored", result.rows_scored)
     span.set("nodes_visited", result.nodes_visited)
     span.set("nodes_pruned", result.nodes_pruned)
     if ledger is not None:
@@ -350,33 +365,111 @@ def _exact_match(
 # ---------------------------------------------------------------------------
 
 
-def _top_k(
-    query: np.ndarray, partition: LocalPartition, rows: np.ndarray, k: int
-) -> list[Neighbor]:
-    """k nearest block rows to the query by true Euclidean distance.
+class Candidates(NamedTuple):
+    """One partition's rows that passed the node filter and the row bound."""
 
-    One vectorized distance pass over the columnar value matrix; ties in
-    distance break by ascending record id so every strategy (and every
-    executor backend) returns the identical neighbor list.
+    partition: LocalPartition
+    rows: np.ndarray
+    #: The rows' full-cardinality MINDIST bounds; None when they were
+    #: kept under a +inf threshold, which prices nothing.
+    bounds: np.ndarray | None
+
+    def nearest(self) -> float:
+        """The smallest bound (0.0, a bound of anything, when unpriced)."""
+        return 0.0 if self.bounds is None else float(self.bounds.min())
+
+
+class RunningTopK:
+    """The ``k`` nearest distinct record ids scored so far, ranked.
+
+    ``distances`` / ``record_ids`` are parallel arrays in ``(distance,
+    record id)`` order — ties break by ascending id, so every tier and
+    executor returns the same list — holding at most ``k`` entries and
+    one entry per record id (``merge_top_k``'s rule: ids need not be
+    unique across partitions).  ``k=None`` keeps every row, duplicates
+    included: the range query.  ``scored`` counts the true distances
+    computed.
     """
-    if len(rows) == 0:
-        return []
-    block = partition.block
-    distances = batch_euclidean(
-        np.asarray(query, dtype=np.float64), block.values[rows]
-    )
-    rids = block.record_ids[rows]
-    order = np.lexsort((rids, distances))[:k]
-    return [
-        Neighbor(d, r)
-        for d, r in zip(distances[order].tolist(), rids[order].tolist())
-    ]
+
+    def __init__(self, k: int | None):
+        self.k = k
+        self.distances = np.empty(0)
+        self.record_ids = np.empty(0, dtype=np.int64)
+        self.scored = 0
+
+    @property
+    def kth(self) -> float:
+        """The k-th distance once ``k`` ids are held; +inf before."""
+        if self.k is None or len(self.distances) < self.k:
+            return np.inf
+        return float(self.distances[-1])
+
+    def score(
+        self, query: np.ndarray, partition: LocalPartition, rows: np.ndarray
+    ) -> None:
+        """Compute the true distances of block ``rows`` and keep the best."""
+        if len(rows) == 0:
+            return
+        block = partition.block
+        distances = batch_euclidean(query, block.values[rows])
+        self.scored += len(rows)
+        record_ids = block.record_ids[rows]
+        kth = self.kth
+        if kth < np.inf:
+            # Beaten by all k held entries: it cannot enter.
+            near = distances <= kth
+            if not near.any():
+                return
+            distances, record_ids = distances[near], record_ids[near]
+        distances = np.concatenate((self.distances, distances))
+        record_ids = np.concatenate((self.record_ids, record_ids))
+        order = np.lexsort((record_ids, distances))
+        if self.k is not None:
+            top = order[: self.k]
+            if len(set(record_ids[top].tolist())) < len(top):
+                # A record id twice: keep its first (nearest) entry.
+                _ids, first = np.unique(record_ids[order], return_index=True)
+                top = order[np.sort(first)][: self.k]
+            order = top
+        self.distances = distances[order]
+        self.record_ids = record_ids[order]
+
+    def refine(self, query: np.ndarray, found) -> None:
+        """Score :class:`Candidates` in bound order under the running k-th.
+
+        Partitions are visited by ascending ``(smallest bound, partition
+        id)``; the walk stops at the first whose smallest bound is above
+        the k-th distance by more than float rounding can be
+        (``_ROW_BOUND_SLACK``, the row bound's own rule), and inside a
+        partition the rows above that cut are dropped before the gather.
+        The k-th only falls, so a dropped row is farther than the answer;
+        a bound *at* the k-th is kept, as its row may tie there with a
+        smaller id.
+        """
+        visits = sorted(
+            ((c.nearest(), c.partition.partition_id, c) for c in found),
+            key=itemgetter(0, 1),
+        )
+        for nearest, _pid, entry in visits:
+            rows = entry.rows
+            cut = self.kth * (1.0 + _ROW_BOUND_SLACK)
+            if entry.bounds is not None and cut < np.inf:
+                if nearest > cut:
+                    break
+                rows = rows[entry.bounds <= cut]
+            self.score(query, entry.partition, rows)
+
+    def neighbors(self) -> list[Neighbor]:
+        return [
+            Neighbor(d, r)
+            for d, r in zip(self.distances.tolist(), self.record_ids.tolist())
+        ]
 
 
 def _target_node_top_k(
     partition: LocalPartition, signature: str, query: np.ndarray, k: int,
     stats: ScanStats,
-) -> tuple[SigTreeNode, list[Neighbor], int]:
+) -> tuple[SigTreeNode, RunningTopK, int]:
     """Rank the home target node's entries: ``(node, top-k, candidates)``.
 
     Target Node Access's answer and the threshold seed of the pruned
@@ -384,7 +477,9 @@ def _target_node_top_k(
     """
     target = partition.target_node(signature, k)
     rows = partition.entries_under(target, stats=stats)
-    return target, _top_k(query, partition, rows, k), len(rows)
+    top = RunningTopK(k)
+    top.score(query, partition, rows)
+    return target, top, len(rows)
 
 
 def _require_clustered(index: TardisIndex) -> None:
@@ -431,10 +526,12 @@ def _target_node_knn(
             result.partition_ids_loaded = [load.partition_id]
             with _stage(ledger, "query/local search"):
                 scan = ScanStats()
-                target, result.neighbors, result.candidates_examined = (
+                target, top, result.candidates_examined = (
                     _target_node_top_k(partition, signature, query, k, scan)
                 )
+                result.neighbors = top.neighbors()
                 result.rows_refined = result.candidates_examined
+                result.rows_scored = top.scored
                 result.nodes_visited = (target.layer + 1) + scan.visited
         _annotate_knn_span(span, result, ledger)
     _record_query_metrics(result, ledger)
@@ -497,10 +594,12 @@ class PartitionScan:
     missing: list[int]
     #: The pruning threshold used (computed here when this scan seeded).
     threshold: float
-    #: One top-k list per scanned partition (plus the seed's, first).
-    tops: list[list[Neighbor]] = field(default_factory=list)
-    #: Rows that passed the node filter / of those, the rows ranked by
-    #: true distance (the seed's rows count in both).
+    #: Per loaded partition with any, the rows left for the refine.
+    found: list[Candidates] = field(default_factory=list)
+    #: The home target node's rows, ranked; None unless this scan seeded.
+    seed: RunningTopK | None = None
+    #: Rows that passed the node filter / of those, the rows that also
+    #: passed the row bound (the seed's rows count in both).
     candidates: int = 0
     refined: int = 0
     #: sigTree nodes visited / MINDIST-pruned across all the scans.
@@ -522,23 +621,23 @@ def scan_partitions(
     threshold: float = np.inf,
     ledger: SimulationLedger | None = None,
 ) -> PartitionScan:
-    """Load, threshold, prune and rank: Alg. 1 lines 5-16 for one host.
+    """Load, threshold and prune: Alg. 1 lines 5-15 for one host.
 
     Every partition in ``partition_ids`` is loaded; those still
     unavailable after the injector's retries land in ``missing`` and the
     caller degrades.  With ``home_pid`` given this scan *seeds*: the
-    threshold is the k-th distance inside the home partition's target
-    node (lines 10-14; +inf with fewer than ``k`` entries) and the
-    target node is skipped by the home partition's own pruned scan.
-    Otherwise ``threshold`` carries the value an earlier seed scan
-    returned.  Each loaded partition is then MINDIST-pruned and ranked
-    on its own (lines 15-16: ``partitions.scan(th).calEuSort(qts)``), so
-    only per-partition top-k lists reach :func:`merge_top_k`.  Between
-    the two, the rows the node filter kept are priced once more at full
-    cardinality (:meth:`LocalPartition.rows_within`) and only those
-    still within the threshold are gathered and ranked: a dropped row is
-    farther than the seed's k-th, which is in the merge, so the answer
-    is the unfiltered one.
+    home partition's target node is ranked into ``seed`` and its k-th
+    distance is the threshold (lines 10-14; +inf with fewer than ``k``
+    entries); the target node is skipped by the home partition's own
+    pruned scan.  Otherwise ``threshold`` carries the value an earlier
+    seed scan returned.  Each loaded partition is then MINDIST-pruned
+    (line 15: ``partitions.scan(th)``) and the rows the node filter kept
+    are priced once more at full cardinality
+    (:meth:`LocalPartition.rows_within`); what is left goes to
+    ``found`` with its bounds, for the caller's one
+    :meth:`RunningTopK.refine` (line 16's ``calEuSort``, in bound order).
+    A dropped row is farther than the threshold, which the seed's k-th
+    distance — in the answer — already meets.
 
     ``ledger``, when given, is charged as the paper's cluster would be —
     loads and scans run in parallel across workers, so each costs its
@@ -574,14 +673,12 @@ def scan_partitions(
             scan.home_lost = True
             return scan
         with _stage(ledger, "query/threshold"):
-            target, seed_top, scan.candidates = _target_node_top_k(
+            target, scan.seed, scan.candidates = _target_node_top_k(
                 home, signature, query, k, stats
             )
-            if len(seed_top) >= k:
-                scan.threshold = seed_top[-1].distance
+            scan.threshold = scan.seed.kth
         scan.refined = scan.candidates
         scan.target_layer = target.layer
-        scan.tops.append(seed_top)
     scan_times = []
     for pid, partition in loaded.items():
         scratch = None if ledger is None else SimulationLedger()
@@ -591,16 +688,17 @@ def scan_partitions(
                 skip=target if pid == home_pid else None, stats=stats,
             )
             scan.candidates += len(rows)
-            rows = partition.rows_within(
+            rows, bounds = partition.rows_within(
                 rows, gaps, scan.threshold, index.series_length
             )
             scan.refined += len(rows)
-            scan.tops.append(_top_k(query, partition, rows, k))
+            if len(rows):
+                scan.found.append(Candidates(partition, rows, bounds))
         if scratch is not None:
             scan_times.append(scratch.clock_s)
     if ledger is not None:
         ledger.record_stage(
-            "query/parallel scan+rank",
+            "query/parallel scan",
             wall_s=max(scan_times, default=0.0),
             cpu_s=sum(scan_times),
             tasks=len(scan_times),
@@ -609,15 +707,17 @@ def scan_partitions(
 
 
 def merge_top_k(tops, k: int, missing_bounds=()) -> list[Neighbor]:
-    """Alg. 1 line 17's ``take(k)`` over per-partition top-k lists.
+    """Alg. 1 line 17's ``take(k)`` over top-k lists that arrive apart.
 
-    ``(distance, record_id)`` order, one entry per record id, at most
-    ``k``.  ``missing_bounds`` are the region bounds of the partitions
-    that should have been scanned but were unavailable: each is a lower
-    bound on the distance to ANY record of its partition, so every kept
-    neighbor *strictly* below the smallest of them provably precedes all
-    missing candidates in the baseline ordering — the degraded answer is
-    a prefix-subset of the no-fault result.
+    The router gathers the shards' replies with it, and a degraded
+    answer is cut with it.  ``(distance, record_id)`` order, one entry
+    per record id, at most ``k``.  ``missing_bounds`` are the region
+    bounds of the partitions that should have been scanned but were
+    unavailable: each is a lower bound on the distance to ANY record of
+    its partition, so every kept neighbor *strictly* below the smallest
+    of them provably precedes all missing candidates in the baseline
+    ordering — the degraded answer is a prefix-subset of the no-fault
+    result.
     """
     merged = sorted(
         (n for top in tops for n in top),
@@ -640,11 +740,11 @@ def _pruned_knn(
     pth: int | None = None, converted: tuple | None = None,
     ledger: SimulationLedger | None = None,
 ) -> KnnResult:
-    """plan → scan → merge, the body of both threshold-pruned strategies.
+    """plan → scan → refine, the body of both threshold-pruned strategies.
 
     ``one-partition`` plans the home partition alone; otherwise the plan
     is :func:`select_mpa_partitions`' sibling list capped at ``pth``
-    (default: the config's).  ``converted`` is the query's
+    (``None``: the config's).  ``converted`` is the query's
     ``(signature, PAA)`` from a tier that already converted it.
     ``ledger`` follows the :func:`_stage` rule.
     """
@@ -655,7 +755,10 @@ def _pruned_knn(
     if strategy == "one-partition":
         span_attrs = {}
     else:
-        pth = pth or index.config.pth
+        if pth is None:
+            pth = index.config.pth
+        elif pth < 1:
+            raise ValueError("pth must be a positive partition count")
         span_attrs = {"pth": pth}
     with get_tracer().span(
         "query/knn", strategy=strategy, k=k, **span_attrs
@@ -684,13 +787,17 @@ def _pruned_knn(
             _count_degraded()
         if not scan.home_lost:
             with _stage(ledger, "query/merge"):
-                result.neighbors = merge_top_k(
-                    scan.tops, k,
-                    index.region_bounds(gaps, scan.missing).values()
-                    if scan.missing else (),
-                )
+                top = scan.seed
+                top.refine(query, scan.found)
+                result.neighbors = top.neighbors()
+                if scan.missing:
+                    result.neighbors = merge_top_k(
+                        [result.neighbors], k,
+                        index.region_bounds(gaps, scan.missing).values(),
+                    )
             result.candidates_examined = scan.candidates
             result.rows_refined = scan.refined
+            result.rows_scored = top.scored
             result.nodes_visited = (scan.target_layer + 1) + scan.stats.visited
             result.nodes_pruned = scan.stats.pruned
         _annotate_knn_span(span, result, ledger)

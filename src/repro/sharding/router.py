@@ -17,7 +17,7 @@ instead of executing queries it *places* them:
   region synopses), sends one *seed* call to the home partition's shard
   (threshold from the home target node, Alg. 1 lines 10-14), scatters
   the threshold to the remaining hosts in parallel, and hands the
-  returned per-partition top-k lists to
+  returned per-shard top-k lists to
   :func:`~repro.core.queries.merge_top_k`.
 
 Failure handling (docs/ROBUSTNESS.md): every shard call retries across
@@ -796,6 +796,9 @@ class RouterService(RequestFrontEnd):
             ),
             rows_refined=sum(
                 int(reply.get("refined", 0)) for reply in replies
+            ),
+            rows_scored=sum(
+                int(reply.get("scored", 0)) for reply in replies
             ),
             nodes_visited=(
                 int(seed_reply.get("target_layer", -1)) + 1

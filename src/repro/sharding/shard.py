@@ -12,12 +12,12 @@ distributed Multi-Partitions Access.  The router decides *which*
 partitions participate (the ``pth`` fan-out cap) and splits them by
 host; each shard runs :func:`repro.core.queries.scan_partitions` over
 its slice — as the seed (threshold from the home target node) on the
-home shard, with the seed's threshold everywhere else — and merges its
-per-partition top-k lists into one (:func:`~repro.core.queries.merge_top_k`
-without bounds).  At most ``k`` neighbors a call travel back to the
-router's own ``merge_top_k``: the top-k of per-shard top-ks is the top-k
-of their union, and the degraded cut stays at the router, the only place
-that knows which partitions went missing everywhere.
+home shard, with the seed's threshold everywhere else — and refines
+what passed in one :class:`~repro.core.queries.RunningTopK`.  At most
+``k`` neighbors a call travel back to the router's
+:func:`~repro.core.queries.merge_top_k`: the top-k of per-shard top-ks
+is the top-k of their union, and the degraded cut stays at the router,
+the only place that knows which partitions went missing everywhere.
 
 ``shard-knn`` runs in the connection handler thread and bypasses the
 shard's admission queue: backpressure, deadlines, caching and SLO
@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from ..core.builder import TardisIndex
-from ..core.queries import merge_top_k, query_signature, scan_partitions
+from ..core.queries import RunningTopK, query_signature, scan_partitions
 from ..telemetry.carrier import extract, reply_trace
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Span, get_tracer, trace_id_of
@@ -132,6 +132,8 @@ class ShardService(QueryService):
                 home_pid=None if home_pid is None else int(home_pid),
                 threshold=np.inf if threshold is None else float(threshold),
             )
+            top = RunningTopK(k) if scan.seed is None else scan.seed
+            top.refine(series, scan.found)
         finally:
             tracer.detach(token)
             tracer.end_span(root)
@@ -146,11 +148,10 @@ class ShardService(QueryService):
         reply: dict = {
             "loaded": sorted(scan.loaded),
             "missing": sorted(scan.missing),
-            "neighbors": [
-                [n.distance, n.record_id] for n in merge_top_k(scan.tops, k)
-            ],
+            "neighbors": [[n.distance, n.record_id] for n in top.neighbors()],
             "candidates": scan.candidates,
             "refined": scan.refined,
+            "scored": top.scored,
             "visited": scan.stats.visited,
             "pruned": scan.stats.pruned,
         }

@@ -29,7 +29,7 @@ from repro.core.isaxt import (
     signature_of_series,
 )
 from repro.core.local_index import build_local_partition
-from repro.core.queries import _top_k, query_signature
+from repro.core.queries import RunningTopK, query_signature
 from repro.tsdb.distance import (
     euclidean,
     mindist_paa_to_word,
@@ -382,7 +382,9 @@ class TestTopKEquivalence:
         rng = np.random.default_rng(seed)
         query = z_normalize(np.cumsum(rng.standard_normal(LENGTH)))
         rows = np.arange(partition.block.n_rows)
-        got = _top_k(query, partition, rows, k)
+        top = RunningTopK(k)
+        top.score(query, partition, rows)
+        got = top.neighbors()
         # Scalar reference: python sort on (distance, record_id).
         scored = sorted(
             (euclidean(query, values[i]), i) for i in range(len(values))
@@ -395,5 +397,6 @@ class TestTopKEquivalence:
     def test_empty_rows(self):
         records, _ = make_records(5)
         partition = build_local_partition(0, records, CFG)
-        assert _top_k(np.zeros(LENGTH), partition,
-                      np.array([], dtype=np.int64), 3) == []
+        top = RunningTopK(3)
+        top.score(np.zeros(LENGTH), partition, np.array([], dtype=np.int64))
+        assert top.neighbors() == [] and top.scored == 0

@@ -18,6 +18,7 @@ class TestExplain:
         report = explain(result)
         assert "answer: 5 neighbors" in report
         assert "partitions loaded" in report
+        assert f"rows scored: {result.rows_scored}" in report
         assert "simulated time" in report
         assert "query/load partitions" in report
         assert "#" in report  # the share bar

@@ -1,8 +1,9 @@
-"""The one MPA pipeline: ``scan_partitions`` and ``merge_top_k``.
+"""The one MPA pipeline: ``scan_partitions``, ``RunningTopK`` and
+``merge_top_k``.
 
-Local Multi-Partitions Access, the shard's ``shard-knn`` op and the
-router's gather all run these two functions, so their contracts are
-pinned here once instead of being re-proved equal per tier.
+Local Multi-Partitions Access and the shard's ``shard-knn`` op scan and
+refine, the router's gather merges, so their contracts are pinned here
+once instead of being re-proved equal per tier.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.core import TardisConfig, build_tardis_index
 from repro.core.local_index import ScanStats
 from repro.core.queries import (
     Neighbor,
+    RunningTopK,
     knn_multi_partitions_access,
     knn_target_node_access,
     merge_top_k,
@@ -82,6 +84,13 @@ def _scan(index, query, k, pids, **kwargs):
     return scan_partitions(index, query, signature, paa, k, pids, **kwargs)
 
 
+def _refined(scan, query, k):
+    """One host's refine of its scan: the shard's reply."""
+    top = RunningTopK(k) if scan.seed is None else scan.seed
+    top.refine(query, scan.found)
+    return top.neighbors()
+
+
 def test_scan_seed_then_threshold_equals_one_scan(index, query):
     """Seeding on one host and scanning the rest with the returned
     threshold — the router's two phases — is the single local scan."""
@@ -91,8 +100,11 @@ def test_scan_seed_then_threshold_equals_one_scan(index, query):
     seed = _scan(index, query, 5, [home], home_pid=home)
     rest = _scan(index, query, 5, others, threshold=seed.threshold)
     assert seed.target_layer is not None and rest.target_layer is None
-    assert merge_top_k(seed.tops + rest.tops, 5) == whole.neighbors
+    assert merge_top_k(
+        [_refined(seed, query, 5), _refined(rest, query, 5)], 5
+    ) == whole.neighbors
     assert seed.candidates + rest.candidates == whole.candidates_examined
+    assert seed.refined + rest.refined == whole.rows_refined
     assert (seed.target_layer + 1 + seed.stats.visited
             + rest.stats.visited) == whole.nodes_visited
     assert seed.stats.pruned + rest.stats.pruned == whole.nodes_pruned
@@ -112,7 +124,8 @@ def test_scan_seed_is_target_node_access(index, query):
     widened = partition.pruned_entries(
         paa, seed.threshold, index.series_length, skip=target, stats=rest
     )
-    assert seed.tops[0] == tna.neighbors
+    assert seed.seed.neighbors() == tna.neighbors
+    assert seed.seed.scored == tna.rows_scored == tna.rows_refined
     assert seed.threshold == tna.neighbors[-1].distance
     assert seed.candidates - len(widened) == tna.candidates_examined
     assert seed.target_layer == target.layer
@@ -136,7 +149,7 @@ def test_scan_home_lost(index, query):
     assert scan.home_lost
     assert scan.missing == [home]
     assert scan.loaded == pids[1:]
-    assert scan.tops == [] and scan.candidates == 0
+    assert scan.found == [] and scan.seed is None and scan.candidates == 0
     assert scan.target_layer is None and scan.threshold == np.inf
     # ... which the local strategy turns into the empty degraded answer
     assert local.degraded and local.neighbors == []

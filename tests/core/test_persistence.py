@@ -416,7 +416,7 @@ class TestHostedLoad:
 
     def test_equals_subset_of_full_load(self, saved, heldout_queries):
         from repro.core.queries import (
-            knn_target_node_access, merge_top_k, query_signature,
+            RunningTopK, knn_target_node_access, query_signature,
             scan_partitions,
         )
         from repro.sharding import subset_index
@@ -443,10 +443,12 @@ class TestHostedLoad:
                 index, query, signature, paa, 10, hosted,
                 home_pid=home if seeded else None,
             )
+            top = RunningTopK(10) if scan.seed is None else scan.seed
+            top.refine(query, scan.found)
             out = [
-                [(n.distance, n.record_id) for n in merge_top_k(scan.tops, 10)],
+                [(n.distance, n.record_id) for n in top.neighbors()],
                 scan.loaded, scan.missing, scan.threshold, scan.candidates,
-                scan.refined,
+                scan.refined, top.scored,
             ]
             if seeded:
                 tna = knn_target_node_access(index, query, 10)

@@ -43,6 +43,28 @@ class TestTinyPth:
         assert len(result.neighbors) == 10
         assert result.partitions_loaded == 1
 
+    @pytest.mark.parametrize("pth", [0, -1])
+    def test_non_positive_pth_rejected(
+        self, pth, tardis_small, heldout_queries
+    ):
+        """The wire's rule on the library path: ``0`` used to mean the
+        config's cap and ``-1`` sliced the candidate list from its end."""
+        with pytest.raises(
+            ValueError, match="pth must be a positive partition count"
+        ):
+            knn_multi_partitions_access(
+                tardis_small, heldout_queries[1], 10, pth=pth
+            )
+
+    def test_pth_none_is_the_config_cap(self, tardis_small, heldout_queries):
+        query = heldout_queries[1]
+        default = knn_multi_partitions_access(tardis_small, query, 10)
+        explicit = knn_multi_partitions_access(
+            tardis_small, query, 10, pth=tardis_small.config.pth
+        )
+        assert default.partition_ids_loaded == explicit.partition_ids_loaded
+        assert default.neighbors == explicit.neighbors
+
 
 class TestDuplicateHeavyData:
     @pytest.fixture(scope="class")

@@ -17,7 +17,7 @@ from repro.core import TardisConfig
 from repro.core.builder import convert_records
 from repro.core.isaxt import decode_signature, signature_of_paa
 from repro.core.local_index import _ROW_BOUND_SLACK, build_local_partition
-from repro.core.queries import Neighbor, _top_k, merge_top_k
+from repro.core.queries import Neighbor, RunningTopK, merge_top_k
 from repro.telemetry.perf import (
     KERNELS,
     disable_kernel_counters,
@@ -34,14 +34,21 @@ from repro.tsdb.sax import breakpoints
 LENGTH = 32
 
 
+def top_k(query, partition, rows, k):
+    """The k nearest ``rows`` by true distance, every one scored."""
+    top = RunningTopK(k)
+    top.score(query, partition, rows)
+    return top.neighbors()
+
+
 def merged_answer(partition, query, paa, k, threshold, seed_top, skip,
                   filtered):
     """``scan_partitions``' pruned-scan step for one partition, merged
     with the seed's top-k; ``filtered=False`` is the reference."""
     rows = partition.pruned_entries(paa, threshold, LENGTH, skip=skip)
     if filtered:
-        rows = partition.rows_within(rows, paa, threshold, LENGTH)
-    return merge_top_k([seed_top, _top_k(query, partition, rows, k)], k)
+        rows, _bounds = partition.rows_within(rows, paa, threshold, LENGTH)
+    return merge_top_k([seed_top, top_k(query, partition, rows, k)], k)
 
 
 def assert_filter_is_exact(partition, query, k):
@@ -50,7 +57,7 @@ def assert_filter_is_exact(partition, query, k):
     target = partition.target_node(
         signature_of_paa(paa, partition.tree.max_bits), k
     )
-    seed_top = _top_k(query, partition, partition.entries_under(target), k)
+    seed_top = top_k(query, partition, partition.entries_under(target), k)
     threshold = seed_top[-1].distance if len(seed_top) >= k else np.inf
     assert merged_answer(
         partition, query, paa, k, threshold, seed_top, target, True
@@ -145,8 +152,9 @@ def test_row_bound_is_the_kernel_bound_and_nests_in_the_leaf(
 ):
     """What survives is ``mindist_paa_to_words`` row for row, compared
     non-strictly (a threshold at a row's own bound keeps it), and never
-    a row of a leaf the node filter would drop; an infinite threshold or
-    an empty row set prices nothing."""
+    a row of a leaf the node filter would drop; the bounds handed back
+    are the kernel's, bit for bit; an infinite threshold or an empty row
+    set prices nothing."""
     rng = np.random.default_rng(seed)
     config = TardisConfig(
         word_length=w, cardinality_bits=bits, l_max_size=l_max
@@ -168,16 +176,19 @@ def test_row_bound_is_the_kernel_bound_and_nests_in_the_leaf(
             )).all()
         for threshold in (0.0, *np.unique(want).tolist()):
             slackened = threshold * (1.0 + _ROW_BOUND_SLACK)
-            got = partition.rows_within(rows, paa, threshold, LENGTH)
+            got, bounds = partition.rows_within(rows, paa, threshold, LENGTH)
             assert got.tolist() == rows[want <= slackened].tolist()
+            assert bounds.tolist() == want[want <= slackened].tolist()
             assert set(got.tolist()) <= set(
                 partition.pruned_entries(paa, slackened, LENGTH).tolist()
             )
     paa = paa_transform(pool[0], w)
     enable_kernel_counters(reset=True)
     try:
-        assert partition.rows_within(rows, paa, np.inf, LENGTH) is rows
-        assert len(partition.rows_within(rows[:0], paa, 1.0, LENGTH)) == 0
+        got, bounds = partition.rows_within(rows, paa, np.inf, LENGTH)
+        assert got is rows and bounds is None
+        got, bounds = partition.rows_within(rows[:0], paa, 1.0, LENGTH)
+        assert len(got) == len(bounds) == 0
     finally:
         disable_kernel_counters()
     assert KERNELS.totals().get("mindist", {}).get("calls", 0) == 0
@@ -220,7 +231,7 @@ def test_a_row_survives_a_threshold_at_its_own_distance():
         assert (bounds <= distances * (1.0 + _ROW_BOUND_SLACK)).all()
         rounded_above += int((bounds > distances).sum())
         for row, distance in zip(rows.tolist(), distances.tolist()):
-            assert row in partition.rows_within(rows, paa, distance, n)
+            assert row in partition.rows_within(rows, paa, distance, n)[0]
     assert rounded_above, "no bound ever rounded above its distance"
 
 

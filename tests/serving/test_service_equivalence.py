@@ -132,6 +132,7 @@ QUERY_COUNTERS = (
     "queries_total",
     "query_candidates_examined_total",
     "query_rows_refined_total",
+    "query_rows_scored_total",
     "query_nodes_visited_total",
     "query_mindist_prunes_total",
     "query_bloom_positives_total",

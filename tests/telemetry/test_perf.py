@@ -192,12 +192,15 @@ def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
     at most once more per partition for the row bound (never under a +inf
     threshold); it scans each loaded partition's tree exactly once — not
     once per sibling partition and per tree level, as the loops it
-    replaced did — and computes true distances for the rows the row
-    bound kept, no others.  Counts, no clock: the speed they buy is gated
-    in ``perf/`` (``lib-mpa``)."""
+    replaced did — and computes true distances for the rows it reports
+    scored, no others: at most the rows the row bound kept, fewer once
+    the running k-th cuts rows or stops the refine before a partition.
+    Counts, no clock: the speed they buy is gated in ``perf/``
+    (``lib-mpa``)."""
     from repro.core import knn_multi_partitions_access
+    from repro.core.queries import query_signature, scan_partitions
 
-    fanned_out = capped = filtered = 0
+    fanned_out = capped = filtered = stopped = 0
     for query in heldout_queries:
         enable_kernel_counters(reset=True)
         result = knn_multi_partitions_access(tardis_small, query, k=5)
@@ -210,14 +213,27 @@ def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
         assert totals["leaf_scan"]["calls"] == 1 + loaded
         assert totals["leaf_scan"]["elements"] == result.candidates_examined
         assert result.rows_refined <= result.candidates_examined
+        assert result.rows_scored <= result.rows_refined
         assert totals["euclidean"]["elements"] == (
-            result.rows_refined * tardis_small.series_length
+            result.rows_scored * tardis_small.series_length
         )
         fanned_out += loaded > 1
         capped += mindist_calls == 1 + 2 * loaded
         filtered += result.rows_refined < result.candidates_examined
+        # One distance pass for the seed and one per partition refined:
+        # fewer than the partitions with rows left means the refine
+        # stopped early.
+        signature, paa = query_signature(tardis_small, query)
+        scan = scan_partitions(
+            tardis_small, query, signature, paa, 5,
+            result.partition_ids_loaded,
+            home_pid=tardis_small.global_index.route(signature),
+        )
+        assert scan.refined == result.rows_refined
+        stopped += totals["euclidean"]["calls"] < 1 + len(scan.found)
     assert fanned_out and capped, "fixture never reached the call bound"
     assert filtered, "the row bound never dropped a row"
+    assert stopped, "the refine never stopped before a partition"
 
 
 def test_exact_walk_is_flat(tardis_small, heldout_queries):
@@ -226,10 +242,12 @@ def test_exact_walk_is_flat(tardis_small, heldout_queries):
     most once more for the row bound (never under the first partition's
     +inf threshold) — not once per tree node; it scans each loaded
     partition's tree exactly once and computes true distances for the
-    rows the row bound kept, no others.  Counts, no clock."""
+    rows it reports scored, no others — at most the rows the row bound
+    kept — and stops before the partitions whose region bound is above
+    the k-th distance.  Counts, no clock."""
     from repro.core import knn_exact
 
-    filtered = 0
+    filtered = stopped = 0
     for query in heldout_queries:
         enable_kernel_counters(reset=True)
         result = knn_exact(tardis_small, query, k=5)
@@ -239,11 +257,14 @@ def test_exact_walk_is_flat(tardis_small, heldout_queries):
         assert 1 + loaded <= totals["mindist"]["calls"] <= 1 + 2 * loaded
         assert totals["leaf_scan"]["calls"] == loaded
         assert totals["leaf_scan"]["elements"] == result.candidates_examined
+        assert result.rows_scored <= result.rows_refined
         assert totals["euclidean"]["elements"] == (
-            result.rows_refined * tardis_small.series_length
+            result.rows_scored * tardis_small.series_length
         )
         filtered += result.rows_refined < result.candidates_examined
+        stopped += loaded < len(tardis_small.partitions)
     assert filtered, "the row bound never dropped a row"
+    assert stopped, "the walk never stopped before a partition"
 
 
 def _window(rw_small, size):
