@@ -33,11 +33,9 @@ counters) and ``--perf FILE`` (kernel-level cost counters as a
 dumps its span forest with ``--trace-file FILE``; ``query-remote
 --trace`` prints one request's span timeline.
 
-Execution (DESIGN.md, "Executors"): every command accepts ``--executor
-{serial,threads}`` and ``--jobs N`` to choose the task backend the
-engine and batch paths run on; ``REPRO_EXECUTOR`` / ``REPRO_JOBS`` set
-the default, and a bad value of either stops the command before it
-starts.
+Execution (DESIGN.md §9): every command runs its tasks inline, in task
+order; the simulated cluster's parallelism is ``TardisConfig.n_workers``
+in the cost model, not threads in this process.
 
 Serving (docs/SERVING.md): ``serve`` exposes admission control
 (``--queue``/``--policy``), batching (``--batch-max`` caps a window;
@@ -59,11 +57,6 @@ from pathlib import Path
 import numpy as np
 
 from . import telemetry
-from .cluster.executors import (
-    EXECUTOR_KINDS,
-    get_default_executor,
-    set_default_executor,
-)
 from .core import (
     TardisConfig,
     build_tardis_index,
@@ -749,12 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="more diagnostic logging (repeatable)")
         p.add_argument("-q", "--quiet", action="count", default=zero,
                        help="less diagnostic logging (repeatable)")
-        p.add_argument("--executor", choices=EXECUTOR_KINDS, default=unset,
-                       help="task execution backend (default: threads, or "
-                            "REPRO_EXECUTOR)")
-        p.add_argument("--jobs", type=int, default=unset, metavar="N",
-                       help="worker count for parallel executors "
-                            "(default: all cores, or REPRO_JOBS)")
         p.add_argument("--faults", metavar="PLAN", default=unset,
                        help="inject faults from a repro.faults/v1 plan "
                             "(JSON file) for this command")
@@ -1024,13 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     telemetry.log.configure(verbosity=args.verbose - args.quiet)
-    try:
-        if args.executor is not None or args.jobs is not None:
-            set_default_executor(args.executor, args.jobs)
-        else:
-            get_default_executor()  # REPRO_EXECUTOR / REPRO_JOBS
-    except ValueError as exc:
-        raise SystemExit(str(exc))
     if getattr(args, "faults", None):
         from .faults import install_plan
 

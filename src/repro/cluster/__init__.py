@@ -14,15 +14,6 @@ from .costmodel import (
     timed_stage,
 )
 from .engine import Broadcast, PartitionedData, SimCluster, TaskFailedError
-from .executors import (
-    EXECUTOR_KINDS,
-    SerialExecutor,
-    ThreadExecutor,
-    get_default_executor,
-    make_executor,
-    resolve_executor,
-    set_default_executor,
-)
 from .storage import Block, BlockStorage
 
 __all__ = [
@@ -37,11 +28,4 @@ __all__ = [
     "Broadcast",
     "Block",
     "BlockStorage",
-    "EXECUTOR_KINDS",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "make_executor",
-    "resolve_executor",
-    "get_default_executor",
-    "set_default_executor",
 ]

@@ -29,7 +29,6 @@ from ..faults.injector import get_injector
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
 from .costmodel import CostModel, SimulationLedger, estimate_bytes
-from .executors import resolve_executor
 from .storage import Block, BlockStorage
 
 __all__ = ["SimCluster", "PartitionedData", "Broadcast", "TaskFailedError"]
@@ -140,22 +139,12 @@ class SimCluster:
         cost_model: CostModel | None = None,
         ledger: SimulationLedger | None = None,
         failure_seed: int = 0,
-        executor: object | str | None = None,
-        jobs: int | None = None,
     ):
-        """``executor`` selects the real execution backend for stage tasks:
-        ``"serial"`` | ``"threads"`` (or an instance from
-        :mod:`repro.cluster.executors`).  ``None`` uses the process-wide
-        default (``threads``).  Results, partition layouts and ledger task
-        counts are identical across backends; only wall-clock differs.
-        ``jobs`` caps real parallelism (default: CPU count).
-        """
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self.n_workers = n_workers
         self.cost_model = cost_model or CostModel()
         self.ledger = ledger or SimulationLedger()
-        self.executor = resolve_executor(executor, jobs)
         self._failure_rng = np.random.default_rng(failure_seed)
 
     # -- data ingestion --------------------------------------------------------
@@ -260,9 +249,8 @@ class SimCluster:
 
         Returns attempts-until-success per task (``-1`` = budget exhausted).
         Drawing up front, in task order, consumes the failure rng exactly
-        like the seed's lazy per-attempt draws did — so the retry schedule
-        is identical for every execution backend and byte-identical to the
-        pre-executor serial engine, no matter how tasks interleave.
+        like the seed's lazy per-attempt draws did, so the retry schedule
+        is byte-identical to theirs.
         """
         failure_rate = self.cost_model.task_failure_rate
         if failure_rate <= 0.0:
@@ -286,22 +274,19 @@ class SimCluster:
         """Run one task per partition; returns outputs and records costs.
 
         ``task(index, records)`` returns ``(output_records, io_seconds)``;
-        its CPU time is measured around the call.  Tasks are dispatched
-        through the cluster's executor — concurrently for ``threads`` —
-        while cost attribution stays per-task: each task
-        measures its own CPU and the driver folds the per-task charges
-        into the per-worker latency model in task order.
+        its CPU time is measured around the call.  Tasks run inline, in
+        task order; the per-task charges fold into the per-worker latency
+        model, and the first (lowest-index) failing task raises.
         """
         registry = get_registry()
-        executor = self.executor
         inj = get_injector()
         with self._stage_span(label) as span:
             plan = self._attempt_plan(len(partitions))
             max_attempts = self.cost_model.task_max_attempts
             cpu_scale = self.cost_model.cpu_scale
-            clock = executor.task_clock
-            # Stage sequence number: drawn once, on the driver thread, so
-            # fault sites are identical regardless of executor backend.
+            clock = time.perf_counter
+            # Stage sequence number: drawn once per stage, so fault sites
+            # depend on the stage, not on how its tasks ran.
             stage_seq = inj.next_seq("stage", label) if inj is not None else 0
 
             def run_task(i: int, records: list):
@@ -358,7 +343,9 @@ class SimCluster:
                 return out, cpu, io, total_runs, delay
 
             try:
-                results = executor.map_tasks(run_task, partitions)
+                results = [
+                    run_task(i, part) for i, part in enumerate(partitions)
+                ]
             except TaskFailedError:
                 registry.counter(
                     "engine_task_failures_total",
@@ -446,7 +433,7 @@ class SimCluster:
         nbytes_fn: Callable,
     ) -> PartitionedData:
         cpu_scale = self.cost_model.cpu_scale
-        clock = self.executor.task_clock
+        clock = time.perf_counter
         dest_worker = np.arange(n_partitions) % self.n_workers
         dest_node = dest_worker % max(1, self.cost_model.n_nodes)
 
@@ -491,7 +478,9 @@ class SimCluster:
             cpu = (clock() - start) * cpu_scale
             return buckets, incoming.tolist(), cpu
 
-        routed = self.executor.map_tasks(route_task, data.partitions)
+        routed = [
+            route_task(i, records) for i, records in enumerate(data.partitions)
+        ]
         # Merge in source-partition order: per-destination record order is
         # then identical to the sequential record-at-a-time shuffle.
         new_partitions: list[list] = [[] for _ in range(n_partitions)]

@@ -11,12 +11,12 @@ and target-node kNN.  Each query runs the body the interactive call runs
 by construction; the conversion (one pass for the batch), the load (one
 per group) and the cost model differ.
 
-Each group is one task on the configured execution backend
-(``executor=`` — see :mod:`repro.cluster.executors`), defaulting to
-the process-wide executor.  Per-query accounting keeps the interactive
-invariant (tests/test_accounting.py): every result reports its
-``partition_ids_loaded``, ``strategy``, ``nodes_visited``, and a ledger
-whose partition-load tasks match ``partitions_loaded``.
+Groups run one after another, in partition-id order; the simulated
+pass charges them as parallel tasks over ``n_workers``.  Per-query
+accounting keeps the interactive invariant (tests/test_accounting.py):
+every result reports its ``partition_ids_loaded``, ``strategy``,
+``nodes_visited``, and a ledger whose partition-load tasks match
+``partitions_loaded``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from ..cluster import SimulationLedger
 from ..cluster.costmodel import timed_stage
-from ..cluster.executors import resolve_executor
 from ..telemetry.perf import KERNELS as _KERNELS
 from .builder import TardisIndex, convert_batch
 from .queries import (
@@ -99,7 +98,7 @@ def _parallel_wall(per_partition_times: list[float], n_workers: int) -> float:
 
 
 def _partition_pass(
-    index: TardisIndex, queries: np.ndarray, body, label: str, executor
+    index: TardisIndex, queries: np.ndarray, body, label: str
 ) -> BatchReport:
     """Route the batch, answer each partition group as one task, charge it.
 
@@ -139,9 +138,7 @@ def _partition_pass(
 
     # One task per group, in deterministic partition-id order.
     items = sorted(groups.items())
-    outcomes = resolve_executor(executor).map_tasks(
-        lambda _i, item: run_group(*item), items
-    )
+    outcomes = [run_group(pid, indices) for pid, indices in items]
     partition_times: list[float] = []
     for (_pid, indices), (results, group_time, status) in zip(items, outcomes):
         for i, result in zip(indices, results):
@@ -161,7 +158,6 @@ def batch_exact_match(
     index: TardisIndex,
     queries: np.ndarray,
     use_bloom: bool = True,
-    executor: object | str | None = None,
 ) -> BatchReport:
     """Exact-match a whole batch with one load per touched partition.
 
@@ -169,12 +165,11 @@ def batch_exact_match(
     *all* of its routed queries is never loaded at all.  Queries that
     needed a partition which would not load hold the typed
     :class:`~repro.faults.errors.PartialResultError` in their result
-    slot.  Partition groups run concurrently on ``executor`` (default:
-    the process-wide backend).
+    slot.
     """
     return _partition_pass(
         index, queries, partial(_exact_match, index, use_bloom=use_bloom),
-        "lookup", executor,
+        "lookup",
     )
 
 
@@ -182,19 +177,16 @@ def batch_knn_target_node(
     index: TardisIndex,
     queries: np.ndarray,
     k: int,
-    executor: object | str | None = None,
 ) -> BatchReport:
     """Target-Node-Access kNN for a whole batch, one load per partition.
 
-    Partition groups run concurrently on ``executor`` (default: the
-    process-wide backend); answers are identical to the interactive
-    target-node strategy query for query, and a group whose partition
-    would not load degrades to empty answers.
+    Answers are identical to the interactive target-node strategy query
+    for query, and a group whose partition would not load degrades to
+    empty answers.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     _require_clustered(index)
     return _partition_pass(
-        index, queries, partial(_target_node_knn, index, k=k),
-        "search", executor,
+        index, queries, partial(_target_node_knn, index, k=k), "search"
     )

@@ -641,8 +641,7 @@ def build_tardis_index(
                 cluster.charge_disk_read(spilled_bytes, label="local/spill read")
             def build_one(index: int, records: list) -> tuple[list, float]:
                 # The partition is the task OUTPUT (not a closure side
-                # effect) so results merge in task order on every
-                # executor.
+                # effect) so results merge in task order.
                 partition = build_local_partition(
                     index, records, config, clustered=clustered,
                     with_bloom=with_bloom,

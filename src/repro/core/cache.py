@@ -36,9 +36,9 @@ __all__ = ["PartitionCache"]
 class PartitionCache:
     """An LRU cache over partition ids with hit/miss/eviction accounting.
 
-    Thread-safe: batch query passes load partitions from executor worker
-    threads concurrently, so residency updates and statistics are guarded
-    by a lock.
+    Thread-safe: one cache may be shared across threads (a server's
+    batcher and rebalancer, concurrent library callers), so residency
+    updates and statistics are guarded by a lock.
     """
 
     capacity: int

@@ -383,8 +383,8 @@ class RunningTopK:
     """The ``k`` nearest distinct record ids scored so far, ranked.
 
     ``distances`` / ``record_ids`` are parallel arrays in ``(distance,
-    record id)`` order — ties break by ascending id, so every tier and
-    executor returns the same list — holding at most ``k`` entries and
+    record id)`` order — ties break by ascending id, so every tier
+    returns the same list — holding at most ``k`` entries and
     one entry per record id (``merge_top_k``'s rule: ids need not be
     unique across partitions).  ``k=None`` keeps every row, duplicates
     included: the range query.  ``scored`` counts the true distances

@@ -25,7 +25,6 @@ from ..baseline.dpisax import (
     knn_baseline,
 )
 from ..cluster import SimCluster
-from ..cluster.executors import resolve_executor
 from ..core.builder import TardisIndex, build_tardis_index
 from ..core.config import TardisConfig
 from ..core.ground_truth import brute_force_knn
@@ -209,25 +208,19 @@ def evaluate_exact_match(
     index: TardisIndex | DpisaxIndex,
     queries: list[ExactQuery],
     use_bloom: bool = True,
-    executor: object | str | None = None,
 ) -> ExactMatchReport:
     """Run an exact-match workload and average the simulated times.
 
     Works for both systems; ``use_bloom`` selects Tardis-BF vs
     Tardis-NoBF and is ignored for the baseline (which has no filter).
-    Queries are independent and run concurrently on ``executor`` (default:
-    the process-wide backend); the report aggregates in query order, so
-    every averaged figure matches serial execution.
     """
     is_tardis = isinstance(index, TardisIndex)
     mark = _trace_mark()
-
-    def run_query(_i, query):
-        if is_tardis:
-            return exact_match(index, query.values, use_bloom=use_bloom)
-        return exact_match_baseline(index, query.values)
-
-    results = resolve_executor(executor).map_tasks(run_query, list(queries))
+    results = [
+        exact_match(index, query.values, use_bloom=use_bloom) if is_tardis
+        else exact_match_baseline(index, query.values)
+        for query in queries
+    ]
     times, correct, false_answers, loads, rejections = [], 0, 0, 0, 0
     for query, result in zip(queries, results):
         if is_tardis:
@@ -308,7 +301,6 @@ def evaluate_knn(
     tardis: TardisIndex | None = None,
     dpisax: DpisaxIndex | None = None,
     methods: tuple[str, ...] = KNN_METHOD_ORDER,
-    executor: object | str | None = None,
 ) -> list[KnnReport]:
     """Evaluate methods against brute-force ground truth (Fig. 15 rows).
 
@@ -316,24 +308,17 @@ def evaluate_knn(
     Methods returning fewer than ``k`` answers are scored on recall as-is
     (missing answers are misses) and on error ratio over the answers they
     did return, with the shortfall counted in ``short_answers``.
-    Ground-truth scans and per-method query loops run concurrently on
-    ``executor`` (default: the process-wide backend); aggregation stays in
-    query order, so report rows match serial execution.
     """
-    backend = resolve_executor(executor)
     query_list = list(queries)
-    truths = backend.map_tasks(
-        lambda _i, q: brute_force_knn(dataset, q, k), query_list
-    )
+    truths = [brute_force_knn(dataset, q, k) for q in query_list]
     reports = []
     for method in methods:
         recalls, ratios, times, cands, parts = [], [], [], [], []
         short = 0
         mark = _trace_mark()
-        method_results = backend.map_tasks(
-            lambda _i, q: _run_method(method, tardis, dpisax, q, k),
-            query_list,
-        )
+        method_results = [
+            _run_method(method, tardis, dpisax, q, k) for q in query_list
+        ]
         for (ids, dists, result), truth in zip(method_results, truths):
             truth_ids = [n.record_id for n in truth]
             truth_dists = [n.distance for n in truth]

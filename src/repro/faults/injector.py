@@ -4,10 +4,10 @@ The :class:`FaultInjector` decides, site by site, whether an installed
 :class:`~repro.faults.plan.FaultPlan` fires.  The crucial property is
 **order independence**: a site's outcome is a pure function of
 ``(plan seed, rule index, site key)`` — a BLAKE2b hash mapped to
-[0, 1) — never a draw from a shared RNG stream.  Thread interleaving
-therefore cannot change which faults fire, which is what makes the
-serial and threaded executors produce byte-identical fault journals
-(tests/test_executor_equivalence.py).
+[0, 1) — never a draw from a shared RNG stream.  Neither task order nor
+thread interleaving can change which faults fire, so two runs with one
+plan and seed produce byte-identical fault journals
+(tests/faults/test_injector.py).
 
 Site keys are built from stable coordinates:
 
@@ -252,8 +252,8 @@ class FaultInjector:
         """Every injected fault, deterministically ordered.
 
         Entries carry no timestamps and are sorted by site key, so two
-        runs that injected the same faults — regardless of executor
-        backend or thread interleaving — produce identical journals.
+        runs that injected the same faults — regardless of thread
+        interleaving — produce identical journals.
         """
         with self._lock:
             entries = list(self._entries)

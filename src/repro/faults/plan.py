@@ -23,9 +23,9 @@ Rules match *sites* — one (stage label, partition/block id, attempt)
 coordinate per injection opportunity — and fire deterministically: the
 probability draw for a site is a hash of ``(plan seed, rule index,
 site key)``, never a shared RNG stream, so outcomes are independent of
-thread interleaving and identical across execution backends (the
-byte-identical-journal property tests/test_executor_equivalence.py
-asserts).  See docs/ROBUSTNESS.md for the full schema.
+task order and thread interleaving (the byte-identical-journal property
+tests/faults/test_injector.py asserts).  See docs/ROBUSTNESS.md for the
+full schema.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ different work; see tests/serving/test_result_cache.py) and **Tardis-G
 home partition**.  Every ticket keeps its ``(signature, PAA)`` from that
 pass, so a served read is converted and routed exactly once.
 
-Each :class:`Group` is one task on the worker pool and runs, per ticket,
+Each :class:`Group` runs on the batcher thread and, per ticket, runs
 the strategy's body from :mod:`repro.core.queries` — the code a direct
 library call runs, so answers, counters and ``query/*`` spans are the
 library's by construction.  ``exact-match`` and ``target-node`` groups
@@ -70,7 +70,7 @@ def group_tickets(index: TardisIndex, tickets: list) -> list[Group]:
     """Split a flushed window into per-(plan, home-partition) groups.
 
     Deterministic order (plan key, then partition id; tickets in window
-    order) so executor task dispatch is reproducible.
+    order) so the order groups run in is reproducible.
     """
     if not tickets:
         return []

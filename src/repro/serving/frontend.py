@@ -47,7 +47,7 @@ logger = logging.getLogger(__name__)
 class Ticket:
     """One in-flight request: the work, its future, its clock — and its
     trace.  The span handles ride the ticket across the admission queue
-    and the executor so every pipeline stage can stitch its segment
+    and the batch loop so every pipeline stage can stitch its segment
     under the same root (no-op spans when tracing is off)."""
 
     request: QueryRequest | WriteRequest

@@ -1,4 +1,4 @@
-"""The query service: micro-batch → worker pool → result cache.
+"""The query service: micro-batch → partition groups → result cache.
 
 :class:`QueryService` is the long-lived serving loop over one loaded
 :class:`~repro.core.builder.TardisIndex`.  Admission, deadlines, the
@@ -13,16 +13,15 @@ what happens to a dequeued window in between:
    first — route → fault gate → WAL → index → caches — under the
    maintenance lock the online rebalancer shares.
 2. The window's reads are grouped by plan + Tardis-G home partition and
-   dispatched, one task per group, onto the configured
-   :mod:`repro.cluster.executors` backend — per-strategy routing happens
-   inside :func:`repro.serving.batcher.run_group`, which stitches
-   ``serve/batch-wait`` / ``serve/execute`` (and the core load/scan
-   spans beneath) under each request's root.
+   run, one group after another, on the batcher thread — per-strategy
+   routing happens inside :func:`repro.serving.batcher.run_group`, which
+   stitches ``serve/batch-wait`` / ``serve/execute`` (and the core
+   load/scan spans beneath) under each request's root.
 3. Completed groups feed the result cache and finish their tickets;
    writes are acknowledged after the window's single WAL fsync.
 
-Answers are identical to the serial :mod:`repro.core.queries` path for
-every backend and batch size (tests/serving/test_service_equivalence.py).
+Answers are identical to the :mod:`repro.core.queries` path for every
+batch size (tests/serving/test_service_equivalence.py).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import time
 from concurrent.futures import Future
 from pathlib import Path
 
-from ..cluster.executors import resolve_executor
 from ..core.builder import TardisIndex
 from ..core.rebalance import OnlineRebalancer
 from ..core.wal import WriteAheadLog
@@ -94,8 +92,6 @@ class QueryService(RequestFrontEnd):
         policy: str = "block",
         max_batch: int = 16,
         max_delay_ms: float = 0.0,
-        executor: object | str | None = None,
-        jobs: int | None = None,
         result_cache_size: int | None = 1024,
         slow_query_threshold_ms: float = 100.0,
         journal_sample: float = 0.0,
@@ -130,7 +126,6 @@ class QueryService(RequestFrontEnd):
             journal=journal,
             default_deadline_ms=default_deadline_ms,
         )
-        self.executor = resolve_executor(executor, jobs)
         # -- streaming ingest ---------------------------------------------
         # Writes are applied by the batcher thread under this lock; the
         # online rebalancer's snapshot and swap phases take it too, so a
@@ -171,9 +166,9 @@ class QueryService(RequestFrontEnd):
             self.rebalancer.start()
         logger.info(
             "serving started: policy=%s queue=%d max_batch=%d "
-            "max_delay=%.1fms executor=%s",
+            "max_delay=%.1fms",
             self.queue.policy, self.queue.capacity, self.max_batch,
-            self.max_delay_s * 1000.0, self.executor.kind,
+            self.max_delay_s * 1000.0,
         )
         return self
 
@@ -226,8 +221,7 @@ class QueryService(RequestFrontEnd):
         live: list = []
         writes: list = []
         for ticket in window:
-            # Batch wait: grouping + executor dispatch + sibling-group
-            # contention.
+            # Batch wait: grouping + the sibling groups that run first.
             ticket.wait_span = tracer.start_span(
                 "serve/batch-wait", parent=ticket.span
             )
@@ -263,9 +257,7 @@ class QueryService(RequestFrontEnd):
 
     def _execute_reads(self, window: list) -> None:
         groups = group_tickets(self.index, window)
-        outcomes = self.executor.map_tasks(
-            lambda _i, group: self._run_group_safely(group), groups
-        )
+        outcomes = [self._run_group_safely(group) for group in groups]
         loaded_pids: list = []
         for group, (results, error) in zip(groups, outcomes):
             if error is not None:
@@ -497,8 +489,6 @@ class QueryService(RequestFrontEnd):
         report["config"].update(
             max_batch=self.max_batch,
             max_delay_ms=self.max_delay_s * 1000.0,
-            executor=self.executor.kind,
-            jobs=self.executor.jobs,
         )
         report["ingest"] = {
             "writes_total": self._writes_total,

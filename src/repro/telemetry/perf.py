@@ -6,9 +6,8 @@ do the cycles go" (docs/OBSERVABILITY.md, "Cost attribution"):
 * **Kernel counters** — a process-wide :class:`KernelProfiler`
   (:data:`KERNELS`) accumulating ``(calls, elements, seconds)`` per
   *named kernel*: ``paa``, ``sax``, ``encode``, ``mindist``,
-  ``euclidean``, ``leaf_scan``, ``deserialize``, ``partition_load``,
-  and the executor kernels ``exec_compute`` / ``exec_dispatch``.  The
-  hot paths guard every measurement behind ``KERNELS.enabled`` so the
+  ``euclidean``, ``leaf_scan``, ``deserialize`` and ``partition_load``.
+  The hot paths guard every measurement behind ``KERNELS.enabled`` so the
   disabled cost is one attribute check (the same contract the tracer's
   ``NULL_SPAN`` makes).  When tracing is also on, each recorded kernel
   adds a ``kernel_<name>_s`` attribute to the innermost live span,

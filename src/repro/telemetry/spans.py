@@ -301,7 +301,7 @@ class Tracer:
         ``parent`` hands the span an explicit parent (normally one
         started on another thread via :meth:`start_span`), overriding the
         thread-local stack — the primitive that lets a trace survive
-        queue and executor boundaries.
+        queue and thread boundaries.
         """
         if not self.enabled:
             return NULL_SPAN

@@ -3,7 +3,7 @@ plus ledger accounting behaviour."""
 
 import pytest
 
-from repro.cluster import BlockStorage, CostModel, SimCluster
+from repro.cluster import BlockStorage, CostModel, SimCluster, TaskFailedError
 
 
 @pytest.fixture
@@ -199,3 +199,53 @@ class TestDeterminism:
             return dict(agg.collect())
 
         assert run() == run()
+
+
+class TestTaskExecution:
+    """Stage tasks run inline, in task order, on the calling thread."""
+
+    def test_wordcount_pipeline(self):
+        cluster = SimCluster(n_workers=4)
+        data = cluster.parallelize(["a", "b", "a", "c", "b", "a"] * 10, 6)
+        counts = dict(
+            data.map(lambda w: (w, 1), label="pair")
+            .reduce_by_key(lambda a, b: a + b, label="count")
+            .collect()
+        )
+        assert counts == {"a": 30, "b": 20, "c": 10}
+        assert cluster.ledger.clock_s > 0
+
+    def test_failure_injection_is_deterministic(self):
+        def run() -> tuple[list, int]:
+            model = CostModel(task_failure_rate=0.2, task_max_attempts=4)
+            cluster = SimCluster(n_workers=4, cost_model=model,
+                                 failure_seed=123)
+            out = cluster.parallelize(list(range(40)), 8).map(
+                lambda x: x + 1, label="inc"
+            ).collect()
+            return out, cluster.ledger.stages["inc"].tasks
+
+        first, second = run(), run()
+        assert sorted(first[0]) == list(range(1, 41))
+        assert first == second
+
+    def test_doomed_task_raises(self):
+        model = CostModel(task_failure_rate=1.0, task_max_attempts=2)
+        cluster = SimCluster(n_workers=2, cost_model=model)
+        data = cluster.parallelize(list(range(8)), 4)
+        with pytest.raises(TaskFailedError, match="task 0"):
+            data.map(lambda x: x, label="doomed")
+
+    def test_lowest_index_error_wins(self, cluster):
+        ran = []
+
+        def explode(x):
+            ran.append(x)
+            if x in (2, 5, 7):
+                raise ValueError(f"task {x}")
+            return x
+
+        data = cluster.parallelize(list(range(10)), 10)
+        with pytest.raises(ValueError, match="task 2"):
+            data.map(explode, label="explode")
+        assert ran == [0, 1, 2]  # the stage stops at its first failure

@@ -65,6 +65,9 @@ class TestBatchKnn:
         for q, result in zip(heldout_queries[:15], batch.results):
             single = knn_target_node_access(tardis_small, q, 10)
             assert result.record_ids == single.record_ids
+            assert result.distances == single.distances
+            assert result.partition_ids_loaded == single.partition_ids_loaded
+            assert result.nodes_visited == single.nodes_visited
 
     def test_partition_amortization(self, tardis_small, heldout_queries):
         batch = batch_knn_target_node(tardis_small, heldout_queries, 10)

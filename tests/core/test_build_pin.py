@@ -8,8 +8,8 @@ ledger's stage labels, task counts, network seconds and io seconds, are
 fixed values: a change to how the build routes, shuffles, orders rows,
 fills Bloom filters or prices simulated bytes fails here, whatever it
 does to the clock.  CPU and wall seconds are measured, so they are not
-pinned.  The pin holds on both executors.  The digests are of deflated
-members, so they assume the zlib that wrote them (the stdlib one).
+pinned.  The digests are of deflated members, so they assume the zlib
+that wrote them (the stdlib one).
 """
 
 import hashlib
@@ -17,7 +17,6 @@ import hashlib
 import pytest
 
 from repro.cluster import SimCluster
-from repro.cluster.executors import make_executor
 from repro.core import TardisConfig, build_tardis_index, save_index
 from repro.tsdb import random_walk
 
@@ -211,11 +210,9 @@ LEDGER = {
 }
 
 
-def build(seed: int, kind: str):
+def build(seed: int):
     dataset = random_walk(3000, length=64, seed=seed).z_normalized()
-    cluster = SimCluster(
-        n_workers=CONFIG.n_workers, executor=make_executor(kind, jobs=2)
-    )
+    cluster = SimCluster(n_workers=CONFIG.n_workers)
     return build_tardis_index(dataset, CONFIG, cluster=cluster)
 
 
@@ -233,10 +230,9 @@ def ledger_rows(ledger) -> list:
     ]
 
 
-@pytest.mark.parametrize("kind", ["serial", "threads"])
 @pytest.mark.parametrize("seed", [97, 108])
-def test_saved_files_and_ledger_are_pinned(seed, kind, tmp_path):
-    index = build(seed, kind)
+def test_saved_files_and_ledger_are_pinned(seed, tmp_path):
+    index = build(seed)
     save_index(index, tmp_path)
     assert file_digests(tmp_path) == FILES_SHA256[seed]
     assert ledger_rows(index.construction_ledger) == LEDGER[seed]

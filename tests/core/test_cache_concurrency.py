@@ -1,10 +1,9 @@
 """Concurrent stress tests for the shared PartitionCache.
 
-Batch query passes hand one cache to many executor worker threads at
-once (admit from batch groups, invalidate from maintenance, stats from
-a reporter).  These tests hammer all three entry points together
-and assert the accounting invariants that only hold when every mutation
-is lock-protected.
+One cache is shared by many threads at once (admit from readers,
+invalidate from maintenance, stats from a reporter).  These tests hammer
+all three entry points together and assert the accounting invariants
+that only hold when every mutation is lock-protected.
 """
 
 import threading

@@ -6,9 +6,8 @@ several byte-identical copies of the same series, queried with ``k``
 cutting *through* the duplicate group.  Without a deterministic
 secondary key the chosen subset depends on scan order — heap eviction
 order in exact search, leaf order in target-node access, concatenation
-order in the multi-partition merge — and strategies (or executor
-backends) disagree with the ground truth on which duplicate ids they
-return.
+order in the multi-partition merge — and strategies disagree with the
+ground truth on which duplicate ids they return.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.core import (
     knn_target_node_access,
     range_query,
 )
+from repro.core.batch import batch_knn_target_node
 from repro.faults import (
     PartialResultError,
     PartitionUnavailableError,
@@ -257,6 +258,25 @@ class TestBuildUnderFaults:
         with active_plan(plan):
             build_tardis_index(chaos_dataset, chaos_config, cluster=flaky)
         assert flaky.ledger.clock_s > baseline.ledger.clock_s
+
+    def test_same_seed_reruns_journal_identically(
+        self, chaos_dataset, chaos_config, chaos_queries
+    ):
+        """One plan and seed: a build plus a batch pass inject the same
+        faults at the same sites, so the journals are byte-identical."""
+        plan = {"schema": "repro.faults/v1", "seed": 13,
+                "rules": self.BUILD_PLAN_RULES}
+
+        def run():
+            with active_plan(plan) as injector:
+                index = build_tardis_index(chaos_dataset, chaos_config)
+                report = batch_knn_target_node(index, chaos_queries, k=5)
+                assert injector.stats()["injected"] > 0
+                return injector.journal_lines(), [
+                    (r.record_ids, r.distances) for r in report.results
+                ]
+
+        assert run() == run()
 
 
 class TestStorageFaults:

@@ -154,8 +154,9 @@ class TestResultCacheUnit:
 class TestNoStaleCrossStrategyHits:
     def test_cross_strategy_queries_get_their_own_answers(self, tiny_index):
         series = random_walk(1, length=32, seed=77).z_normalized().values[0]
-        with QueryService(tiny_index, max_batch=4, max_delay_ms=1.0,
-                          executor="serial") as service:
+        with QueryService(
+            tiny_index, max_batch=4, max_delay_ms=1.0
+        ) as service:
             first = service.query(
                 QueryRequest(series, op="knn", strategy="target-node", k=5)
             )
@@ -181,8 +182,9 @@ class TestNoStaleCrossStrategyHits:
     def test_cached_repeat_is_identical_object_level(self, tiny_index):
         series = random_walk(1, length=32, seed=88).z_normalized().values[0]
         request = QueryRequest(series, op="knn", strategy="target-node", k=3)
-        with QueryService(tiny_index, max_batch=2, max_delay_ms=1.0,
-                          executor="serial") as service:
+        with QueryService(
+            tiny_index, max_batch=2, max_delay_ms=1.0
+        ) as service:
             first = service.query(request)
             again = service.query(
                 QueryRequest(series, op="knn", strategy="target-node", k=3)
@@ -198,8 +200,7 @@ class TestInvalidationCoupling:
             dataset, TardisConfig(g_max_size=80, l_max_size=16, pth=3)
         )
         probe = dataset.values[5]
-        with QueryService(index, max_batch=2, max_delay_ms=1.0,
-                          executor="serial") as service:
+        with QueryService(index, max_batch=2, max_delay_ms=1.0) as service:
             before = service.query(
                 QueryRequest(probe, op="exact-match")
             )
@@ -224,8 +225,7 @@ class TestInvalidationCoupling:
             dataset, TardisConfig(g_max_size=80, l_max_size=16, pth=3)
         )
         absent = random_walk(1, length=32, seed=999).z_normalized().values[0]
-        with QueryService(index, max_batch=2, max_delay_ms=1.0,
-                          executor="serial") as service:
+        with QueryService(index, max_batch=2, max_delay_ms=1.0) as service:
             before = service.query(QueryRequest(absent, op="exact-match"))
             assert before.bloom_rejected
             assert not before.found

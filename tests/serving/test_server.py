@@ -2,7 +2,6 @@
 
 import json
 import socket
-import time
 
 import numpy as np
 import pytest
@@ -208,32 +207,17 @@ class TestObservabilityOps:
             disable_tracing()
 
 
-class _SlowExecutor:
-    """Duck-typed executor that stalls, letting the queue fill up."""
-
-    kind = "slow"
-    jobs = 1
-    task_clock = staticmethod(time.perf_counter)
-
-    def __init__(self, delay_s: float):
-        self.delay_s = delay_s
-
-    def map_tasks(self, fn, items):
-        items = list(items)
-        time.sleep(self.delay_s)
-        return [fn(i, item) for i, item in enumerate(items)]
-
-
 class TestOverload:
     def test_shed_policy_surfaces_overloaded_error(self, tardis_small,
-                                                   rw_small):
+                                                   rw_small, stall_groups):
+        # Every served group stalls 200 ms, letting the queue fill up.
+        stall_groups(200.0)
         service = QueryService(
             tardis_small,
             queue_capacity=2,
             policy="shed",
             max_batch=1,
             max_delay_ms=0.0,
-            executor=_SlowExecutor(0.2),
             result_cache_size=None,
         )
         server = TardisServer(service, port=0)

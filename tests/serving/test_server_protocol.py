@@ -146,31 +146,17 @@ class TestSocketTimeout:
             listener.close()
 
 
-class _SlowExecutor:
-    """Duck-typed executor that stalls, so requests stay in flight."""
-
-    kind = "slow"
-    jobs = 1
-    task_clock = staticmethod(time.perf_counter)
-
-    def __init__(self, delay_s: float):
-        self.delay_s = delay_s
-
-    def map_tasks(self, fn, items):
-        items = list(items)
-        time.sleep(self.delay_s)
-        return [fn(i, item) for i, item in enumerate(items)]
-
-
 class TestDrainWithInFlightRequests:
-    def test_close_drain_completes_backlog_then_refuses(self, tardis_small,
-                                                        rw_small):
+    def test_close_drain_completes_backlog_then_refuses(
+        self, tardis_small, rw_small, stall_groups
+    ):
         """close(drain=True) with requests mid-queue: every accepted
         request completes with a real answer, and only afterwards do
         new connections get refused."""
+        stall_groups(150.0)  # so requests stay in flight
         service = QueryService(
             tardis_small, max_batch=2, max_delay_ms=5.0,
-            executor=_SlowExecutor(0.15), result_cache_size=None,
+            result_cache_size=None,
         )
         server = TardisServer(service, port=0)
         server.start()
@@ -194,7 +180,7 @@ class TestDrainWithInFlightRequests:
         ]
         for t in threads:
             t.start()
-        time.sleep(0.1)  # let requests reach the queue / executor
+        time.sleep(0.1)  # let requests reach the queue / a group
         server.close(drain=True)
         for t in threads:
             t.join(30.0)
@@ -204,13 +190,15 @@ class TestDrainWithInFlightRequests:
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2.0)
 
-    def test_abort_fails_fast_instead_of_draining(self, tardis_small,
-                                                  rw_small):
+    def test_abort_fails_fast_instead_of_draining(
+        self, tardis_small, rw_small, stall_groups
+    ):
         """abort() is the crash twin: live connections reset instead of
         waiting for answers."""
+        stall_groups(300.0)
         service = QueryService(
             tardis_small, max_batch=2, max_delay_ms=5.0,
-            executor=_SlowExecutor(0.3), result_cache_size=None,
+            result_cache_size=None,
         )
         server = TardisServer(service, port=0)
         server.start()

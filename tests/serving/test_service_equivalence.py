@@ -1,12 +1,11 @@
 """Serving equivalence: the server answers exactly like the library.
 
 The acceptance bar for the serving tier: for a fixed index and query
-set, results through the service — any executor backend, any batch size
-— are identical to the same queries issued serially through
-:mod:`repro.core.queries`.  Identical means exact equality of record
-ids and float distances, not approximate closeness: the batch runners
-and the interactive path share the same kernels, so there is no
-tolerance to hide behind.
+set, results through the service — any batch size — are identical to
+the same queries issued serially through :mod:`repro.core.queries`.
+Identical means exact equality of record ids and float distances, not
+approximate closeness: the batch runners and the interactive path share
+the same kernels, so there is no tolerance to hide behind.
 """
 
 import numpy as np
@@ -19,9 +18,6 @@ from repro.core.queries import (
     knn_target_node_access,
 )
 from repro.serving import QueryRequest, QueryService
-
-BACKENDS = ("serial", "threads")
-
 
 @pytest.fixture(scope="module")
 def query_mix(rw_small, heldout_queries):
@@ -42,7 +38,7 @@ def _serial_reference(index, queries, op, strategy, k, pth):
     return [fn(q) for q in queries]
 
 
-def _served(index, queries, backend, max_batch, op, strategy, k, pth):
+def _served(index, queries, max_batch, op, strategy, k, pth):
     # ``max_batch=None`` is the default construction: the shipped window
     # cap and no linger, so the windows are whatever the backlog made.
     window = (
@@ -52,8 +48,6 @@ def _served(index, queries, backend, max_batch, op, strategy, k, pth):
     with QueryService(
         index,
         **window,
-        executor=backend,
-        jobs=4,
         result_cache_size=None,  # compare executions, not memoization
     ) as service:
         futures = [
@@ -80,14 +74,13 @@ def _assert_knn_identical(served, reference):
         assert got.nodes_pruned == want.nodes_pruned
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestEquivalencePerBackend:
-    def test_exact_match(self, tardis_small, query_mix, backend):
+class TestEquivalencePerStrategy:
+    def test_exact_match(self, tardis_small, query_mix):
         reference = _serial_reference(
             tardis_small, query_mix, "exact-match", None, 0, None
         )
         served = _served(
-            tardis_small, query_mix, backend, 8, "exact-match", None, 0, None
+            tardis_small, query_mix, 8, "exact-match", None, 0, None
         )
         for got, want in zip(served, reference):
             assert got.record_ids == want.record_ids
@@ -97,33 +90,30 @@ class TestEquivalencePerBackend:
             assert got.partition_ids_loaded == want.partition_ids_loaded
             assert got.nodes_visited == want.nodes_visited
 
-    def test_knn_target_node(self, tardis_small, query_mix, backend):
+    def test_knn_target_node(self, tardis_small, query_mix):
         reference = _serial_reference(
             tardis_small, query_mix, "knn", "target-node", 10, None
         )
         served = _served(
-            tardis_small, query_mix, backend, 8, "knn", "target-node", 10,
-            None,
+            tardis_small, query_mix, 8, "knn", "target-node", 10, None
         )
         _assert_knn_identical(served, reference)
 
-    def test_knn_one_partition(self, tardis_small, query_mix, backend):
+    def test_knn_one_partition(self, tardis_small, query_mix):
         reference = _serial_reference(
             tardis_small, query_mix, "knn", "one-partition", 10, None
         )
         served = _served(
-            tardis_small, query_mix, backend, 8, "knn", "one-partition", 10,
-            None,
+            tardis_small, query_mix, 8, "knn", "one-partition", 10, None
         )
         _assert_knn_identical(served, reference)
 
-    def test_knn_multi_partitions(self, tardis_small, query_mix, backend):
+    def test_knn_multi_partitions(self, tardis_small, query_mix):
         reference = _serial_reference(
             tardis_small, query_mix, "knn", "multi-partitions", 10, 3
         )
         served = _served(
-            tardis_small, query_mix, backend, 8, "knn", "multi-partitions",
-            10, 3,
+            tardis_small, query_mix, 8, "knn", "multi-partitions", 10, 3
         )
         _assert_knn_identical(served, reference)
 
@@ -194,7 +184,7 @@ def test_query_counters_identical_on_every_tier(
         return moved
 
     with QueryService(
-        index, max_delay_ms=0.0, executor="serial", result_cache_size=None
+        index, max_delay_ms=0.0, result_cache_size=None
     ) as service:
         for query, plan, direct, batch in cases:
             want = deltas(direct)
@@ -252,8 +242,7 @@ def test_equivalence_across_batch_sizes(tardis_small, query_mix, max_batch):
         tardis_small, query_mix, "knn", "target-node", 5, None
     ))
     served, moved, spans = observed(lambda: _served(
-        tardis_small, query_mix, "threads", max_batch, "knn", "target-node",
-        5, None,
+        tardis_small, query_mix, max_batch, "knn", "target-node", 5, None,
     ))
     _assert_knn_identical(served, reference)
     assert moved == want_moved
@@ -272,7 +261,7 @@ def test_mixed_plan_window_routes_per_strategy(tardis_small, query_mix):
         dict(op="knn", strategy="multi-partitions", k=5, pth=3),
     ]
     with QueryService(
-        tardis_small, max_batch=16, max_delay_ms=20.0, executor="threads",
+        tardis_small, max_batch=16, max_delay_ms=20.0,
         result_cache_size=None,
     ) as service:
         futures = [
@@ -290,7 +279,7 @@ def test_mixed_plan_window_routes_per_strategy(tardis_small, query_mix):
 
 def test_drain_on_shutdown_completes_backlog(tardis_small, query_mix):
     service = QueryService(
-        tardis_small, max_batch=4, max_delay_ms=50.0, executor="threads"
+        tardis_small, max_batch=4, max_delay_ms=50.0
     ).start()
     futures = [
         service.submit(QueryRequest(q, op="knn", strategy="target-node",
@@ -312,10 +301,10 @@ def test_unclustered_index_rejected_at_construction():
         clustered=False,
     )
     with pytest.raises(RuntimeError, match="clustered"):
-        QueryService(index, executor="serial")
+        QueryService(index)
 
 
 def test_wrong_length_query_rejected_at_submit(tardis_small):
-    with QueryService(tardis_small, executor="serial") as service:
+    with QueryService(tardis_small) as service:
         with pytest.raises(ValueError, match="length"):
             service.submit(QueryRequest(np.zeros(7), op="exact-match"))

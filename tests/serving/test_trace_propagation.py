@@ -1,9 +1,8 @@
-"""Trace propagation through the serving pipeline, per executor backend.
+"""Trace propagation through the serving pipeline.
 
-The invariant (ISSUE 4): every served query yields exactly one root span
-named ``serve/request``, whose children partition the request's life into
-queue-wait, batch-wait and execute segments — regardless of which
-executor backend ran the partition work, and even though the request
+The invariant: every served query yields exactly one root span named
+``serve/request``, whose children partition the request's life into
+queue-wait, batch-wait and execute segments — even though the request
 crosses the admission queue and the batcher thread on the way.
 """
 
@@ -13,8 +12,6 @@ import pytest
 from repro.serving import QueryRequest, QueryService
 from repro.telemetry.spans import disable_tracing, enable_tracing
 from repro.telemetry.journal import EventJournal
-
-BACKENDS = ("serial", "threads")
 
 SEGMENTS = ("serve/queue-wait", "serve/batch-wait", "serve/execute")
 
@@ -37,13 +34,11 @@ def _mixed_requests(rw_small, heldout_queries):
     ]
 
 
-def _serve_all(index, requests, backend, **kwargs):
+def _serve_all(index, requests, **kwargs):
     with QueryService(
         index,
         max_batch=4,
         max_delay_ms=2.0,
-        executor=backend,
-        jobs=2,
         result_cache_size=kwargs.pop("result_cache_size", None),
         journal=kwargs.pop("journal", EventJournal(capacity=256)),
         **kwargs,
@@ -55,28 +50,27 @@ def _serve_all(index, requests, backend, **kwargs):
     return futures, slo_latency_sum
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestOneRootPerQuery:
     def test_exactly_one_root_per_served_query(
-        self, tracer, tardis_small, rw_small, heldout_queries, backend
+        self, tracer, tardis_small, rw_small, heldout_queries
     ):
         requests = _mixed_requests(rw_small, heldout_queries)
-        _serve_all(tardis_small, requests, backend)
+        _serve_all(tardis_small, requests)
         roots = list(tracer.roots)
         assert len(roots) == len(requests)
         assert all(r.name == "serve/request" for r in roots)
         # Each tree carries a single trace id (no fragmentation across
-        # the queue, the batcher thread, or the executor pool).
+        # the queue or the batcher thread).
         for root in roots:
             assert {s.trace_id for s in root.iter_spans()} == {root.trace_id}
         # And the four trees are four distinct traces.
         assert len({r.trace_id for r in roots}) == len(requests)
 
     def test_all_segments_present(
-        self, tracer, tardis_small, rw_small, heldout_queries, backend
+        self, tracer, tardis_small, rw_small, heldout_queries
     ):
         requests = _mixed_requests(rw_small, heldout_queries)
-        _serve_all(tardis_small, requests, backend)
+        _serve_all(tardis_small, requests)
         for root in tracer.roots:
             child_names = {c.name for c in root.children}
             for segment in SEGMENTS:
@@ -85,10 +79,10 @@ class TestOneRootPerQuery:
             assert all(s.end_s is not None for s in root.iter_spans())
 
     def test_segment_sums_bracket_slo_latency(
-        self, tracer, tardis_small, rw_small, heldout_queries, backend
+        self, tracer, tardis_small, rw_small, heldout_queries
     ):
         requests = _mixed_requests(rw_small, heldout_queries)
-        _, slo_latency_sum = _serve_all(tardis_small, requests, backend)
+        _, slo_latency_sum = _serve_all(tardis_small, requests)
         segment_total = 0.0
         root_total = 0.0
         for root in tracer.roots:
@@ -116,13 +110,11 @@ class TestCacheAndSharedPasses:
                                  strategy="target-node")
         request_b = QueryRequest(rw_small.values[1], k=3,
                                  strategy="target-node")
-        _serve_all(tardis_small, [request_a], "serial",
-                   result_cache_size=64)
+        _serve_all(tardis_small, [request_a], result_cache_size=64)
         # Same query again: served from the result cache, but still one
         # root of its own with a serve/cache child.
         with QueryService(
-            tardis_small, max_batch=4, max_delay_ms=2.0,
-            executor="serial", result_cache_size=64,
+            tardis_small, max_batch=4, max_delay_ms=2.0, result_cache_size=64,
             journal=EventJournal(capacity=64),
         ) as service:
             service.submit(request_a).result(timeout=30)
@@ -141,7 +133,7 @@ class TestCacheAndSharedPasses:
         # siblings point at it via shared_execution_trace.
         query = rw_small.values[2]
         requests = [QueryRequest(query, op="exact-match") for _ in range(3)]
-        _serve_all(tardis_small, requests, "serial")
+        _serve_all(tardis_small, requests)
         roots = list(tracer.roots)
         assert len(roots) == len(requests)
         executes = [c for r in roots for c in r.children
@@ -183,7 +175,7 @@ class TestCacheAndSharedPasses:
         tracer.reset()
 
         requests = [QueryRequest(query, **plan) for _ in range(2)]
-        _serve_all(tardis_small, requests, "serial")
+        _serve_all(tardis_small, requests)
         by_trace = {root.trace_id: root for root in tracer.roots}
         assert len(by_trace) == len(requests)
         for root in by_trace.values():
@@ -228,7 +220,7 @@ class TestCacheAndSharedPasses:
         tracer.reset()
 
         request = QueryRequest(query, op="knn", strategy=strategy, k=5)
-        _serve_all(tardis_small, [request], "serial")
+        _serve_all(tardis_small, [request])
         [root] = tracer.roots
         [execute] = [c for c in root.children if c.name == "serve/execute"]
         spans = list(execute.iter_spans())

@@ -2,13 +2,13 @@
 
 The acceptance bar for the sharded tier mirrors the serving tier's
 (`tests/serving/test_service_equivalence.py`): for a fixed index and
-query set, results through a 3-shard router — any shard executor
-backend, any replication factor — are *identical* to the same queries
-issued serially through :mod:`repro.core.queries`.  Identical means
-exact equality of record ids, float distances (ties included), and the
-accounting fields; the shards run the single-process kernels over
-subset indices and the router reuses the single-process fan-out
-selection and merge rules, so there is no tolerance to hide behind.
+query set, results through a 3-shard router — any replication factor —
+are *identical* to the same queries issued serially through
+:mod:`repro.core.queries`.  Identical means exact equality of record
+ids, float distances (ties included), and the accounting fields; the
+shards run the single-process kernels over subset indices and the
+router reuses the single-process fan-out selection and merge rules, so
+there is no tolerance to hide behind.
 """
 
 import numpy as np
@@ -21,9 +21,6 @@ from repro.core.queries import (
     knn_target_node_access,
 )
 from repro.serving import QueryRequest
-
-BACKENDS = ("serial", "threads")
-
 
 @pytest.fixture(scope="module")
 def query_mix(rw_small, heldout_queries):
@@ -68,16 +65,12 @@ def assert_knn_identical(served, reference):
         assert got.missing_partitions == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestEquivalencePerBackend:
-    """3 shards, R=0, per shard-executor backend."""
+class TestEquivalencePerStrategy:
+    """3 shards, R=0."""
 
     @pytest.fixture()
-    def router(self, tardis_small, router_factory, backend):
-        with router_factory(
-            tardis_small, n_shards=3,
-            service_kwargs={"executor": backend, "jobs": 2},
-        ) as (router, _cluster):
+    def router(self, tardis_small, router_factory):
+        with router_factory(tardis_small, n_shards=3) as (router, _cluster):
             yield router
 
     def test_exact_match(self, tardis_small, query_mix, router):

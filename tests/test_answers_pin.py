@@ -4,17 +4,12 @@ One small random-walk index, 40 grouped target-node kNN queries and a
 guaranteed exact-match hit.  The answer digest and the work counts are
 fixed numbers: a change that alters any id, any distance beyond 6
 decimals, or how much work the batch pass does fails here, whatever it
-does to the clock.  The pin holds on every executor backend — the
-backend changes how fast the wall clock runs, never the answers.
+does to the clock.
 """
 
 import hashlib
 import json
 
-import pytest
-
-from repro.cluster import SimCluster
-from repro.cluster.executors import make_executor
 from repro.core import TardisConfig, build_tardis_index, exact_match
 from repro.core.batch import batch_knn_target_node
 from repro.tsdb import random_walk
@@ -48,18 +43,13 @@ def answers_digest(answers, precision: int = 6) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@pytest.mark.parametrize("kind", ["serial", "threads"])
-def test_answers_and_accounting_are_pinned(kind):
-    executor = make_executor(kind, jobs=2)
+def test_answers_and_accounting_are_pinned():
     dataset = random_walk(1200, length=64, seed=42).z_normalized()
     queries = random_walk(40, length=64, seed=43).z_normalized().values
     config = TardisConfig(g_max_size=300, l_max_size=30)
-    index = build_tardis_index(
-        dataset, config,
-        cluster=SimCluster(n_workers=config.n_workers, executor=executor),
-    )
+    index = build_tardis_index(dataset, config)
 
-    report = batch_knn_target_node(index, queries, k=5, executor=executor)
+    report = batch_knn_target_node(index, queries, k=5)
     exact = exact_match(index, dataset.values[0])
 
     answers = [

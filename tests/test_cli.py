@@ -283,15 +283,13 @@ class TestMultiFormatBuild:
 
 
 class TestSharedFlags:
-    """``-v`` / ``-q`` / ``--executor`` / ``--jobs`` / ``--faults`` mean
-    the same before and after the subcommand: the subcommand's defaults
-    must not overwrite a value given before it."""
+    """``-v`` / ``-q`` / ``--faults`` mean the same before and after the
+    subcommand: the subcommand's defaults must not overwrite a value
+    given before it."""
 
     @pytest.mark.parametrize("flag, dest, expected", [
         (["-v"], "verbose", 1),
         (["-q", "-q"], "quiet", 2),
-        (["--executor", "serial"], "executor", "serial"),
-        (["--jobs", "3"], "jobs", 3),
         (["--faults", "plan.json"], "faults", "plan.json"),
     ])
     @pytest.mark.parametrize("position", ["before", "after"])
@@ -326,39 +324,17 @@ class TestSharedFlags:
             main(["knn", "--index", str(index), "--data", str(data),
                   "--row", "0"] + flag)
 
-
-class TestExecutorEnvironment:
-    """A bad ``REPRO_EXECUTOR`` / ``REPRO_JOBS`` stops the command up
-    front with one line naming the variable, never mid-build."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_default(self, monkeypatch):
-        from repro.cluster import executors
-
-        monkeypatch.setattr(executors, "_default", None)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-
-    @pytest.mark.parametrize("name, value", [
-        ("REPRO_EXECUTOR", "bogus"),
-        ("REPRO_EXECUTOR", "processes"),
-        ("REPRO_JOBS", "two"),
-        ("REPRO_JOBS", "0"),
-    ])
-    def test_bad_value_exits_before_work(self, workspace, tmp_path,
-                                         monkeypatch, name, value):
+    @pytest.mark.parametrize("flag", [["--executor", "serial"],
+                                      ["--jobs", "2"]])
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_removed_executor_flags_are_rejected(self, workspace, tmp_path,
+                                                 capsys, flag, position):
         _root, data, _index = workspace
-        monkeypatch.setenv(name, value)
         out = tmp_path / "idx"
-        with pytest.raises(SystemExit, match=f"{name}={value!r}"):
-            main(["build", "--data", str(data), "--out", str(out)])
+        command = ["build", "--data", str(data), "--out", str(out)]
+        argv = flag + command if position == "before" else command + flag
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2  # an argparse usage error
+        assert "error:" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_explicit_flag_wins_over_bad_environment(self, workspace,
-                                                     tmp_path, monkeypatch):
-        _root, data, _index = workspace
-        monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        assert main(["build", "--executor", "serial", "--data", str(data),
-                     "--out", str(tmp_path / "idx"),
-                     "--partition-capacity", "300",
-                     "--leaf-capacity", "30", "-q"]) == 0
