@@ -52,11 +52,6 @@ class CostModel:
     #: round-robin onto nodes; shuffle bytes moving between workers on the
     #: same node stay in memory and are not charged to the network.
     n_nodes: int = 2
-    #: Probability that any one task attempt fails and is retried
-    #: (Spark-style).  Failed attempts still cost their CPU and overhead.
-    task_failure_rate: float = 0.0
-    #: Attempts per task before the stage aborts (Spark default: 4).
-    task_max_attempts: int = 4
     #: Latency of one random (non-streaming) read — SSD-class 100 µs.
     #: Charged per scattered record fetch (e.g. LSH candidate reads,
     #: un-clustered refinement), on top of the transfer time.
@@ -133,18 +128,6 @@ class SimulationLedger:
     def breakdown(self) -> dict[str, float]:
         """Stage label → simulated seconds, in insertion (execution) order."""
         return {label: stats.wall_s for label, stats in self.stages.items()}
-
-    def merged_into(self, other: "SimulationLedger") -> None:
-        """Fold this ledger's stages into ``other`` (for composite runs)."""
-        for label, stats in self.stages.items():
-            other.record_stage(
-                label,
-                wall_s=stats.wall_s,
-                cpu_s=stats.cpu_s,
-                io_s=stats.io_s,
-                network_s=stats.network_s,
-                tasks=stats.tasks,
-            )
 
 
 class timed_stage:

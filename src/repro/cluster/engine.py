@@ -10,7 +10,7 @@ Typical usage::
 
     cluster = SimCluster(n_workers=8)
     data = cluster.read_storage(storage, label="read data")
-    pairs = data.map(lambda rec: (to_signature(rec), 1), label="convert")
+    pairs = data.map_partitions(to_signature_pairs, label="convert")
     stats = pairs.reduce_by_key(lambda a, b: a + b, label="aggregate")
     print(cluster.ledger.breakdown())
 """
@@ -37,7 +37,8 @@ logger = logging.getLogger(__name__)
 
 
 class TaskFailedError(RuntimeError):
-    """A task exhausted its retry budget (see CostModel.task_max_attempts)."""
+    """A task exhausted the fault plan's retry budget
+    (:attr:`repro.faults.RetryPolicy.max_attempts`)."""
 
 
 @dataclass
@@ -65,39 +66,15 @@ class PartitionedData:
     def n_partitions(self) -> int:
         return len(self.partitions)
 
-    def count(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
     def collect(self, label: str = "collect") -> list:
         """Gather all records to the driver (charges network)."""
         return self._cluster._collect(self, label)
 
     # -- transformations -------------------------------------------------------
 
-    def map(self, fn: Callable, label: str) -> "PartitionedData":
-        """Apply ``fn`` to each record."""
-        return self._cluster._map_partitions(
-            self, lambda records: [fn(r) for r in records], label
-        )
-
-    def flat_map(self, fn: Callable, label: str) -> "PartitionedData":
-        """Apply ``fn`` to each record and flatten the resulting iterables."""
-        def run(records: list) -> list:
-            out: list = []
-            for record in records:
-                out.extend(fn(record))
-            return out
-
-        return self._cluster._map_partitions(self, run, label)
-
     def map_partitions(self, fn: Callable, label: str) -> "PartitionedData":
         """Apply ``fn(list) -> list`` to each whole partition."""
         return self._cluster._map_partitions(self, fn, label)
-
-    def filter(self, predicate: Callable, label: str) -> "PartitionedData":
-        return self._cluster._map_partitions(
-            self, lambda records: [r for r in records if predicate(r)], label
-        )
 
     def reduce_by_key(self, combine: Callable, label: str) -> "PartitionedData":
         """Group ``(key, value)`` records by key and fold values.
@@ -138,14 +115,12 @@ class SimCluster:
         n_workers: int = 8,
         cost_model: CostModel | None = None,
         ledger: SimulationLedger | None = None,
-        failure_seed: int = 0,
     ):
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self.n_workers = n_workers
         self.cost_model = cost_model or CostModel()
         self.ledger = ledger or SimulationLedger()
-        self._failure_rng = np.random.default_rng(failure_seed)
 
     # -- data ingestion --------------------------------------------------------
 
@@ -244,27 +219,6 @@ class SimCluster:
     def _node_of(self, worker: int) -> int:
         return worker % max(1, self.cost_model.n_nodes)
 
-    def _attempt_plan(self, n_tasks: int) -> list[int]:
-        """Pre-draw Spark-style failure injection for a whole stage.
-
-        Returns attempts-until-success per task (``-1`` = budget exhausted).
-        Drawing up front, in task order, consumes the failure rng exactly
-        like the seed's lazy per-attempt draws did, so the retry schedule
-        is byte-identical to theirs.
-        """
-        failure_rate = self.cost_model.task_failure_rate
-        if failure_rate <= 0.0:
-            return [1] * n_tasks
-        plan = []
-        for _ in range(n_tasks):
-            for attempt in range(1, self.cost_model.task_max_attempts + 1):
-                if not self._failure_rng.random() < failure_rate:
-                    plan.append(attempt)
-                    break
-            else:
-                plan.append(-1)
-        return plan
-
     def _run_stage(
         self,
         label: str,
@@ -281,8 +235,6 @@ class SimCluster:
         registry = get_registry()
         inj = get_injector()
         with self._stage_span(label) as span:
-            plan = self._attempt_plan(len(partitions))
-            max_attempts = self.cost_model.task_max_attempts
             cpu_scale = self.cost_model.cpu_scale
             clock = time.perf_counter
             # Stage sequence number: drawn once per stage, so fault sites
@@ -290,57 +242,27 @@ class SimCluster:
             stage_seq = inj.next_seq("stage", label) if inj is not None else 0
 
             def run_task(i: int, records: list):
-                # Spark-style retries: a failed attempt still costs its CPU,
-                # I/O and scheduling overhead; the task re-runs (tasks must
-                # be idempotent, as on a real cluster) up to the budget.
-                attempts = plan[i]
-                doomed = attempts < 0
-                n_runs = max_attempts if doomed else attempts
-                out, cpu, io = None, 0.0, 0.0
-                delay = 0.0
-                if inj is None or doomed:
-                    for _ in range(n_runs):
-                        start = clock()
-                        out, io_time = task(i, records)
-                        cpu += (clock() - start) * cpu_scale
-                        io += io_time
-                    if doomed:
-                        raise TaskFailedError(
-                            f"stage {label!r} task {i} failed "
-                            f"{max_attempts} attempts"
-                        )
-                    return out, cpu, io, n_runs, delay
-                # Injected faults ride on top of the cost-model plan: a
-                # crashed attempt never executes the task (its output is
-                # the idempotent re-run's), costs a backoff pause, and is
-                # re-routed by the driver; a straggler executes but adds
-                # its delay to the owning worker's clock.
-                total_runs, attempt, remaining = 0, 0, n_runs
-                budget = inj.retry.max_attempts
-                while remaining:
-                    attempt += 1
-                    fault = inj.task_fault(label, stage_seq, i, attempt)
-                    if fault is not None and fault.kind == "task-crash":
-                        if attempt >= budget:
-                            raise TaskFailedError(
-                                f"stage {label!r} task {i} crashed "
-                                f"{attempt} attempts (injected)"
-                            )
-                        inj.count_retry()
-                        delay += inj.backoff_s(
-                            attempt, "stage", label, stage_seq, i
-                        )
-                        total_runs += 1
-                        continue
-                    if fault is not None:
-                        delay += fault.delay_ms / 1000.0
-                    start = clock()
-                    out, io_time = task(i, records)
-                    cpu += (clock() - start) * cpu_scale
-                    io += io_time
-                    total_runs += 1
-                    remaining -= 1
-                return out, cpu, io, total_runs, delay
+                # Spark-style retries: a crashed attempt never executes
+                # the task (the idempotent re-run's output stands) and
+                # costs a backoff pause; a straggler runs but adds its
+                # delay to the worker's clock.
+                failed, delay = 0, 0.0
+                if inj is not None:
+                    failed, backoff_s, slow_s = inj.sit_out(
+                        lambda attempt: inj.task_fault(
+                            label, stage_seq, i, attempt
+                        ),
+                        ("stage", label, stage_seq, i),
+                        lambda attempt, _pauses: TaskFailedError(
+                            f"stage {label!r} task {i} crashed "
+                            f"{attempt} attempts (injected)"
+                        ),
+                    )
+                    delay = backoff_s + slow_s
+                start = clock()
+                out, io = task(i, records)
+                cpu = (clock() - start) * cpu_scale
+                return out, cpu, io, failed + 1, delay
 
             try:
                 results = [
@@ -362,19 +284,14 @@ class SimCluster:
                 total_cpu += cpu
                 total_io += io
                 retries += n_runs - 1
-                if inj is None:
-                    worker_time[self._worker_of(i)] += (
-                        cpu + io + n_runs * self.cost_model.task_overhead_s
+                # Per-attempt re-routing: each retry lands on the next
+                # worker in the ring rather than hammering the one that
+                # just failed.
+                share = (cpu + io + delay) / n_runs
+                for run in range(n_runs):
+                    worker_time[self._worker_of(i + run)] += (
+                        share + self.cost_model.task_overhead_s
                     )
-                else:
-                    # Per-attempt re-routing: each retry lands on the next
-                    # worker in the ring rather than hammering the one
-                    # that just failed.
-                    share = (cpu + io + delay) / n_runs
-                    for run in range(n_runs):
-                        worker_time[self._worker_of(i + run)] += (
-                            share + self.cost_model.task_overhead_s
-                        )
             wall = max(worker_time, default=0.0)
             self.ledger.record_stage(
                 label, wall_s=wall, cpu_s=total_cpu, io_s=total_io,

@@ -51,22 +51,14 @@ class Block:
         if injector is None:
             return self._materialize(t0), 0, 0.0
         read_seq = injector.next_seq("storage", self.block_id)
-        delay_s = 0.0
-        attempt = 1
-        while True:
-            fault = injector.storage_fault(self.block_id, read_seq, attempt)
-            if fault is None:
-                return self._materialize(t0), attempt - 1, delay_s
-            if fault.kind == "task-slow":
-                delay_s += fault.delay_ms / 1000.0
-                return self._materialize(t0), attempt - 1, delay_s
-            if attempt >= injector.retry.max_attempts:
-                raise StorageReadError(self.block_id, attempt)
-            injector.count_retry()
-            delay_s += injector.backoff_s(
-                attempt, "storage", self.block_id, read_seq
-            )
-            attempt += 1
+        failed, backoff_s, slow_s = injector.sit_out(
+            lambda attempt: injector.storage_fault(
+                self.block_id, read_seq, attempt
+            ),
+            ("storage", self.block_id, read_seq),
+            lambda attempt, _pauses: StorageReadError(self.block_id, attempt),
+        )
+        return self._materialize(t0), failed, backoff_s + slow_s
 
     def _materialize(self, started_s: float) -> list:
         """Copy the record payload out, charging the ``deserialize`` kernel

@@ -156,38 +156,37 @@ class TardisIndex:
         injector = None if cached else get_injector()
         delay_s = 0.0
         if injector is not None:
-            # Retry loop with exponential backoff + deterministic jitter.
             # Exhaustion surfaces as PartitionUnavailableError — kNN
             # strategies catch it and degrade, exact-match converts it to
             # a typed PartialResultError.
             load_seq = injector.next_seq("partition", partition_id)
-            attempt = 1
-            while True:
-                fault = injector.partition_load_fault(
+
+            def sit_out_pauses(failed: int, backoff_s: float) -> None:
+                if failed:
+                    time.sleep(backoff_s)
+                    if ledger is not None:
+                        ledger.record_stage(
+                            "query/load partition (retry)",
+                            wall_s=backoff_s, tasks=failed,
+                        )
+
+            def unavailable(attempts: int, backoff_s: float):
+                sit_out_pauses(attempts - 1, backoff_s)
+                registry.counter(
+                    "faults_partition_unavailable_total",
+                    "Partition loads that exhausted their retry budget",
+                ).inc()
+                return PartitionUnavailableError(partition_id, attempts)
+
+            failed, backoff_s, slow_s = injector.sit_out(
+                lambda attempt: injector.partition_load_fault(
                     partition_id, load_seq, attempt
-                )
-                if fault is None:
-                    break
-                if fault.kind == "task-slow":
-                    delay_s += fault.delay_ms / 1000.0
-                    break
-                if attempt >= injector.retry.max_attempts:
-                    registry.counter(
-                        "faults_partition_unavailable_total",
-                        "Partition loads that exhausted their retry budget",
-                    ).inc()
-                    raise PartitionUnavailableError(partition_id, attempt)
-                injector.count_retry()
-                pause = injector.backoff_s(
-                    attempt, "partition", partition_id, load_seq
-                )
-                time.sleep(pause)
-                delay_s += pause
-                if ledger is not None:
-                    ledger.record_stage(
-                        "query/load partition (retry)", wall_s=pause, tasks=1
-                    )
-                attempt += 1
+                ),
+                ("partition", partition_id, load_seq),
+                unavailable,
+            )
+            sit_out_pauses(failed, backoff_s)
+            delay_s = backoff_s + slow_s
         io = 0.0
         if ledger is not None:
             if not cached:

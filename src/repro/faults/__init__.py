@@ -18,7 +18,6 @@ from .errors import (
     InjectedFaultError,
     InjectedTaskCrash,
     PartialResultError,
-    PartitionLoadError,
     PartitionUnavailableError,
     StorageReadError,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "InjectedFaultError",
     "InjectedTaskCrash",
     "PartialResultError",
-    "PartitionLoadError",
     "PartitionUnavailableError",
     "RetryPolicy",
     "StorageReadError",

@@ -4,8 +4,8 @@ Two families live here:
 
 * *Injected* faults (:class:`InjectedFaultError` and subclasses) are the
   raw failures a :class:`~repro.faults.injector.FaultInjector` throws
-  into the stack.  They are recoverable by construction: every site that
-  can receive one wraps it in a retry loop.
+  into the stack.  They are recoverable by construction: every retrying
+  site draws its attempts through :meth:`FaultInjector.sit_out`.
 * *Exhaustion* outcomes (:class:`PartitionUnavailableError`,
   :class:`PartialResultError`) are what the recovery machinery surfaces
   when retries did not help — the typed contract callers program
@@ -17,7 +17,6 @@ from __future__ import annotations
 __all__ = [
     "InjectedFaultError",
     "InjectedTaskCrash",
-    "PartitionLoadError",
     "StorageReadError",
     "PartitionUnavailableError",
     "PartialResultError",
@@ -34,19 +33,6 @@ class InjectedTaskCrash(InjectedFaultError):
     def __init__(self, site: str, attempt: int):
         super().__init__(f"injected task crash at {site} (attempt {attempt})")
         self.site = site
-        self.attempt = attempt
-
-
-class PartitionLoadError(InjectedFaultError):
-    """One partition-load attempt failed (transient unless the plan pins
-    every attempt)."""
-
-    def __init__(self, partition_id: int, attempt: int):
-        super().__init__(
-            f"injected load error on partition {partition_id} "
-            f"(attempt {attempt})"
-        )
-        self.partition_id = partition_id
         self.attempt = attempt
 
 

@@ -155,12 +155,39 @@ class FaultInjector:
             k: v for k, v in entry.items() if k != "kind"
         })
 
-    def count_retry(self, n: int = 1) -> None:
-        """Account recovery attempts triggered by injected faults."""
+    def count_retry(self) -> None:
+        """Account one recovery attempt triggered by an injected fault."""
         get_registry().counter(
             "faults_retries_total",
             "Retry attempts performed to recover from injected faults",
-        ).inc(n)
+        ).inc()
+
+    def sit_out(
+        self, fault_at, backoff_site: tuple, exhausted,
+    ) -> tuple[int, float, float]:
+        """The one retry loop: draw ``fault_at(attempt)`` for attempts
+        1, 2, … until no fault or a ``task-slow`` (its delay) ends it.
+        Any other kind fails the attempt: it is retried after
+        :meth:`backoff_s` ``(attempt, *backoff_site)``, or, with the
+        budget spent, ``exhausted(attempt, backoff_s so far)`` is raised.
+
+        Never sleeps: returns ``(failed_attempts, backoff_s, slow_s)``
+        for the caller to spend — real-plane sites (partition loads,
+        serving groups and appends) sleep it, simulated-plane sites
+        (engine tasks, storage reads) charge it to the simulated clock.
+        """
+        backoff = 0.0
+        budget = self.retry.max_attempts
+        for attempt in range(1, budget + 1):
+            fault = fault_at(attempt)
+            if fault is None:
+                return attempt - 1, backoff, 0.0
+            if fault.kind == "task-slow":
+                return attempt - 1, backoff, fault.delay_ms / 1000.0
+            if attempt < budget:
+                self.count_retry()
+                backoff += self.backoff_s(attempt, *backoff_site)
+        raise exhausted(budget, backoff)
 
     # -- hook sites ---------------------------------------------------------
 

@@ -55,30 +55,28 @@ def _sit_out_injected_faults(
     """Fire one ``<domain>/<op>`` fault site ahead of the work it guards.
 
     ``site_fault`` is the injector method that draws the site's fault
-    (:meth:`FaultInjector.serve_fault`, ``.ingest_fault``).  An injected
-    ``task-slow`` delays once; a ``task-crash`` retries with real backoff
-    until the plan stops firing or the budget is spent — then raises
-    :class:`InjectedTaskCrash` before any of the guarded work ran.
+    (:meth:`FaultInjector.serve_fault`, ``.ingest_fault``).  The pauses
+    and delay :meth:`FaultInjector.sit_out` returns are slept here; an
+    exhausted budget raises :class:`InjectedTaskCrash` before any of the
+    guarded work ran.
     """
     injector = get_injector()
     if injector is None:
         return
     seq = injector.next_seq(domain, op, partition_id)
-    attempt = 1
-    while True:
-        fault = site_fault(injector, op, partition_id, seq, attempt)
-        if fault is None:
-            return
-        if fault.kind == "task-slow":
-            time.sleep(fault.delay_ms / 1000.0)
-            return
-        if attempt >= injector.retry.max_attempts:
-            raise InjectedTaskCrash(
-                f"{domain}/{op}/partition {partition_id}", attempt
-            )
-        injector.count_retry()
-        time.sleep(injector.backoff_s(attempt, domain, op, partition_id, seq))
-        attempt += 1
+
+    def crashed(attempts: int, backoff_s: float) -> InjectedTaskCrash:
+        time.sleep(backoff_s)
+        return InjectedTaskCrash(
+            f"{domain}/{op}/partition {partition_id}", attempts
+        )
+
+    _failed, backoff_s, slow_s = injector.sit_out(
+        lambda attempt: site_fault(injector, op, partition_id, seq, attempt),
+        (domain, op, partition_id, seq),
+        crashed,
+    )
+    time.sleep(backoff_s + slow_s)
 
 
 class QueryService(RequestFrontEnd):

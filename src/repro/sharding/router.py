@@ -40,6 +40,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from ..core.builder import convert_batch
 from ..core.queries import (
     KnnResult,
     Neighbor,
@@ -871,18 +872,17 @@ class RouterService(RequestFrontEnd):
                     self._write_counter, self._write_counter + n
                 ))
                 self._write_counter += n
-        # Group rows by home partition, preserving batch order per group.
-        row_pids: list[int] = []
+        # Route the batch with one conversion and one table walk, then
+        # group rows by home partition, preserving batch order per group.
+        signatures, _paa, _symbols = convert_batch(batch, self.index.config)
+        row_pids = self.index.global_index.route_many(signatures).tolist()
         groups: dict[int, list[int]] = {}
-        for i in range(n):
-            signature, _paa = query_signature(self.index, batch[i])
-            pid = self.index.global_index.route(signature)
+        for i, pid in enumerate(row_pids):
             if pid not in self.index.synopses:
                 raise ValueError(
                     f"row {i} routes to partition {pid}, which is not "
                     f"present in this cluster"
                 )
-            row_pids.append(pid)
             groups.setdefault(pid, []).append(i)
         tracer = get_tracer()
         root = self._start_root(

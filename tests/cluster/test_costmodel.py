@@ -43,14 +43,6 @@ class TestLedger:
             ledger.record_stage(label, wall_s=0.1)
         assert list(ledger.breakdown()) == ["z", "a", "m"]
 
-    def test_merged_into(self):
-        src, dst = SimulationLedger(), SimulationLedger()
-        src.record_stage("x", wall_s=1.0, cpu_s=1.0)
-        dst.record_stage("x", wall_s=0.5)
-        src.merged_into(dst)
-        assert dst.clock_s == pytest.approx(1.5)
-        assert dst.stage("x").cpu_s == pytest.approx(1.0)
-
 
 class TestTimedStage:
     def test_records_positive_time(self):

@@ -4,6 +4,7 @@ plus ledger accounting behaviour."""
 import pytest
 
 from repro.cluster import BlockStorage, CostModel, SimCluster, TaskFailedError
+from repro.faults import active_plan
 
 
 @pytest.fixture
@@ -14,8 +15,7 @@ def cluster() -> SimCluster:
 class TestParallelize:
     def test_round_robin(self, cluster):
         data = cluster.parallelize(list(range(10)), n_partitions=3)
-        assert data.n_partitions == 3
-        assert data.count() == 10
+        assert [len(p) for p in data.partitions] == [4, 3, 3]
         assert sorted(data.collect()) == list(range(10))
 
     def test_default_partitions(self, cluster):
@@ -30,12 +30,15 @@ class TestParallelize:
 class TestMapOperators:
     def test_map(self, cluster):
         data = cluster.parallelize(list(range(6)), 2)
-        out = data.map(lambda x: x * 10, label="x10")
+        out = data.map_partitions(lambda rs: [x * 10 for x in rs], label="x10")
         assert sorted(out.collect()) == [0, 10, 20, 30, 40, 50]
 
     def test_flat_map(self, cluster):
+        # A partition function may emit more records than it was given.
         data = cluster.parallelize([1, 2], 1)
-        out = data.flat_map(lambda x: [x] * x, label="rep")
+        out = data.map_partitions(
+            lambda rs: [x for x in rs for _ in range(x)], label="rep"
+        )
         assert sorted(out.collect()) == [1, 2, 2]
 
     def test_map_partitions(self, cluster):
@@ -45,13 +48,16 @@ class TestMapOperators:
         assert sum(out.collect()) == 28
 
     def test_filter(self, cluster):
+        # ... or fewer.
         data = cluster.parallelize(list(range(10)), 3)
-        out = data.filter(lambda x: x % 2 == 0, label="even")
+        out = data.map_partitions(
+            lambda rs: [x for x in rs if x % 2 == 0], label="even"
+        )
         assert sorted(out.collect()) == [0, 2, 4, 6, 8]
 
     def test_stage_recorded_in_ledger(self, cluster):
         data = cluster.parallelize(list(range(4)), 2)
-        data.map(lambda x: x, label="noop")
+        data.map_partitions(lambda rs: rs, label="noop")
         stage = cluster.ledger.stage("noop")
         assert stage.tasks == 2
         assert stage.wall_s > 0  # at least the task overheads
@@ -84,7 +90,7 @@ class TestShuffle:
         )
         for pid in range(4):
             assert all(x % 4 == pid for x in out.partitions[pid])
-        assert out.count() == 12
+        assert sum(len(p) for p in out.partitions) == 12
 
     def test_out_of_range_partitioner_raises(self, cluster):
         data = cluster.parallelize([1], 1)
@@ -168,7 +174,7 @@ class TestStorageIntegration:
     def test_read_blocks_subset(self, cluster):
         storage = BlockStorage.from_records(list(range(10)), block_capacity=5)
         data = cluster.read_blocks(storage.blocks[:1], label="read")
-        assert data.count() == 5
+        assert [len(p) for p in data.partitions] == [5]
 
 
 class TestDriverAndBroadcast:
@@ -194,7 +200,9 @@ class TestDeterminism:
         def run() -> dict:
             cluster = SimCluster(n_workers=3)
             data = cluster.parallelize(list(range(50)), 5)
-            pairs = data.map(lambda x: (x % 7, x), label="kv")
+            pairs = data.map_partitions(
+                lambda rs: [(x % 7, x) for x in rs], label="kv"
+            )
             agg = pairs.reduce_by_key(lambda a, b: a + b, label="agg")
             return dict(agg.collect())
 
@@ -208,7 +216,7 @@ class TestTaskExecution:
         cluster = SimCluster(n_workers=4)
         data = cluster.parallelize(["a", "b", "a", "c", "b", "a"] * 10, 6)
         counts = dict(
-            data.map(lambda w: (w, 1), label="pair")
+            data.map_partitions(lambda ws: [(w, 1) for w in ws], label="pair")
             .reduce_by_key(lambda a, b: a + b, label="count")
             .collect()
         )
@@ -216,25 +224,32 @@ class TestTaskExecution:
         assert cluster.ledger.clock_s > 0
 
     def test_failure_injection_is_deterministic(self):
+        plan = {"schema": "repro.faults/v1", "seed": 123, "rules": [
+            {"kind": "task-crash", "attempt": [1, 2], "probability": 0.4},
+        ]}
+
         def run() -> tuple[list, int]:
-            model = CostModel(task_failure_rate=0.2, task_max_attempts=4)
-            cluster = SimCluster(n_workers=4, cost_model=model,
-                                 failure_seed=123)
-            out = cluster.parallelize(list(range(40)), 8).map(
-                lambda x: x + 1, label="inc"
-            ).collect()
+            cluster = SimCluster(n_workers=4)
+            with active_plan(plan):
+                out = cluster.parallelize(list(range(40)), 8).map_partitions(
+                    lambda rs: [x + 1 for x in rs], label="inc"
+                ).collect()
             return out, cluster.ledger.stages["inc"].tasks
 
         first, second = run(), run()
         assert sorted(first[0]) == list(range(1, 41))
+        assert first[1] > 8  # some attempts crashed and were retried
         assert first == second
 
     def test_doomed_task_raises(self):
-        model = CostModel(task_failure_rate=1.0, task_max_attempts=2)
-        cluster = SimCluster(n_workers=2, cost_model=model)
+        plan = {"schema": "repro.faults/v1", "seed": 0,
+                "retry": {"max_attempts": 2},
+                "rules": [{"kind": "task-crash", "stage": "doomed"}]}
+        cluster = SimCluster(n_workers=2)
         data = cluster.parallelize(list(range(8)), 4)
-        with pytest.raises(TaskFailedError, match="task 0"):
-            data.map(lambda x: x, label="doomed")
+        with active_plan(plan):
+            with pytest.raises(TaskFailedError, match="task 0 crashed 2"):
+                data.map_partitions(lambda rs: rs, label="doomed")
 
     def test_lowest_index_error_wins(self, cluster):
         ran = []
@@ -247,5 +262,7 @@ class TestTaskExecution:
 
         data = cluster.parallelize(list(range(10)), 10)
         with pytest.raises(ValueError, match="task 2"):
-            data.map(explode, label="explode")
+            data.map_partitions(
+                lambda rs: [explode(x) for x in rs], label="explode"
+            )
         assert ran == [0, 1, 2]  # the stage stops at its first failure

@@ -1,8 +1,9 @@
 """Model-based property tests: the cluster engine vs plain-list semantics.
 
-Random pipelines of map / filter / flat_map / partition_by / reduce_by_key
-run both on the engine and on a naive list model; outputs must agree as
-multisets (the engine guarantees no record ordering).
+Random pipelines of per-partition map / filter / flat-map steps
+(``map_partitions``), ``partition_by`` and ``reduce_by_key`` run both on
+the engine and on a naive list model; outputs must agree as multisets
+(the engine guarantees no record ordering).
 """
 
 from collections import Counter
@@ -27,17 +28,23 @@ def pipelines(draw):
 def _apply(op: str, engine_data, model: list):
     if op == "map":
         return (
-            engine_data.map(lambda x: x * 3 + 1, label="map"),
+            engine_data.map_partitions(
+                lambda xs: [x * 3 + 1 for x in xs], label="map"
+            ),
             [x * 3 + 1 for x in model],
         )
     if op == "filter":
         return (
-            engine_data.filter(lambda x: x % 2 == 0, label="filter"),
+            engine_data.map_partitions(
+                lambda xs: [x for x in xs if x % 2 == 0], label="filter"
+            ),
             [x for x in model if x % 2 == 0],
         )
     if op == "flat_map":
         return (
-            engine_data.flat_map(lambda x: [x, -x], label="flat"),
+            engine_data.map_partitions(
+                lambda xs: [y for x in xs for y in (x, -x)], label="flat"
+            ),
             [y for x in model for y in (x, -x)],
         )
     if op == "repartition":
@@ -96,5 +103,5 @@ class TestEngineAgainstModel:
         cluster = SimCluster(n_workers=2)
         data = cluster.parallelize(records, 2)
         before = cluster.ledger.clock_s
-        data.map(lambda x: x, label="m").collect()
+        data.map_partitions(lambda xs: xs, label="m").collect()
         assert cluster.ledger.clock_s >= before

@@ -1,24 +1,14 @@
-"""Engine fault tolerance: retries under the deterministic injector and
-the legacy CostModel failure knob.
+"""Engine fault tolerance: task retries under the deterministic injector.
 
-The injector (``repro.faults``) is the primary fault source now — plans
+The injector (``repro.faults``) is the engine's one fault source: plans
 target stages by label, confine faults to early attempts, and journal
-every injection.  The CostModel's ``task_failure_rate`` remains as the
-analytic-cost path and keeps its own coverage below.
+every injection.
 """
 
 import pytest
 
-from repro.cluster import CostModel, SimCluster, TaskFailedError
+from repro.cluster import SimCluster, TaskFailedError
 from repro.faults import active_plan
-
-
-def flaky_cluster(rate: float, attempts: int = 4, seed: int = 1) -> SimCluster:
-    return SimCluster(
-        n_workers=4,
-        cost_model=CostModel(task_failure_rate=rate, task_max_attempts=attempts),
-        failure_seed=seed,
-    )
 
 
 def crash_plan(seed: int, stage: str = "*", attempts=(1, 2),
@@ -38,17 +28,23 @@ class TestInjectedFaults:
         cluster = SimCluster(n_workers=4)
         data = cluster.parallelize(list(range(100)), 10)
         with active_plan(crash_plan(0, probability=0.6)) as injector:
-            out = data.map(lambda x: x * 2, label="x2")
+            out = data.map_partitions(
+                lambda rs: [x * 2 for x in rs], label="x2"
+            )
             assert injector.stats()["by_kind"]["task-crash"] >= 1
         assert sorted(out.collect()) == [2 * x for x in range(100)]
 
     def test_crashes_cost_extra_wall_time(self):
         work = list(range(200))
         healthy = SimCluster(n_workers=4)
-        healthy.parallelize(work, 8).map(lambda x: x * x, label="sq")
+
+        def square(rs):
+            return [x * x for x in rs]
+
+        healthy.parallelize(work, 8).map_partitions(square, label="sq")
         flaky = SimCluster(n_workers=4)
         with active_plan(crash_plan(3, stage="sq", probability=0.8)):
-            flaky.parallelize(work, 8).map(lambda x: x * x, label="sq")
+            flaky.parallelize(work, 8).map_partitions(square, label="sq")
         assert flaky.ledger.stage("sq").wall_s > healthy.ledger.stage("sq").wall_s
 
     def test_exhaustion_raises_typed_injected_error(self):
@@ -60,14 +56,16 @@ class TestInjectedFaults:
         ]}
         with active_plan(plan):
             with pytest.raises(TaskFailedError, match="injected"):
-                data.map(lambda x: x, label="doomed")
+                data.map_partitions(lambda rs: rs, label="doomed")
 
     def test_crashed_attempts_never_execute_the_task(self):
         calls: list[int] = []
         cluster = SimCluster(n_workers=2)
         data = cluster.parallelize(list(range(8)), 4)
         with active_plan(crash_plan(0, stage="spy", probability=0.7)) as inj:
-            out = data.map(lambda x: calls.append(x) or x, label="spy")
+            out = data.map_partitions(
+                lambda rs: [calls.append(x) or x for x in rs], label="spy"
+            )
             crashed = inj.stats()["by_kind"].get("task-crash", 0)
             assert crashed >= 1
         assert sorted(out.collect()) == list(range(8))
@@ -80,7 +78,9 @@ class TestInjectedFaults:
             cluster = SimCluster(n_workers=4)
             data = cluster.parallelize(list(range(40)), 8)
             with active_plan(crash_plan(seed)) as injector:
-                data.map(lambda x: x + 1, label="inc")
+                data.map_partitions(
+                    lambda rs: [x + 1 for x in rs], label="inc"
+                )
                 return injector.journal_lines()
 
         assert run(7) == run(7)
@@ -91,11 +91,13 @@ class TestInjectedFaults:
             {"kind": "task-slow", "stage": "m", "delay_ms": 1.0},
         ]}
         baseline = SimCluster(n_workers=4)
-        baseline.parallelize(list(range(20)), 4).map(lambda x: x, label="m")
+        baseline.parallelize(list(range(20)), 4).map_partitions(
+            lambda rs: rs, label="m"
+        )
         slow = SimCluster(n_workers=4)
         with active_plan(plan):
-            out = slow.parallelize(list(range(20)), 4).map(
-                lambda x: x, label="m"
+            out = slow.parallelize(list(range(20)), 4).map_partitions(
+                lambda rs: rs, label="m"
             )
         assert sorted(out.collect()) == list(range(20))
         assert slow.ledger.stage("m").tasks == baseline.ledger.stage("m").tasks
@@ -114,46 +116,3 @@ class TestInjectedFaults:
         total = sum(p.n_records for p in index.partitions.values())
         assert total == 1000
         assert 17 in exact_match(index, dataset.values[17]).record_ids
-
-
-class TestCostModelRetries:
-    """The legacy analytic failure knob (CostModel.task_failure_rate)."""
-
-    def test_results_correct_despite_failures(self):
-        cluster = flaky_cluster(0.3)
-        data = cluster.parallelize(list(range(100)), 10)
-        out = data.map(lambda x: x * 2, label="x2")
-        assert sorted(out.collect()) == [2 * x for x in range(100)]
-
-    def test_failures_cost_extra(self):
-        healthy = SimCluster(n_workers=4)
-        # Generous attempt budget: this test is about cost accounting, not
-        # abort behaviour, so exhaustion must be effectively impossible.
-        flaky = flaky_cluster(0.3, attempts=20, seed=3)
-        work = list(range(2000))
-        healthy.parallelize(work, 8).map(lambda x: x * x, label="sq")
-        flaky.parallelize(work, 8).map(lambda x: x * x, label="sq")
-        assert flaky.ledger.stage("sq").tasks > healthy.ledger.stage("sq").tasks
-        assert flaky.ledger.stage("sq").wall_s > healthy.ledger.stage("sq").wall_s
-
-    def test_retry_exhaustion_raises(self):
-        cluster = flaky_cluster(1.0, attempts=3)
-        data = cluster.parallelize([1], 1)
-        with pytest.raises(TaskFailedError, match="3 attempts"):
-            data.map(lambda x: x, label="doomed")
-
-    def test_deterministic_given_seed(self):
-        def run(seed: int) -> int:
-            cluster = flaky_cluster(0.4, seed=seed)
-            data = cluster.parallelize(list(range(50)), 5)
-            data.map(lambda x: x, label="m")
-            return cluster.ledger.stage("m").tasks
-
-        assert run(7) == run(7)
-        # (Different seeds usually differ, but that's not guaranteed.)
-
-    def test_zero_rate_never_retries(self):
-        cluster = flaky_cluster(0.0)
-        data = cluster.parallelize(list(range(30)), 6)
-        data.map(lambda x: x, label="m")
-        assert cluster.ledger.stage("m").tasks == 6

@@ -286,8 +286,8 @@ class TestStorageFaults:
     def test_transient_reads_recover(self):
         storage = self._storage()
         baseline = SimCluster(n_workers=4)
-        expected = baseline.read_storage(storage, label="read").map(
-            lambda x: x * 3, label="x3"
+        expected = baseline.read_storage(storage, label="read").map_partitions(
+            lambda xs: [x * 3 for x in xs], label="x3"
         ).collect()
         plan = {"schema": "repro.faults/v1", "seed": 5, "rules": [
             {"kind": "storage-read-error", "attempt": [1, 2],
@@ -295,8 +295,8 @@ class TestStorageFaults:
         ]}
         flaky = SimCluster(n_workers=4)
         with active_plan(plan) as injector:
-            got = flaky.read_storage(storage, label="read").map(
-                lambda x: x * 3, label="x3"
+            got = flaky.read_storage(storage, label="read").map_partitions(
+                lambda xs: [x * 3 for x in xs], label="x3"
             ).collect()
             assert injector.stats()["injected"] > 0
         assert got == expected
@@ -323,7 +323,7 @@ class TestInjectedTaskFaults:
         data = cluster.parallelize([1, 2], 2)
         with active_plan(plan):
             with pytest.raises(TaskFailedError, match="injected"):
-                data.map(lambda x: x, label="doomed")
+                data.map_partitions(lambda xs: xs, label="doomed")
 
     def test_disabled_injection_leaves_no_trace(self, chaos_index,
                                                 chaos_queries):

@@ -52,10 +52,11 @@ def batches(stream, size=6):
 def reference(ingest_dataset, write_stream, probes):
     """Single-process serving over the same write stream."""
     index = fresh_index(ingest_dataset)
-    acks = []
+    acks, routes = [], []
     with QueryService(index, max_delay_ms=1.0,
                       result_cache_size=None) as svc:
         for chunk in batches(write_stream):
+            routes.append(index.prepare_batch(chunk).partition_ids)
             acks.append(svc.write(chunk).record_ids)
         exact = [
             sorted(svc.query(QueryRequest(row, op="exact-match")).record_ids)
@@ -69,7 +70,8 @@ def reference(ingest_dataset, write_stream, probes):
             )
         ]
     counts = {pid: p.n_records for pid, p in index.partitions.items()}
-    return {"acks": acks, "exact": exact, "knn": knn, "counts": counts}
+    return {"acks": acks, "routes": routes, "exact": exact, "knn": knn,
+            "counts": counts}
 
 
 def drive_cluster(router, reference, write_stream, probes):
@@ -80,10 +82,13 @@ def drive_cluster(router, reference, write_stream, probes):
     host, port = server.address
     try:
         with ServingClient(host, port) as client:
-            for chunk, want_ids in zip(batches(write_stream),
-                                       reference["acks"]):
+            for chunk, want_ids, want_pids in zip(
+                batches(write_stream), reference["acks"], reference["routes"]
+            ):
                 ack = client.write_batch(chunk.tolist())
                 assert ack["record_ids"] == want_ids
+                # The router routes a batch as the index does.
+                assert ack["partition_ids"] == want_pids
                 assert not ack.get("replicas_failed")
             got_exact = [
                 sorted(client.exact_match(row)["record_ids"])
@@ -160,3 +165,27 @@ def test_processes_cluster_matches_single_process(
             drive_cluster(router, reference, write_stream, probes)
             got = shard_layout(cluster, plan)
     assert got == expected_layout(plan, reference["counts"])
+
+
+def test_router_names_the_row_that_routes_off_cluster(
+    ingest_dataset, write_stream
+):
+    """A write batch with a row homed on a partition the cluster does not
+    hold fails whole, naming the first such row."""
+    index = fresh_index(ingest_dataset)
+    batch = write_stream[:6]
+    routes = index.prepare_batch(batch).partition_ids
+    lost = routes[3]
+    router_index = RouterIndex.from_index(index)
+    del router_index.synopses[lost]
+    plan = plan_shards({pid: 1 for pid in index.partitions}, N_SHARDS)
+    router = RouterService(
+        router_index, plan, [("127.0.0.1", 9)] * N_SHARDS,
+        result_cache_size=None, health_interval_s=0.0,
+    )
+    with pytest.raises(
+        ValueError,
+        match=f"row {routes.index(lost)} routes to partition {lost}, "
+              f"which is not present in this cluster",
+    ):
+        router._op_write({"op": "write-batch", "batch": batch.tolist()})
