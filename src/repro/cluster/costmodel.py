@@ -18,9 +18,12 @@ a distributed deployment would spend:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
+
+from ..telemetry.spans import get_tracer
 
 __all__ = [
     "CostModel",
@@ -96,17 +99,46 @@ class StageStats:
         return self.wall_s
 
 
-@dataclass
 class SimulationLedger:
-    """Simulated clock plus per-stage breakdown for an engine run."""
+    """Simulated clock plus per-stage breakdown for an engine run.
 
-    stages: dict[str, StageStats] = field(default_factory=dict)
-    clock_s: float = 0.0
+    :meth:`record_stage` appends one plain tuple and advances
+    ``clock_s``; the per-stage :class:`StageStats` are folded from those
+    tuples, in record order, when ``stages`` (or :meth:`stage` /
+    :meth:`breakdown`) is next read.  A query that charges five stages
+    and whose ledger nobody reads pays five appends, not five stage
+    objects; the folded sums are the ones eager accumulation gave.
+    """
+
+    __slots__ = ("clock_s", "_stages", "_pending")
+
+    def __init__(self) -> None:
+        self.clock_s = 0.0
+        self._stages: dict[str, StageStats] = {}
+        self._pending: list[tuple] = []
+
+    @property
+    def stages(self) -> dict[str, StageStats]:
+        """Stage label → :class:`StageStats`, in first-record order."""
+        if self._pending:
+            stages = self._stages
+            for label, wall_s, cpu_s, io_s, network_s, tasks in self._pending:
+                stats = stages.get(label)
+                if stats is None:
+                    stats = stages[label] = StageStats(label)
+                stats.wall_s += wall_s
+                stats.cpu_s += cpu_s
+                stats.io_s += io_s
+                stats.network_s += network_s
+                stats.tasks += tasks
+            self._pending.clear()
+        return self._stages
 
     def stage(self, label: str) -> StageStats:
-        if label not in self.stages:
-            self.stages[label] = StageStats(label)
-        return self.stages[label]
+        stages = self.stages
+        if label not in stages:
+            stages[label] = StageStats(label)
+        return stages[label]
 
     def record_stage(
         self,
@@ -117,12 +149,7 @@ class SimulationLedger:
         network_s: float = 0.0,
         tasks: int = 0,
     ) -> None:
-        stats = self.stage(label)
-        stats.wall_s += wall_s
-        stats.cpu_s += cpu_s
-        stats.io_s += io_s
-        stats.network_s += network_s
-        stats.tasks += tasks
+        self._pending.append((label, wall_s, cpu_s, io_s, network_s, tasks))
         self.clock_s += wall_s
 
     def breakdown(self) -> dict[str, float]:
@@ -141,12 +168,19 @@ class timed_stage:
 
     When the shared tracer is enabled, the same block also becomes one
     trace span (with the simulated charge recorded as ``simulated_s``),
-    so traces and the ledger stay stage-for-stage aligned.
+    so traces and the ledger stay stage-for-stage aligned.  With
+    ``ledger=None`` the block is timed (``elapsed_s``) and traced but
+    charged nowhere: the caller folds the time into a stage of its own.
     """
+
+    __slots__ = (
+        "_ledger", "_label", "_cpu_scale", "_span_ctx", "_span", "_start",
+        "elapsed_s",
+    )
 
     def __init__(
         self,
-        ledger: SimulationLedger,
+        ledger: SimulationLedger | None,
         label: str,
         cpu_scale: float = DEFAULT_CPU_SCALE,
     ):
@@ -158,24 +192,20 @@ class timed_stage:
         self.elapsed_s = 0.0
 
     def __enter__(self) -> "timed_stage":
-        import time
-
-        from ..telemetry.spans import get_tracer
-
         tracer = get_tracer()
         if tracer.enabled:
             self._span_ctx = tracer.span(self._label)
             self._span = self._span_ctx.__enter__()
-        self._start = time.perf_counter()
+        self._start = perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        import time
-
-        self.elapsed_s = (time.perf_counter() - self._start) * self._cpu_scale
-        self._ledger.record_stage(
-            self._label, wall_s=self.elapsed_s, cpu_s=self.elapsed_s, tasks=1
-        )
+        self.elapsed_s = (perf_counter() - self._start) * self._cpu_scale
+        if self._ledger is not None:
+            self._ledger.record_stage(
+                self._label, wall_s=self.elapsed_s, cpu_s=self.elapsed_s,
+                tasks=1,
+            )
         if self._span_ctx is not None:
             self._span.set("simulated_s", self.elapsed_s)
             self._span_ctx.__exit__(*exc_info)

@@ -16,8 +16,8 @@ partition's records once, contiguously:
   un-clustered kNN, equivalence checks) never re-parses hex strings.
 
 sigTree leaves hold *row indices* into the block, so candidate
-collection returns index arrays and ranking is one ``batch_euclidean``
-over a fancy-indexed slice — the ParIS+/MESSI-style move from
+collection returns index arrays and ranking is one ``gather_euclidean``
+over the gathered rows — the ParIS+/MESSI-style move from
 per-record Python to whole-frontier numpy.
 
 Appends are amortised.  Each column lives in a private buffer that

@@ -6,7 +6,7 @@ Each partition produced by the Tardis-G shuffle owns a *columnar block*
 signature, and pre-decoded SAX-symbol arrays.  The partition's sigTree
 leaves store *row indices* into that block, so candidate collection
 returns integer index arrays and distance ranking is a single
-``batch_euclidean`` over a matrix slice — no per-entry tuples, no
+``gather_euclidean`` over the block's rows — no per-entry tuples, no
 ``np.vstack`` on the query path.  The un-clustered variant keeps the
 block without its value matrix (signatures and ids only, as DPiSAX does
 natively).

@@ -23,7 +23,10 @@ Each strategy has one body (:func:`_exact_match`, :func:`_target_node_knn`,
 converted and routed its queries hands the conversion in; the simulated
 cost ledger is an optional observer (:func:`_stage`): library calls and
 the batch tier charge one so average query times reproduce the Fig. 14-16
-latency shapes, served reads charge none.
+latency shapes, served reads charge none.  A charge is one tuple appended
+to the ledger; its per-stage breakdown is folded from those tuples only
+when something reads it, so a query whose ledger nobody reads pays for
+the search and a handful of appends.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from ..cluster.costmodel import timed_stage
 from ..faults.errors import PartialResultError, PartitionUnavailableError
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
-from ..tsdb.distance import GapTable, as_gap_table, batch_euclidean
+from ..tsdb.distance import GapTable, as_gap_table, gather_euclidean
 from ..tsdb.paa import paa_transform
 from .builder import TardisIndex
 from .isaxt import signature_of_paa
@@ -411,9 +414,9 @@ class RunningTopK:
         if len(rows) == 0:
             return
         block = partition.block
-        distances = batch_euclidean(query, block.values[rows])
+        distances = gather_euclidean(query, block.values, rows)
         self.scored += len(rows)
-        record_ids = block.record_ids[rows]
+        record_ids = block.record_ids.take(rows)
         kth = self.kth
         if kth < np.inf:
             # Beaten by all k held entries: it cannot enter.
@@ -585,6 +588,20 @@ def sibling_bound_lookup(index, signature, query_paa):
     return bound_of
 
 
+class _LoadClock:
+    """The ``ledger`` :func:`scan_partitions` hands each partition load.
+
+    It keeps only what the scan reads back, the load's simulated
+    seconds, summed in charge order as a fresh ledger's ``clock_s``
+    would be; the scan zeroes it before each load.
+    """
+
+    __slots__ = ("clock_s",)
+
+    def record_stage(self, label: str, wall_s: float, **charges) -> None:
+        self.clock_s += wall_s
+
+
 @dataclass
 class PartitionScan:
     """What :func:`scan_partitions` found in one set of partitions."""
@@ -649,14 +666,16 @@ def scan_partitions(
     loaded: dict[int, LocalPartition] = {}
     missing: list[int] = []
     load_times = []
+    clock = None if ledger is None else _LoadClock()
     for pid in partition_ids:
-        sub_ledger = None if ledger is None else SimulationLedger()
+        if clock is not None:
+            clock.clock_s = 0.0
         try:
-            loaded[pid] = index.load_partition(pid, ledger=sub_ledger)
+            loaded[pid] = index.load_partition(pid, ledger=clock)
         except PartitionUnavailableError:
             missing.append(pid)
-        if sub_ledger is not None:
-            load_times.append(sub_ledger.clock_s)
+        if clock is not None:
+            load_times.append(clock.clock_s)
     if ledger is not None:
         ledger.record_stage(
             "query/load partitions", wall_s=max(load_times, default=0.0),
@@ -681,8 +700,10 @@ def scan_partitions(
         scan.target_layer = target.layer
     scan_times = []
     for pid, partition in loaded.items():
-        scratch = None if ledger is None else SimulationLedger()
-        with _stage(scratch, "query/scan partition"):
+        timer = None if ledger is None else timed_stage(
+            None, "query/scan partition"
+        )
+        with timer or nullcontext():
             rows = partition.pruned_entries(
                 gaps, scan.threshold, index.series_length,
                 skip=target if pid == home_pid else None, stats=stats,
@@ -694,8 +715,8 @@ def scan_partitions(
             scan.refined += len(rows)
             if len(rows):
                 scan.found.append(Candidates(partition, rows, bounds))
-        if scratch is not None:
-            scan_times.append(scratch.clock_s)
+        if timer is not None:
+            scan_times.append(timer.elapsed_s)
     if ledger is not None:
         ledger.record_stage(
             "query/parallel scan",

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..cluster import CostModel, SimulationLedger
 from ..cluster.costmodel import timed_stage
-from ..tsdb.distance import batch_euclidean
+from ..tsdb.distance import gather_euclidean
 from ..tsdb.series import TimeSeriesDataset
 
 __all__ = ["LshConfig", "LshIndex", "LshQueryResult", "build_lsh_index"]
@@ -188,10 +188,7 @@ class LshIndex:
         with timed_stage(result.ledger, "query/rank"):
             ordered_ids = sorted(candidate_ids)
             rows = [self._row_of[rid] for rid in ordered_ids]
-            values = self.dataset.values[rows]
-            distances = batch_euclidean(
-                np.asarray(query, dtype=np.float64), values
-            )
+            distances = gather_euclidean(query, self.dataset.values, rows)
             order = np.argsort(distances, kind="stable")[:k]
             result.record_ids = [ordered_ids[i] for i in order]
             result.distances = [float(distances[i]) for i in order]

@@ -11,8 +11,8 @@ attempts, so each run recovers and every answer is the fault-free one.
 Pinned: the sha256 of the injector's journal, the injected count per
 kind, the build ledger's ``(tasks, io_s, network_s)`` per stage, what
 each query's ledger was charged for its partition loads' retries, and
-a digest of the answers.  A multi-partitions query charges each load
-to a per-partition ledger and folds those into its
+a digest of the answers.  A multi-partitions query times each load
+on its own and folds those times into its
 ``query/load partitions`` stage, so its retry charge is that stage's
 ``(tasks, wall_s, io_s)``; an exact-match query charges its
 ``query/load partition (retry)`` stage ``(tasks, wall_s)`` directly.
