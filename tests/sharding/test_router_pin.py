@@ -20,6 +20,10 @@ and ``serving_shard_requests_total``.  These plans fail shard *calls*
 only, never partition loads, so a change to which replica the router
 tries, how often, or what it answers under them fails here.
 
+The cluster runs a literal shard plan (``SHARDS``), not
+``plan_shards``' output for this index, so a change to the shard
+planner does not move these digests; what is pinned is the router.
+
 To recompute the pinned values after an intended change, run this file
 as a script with ``PYTHONPATH=src`` and paste what it prints.
 """
@@ -32,7 +36,7 @@ import pytest
 from repro.core import TardisConfig, build_tardis_index
 from repro.faults import PartialResultError, active_plan, clear_injector
 from repro.serving import QueryRequest
-from repro.sharding import RouterIndex, RouterService, ShardCluster
+from repro.sharding import RouterIndex, RouterService, ShardCluster, ShardPlan
 from repro.telemetry.journal import EventJournal
 from repro.telemetry.metrics import get_registry
 from repro.tsdb import random_walk
@@ -63,6 +67,10 @@ def shard_loss_plan(seed: int, shard_id: int) -> dict:
         {"kind": "task-crash", "stage": "shard/*", "shard_id": shard_id},
     ]}
 
+
+#: Partition ids owned by each shard (R replicas chain onto the next
+#: shards, as in every plan).
+SHARDS = [[0, 3, 4, 8], [5, 6, 9], [1, 2, 7]]
 
 WRITE_CRASH_RULE = {
     "kind": "task-crash", "stage": "shard/write-batch", "attempt": [1],
@@ -202,8 +210,11 @@ def run_plan(name: str) -> tuple:
     retries = _counter("serving_shard_retries_total")
     calls = _counter("serving_shard_requests_total")
     write_plan = dict(plan, rules=plan["rules"] + [WRITE_CRASH_RULE])
-    with ShardCluster.for_index(
-        index, N_SHARDS, replication, mode="threads",
+    shard_plan = ShardPlan.from_dict(
+        {"n_shards": N_SHARDS, "replication": replication, "shards": SHARDS}
+    )
+    with ShardCluster(
+        shard_plan, index=index, mode="threads",
         service_kwargs={"result_cache_size": None, "max_delay_ms": 1.0},
     ) as cluster:
         with RouterService(
