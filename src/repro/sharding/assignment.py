@@ -1,12 +1,16 @@
-"""Partition→shard assignment: FFD packing + chained replica placement.
+"""Partition→shard assignment: contiguous id runs + chained replicas.
 
 A :class:`ShardPlan` says, for every partition, which shard *owns* it
 (serves it as a primary) and which shards hold replica copies.  The
-packer reuses :func:`repro.core.partitioning.first_fit_decreasing` —
-the same bin packer Tardis-G uses to group sibling leaves into
-partitions and that ``core/rebalance.py`` uses to split hot partitions
-— over partition record counts, so shard record totals stay balanced
-even with skewed partition sizes.
+planner cuts the partition-id order into one contiguous run per shard,
+with near-equal record totals.  Tardis-G numbers partitions one parent
+at a time, so a run of ids is a run of siblings, and multi-partitions
+access reads the routed node's siblings: most such queries then touch
+one shard, which the router answers in a single call.  The price is
+that load follows locality: a hot signature range lands on one shard,
+and partitions a rebalance splits off get fresh ids at the end of the
+order, so a plan puts them in the last shard's run, away from the
+siblings they split from.
 
 Replicas are placed by *chaining*: shard ``s``'s primaries are copied
 onto shards ``s+1 … s+R (mod N)``.  Chaining keeps every partition's
@@ -22,8 +26,6 @@ shard process and the router agree on the topology byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..core.partitioning import first_fit_decreasing
 
 __all__ = ["ShardPlan", "plan_shards"]
 
@@ -119,13 +121,16 @@ class ShardPlan:
 def plan_shards(
     sizes: dict, n_shards: int, replication: int = 0
 ) -> ShardPlan:
-    """Pack partitions onto ``n_shards`` shards by record count.
+    """Split the partition-id order into ``n_shards`` contiguous runs of
+    near-equal record totals.
 
-    ``sizes`` maps partition id → record count.  FFD packs into bins of
-    ``ceil(total / n_shards)`` capacity (so bins approach equal record
-    totals); if FFD opens more bins than shards, the smallest bins are
-    merged, and missing bins are padded empty — the plan always has
-    exactly ``n_shards`` entries.  Deterministic for a given input.
+    ``sizes`` maps partition id → record count.  Partition ids are
+    numbered one Tardis-G parent at a time, so adjacent ids are siblings
+    and one multi-partitions query's sibling list lands on one shard.
+    Each partition goes to the shard whose equal share of the record
+    total holds the partition's record midpoint; no shard exceeds
+    ``ceil(total / n_shards)`` by more than one partition.  A shard may
+    own nothing when there are fewer partitions than shards.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be at least 1")
@@ -136,29 +141,18 @@ def plan_shards(
         )
     items = sorted((int(pid), int(size)) for pid, size in sizes.items())
     total = sum(size for _pid, size in items)
-    capacity = max(1, -(-total // n_shards)) if items else 1
-    bins = first_fit_decreasing(items, capacity)
-    totals = [sum(sizes[pid] for pid in group) for group in bins]
-    while len(bins) > n_shards:
-        # Merge the two lightest bins (ties by smallest member pid) —
-        # FFD overshoots the bin count only marginally, so this stays a
-        # near-balanced packing.
-        order = sorted(
-            range(len(bins)),
-            key=lambda i: (totals[i], min(bins[i], default=-1)),
+    shards: list[list[int]] = [[] for _ in range(n_shards)]
+    done = 0
+    for i, (pid, size) in enumerate(items):
+        # floor(n * midpoint / total), doubled to stay in integers; the
+        # position stands in for records when every partition is empty.
+        mid, span = (
+            (2 * done + size, 2 * total) if total
+            else (2 * i + 1, 2 * len(items))
         )
-        a, b = sorted(order[:2])
-        bins[a] = bins[a] + bins[b]
-        totals[a] += totals[b]
-        del bins[b], totals[b]
-    while len(bins) < n_shards:
-        bins.append([])
-    # Heaviest shard first so shard 0 is the natural "home" of hot data;
-    # ties break on the smallest owned pid for determinism.
-    order = sorted(
-        range(len(bins)),
-        key=lambda i: (-sum(sizes[pid] for pid in bins[i]),
-                       min(bins[i], default=1 << 60)),
+        shards[min(n_shards - 1, n_shards * mid // span)].append(pid)
+        done += size
+    return ShardPlan(
+        n_shards=n_shards, replication=replication,
+        shards=tuple(tuple(owned) for owned in shards),
     )
-    shards = tuple(tuple(sorted(bins[i])) for i in order)
-    return ShardPlan(n_shards=n_shards, replication=replication, shards=shards)

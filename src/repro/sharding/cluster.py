@@ -138,7 +138,8 @@ class ShardCluster:
         cls, index: TardisIndex, n_shards: int, replication: int = 0,
         **kwargs,
     ) -> "ShardCluster":
-        """Plan by record count (FFD) and wrap the index in a cluster."""
+        """Plan contiguous, record-balanced partition-id runs
+        (:func:`plan_shards`) and wrap the index in a cluster."""
         plan = plan_shards(
             {pid: p.n_records for pid, p in index.partitions.items()},
             n_shards, replication,

@@ -785,8 +785,9 @@ class RouterService(RequestFrontEnd):
         gather_span = tracer.start_span(
             "route/gather", parent=parent_span, replies=len(replies),
         )
-        missing_bounds = list(
-            self.index.region_bounds(paa, missing_list).values()
+        missing_bounds = (
+            list(self.index.region_bounds(paa, missing_list).values())
+            if missing_list else []
         )
         neighbors = merge_top_k(
             [

@@ -1,8 +1,13 @@
-"""Shard plans: FFD balance, chained replicas, wire round-trip."""
+"""Shard plans: contiguous balanced runs, chained replicas, wire form."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.queries import knn_multi_partitions_access
+from repro.serving import QueryRequest
 from repro.sharding import ShardPlan, plan_shards
+from repro.telemetry.metrics import get_registry
 
 
 def sizes(n=19, seed=5):
@@ -27,12 +32,11 @@ class TestPlanShards:
         total = sum(table.values())
         capacity = -(-total // n_shards)
         totals = [sum(table[pid] for pid in group) for group in plan.shards]
-        # FFD with one merge pass: no shard carries more than twice the
-        # ideal share (the classic FFD bound survives the merge because
-        # the two merged bins are the lightest).
         assert max(totals) <= 2 * capacity
-        # Heaviest-first ordering: shard 0 is the hottest.
-        assert totals == sorted(totals, reverse=True)
+        # Each shard owns one run of the sorted ids, in shard order.
+        assert [pid for group in plan.shards for pid in group] == sorted(
+            table
+        )
 
     def test_more_shards_than_partitions_pads_empty(self):
         plan = plan_shards({1: 10, 2: 20}, 5)
@@ -42,6 +46,26 @@ class TestPlanShards:
 
     def test_deterministic(self):
         assert plan_shards(sizes(), 3) == plan_shards(sizes(), 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.dictionaries(
+            st.integers(0, 500), st.integers(0, 1000), max_size=40
+        ),
+        n_shards=st.integers(1, 7),
+    )
+    def test_contiguous_runs_within_one_partition_of_the_share(
+        self, table, n_shards
+    ):
+        plan = plan_shards(table, n_shards)
+        owned = [pid for group in plan.shards for pid in group]
+        # Complete, disjoint, and contiguous in shard order.
+        assert owned == sorted(table)
+        capacity = -(-sum(table.values()) // n_shards)
+        heaviest = max(table.values(), default=0)
+        for group in plan.shards:
+            assert sum(table[pid] for pid in group) <= capacity + heaviest
+        assert plan_shards(dict(reversed(table.items())), n_shards) == plan
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="n_shards"):
@@ -108,3 +132,27 @@ class TestWireForm:
             ShardPlan.from_dict(
                 {"n_shards": 3, "replication": 0, "shards": [[1], [2]]}
             )
+
+
+class TestRouterCalls:
+    def test_one_call_per_owner_of_the_capped_list(
+        self, tardis_small, heldout_queries, router_factory
+    ):
+        # Fault-free, R=0: the seed call carries every capped pid its
+        # host owns, and each other owner gets one scatter call.
+        with router_factory(tardis_small, n_shards=3) as (router, cluster):
+            calls = get_registry().get("serving_shard_requests_total")
+            before = calls.value if calls else 0.0
+            owners = 0
+            for q in heldout_queries:
+                want = knn_multi_partitions_access(tardis_small, q, 10)
+                owners += len({
+                    cluster.plan.owner_of(pid)
+                    for pid in want.partition_ids_loaded
+                })
+                got = router.query(QueryRequest(
+                    q, op="knn", strategy="multi-partitions", k=10,
+                ), timeout=60)
+                assert got.record_ids == want.record_ids
+            made = get_registry().get("serving_shard_requests_total").value
+        assert made - before == owners == 91

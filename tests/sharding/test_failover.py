@@ -23,6 +23,9 @@ from repro.core.queries import (
     knn_multi_partitions_access,
     knn_one_partition_access,
     knn_target_node_access,
+    query_signature,
+    select_mpa_partitions,
+    sibling_bound_lookup,
 )
 from repro.faults import (
     PartialResultError,
@@ -352,3 +355,70 @@ class TestOneOutcomeRule:
             assert got.degraded
             assert got.missing_partitions == [home]
             assert got.record_ids == []
+
+
+class TestGatherPricing:
+    """The gather prices region bounds only for partitions it lost."""
+
+    @staticmethod
+    def _capped(index, q):
+        signature, paa = query_signature(index, q)
+        siblings = index.global_index.sibling_partition_ids(signature)
+        home, pid_list = select_mpa_partitions(
+            index.global_index, signature, index.config.pth,
+            bound_of=sibling_bound_lookup(index, signature, paa),
+        )
+        return siblings, home, pid_list
+
+    @staticmethod
+    def _spy(router, monkeypatch) -> list:
+        priced = []
+        region_bounds = router.index.region_bounds
+
+        def spy(paa, partition_ids=None):
+            priced.append(partition_ids)
+            return region_bounds(paa, partition_ids)
+
+        monkeypatch.setattr(router.index, "region_bounds", spy)
+        return priced
+
+    def test_fault_free_query_within_pth_prices_nothing(
+        self, tardis_small, heldout_queries, router_factory, monkeypatch
+    ):
+        q = next(
+            q for q in heldout_queries
+            if len(self._capped(tardis_small, q)[0])
+            <= tardis_small.config.pth
+        )
+        with router_factory(tardis_small, n_shards=3) as (router, _):
+            priced = self._spy(router, monkeypatch)
+            got = _knn(router, q)
+        assert not got.degraded
+        assert priced == []
+
+    def test_degraded_query_prices_its_missing_partitions(
+        self, tardis_small, heldout_queries, router_factory, monkeypatch
+    ):
+        with router_factory(
+            tardis_small, n_shards=3, call_timeout_s=5.0
+        ) as (router, cluster):
+            owner = cluster.plan.owner_of
+
+            def other_owners(q):
+                _siblings, home, pid_list = self._capped(tardis_small, q)
+                return [owner(pid) for pid in pid_list
+                        if owner(pid) != owner(home)]
+
+            # A query that reaches past its home shard, with one of the
+            # shards it reaches dead.
+            q, dead = next(
+                (q, others[0]) for q in heldout_queries
+                if (others := other_owners(q))
+            )
+            cluster.kill_shard(dead)
+            priced = self._spy(router, monkeypatch)
+            got = _knn(router, q)
+        assert got.degraded
+        assert got.missing_partitions
+        assert all(owner(pid) == dead for pid in got.missing_partitions)
+        assert priced[-1] == got.missing_partitions
