@@ -30,7 +30,6 @@ from repro.core.queries import (
 from repro.faults import (
     PartialResultError,
     PartitionUnavailableError,
-    RetryPolicy,
     active_plan,
 )
 from repro.serving import QueryRequest
@@ -323,8 +322,9 @@ class TestOneOutcomeRule:
     ):
         """A shard shedding load (wire ``overloaded``) is a call failure
         like any other: at R=1 the replica answers; at R=0 the only host
-        is re-called after backoff until the attempts run out, and the
-        forwarded kNN degrades to the empty answer."""
+        is re-called once after backoff (the one revisit of an
+        all-failed host set), and the forwarded kNN degrades to the
+        empty answer."""
         query = heldout_queries[1]
         want = knn_target_node_access(tardis_small, query, 10)
         home = want.partition_ids_loaded[0]
@@ -350,8 +350,7 @@ class TestOneOutcomeRule:
             assert got.record_ids == want.record_ids
             assert got.distances == want.distances
         else:
-            attempts = RetryPolicy().max_attempts
-            assert (calls, retries) == (attempts, attempts - 1)
+            assert (calls, retries) == (2, 1)
             assert got.degraded
             assert got.missing_partitions == [home]
             assert got.record_ids == []

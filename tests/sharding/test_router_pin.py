@@ -94,33 +94,33 @@ PLANS = {
 PINNED = {
     "loss-0-R0": (
         "ea0e8b678e7c9c68d77de21beb7bafda8c16cb8dab81977c0881f57919d2ad1b",
-        "ce1531a5c219207e6cce6851be2c80036c4e4b6e11d72112ead875750a195840",
-        71, 120,
+        "3eeff48229265d2e5f9c3f031879d797d85ce4329f89f96a8d37c9d4c85d59e0",
+        23, 70,
     ),
     "loss-0-R1": (
         "2381cc37b813a05477b85eadfeac3b57a1cbef0b88434db8d820effba28322b4",
-        "02ceaa989160ae4d17cc98b5de809caefe1a53419412e37821a8c54a48ed3f3b",
-        29, 82,
+        "61a77427b7537644de626fa84bbd3ef9e81f0c7b28990ad1f6bcd0c5590da709",
+        12, 60,
     ),
     "loss-1-R0": (
         "bb12391f5c2713fc93bf0e4a12d30da608a262cc7300c54be034ae422f72e073",
-        "f9a27781c357fdc63dd9742065a2b35ed7599bae0c4259a14df6bb89fab36ee1",
-        43, 89,
+        "c543996d9070875ffc83eb270b19fb07987c642d8770b2dce682fe7fcf1598fb",
+        15, 61,
     ),
     "loss-1-R1": (
         "00248a72660f0552659e4cecfb096221f28a0e832d24e04482391c49ed755f79",
-        "ad128dc668129f7893e5fa6209a1b364b7fad5038f74fed1f80c2854d651aa1b",
-        29, 84,
+        "b816341d78d84182ebfd9a31d17d6459cd2e59333b67ebb3784408a54c6be9cb",
+        12, 62,
     ),
     "loss-2-R0": (
         "bf6315009c18392b0471432029eeefed4beca2da6425d1d5933a06637658b197",
-        "97f0a1766370b6afbd478958be60cc612ff8ad5df249b8f50064e532173af9c8",
-        42, 89,
+        "742de3acaa00f3fca44fcdf303b738ff6589488c7c6fe66afbbdc0f9e49d79d0",
+        12, 57,
     ),
     "loss-2-R1": (
         "a591d795a642696b9abaad37e060e162c4622a597986d1e200ec24a39d9f0ab5",
-        "9e4b413b43abdef387b0b2bcedc2a845c66e08989ff4b87a064ccb7872bc8405",
-        25, 80,
+        "74a05fd10aad733034f4a0326db8d70263cca2e36d418145aebc32ac564fe370",
+        14, 66,
     ),
     "transient-0": (
         "c8c64cb40ad8aa264343043214bda5749f00970bfc07f7be5a7604957ec1305f",
