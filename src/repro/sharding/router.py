@@ -398,20 +398,24 @@ class RouterService(RequestFrontEnd):
 
     def _pick_retry_host(
         self, partition_id: int, call_failed: set, load_failed: set,
-        hosts=None,
+        revisited: set, given_up: set, hosts=None,
     ) -> int | None:
         """:meth:`_pick_host` under the two-tier retry exclusion.
 
-        A failed *call* (dead or slow shard) may recover, so once every
-        host is excluded the call failures are forgotten and the host
-        set revisited.  A failed *load* already burned the shard's
-        in-process retry budget and excludes that host for good; ``None``
-        means the partition is lost on every host.
+        A failed *call* (dead or slow shard) may recover, so the first
+        time every host is excluded the call failures are forgotten and
+        the host set revisited, once per pid (``revisited``).  A host
+        that fails again after that revisit is ``given_up`` for the rest
+        of the request.  A failed *load* already burned the shard's
+        in-process retry budget and excludes that host for good.
+        ``None`` means the partition is lost on every host.
         """
-        host = self._pick_host(partition_id, call_failed | load_failed, hosts)
-        if host is None and call_failed:
+        out = load_failed | given_up
+        host = self._pick_host(partition_id, call_failed | out, hosts)
+        if host is None and call_failed and partition_id not in revisited:
+            revisited.add(partition_id)
             call_failed.clear()
-            host = self._pick_host(partition_id, load_failed, hosts)
+            host = self._pick_host(partition_id, out, hosts)
         return host
 
     def _check_deadline(self, deadline_at: float | None) -> float | None:
@@ -511,7 +515,7 @@ class RouterService(RequestFrontEnd):
 
     def _failover(
         self, pending: dict, doc_for, parent_span,
-        deadline_at: float | None, hosts=None,
+        deadline_at: float | None, hosts=None, given_up: set | None = None,
     ) -> tuple:
         """The one failover loop of every router→shard call.
 
@@ -524,8 +528,11 @@ class RouterService(RequestFrontEnd):
         for several.  Each outcome has one rule:
 
         * a *call failure* (transport, injected crash, timeout, any
-          other typed shard error) excludes the host for this pass; once
-          every host is excluded the pass starts over;
+          other typed shard error) excludes the host for this pass; the
+          first time every host is excluded the host set is revisited,
+          and a host that fails again is added to ``given_up``, the
+          request's hosts not to call again (a caller that makes several
+          passes for one request hands each the same set);
         * a *load failure* (``partial-result``, or the pid among the
           reply's lost partitions) excludes the host for that pid for
           good;
@@ -542,6 +549,9 @@ class RouterService(RequestFrontEnd):
         retry = injector.retry if injector is not None else RetryPolicy()
         call_failed = {pid: set() for pid in pending}
         load_failed = {pid: set(lost) for pid, lost in pending.items()}
+        revisited: set[int] = set()
+        if given_up is None:
+            given_up = set()
         todo = list(pending)
         unserved: list[int] = []
         replies: list = []
@@ -550,7 +560,8 @@ class RouterService(RequestFrontEnd):
             groups: dict[int, list] = {}
             for pid in todo:
                 host = self._pick_retry_host(
-                    pid, call_failed[pid], load_failed[pid], hosts
+                    pid, call_failed[pid], load_failed[pid], revisited,
+                    given_up, hosts,
                 )
                 if host is None:
                     unserved.append(pid)  # lost on every host
@@ -596,6 +607,8 @@ class RouterService(RequestFrontEnd):
                         load_failed[pid].add(host)
                     elif failure is not None:
                         call_failed[pid].add(host)
+                        if pid in revisited:
+                            given_up.add(host)
                     else:
                         continue
                     todo.append(pid)
@@ -717,8 +730,10 @@ class RouterService(RequestFrontEnd):
         seed_span = tracer.start_span(
             "route/seed", parent=parent_span, home_partition=home_pid,
         )
+        given_up: set[int] = set()
         seeds, home_lost, _error = self._failover(
-            {home_pid: ()}, seed_doc, seed_span, deadline_at
+            {home_pid: ()}, seed_doc, seed_span, deadline_at,
+            given_up=given_up,
         )
         if home_lost:
             seed_span.set("error", "home-lost")
@@ -745,7 +760,8 @@ class RouterService(RequestFrontEnd):
 
         # Phase 2: scatter the threshold to the remaining partitions,
         # grouped per host, under the same failover loop; the seed
-        # host's failed loads stay excluded.
+        # host's failed loads, and the hosts the seed gave up on, stay
+        # excluded.
         pending = {
             pid: set() for pid in pid_list
             if pid not in loaded and pid not in missing
@@ -762,7 +778,7 @@ class RouterService(RequestFrontEnd):
             lambda _host, pids, _budget_ms: knn_doc(
                 pids, threshold=threshold
             ),
-            scatter_span, deadline_at,
+            scatter_span, deadline_at, given_up=given_up,
         )
         tracer.end_span(scatter_span)
         for _host, reply in scattered:
@@ -888,6 +904,7 @@ class RouterService(RequestFrontEnd):
         durable = True
         regions_added: dict[int, list] = {}
         replicas_failed: list = []
+        given_up: set[int] = set()
         try:
             for pid, rows in groups.items():
                 sub_batch = [batch[i].tolist() for i in rows]
@@ -902,7 +919,7 @@ class RouterService(RequestFrontEnd):
                     for shard_id in hosts:
                         delivered, _lost, _error = self._failover(
                             {pid: ()}, doc_for, root, deadline_at,
-                            hosts=(shard_id,),
+                            hosts=(shard_id,), given_up=given_up,
                         )
                         if delivered:
                             acks.append(delivered[-1][1])

@@ -355,6 +355,44 @@ class TestOneOutcomeRule:
             assert got.missing_partitions == [home]
             assert got.record_ids == []
 
+    def test_dead_sole_host_is_called_at_most_twice_a_request(
+        self, tardis_small, probes, router_factory, monkeypatch
+    ):
+        """At R=0 a killed shard is its partitions' only host.  A request
+        calls it, revisits the all-failed host set once, and then gives
+        the host up for the rest of the request: the MPA scatter after a
+        lost seed calls it no more."""
+        requests = (
+            ("exact-match", "target-node"), ("knn", "target-node"),
+            ("knn", "multi-partitions"),
+        )
+        for dead in range(3):
+            with router_factory(
+                tardis_small, n_shards=3, call_timeout_s=5.0
+            ) as (router, cluster):
+                cluster.kill_shard(dead)
+                calls = []
+                call_once = router._call_once
+
+                def spy(shard_id, *args):
+                    calls.append(shard_id)
+                    return call_once(shard_id, *args)
+
+                monkeypatch.setattr(router, "_call_once", spy)
+                revisited = 0
+                for q in probes:
+                    for op, strategy in requests:
+                        calls.clear()
+                        try:
+                            router.query(QueryRequest(
+                                q, op=op, strategy=strategy, k=10,
+                            ), timeout=60)
+                        except PartialResultError:
+                            pass
+                        assert calls.count(dead) <= 2, (op, strategy)
+                        revisited += calls.count(dead) == 2
+            assert revisited, f"no request reached dead shard {dead}"
+
 
 class TestGatherPricing:
     """The gather prices region bounds only for partitions it lost."""
