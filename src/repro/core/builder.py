@@ -222,11 +222,18 @@ class TardisIndex:
         or a rebalance swapped partitions.  Synopses are in-memory
         metadata (like the Bloom filters): no partition is loaded.
         """
+        return self.region_matrix().bounds(
+            query_paa, self.series_length, partition_ids
+        )
+
+    def region_matrix(self) -> RegionMatrix:
+        """The current :class:`~repro.core.region.RegionMatrix` over this
+        index's partitions (the ``pth`` cap prices through it)."""
         matrix = self._region_matrix = RegionMatrix.current(
             getattr(self, "_region_matrix", None),
-            {pid: p.region for pid, p in self.partitions.items()},
+            lambda: {pid: p.region for pid, p in self.partitions.items()},
         )
-        return matrix.bounds(query_paa, self.series_length, partition_ids)
+        return matrix
 
     def enable_cache(self, capacity_partitions: int):
         """Attach an LRU partition cache; returns it for inspection.

@@ -61,6 +61,7 @@ __all__ = [
     "knn_one_partition_access",
     "knn_multi_partitions_access",
     "select_mpa_partitions",
+    "SiblingBounds",
     "sibling_bound_lookup",
     "PartitionLoad",
     "run_point_group",
@@ -547,45 +548,68 @@ def select_mpa_partitions(global_index, signature, pth, bound_of):
     Starts from the routed node's sibling id list in Tardis-G (Alg. 1
     line 4) plus the home partition.  When the list exceeds ``pth``, the
     cap keeps the home partition plus the ``pth - 1`` other candidates
-    with the smallest MINDIST lower bound — ``bound_of(pid)``, computed
-    from the partition's region synopsis — ties broken by partition id.
-    Deterministic, so a sharded router holding only Tardis-G plus the
-    per-partition synopses selects the same fan-out as single-process
-    serving (the bit-equivalence contract of ``repro.sharding``).
+    with the smallest MINDIST lower bound, computed from the partition's
+    region synopsis, ties broken by partition id.  ``bound_of`` is the
+    :class:`SiblingBounds` of :func:`sibling_bound_lookup`, which prices
+    coarse to fine, or any per-pid callable ``bound_of(pid)``; both keep
+    the same list.  Deterministic, so a sharded router holding only
+    Tardis-G plus the per-partition synopses selects the same fan-out as
+    single-process serving (the bit-equivalence contract of
+    ``repro.sharding``).
     """
     home_pid = global_index.route(signature)
     pid_list = global_index.sibling_partition_ids(signature)
     if home_pid not in pid_list:
         pid_list.append(home_pid)
     if len(pid_list) > pth:
-        others = sorted(
-            (pid for pid in pid_list if pid != home_pid),
-            key=lambda pid: (bound_of(pid), pid),
-        )
-        pid_list = [home_pid] + others[: pth - 1]
+        others = [pid for pid in pid_list if pid != home_pid]
+        if isinstance(bound_of, SiblingBounds):
+            kept = bound_of.cap(others, pth - 1)
+        else:
+            kept = sorted(others, key=lambda pid: (bound_of(pid), pid))
+        pid_list = [home_pid] + kept[: pth - 1]
     return home_pid, pid_list
 
 
-def sibling_bound_lookup(index, signature, query_paa):
+class SiblingBounds:
     """The ``bound_of`` both tiers hand :func:`select_mpa_partitions`.
 
     ``index`` is whatever holds Tardis-G and the region synopses (a
-    :class:`TardisIndex` or the router's ``RouterIndex``).  The first
-    lookup prices the query's whole sibling list in one
-    ``index.region_bounds`` pass; a list within ``pth`` is never looked
-    up, so it is never priced.
+    :class:`TardisIndex` or the router's ``RouterIndex``); the cap runs
+    :meth:`RegionMatrix.cap <repro.core.region.RegionMatrix.cap>` over
+    its current matrix.  A list within ``pth`` is never capped, so it
+    is never priced.  :attr:`priced` counts the partitions whose exact
+    bound the cap computed, of the :attr:`candidates` it chose from
+    (both 0 without a cap).
     """
-    bounds: dict = {}
 
-    def bound_of(pid):
-        if not bounds:
-            bounds.update(index.region_bounds(
-                query_paa,
-                index.global_index.sibling_partition_ids(signature),
-            ))
-        return bounds[pid]
+    __slots__ = ("index", "query_paa", "priced", "candidates")
 
-    return bound_of
+    def __init__(self, index, query_paa):
+        self.index = index
+        self.query_paa = query_paa
+        self.priced = self.candidates = 0
+
+    def cap(self, partition_ids: list, keep: int) -> list:
+        """The ``keep`` ids with the smallest ``(bound, pid)``, in order."""
+        kept, self.priced = self.index.region_matrix().cap(
+            self.query_paa, self.index.series_length, partition_ids, keep,
+        )
+        self.candidates = len(partition_ids)
+        return kept
+
+    def annotate(self, span) -> None:
+        """Set ``partitions_priced`` (and, after a cap, ``cap_candidates``)
+        on the query's span."""
+        span.set("partitions_priced", self.priced)
+        if self.candidates:
+            span.set("cap_candidates", self.candidates)
+
+
+def sibling_bound_lookup(index, signature, query_paa) -> SiblingBounds:
+    """The :class:`SiblingBounds` of one query (``signature`` is the
+    routed one; the cap is handed the sibling ids it chooses from)."""
+    return SiblingBounds(index, query_paa)
 
 
 class _LoadClock:
@@ -792,10 +816,11 @@ def _pruned_knn(
                 home_pid = index.global_index.route(signature)
                 pid_list = [home_pid]
             else:
+                bounds = sibling_bound_lookup(index, signature, gaps)
                 home_pid, pid_list = select_mpa_partitions(
-                    index.global_index, signature, pth,
-                    bound_of=sibling_bound_lookup(index, signature, gaps),
+                    index.global_index, signature, pth, bound_of=bounds,
                 )
+                bounds.annotate(span)
         scan = scan_partitions(
             index, query, signature, gaps, k, pid_list,
             home_pid=home_pid, ledger=ledger,

@@ -62,6 +62,7 @@ from .config import TardisConfig
 from .global_index import TardisGlobalIndex
 from .local_index import build_local_partition
 from .partitioning import _synchronize_id_lists, first_fit_decreasing
+from .region import regions_changed
 from .sigtree import SigTree, SigTreeNode
 
 __all__ = [
@@ -360,6 +361,9 @@ def apply_rebalance(index, plan: RebalancePlan) -> RebalanceReport:
             if cache is not None:
                 cache.invalidate(new_pid)
 
+    # The swapped-in partitions carry new synopses.
+    regions_changed()
+
     # Also after a refinement that split no partition: the resync bumps
     # the tree's version, which retires the routing table.
     for node in tree.iter_nodes():
@@ -394,12 +398,20 @@ def rebalance_index(
     return apply_rebalance(index, plan)
 
 
+#: Why an online cycle can abort; each has its own
+#: ``rebalance_cycles_aborted_<kind>_total`` counter (spaces as ``_``).
+ABORT_KINDS = ("stale", "injected", "nothing to split")
+
+
 @dataclass
 class RebalanceCycle:
     """Outcome of one online snapshot→repack→swap→invalidate cycle."""
 
     cycle: int
+    #: Why the cycle stopped short of a commit (``None``: it did not).
     aborted: str | None = None
+    #: The :data:`ABORT_KINDS` entry ``aborted`` starts with.
+    abort_kind: str | None = None
     report: RebalanceReport | None = None
     #: Seconds the swap gate was held (the only reads-visible pause).
     pause_s: float = 0.0
@@ -542,9 +554,9 @@ class OnlineRebalancer:
         try:
             self._run_cycle_inner(cycle, tracer, registry, root)
         except InjectedTaskCrash as exc:
-            self._abort(cycle, f"injected: {exc}")
+            self._abort(cycle, "injected", exc)
         except StaleRebalancePlan as exc:
-            self._abort(cycle, f"stale: {exc}")
+            self._abort(cycle, "stale", exc)
         finally:
             with self._stats_lock:
                 self.in_progress = False
@@ -566,6 +578,11 @@ class OnlineRebalancer:
                 registry.counter(
                     "rebalance_cycles_aborted_total",
                     "Online rebalance cycles that aborted before commit",
+                ).inc()
+                registry.counter(
+                    f"rebalance_cycles_aborted_"
+                    f"{cycle.abort_kind.replace(' ', '_')}_total",
+                    f"Online rebalance cycles aborted: {cycle.abort_kind}",
                 ).inc()
             elif cycle.report is not None:
                 registry.counter(
@@ -677,12 +694,16 @@ class OnlineRebalancer:
         raise InjectedTaskCrash(f"ingest/{stage}/partition {pid}", 1)
 
     def _abort(
-        self, cycle: RebalanceCycle, reason: str, begun: bool = True
+        self, cycle: RebalanceCycle, kind: str, detail=None,
+        begun: bool = True,
     ) -> None:
-        """Record why ``cycle`` stopped short of a commit; ``begun`` says
-        whether its WAL begin marker (which an abort record closes) was
-        logged."""
+        """Record why ``cycle`` stopped short of a commit: ``kind`` is
+        one of :data:`ABORT_KINDS`, ``detail`` what raised; ``begun``
+        says whether its WAL begin marker (which an abort record closes)
+        was logged."""
+        reason = kind if detail is None else f"{kind}: {detail}"
         cycle.aborted = reason
+        cycle.abort_kind = kind
         with self._stats_lock:
             self.last_abort_reason = reason
         if self.wal is not None and begun:

@@ -699,10 +699,11 @@ class RouterService(RequestFrontEnd):
     ) -> KnnResult:
         signature, paa = query_signature(self.index, request.series)
         pth = request.pth or self.index.config.pth
+        bounds = sibling_bound_lookup(self.index, signature, paa)
         home_pid, pid_list = select_mpa_partitions(
-            self.index.global_index, signature, pth,
-            bound_of=sibling_bound_lookup(self.index, signature, paa),
+            self.index.global_index, signature, pth, bound_of=bounds,
         )
+        bounds.annotate(parent_span)
         k = request.k
         series = request.series.tolist()
         want_trace = get_tracer().enabled

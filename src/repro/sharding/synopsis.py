@@ -111,10 +111,17 @@ class RouterIndex:
         router's twin of :meth:`TardisIndex.region_bounds
         <repro.core.builder.TardisIndex.region_bounds>`; its matrix goes
         stale when a write ack grows a synopsis."""
-        matrix = self._region_matrix = RegionMatrix.current(
-            self._region_matrix, self.synopses
+        return self.region_matrix().bounds(
+            query_paa, self.series_length, partition_ids
         )
-        return matrix.bounds(query_paa, self.series_length, partition_ids)
+
+    def region_matrix(self) -> RegionMatrix:
+        """The current :class:`~repro.core.region.RegionMatrix` over the
+        synopses (the ``pth`` cap prices through it)."""
+        matrix = self._region_matrix = RegionMatrix.current(
+            self._region_matrix, lambda: self.synopses
+        )
+        return matrix
 
     @property
     def n_records(self) -> int:

@@ -480,3 +480,45 @@ class TestAbortReason:
         records, _clean = read_wal(tmp_path / "nothing.wal")
         wal_aborts = [r for r in records if r["kind"] == "rebalance-abort"]
         assert [r["cycle"] for r in wal_aborts] == [injected.cycle]
+
+    def test_each_abort_kind_bumps_its_own_counter(
+        self, base_dataset, stream, tmp_path
+    ):
+        """``rebalance_cycles_aborted_total`` is the sum of one counter
+        per reason: an injected abort and a nothing-to-split cycle each
+        bump their own, and a stale plan's stays where it was."""
+        from repro.core.rebalance import ABORT_KINDS
+        from repro.telemetry.metrics import get_registry
+
+        def counts():
+            registry = get_registry()
+            names = ["rebalance_cycles_aborted_total"] + [
+                f"rebalance_cycles_aborted_{kind.replace(' ', '_')}_total"
+                for kind in ABORT_KINDS
+            ]
+            return [
+                0.0 if registry.get(name) is None
+                else registry.get(name).value
+                for name in names
+            ]
+
+        index = build_base(base_dataset)
+        wal = WriteAheadLog(tmp_path / "kinds.wal")
+        overflow(index, wal, stream)
+        rebalancer = OnlineRebalancer(index, overflow_factor=1.2, wal=wal)
+        crash = {"schema": "repro.faults/v1", "seed": 0, "rules": [
+            {"kind": "task-crash", "stage": "ingest/split"},
+        ]}
+        before = counts()
+        with active_plan(crash):
+            assert rebalancer.run_cycle().abort_kind == "injected"
+        after_injected = counts()
+        rebalancer.overflow_factor = 1000.0
+        assert rebalancer.run_cycle().abort_kind == "nothing to split"
+        after_nothing = counts()
+        wal.close()
+        # [total, stale, injected, nothing to split]
+        assert [b - a for a, b in zip(before, after_injected)] == [1, 0, 1, 0]
+        assert [b - a for a, b in zip(after_injected, after_nothing)] == [
+            1, 0, 0, 1,
+        ]

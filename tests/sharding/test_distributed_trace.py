@@ -185,3 +185,36 @@ def test_merged_cluster_journal_validates(
     assert all("source" in r for r in records)
     shard_sourced = [r for r in records if r["source"].startswith("shard-")]
     assert shard_sourced and all("shard_id" in r for r in shard_sourced)
+
+
+def test_router_request_span_carries_the_caps_pricing(
+    router_factory, tardis_small, heldout_queries, tracer
+):
+    """The router's ``route/execute`` span and the library's
+    ``query/knn`` span report the same ``partitions_priced`` and
+    ``cap_candidates`` for one capped multi-partitions query."""
+    from repro.core import knn_multi_partitions_access
+
+    def attributes(span_dict, name):
+        return next(
+            span["attributes"] for span, _parent in _walk(span_dict)
+            if span["name"] == name
+        )
+
+    library = []
+    for q in heldout_queries:
+        tracer.reset()
+        knn_multi_partitions_access(tardis_small, q, 5)
+        library = attributes(tracer.roots[0].to_dict(), "query/knn")
+        if "cap_candidates" in library:
+            break
+    assert library["partitions_priced"] < library["cap_candidates"]
+    with router_factory(tardis_small, n_shards=3) as (router, _cluster):
+        tracer.reset()
+        router.query(QueryRequest(
+            q, op="knn", strategy="multi-partitions", k=5
+        ), timeout=30)
+        routed = attributes(tracer.roots[0].to_dict(), "route/execute")
+    assert (routed["partitions_priced"], routed["cap_candidates"]) == (
+        library["partitions_priced"], library["cap_candidates"],
+    )

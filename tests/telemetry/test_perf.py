@@ -187,28 +187,50 @@ def test_disabled_counters_make_zero_record_calls(
 
 
 def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
-    """One multi-partitions query prices MINDIST at most once for the
-    ``pth`` selection, once per loaded partition for the node filter and
-    at most once more per partition for the row bound (never under a +inf
-    threshold); it scans each loaded partition's tree exactly once — not
-    once per sibling partition and per tree level, as the loops it
-    replaced did — and computes true distances for the rows it reports
-    scored, no others: at most the rows the row bound kept, fewer once
-    the running k-th cuts rows or stops the refine before a partition.
-    Counts, no clock: the speed they buy is gated in ``perf/``
-    (``lib-mpa``)."""
+    """One multi-partitions query prices MINDIST for the ``pth``
+    selection not at all within ``pth`` and otherwise once over every
+    one-bit synopsis plus once per chunk of exact bounds; then once per
+    loaded partition for the node filter and at most once more per
+    partition for the row bound (never under a +inf threshold); it scans
+    each loaded partition's tree exactly once — not once per sibling
+    partition and per tree level, as the loops it replaced did — and
+    computes true distances for the rows it reports scored, no others:
+    at most the rows the row bound kept, fewer once the running k-th
+    cuts rows or stops the refine before a partition.  Counts, no clock:
+    the speed they buy is gated in ``perf/`` (``lib-mpa``)."""
     from repro.core import knn_multi_partitions_access
-    from repro.core.queries import query_signature, scan_partitions
+    from repro.core.queries import (
+        query_signature,
+        scan_partitions,
+        select_mpa_partitions,
+        sibling_bound_lookup,
+    )
+    from repro.core.region import CAP_CHUNK
 
+    keep = tardis_small.config.pth - 1
     fanned_out = capped = filtered = stopped = 0
     for query in heldout_queries:
+        signature, paa = query_signature(tardis_small, query)
+        bounds = sibling_bound_lookup(tardis_small, signature, paa)
+        enable_kernel_counters(reset=True)
+        select_mpa_partitions(
+            tardis_small.global_index, signature, tardis_small.config.pth,
+            bounds,
+        )
+        disable_kernel_counters()
+        selection = KERNELS.totals().get("mindist", {"calls": 0})["calls"]
+        if bounds.candidates:
+            chunks = 1 + -(-(bounds.priced - keep) // CAP_CHUNK)
+            assert selection == 1 + chunks
+        else:
+            assert selection == 0
         enable_kernel_counters(reset=True)
         result = knn_multi_partitions_access(tardis_small, query, k=5)
         disable_kernel_counters()
         totals = KERNELS.totals()
         loaded = result.partitions_loaded
-        mindist_calls = totals["mindist"]["calls"]
-        assert loaded <= mindist_calls <= 1 + 2 * loaded
+        mindist_calls = totals["mindist"]["calls"] - selection
+        assert loaded <= mindist_calls <= 2 * loaded
         # the seed's target-node scan, then one pruned scan a partition
         assert totals["leaf_scan"]["calls"] == 1 + loaded
         assert totals["leaf_scan"]["elements"] == result.candidates_examined
@@ -218,12 +240,11 @@ def test_mpa_hot_path_is_flat(tardis_small, heldout_queries):
             result.rows_scored * tardis_small.series_length
         )
         fanned_out += loaded > 1
-        capped += mindist_calls == 1 + 2 * loaded
+        capped += bool(selection) and mindist_calls == 2 * loaded
         filtered += result.rows_refined < result.candidates_examined
         # One distance pass for the seed and one per partition refined:
         # fewer than the partitions with rows left means the refine
         # stopped early.
-        signature, paa = query_signature(tardis_small, query)
         scan = scan_partitions(
             tardis_small, query, signature, paa, 5,
             result.partition_ids_loaded,
