@@ -30,7 +30,11 @@ ParIS+ (arXiv:2009.01614) applied to the ``pth`` cap.
 **One version counter.**  :meth:`RegionSynopsis.add` and a partition
 swap (:func:`regions_changed`) bump a process-wide counter; a matrix
 built at an older count is stale, so holding one costs a query one
-integer comparison rather than a walk over every synopsis.
+integer comparison rather than a walk over every synopsis.  The count
+is per process, not per index: a write to one index also retires the
+matrices of the others in the process (a threads-mode cluster's router
+and shards); their rebuild only re-stacks cached blocks, since no
+synopsis of theirs changed.
 """
 
 from __future__ import annotations
@@ -42,9 +46,7 @@ import numpy as np
 from ..tsdb.distance import as_gap_table, table_index
 from .isaxt import batch_decode_signatures
 
-__all__ = [
-    "RegionSynopsis", "RegionMatrix", "region_version", "regions_changed",
-]
+__all__ = ["RegionSynopsis", "RegionMatrix", "regions_changed"]
 
 _FIRST_ROW = np.zeros(1, dtype=np.intp)
 
@@ -52,13 +54,9 @@ _FIRST_ROW = np.zeros(1, dtype=np.intp)
 #: the first call, which prices as many as it keeps.
 CAP_CHUNK = 8
 
+#: How many times any region synopsis changed in this process.
 _version = 0
 _version_lock = threading.Lock()
-
-
-def region_version() -> int:
-    """How many times any region synopsis changed in this process."""
-    return _version
 
 
 def regions_changed() -> None:
@@ -187,9 +185,10 @@ class RegionMatrix:
 
     Stacks the synopses' exact and one-bit gap-table index blocks in
     partition-id order.  Immutable: it is stale once any synopsis grew or
-    partitions were swapped (:func:`region_version` moved past
-    :attr:`version`), and a fresh one then re-decodes only the members
-    that changed — the others hand over their cached blocks.
+    partitions were swapped (:func:`regions_changed` moved the
+    process-wide count past :attr:`version`), and a fresh one then
+    re-decodes only the members that changed — the others hand over
+    their cached blocks.
     """
 
     __slots__ = ("version", "_pids", "_position_of", "_exact", "_coarse",
