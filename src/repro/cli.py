@@ -217,6 +217,7 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .core.wal import WalError
     from .serving import QueryService, TardisServer
 
     index = load_index(Path(args.index))
@@ -249,7 +250,7 @@ def _cmd_serve(args) -> int:
             rebalance_interval_s=args.rebalance_interval,
         )
         server = TardisServer(service, args.host, args.port)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, WalError) as exc:
         raise SystemExit(str(exc))
     server.start()
     host, port = server.address

@@ -17,10 +17,16 @@ rebalancing").  Durability follows the classical WAL contract:
   replay skips it and recovers the *pre-split* state — never a torn
   in-between (tests/faults/test_chaos_ingest.py).
 
-The log is JSON lines (``repro.wal/v1``): floats round-trip through
-``repr`` exactly, so a replayed series is bit-identical to the one the
-client sent.  Replay tolerates a torn final line — the page the crash
-interrupted — and refuses anything else that fails to parse.
+The log is binary, ``repro.wal/v2``: the magic line ``repro.wal/v2\n``,
+then frames ``<u8 kind><u32 len><u32 crc32(body)>`` + body, all
+little-endian.  An append frame holds one :meth:`WriteAheadLog.log_appends`
+call — ``<u32 n><u32 L>``, n int64 record ids, n×L float64 values — so a
+replayed series is the client's float64 bits, unprinted.  A marker
+frame holds a rebalance marker as compact JSON.  Replay tolerates a
+final frame that is short or fails its CRC — the write the crash
+interrupted — and refuses a bad frame anywhere before it.  Logs in the
+earlier JSON-lines format (``repro.wal/v1``) still read and replay; a
+:class:`WriteAheadLog` will not append to one.
 
 Recovery of a served index is therefore::
 
@@ -37,7 +43,9 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,8 +60,18 @@ __all__ = [
     "read_wal",
 ]
 
-#: Format tag stamped on the header line and checked by replay.
-WAL_FORMAT = "repro.wal/v1"
+#: Format tag; its line is the first thing in every log written here.
+WAL_FORMAT = "repro.wal/v2"
+_MAGIC = f"{WAL_FORMAT}\n".encode()
+#: The JSON-lines format of earlier releases: read, never appended to.
+_V1_FORMAT = "repro.wal/v1"
+
+#: Frame header: kind, body length, CRC32 of the body.
+_FRAME = struct.Struct("<BII")
+#: Append body header: row count n, series length L.
+_APPEND_HEAD = struct.Struct("<II")
+_APPEND = 1
+_MARKER = 2
 
 #: Replay hands consecutive appends to ``ingest`` in runs of at most this
 #: many rows (bounds the matrix a long append-only log is staged in).
@@ -65,7 +83,7 @@ class WalError(RuntimeError):
 
 
 class WriteAheadLog:
-    """Append-only JSON-lines journal of acknowledged writes and splits.
+    """Append-only binary journal of acknowledged writes and splits.
 
     Thread-safe: the serving batcher logs appends while the background
     rebalancer logs cycle markers.  ``fsync=True`` (the default) forces
@@ -80,27 +98,42 @@ class WriteAheadLog:
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._file = open(self.path, "a", encoding="utf-8")
+        if not fresh:
+            with open(self.path, "rb") as fh:
+                if fh.read(len(_MAGIC)) != _MAGIC:
+                    raise WalError(
+                        f"{self.path} is not a {WAL_FORMAT} log; a "
+                        f"{_V1_FORMAT} log is read-only: replay it, then "
+                        f"start a new log"
+                    )
+        self._file = open(self.path, "ab")
         self.appends_logged = 0
         self.cycles_logged = 0
         if fresh:
-            self._write({"kind": "header", "format": WAL_FORMAT})
+            with self._lock:
+                self._flush(_MAGIC, sync=True)
+
+    def _flush(self, raw: bytes, sync: bool) -> None:
+        """Write ``raw`` and flush it; fsync too when enabled and asked.
+        The caller holds the lock."""
+        self._file.write(raw)
+        self._file.flush()
+        if self.fsync and sync:
+            os.fsync(self._file.fileno())
 
     def _write(self, doc: dict) -> None:
-        line = json.dumps(doc, separators=(",", ":"))
+        body = json.dumps(doc, separators=(",", ":")).encode()
         with self._lock:
-            self._file.write(line + "\n")
-            self._file.flush()
-            if self.fsync:
-                os.fsync(self._file.fileno())
+            self._flush(_frame(_MARKER, body), sync=True)
 
     def log_appends(self, records, sync: bool = True) -> None:
-        """Journal a batch of ``(record_id, series)`` pairs durably.
+        """Journal a batch of ``(record_id, series)`` pairs durably, as
+        one append frame.
 
         Returns only once the batch is flushed (and fsynced when
         enabled) — the precondition for acknowledging the write.
 
-        ``sync=False`` defers the fsync: the lines are written and
+        ``sync=False`` defers the fsync: the frame is written and
         flushed to the OS, but stable storage is only guaranteed after
         a later :meth:`sync`.  The serving batcher uses this to group
         all of a flush window's writes under one fsync *after* the
@@ -108,24 +141,21 @@ class WriteAheadLog:
         sync, so ack ⇒ fsynced holds, but reads sharing the window no
         longer stall behind per-batch disk barriers.
         """
-        lines = []
-        for record_id, series in records:
-            series = np.asarray(series, dtype=np.float64)
-            lines.append(json.dumps(
-                {
-                    "kind": "append",
-                    "record_id": int(record_id),
-                    "series": series.tolist(),
-                },
-                separators=(",", ":"),
-            ))
+        records = list(records)
+        raw = b""
+        if records:
+            record_ids, rows = zip(*records)
+            values = np.asarray(rows, dtype="<f8")
+            if values.ndim != 2:
+                raise ValueError("appended series must share one length")
+            raw = _frame(_APPEND, b"".join((
+                _APPEND_HEAD.pack(*values.shape),
+                np.asarray(record_ids, dtype="<i8").tobytes(),
+                values.tobytes(),
+            )))
         with self._lock:
-            for line in lines:
-                self._file.write(line + "\n")
-            self._file.flush()
-            if self.fsync and sync:
-                os.fsync(self._file.fileno())
-            self.appends_logged += len(lines)
+            self._flush(raw, sync)
+            self.appends_logged += len(records)
 
     def sync(self) -> None:
         """Force everything written so far to stable storage.
@@ -135,9 +165,7 @@ class WriteAheadLog:
         ``fsync=False``.
         """
         with self._lock:
-            self._file.flush()
-            if self.fsync:
-                os.fsync(self._file.fileno())
+            self._flush(b"", sync=True)
 
     def log_rebalance_begin(
         self, cycle: int, overflow_factor: float, partition_ids=()
@@ -182,31 +210,87 @@ class WriteAheadLog:
         self.close()
 
 
+def _frame(kind: int, body: bytes) -> bytes:
+    return _FRAME.pack(kind, len(body), zlib.crc32(body)) + body
+
+
 @dataclass
 class WalReplayReport:
     """What :func:`replay_wal` reconstructed."""
 
+    #: Records read: one per appended series, one per marker.
     lines_read: int = 0
     appends_applied: int = 0
     rebalances_replayed: int = 0
     #: Cycles whose ``begin`` never reached ``commit`` (crash or abort):
     #: skipped, leaving the pre-split state.
     rebalances_discarded: int = 0
-    #: True when the final line was torn mid-write by the crash.
+    #: True when the final frame (a v1 log: line) was torn by the crash.
     torn_tail: bool = False
     record_ids: list = field(default_factory=list)
 
 
-def read_wal(path: str | Path) -> tuple[list[dict], bool]:
-    """Parse a WAL into ``(records, torn_tail)``.
+def _read_entries(path: str | Path) -> tuple[list, bool]:
+    """Decode a log into ``(entries, torn_tail)``.
 
-    A JSON error on the final non-empty line is the torn tail a crash
-    legitimately leaves; anywhere else it is corruption and raises
-    :class:`WalError`.
+    Each entry is an append — ``(record_ids, values)``, int64 ``(n,)``
+    and float64 ``(n, L)`` — or a marker record dict.  A v1 log gives
+    one single-row append per line.
     """
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    data = Path(path).read_bytes()
+    if not data.startswith(_MAGIC):
+        return _read_v1(path, data)
+    entries: list = []
+    pos, end = len(_MAGIC), len(data)
+    while pos < end:
+        if end - pos < _FRAME.size:
+            return entries, True  # cut inside the header
+        kind, size, crc = _FRAME.unpack_from(data, pos)
+        start, stop = pos + _FRAME.size, pos + _FRAME.size + size
+        if stop > end:
+            return entries, True  # cut inside the body
+        body = memoryview(data)[start:stop]
+        if zlib.crc32(body) != crc:
+            if stop == end:
+                return entries, True  # the last write, half on disk
+            raise WalError(f"{path}: frame at byte {pos} fails its CRC "
+                           f"(not the tail)")
+        entries.append(_decode_frame(path, pos, kind, body))
+        pos = stop
+    return entries, False
+
+
+def _decode_frame(path, pos: int, kind: int, body: memoryview):
+    if kind == _APPEND:
+        n, length = _APPEND_HEAD.unpack_from(body)
+        if len(body) != _APPEND_HEAD.size + 8 * n * (1 + length):
+            raise WalError(f"{path}: append frame at byte {pos} holds "
+                           f"{len(body)} bytes, not {n} rows of {length}")
+        record_ids = np.frombuffer(body, "<i8", n, _APPEND_HEAD.size)
+        values = np.frombuffer(
+            body, "<f8", n * length, _APPEND_HEAD.size + 8 * n
+        ).reshape(n, length)
+        return record_ids, values
+    if kind == _MARKER:
+        try:
+            doc = json.loads(bytes(body))
+        except ValueError:
+            doc = None
+        if isinstance(doc, dict) and "kind" in doc:
+            return doc
+    raise WalError(f"{path}: frame at byte {pos} is not a WAL record")
+
+
+def _read_v1(path, data: bytes) -> tuple[list, bool]:
+    """The JSON-lines ``repro.wal/v1`` reader: a JSON error on the final
+    non-empty line is the torn tail, anywhere else corruption."""
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise WalError(f"{path}: neither {WAL_FORMAT} nor {_V1_FORMAT}: "
+                       f"{exc}") from None
     lines = [line for line in raw if line.strip()]
-    records: list[dict] = []
+    entries: list = []
     torn = False
     for i, line in enumerate(lines):
         try:
@@ -218,12 +302,40 @@ def read_wal(path: str | Path) -> tuple[list[dict], bool]:
             raise WalError(f"{path}: unparseable line {i + 1} (not the tail)")
         if not isinstance(doc, dict) or "kind" not in doc:
             raise WalError(f"{path}: line {i + 1} is not a WAL record")
-        records.append(doc)
-    if records and records[0].get("kind") == "header":
-        header = records.pop(0)
-        if header.get("format") != WAL_FORMAT:
+        if doc["kind"] == "append":
+            doc = (
+                np.array([doc["record_id"]], dtype=np.int64),
+                np.array([doc["series"]], dtype=np.float64),
+            )
+        entries.append(doc)
+    if entries and isinstance(entries[0], dict) \
+            and entries[0]["kind"] == "header":
+        header = entries.pop(0)
+        if header.get("format") != _V1_FORMAT:
             raise WalError(
                 f"{path}: unsupported WAL format {header.get('format')!r}"
+            )
+    return entries, torn
+
+
+def read_wal(path: str | Path) -> tuple[list[dict], bool]:
+    """Parse a WAL into ``(records, torn_tail)``.
+
+    One record dict per appended series — ``{"kind": "append",
+    "record_id": int, "series": float64 array}`` — and per rebalance
+    marker, in log order.  A short or CRC-bad final frame (a JSON error
+    on a v1 log's final line) is the torn tail a crash legitimately
+    leaves; a bad frame anywhere else raises :class:`WalError`.
+    """
+    entries, torn = _read_entries(path)
+    records: list[dict] = []
+    for entry in entries:
+        if isinstance(entry, dict):
+            records.append(entry)
+            continue
+        for record_id, series in zip(entry[0].tolist(), entry[1]):
+            records.append(
+                {"kind": "append", "record_id": record_id, "series": series}
             )
     return records, torn
 
@@ -235,57 +347,67 @@ def replay_wal(index, path: str | Path) -> WalReplayReport:
     records, same layout — normally ``load_index`` of the served
     directory).  Appends re-insert through Tardis-G with their original
     record ids — each run of consecutive appends as one
-    :meth:`~repro.core.builder.TardisIndex.ingest` batch, closed at every
-    other record, so the order against rebalance markers is the log's;
-    each committed rebalance re-runs the deterministic
+    :meth:`~repro.core.builder.TardisIndex.ingest` batch of at most
+    ``_REPLAY_RUN_ROWS`` rows, cut from the append frames' matrices and
+    closed at every other record, so the order against rebalance markers
+    is the log's; each committed rebalance re-runs the deterministic
     :func:`~repro.core.rebalance.rebalance_index` at its commit point,
     reproducing the exact split the live process applied.
     """
     from .rebalance import rebalance_index
 
-    records, torn = read_wal(path)
+    entries, torn = _read_entries(path)
     report = WalReplayReport(torn_tail=torn)
     begun: dict[int, tuple] = {}
-    run: list[dict] = []
+    run: list[tuple] = []  # (record_ids, values) pieces of the open run
+    held = 0
 
     def apply_run() -> None:
+        nonlocal held
         if run:
-            applied = index.ingest(
-                np.asarray([doc["series"] for doc in run], dtype=np.float64),
-                record_ids=[doc["record_id"] for doc in run],
+            record_ids = np.concatenate([ids for ids, _ in run])
+            values = (
+                run[0][1] if len(run) == 1
+                else np.concatenate([rows for _, rows in run])
             )
-            report.appends_applied += len(run)
+            applied = index.ingest(values, record_ids=record_ids.tolist())
+            report.appends_applied += held
             report.record_ids.extend(applied.record_ids)
             run.clear()
+            held = 0
 
-    for doc in records:
-        report.lines_read += 1
-        kind = doc["kind"]
-        if kind == "append":
-            run.append(doc)
-            if len(run) == _REPLAY_RUN_ROWS:
-                apply_run()
+    for entry in entries:
+        if not isinstance(entry, dict):
+            record_ids, values = entry
+            report.lines_read += len(record_ids)
+            while len(record_ids):
+                take = _REPLAY_RUN_ROWS - held
+                run.append((record_ids[:take], values[:take]))
+                held += len(run[-1][0])
+                record_ids, values = record_ids[take:], values[take:]
+                if held == _REPLAY_RUN_ROWS:
+                    apply_run()
             continue
+        report.lines_read += 1
+        kind = entry["kind"]
         # Everything else is ordered against the appends around it.
         apply_run()
         if kind == "rebalance-begin":
-            begun[int(doc["cycle"])] = (
-                float(doc["overflow_factor"]),
-                [int(pid) for pid in doc.get("partitions", [])] or None,
+            begun[int(entry["cycle"])] = (
+                float(entry["overflow_factor"]),
+                [int(pid) for pid in entry.get("partitions", [])] or None,
             )
         elif kind == "rebalance-commit":
-            entry = begun.pop(int(doc["cycle"]), None)
-            if entry is not None:
-                factor, pids = entry
+            pending = begun.pop(int(entry["cycle"]), None)
+            if pending is not None:
+                factor, pids = pending
                 rebalance_index(
                     index, overflow_factor=factor, partition_ids=pids
                 )
                 report.rebalances_replayed += 1
         elif kind == "rebalance-abort":
-            if begun.pop(int(doc["cycle"]), None) is not None:
+            if begun.pop(int(entry["cycle"]), None) is not None:
                 report.rebalances_discarded += 1
-        elif kind == "header":
-            continue
         else:
             raise WalError(f"{path}: unknown WAL record kind {kind!r}")
     apply_run()

@@ -400,7 +400,7 @@ class RemoteSubmitter:
     def _call_write(self, request: WriteRequest):
         client = self._client()
         return client.write_batch(
-            request.batch.tolist(),
+            request.batch,
             record_ids=request.record_ids,
             deadline_ms=request.deadline_ms,
         )

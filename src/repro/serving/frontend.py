@@ -28,13 +28,11 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..telemetry.carrier import extract as extract_trace
 from ..telemetry.journal import EventJournal, SlowQueryLog, get_journal
 from ..telemetry.spans import NULL_SPAN, Span, get_tracer, trace_id_of
 from .admission import AdmissionQueue, DeadlineExceededError, OverloadedError
-from .requests import QueryRequest, WriteRequest
+from .requests import QueryRequest, WriteRequest, wire_series
 from .result_cache import ResultCache
 from .slo import SLOTracker
 
@@ -195,17 +193,23 @@ class RequestFrontEnd:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(request).result(timeout)
 
-    @staticmethod
-    def parse_write(doc: dict) -> WriteRequest:
-        """A ``write`` / ``write-batch`` wire document as a request."""
-        payload = doc.get("batch") if "batch" in doc else doc.get("series")
+    def parse_write(self, doc: dict) -> WriteRequest:
+        """A ``write`` / ``write-batch`` wire document as a request; bytes
+        are cut into rows of the index's series length."""
+        length = self.index.series_length
+        payload = wire_series(doc, "batch", length)
         if payload is None:
-            raise ValueError("write needs 'series' (one) or 'batch' (many)")
+            payload = wire_series(doc, "series", length)
+        if payload is None:
+            raise ValueError(
+                "write needs 'series_b64' / 'series' (one) or "
+                "'batch_b64' / 'batch' (many)"
+            )
         record_ids = doc.get("record_ids")
         if record_ids is None and "record_id" in doc:
             record_ids = [doc["record_id"]]
         return WriteRequest(
-            batch=np.asarray(payload, dtype=np.float64),
+            batch=payload,
             record_ids=record_ids,
             deadline_ms=doc.get("deadline_ms"),
             trace_ctx=extract_trace(doc),

@@ -13,10 +13,17 @@ and the Bloom toggle.  Two derived keys matter downstream:
   series bytes.  The iSAX-T signature is deliberately *not* used as the
   cache identity: distinct series can share a signature while having
   different exact answers, so the result cache keys on content.
+
+On the wire a series travels as base64 of its little-endian float64
+bytes (``series_b64`` / ``batch_b64``, :func:`encode_series`), or as a
+JSON list of numbers (``series`` / ``batch``); :func:`wire_series` is
+the one parse of either spelling.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 from dataclasses import dataclass, field
 
@@ -30,6 +37,8 @@ __all__ = [
     "QueryRequest",
     "WriteRequest",
     "WriteResult",
+    "encode_series",
+    "wire_series",
     "result_to_wire",
     "wire_to_result",
 ]
@@ -40,6 +49,57 @@ OPS = ("exact-match", "knn")
 #: Write operations (dispatched through ``extra_ops``, not the query
 #: planner — a write has no plan key and is never cached).
 WRITE_OPS = ("write", "write-batch")
+
+
+def encode_series(values) -> str:
+    """Base64 of ``values`` as little-endian float64 bytes, row-major:
+    the ``series_b64`` / ``batch_b64`` spelling of a series or batch."""
+    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def wire_series(doc: dict, key: str, row_length: int | None = None):
+    """The ``key`` (JSON numbers) or ``key_b64`` (float64 bytes) field
+    of a wire document as a float64 array.
+
+    Without ``row_length`` the array is what was sent: one-dimensional
+    for bytes.  With it, bytes are cut into rows of that many values.
+    Returns None when the document carries neither spelling; raises
+    ``ValueError`` (wire ``bad-request``) for both spellings at once,
+    invalid base64, a byte length that is not a positive multiple of 8,
+    bytes that do not divide into rows, or a JSON value that is not a
+    non-empty list.
+    """
+    b64_key = f"{key}_b64"
+    encoded, listed = doc.get(b64_key), doc.get(key)
+    if encoded is not None and listed is not None:
+        raise ValueError(f"give '{key}' or '{b64_key}', not both")
+    if encoded is not None:
+        if not isinstance(encoded, str):
+            raise ValueError(f"'{b64_key}' must be a base64 string")
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"'{b64_key}' is not valid base64: {exc}") from None
+        if not raw or len(raw) % 8:
+            raise ValueError(
+                f"'{b64_key}' must hold a positive multiple of 8 bytes, "
+                f"got {len(raw)}"
+            )
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if row_length is None:
+            return values
+        if values.size % row_length:
+            raise ValueError(
+                f"'{b64_key}' holds {values.size} values, not a whole "
+                f"number of rows of {row_length}"
+            )
+        return values.reshape(-1, row_length)
+    if listed is None:
+        return None
+    if not isinstance(listed, list) or not listed:
+        raise ValueError(f"'{key}' must be a non-empty list of numbers")
+    return np.asarray(listed, dtype=np.float64)
 
 
 @dataclass

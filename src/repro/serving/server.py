@@ -5,10 +5,11 @@ to drive from any language or from ``nc``:
 
 request::
 
-    {"op": "knn", "series": [...], "strategy": "target-node", "k": 10}
-    {"op": "exact-match", "series": [...], "use_bloom": true}
-    {"op": "write", "series": [...]}
-    {"op": "write-batch", "batch": [[...], ...], "record_ids": [..]}
+    {"op": "knn", "series_b64": "...", "strategy": "target-node", "k": 10}
+    {"op": "exact-match", "series_b64": "...", "use_bloom": true}
+    {"op": "write", "series_b64": "..."}
+    {"op": "write-batch", "batch_b64": "...", "record_ids": [..]}
+    {"op": "knn", "series": [0.12, -0.5, ...], "k": 10}
     {"op": "stats"}        {"op": "ping"}
     {"op": "trace", "n": 5}          {"op": "trace", "trace_id": "..."}
     {"op": "journal", "n": 50}       {"op": "journal", "kind": "slow-query"}
@@ -19,6 +20,14 @@ response::
     {"ok": false, "error": {"type": "overloaded", "message": ...,
                             "queue_depth": N, "capacity": N}}
 
+A series travels as ``series_b64``: base64 of its little-endian
+float64 bytes, so it arrives bit-exact with no float printed or parsed.
+A write batch is ``batch_b64``, its rows back to back (the row count is
+the byte length / (8 × the index's series length)).  The JSON-numbers
+spelling (``series`` / ``batch``) stays accepted; a document carrying
+both spellings of one field is a ``bad-request``
+(:func:`~repro.serving.requests.wire_series`).
+
 A query document carrying ``"trace": true`` additionally returns the
 request's finished span tree in the envelope's ``trace`` field (requires
 tracing enabled on the server, e.g. ``repro serve`` default) — the
@@ -27,16 +36,18 @@ expose the server's recent request traces and event-journal tail for
 ``repro top`` and post-hoc debugging.
 
 Error types: ``overloaded`` (shed by admission control — back off and
-retry), ``bad-request`` (malformed JSON / invalid plan), ``deadline``,
-``partial-result``, ``timeout`` (an upstream hop timed out — returned by
-the sharded router when a shard call exceeds its budget; the client also
-raises :class:`RequestTimeoutError` locally on a socket timeout),
-``internal``.  Floats survive the JSON round trip exactly (``repr``
-semantics), so a remote kNN answer is bit-identical to the local one.
+retry), ``bad-request`` (malformed JSON or series bytes / invalid plan),
+``deadline``, ``partial-result``, ``timeout`` (an upstream hop timed out
+— returned by the sharded router when a shard call exceeds its budget;
+the client also raises :class:`RequestTimeoutError` locally on a socket
+timeout), ``internal``.  Series arrive as their float64 bits and reply
+distances survive the JSON round trip exactly (``repr`` semantics), so
+a remote kNN answer is bit-identical to the local one.
 
 Version skew: every reply carries ``"proto": PROTO_VERSION`` and every
 request parser ignores unknown fields, so a newer router can talk to an
 older shard (and vice versa) as long as the fields it relies on exist.
+Version 2 sends series as bytes, which a version-1 server cannot read.
 
 :class:`TardisServer` wraps a ``ThreadingTCPServer`` around a running
 :class:`~repro.serving.service.QueryService`; each connection gets a
@@ -52,13 +63,16 @@ import socket
 import socketserver
 import threading
 
-import numpy as np
-
 from ..faults.errors import PartialResultError
 from ..faults.injector import get_injector
 from ..telemetry.carrier import extract, reply_trace
 from .admission import DeadlineExceededError, OverloadedError
-from .requests import QueryRequest, result_to_wire
+from .requests import (
+    QueryRequest,
+    encode_series,
+    result_to_wire,
+    wire_series,
+)
 from .service import QueryService
 
 __all__ = [
@@ -79,7 +93,7 @@ MAX_LINE_BYTES = 16 * 1024 * 1024
 #: Wire-protocol version, stamped into every reply envelope.  Bump on
 #: incompatible changes; additive fields do NOT bump it (both sides
 #: ignore unknown fields).
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 
 
 class RequestTimeoutError(RuntimeError):
@@ -172,11 +186,11 @@ def _parse_request(doc: dict) -> QueryRequest:
     Only known fields are read; unknown fields are ignored (forward
     compatibility across router/shard version skew).
     """
-    series = doc.get("series")
-    if not isinstance(series, list) or not series:
-        raise ValueError("'series' must be a non-empty list of numbers")
+    series = wire_series(doc, "series")
+    if series is None:
+        raise ValueError("a query needs 'series_b64' or 'series'")
     return QueryRequest(
-        series=np.asarray(series, dtype=np.float64),
+        series=series,
         op=doc.get("op", "knn"),
         strategy=doc.get("strategy", "target-node"),
         k=int(doc.get("k", 10)),
@@ -479,7 +493,7 @@ class ServingClient:
     ) -> dict:
         doc = {
             "op": "exact-match",
-            "series": np.asarray(series, dtype=np.float64).tolist(),
+            "series_b64": encode_series(series),
             "use_bloom": use_bloom,
             "trace": trace,
         }
@@ -498,7 +512,7 @@ class ServingClient:
     ) -> dict:
         doc = {
             "op": "knn",
-            "series": np.asarray(series, dtype=np.float64).tolist(),
+            "series_b64": encode_series(series),
             "strategy": strategy,
             "k": k,
             "pth": pth,
@@ -515,7 +529,7 @@ class ServingClient:
         """Append one series; returns the write acknowledgement."""
         doc: dict = {
             "op": "write",
-            "series": np.asarray(series, dtype=np.float64).tolist(),
+            "series_b64": encode_series(series),
         }
         if record_id is not None:
             doc["record_id"] = int(record_id)
@@ -529,7 +543,7 @@ class ServingClient:
         """Append a ``(n, length)`` batch; returns the acknowledgement."""
         doc: dict = {
             "op": "write-batch",
-            "batch": np.asarray(batch, dtype=np.float64).tolist(),
+            "batch_b64": encode_series(batch),
         }
         if record_ids is not None:
             doc["record_ids"] = [int(r) for r in record_ids]

@@ -236,7 +236,7 @@ class QueryService(RequestFrontEnd):
         # runs off-lock in the rebalancer thread, and only the brief
         # pointer swap contends here (measured as rebalance pause).
         #
-        # WAL lines are written unsynced inside the window and fsynced
+        # WAL frames are written unsynced inside the window and fsynced
         # once after the reads run — acknowledgements wait for that
         # barrier (ack ⇒ fsynced), but reads sharing the window never
         # stall behind a disk flush for writes they can already see
@@ -330,7 +330,7 @@ class QueryService(RequestFrontEnd):
         Successful applies are staged on ``pending``; the drain loop
         fsyncs once and resolves them after the window's reads run.
         Failures resolve immediately (nothing to make durable) —
-        injected ``ingest/append`` faults fire before the WAL line for
+        injected ``ingest/append`` faults fire before the WAL frame for
         the same reason: a failed write must not replay.
         """
         tracer = get_tracer()
@@ -353,7 +353,7 @@ class QueryService(RequestFrontEnd):
             durable = False
             if self.wal is not None:
                 if record_ids is None:
-                    # Pre-assign so the WAL line carries the ids the
+                    # Pre-assign so the WAL frame carries the ids the
                     # index will use (replay pins them).
                     record_ids = [
                         self.index._next_record_id()

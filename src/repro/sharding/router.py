@@ -55,7 +55,12 @@ from ..faults.injector import get_injector
 from ..faults.plan import RetryPolicy
 from ..serving.admission import DeadlineExceededError
 from ..serving.frontend import RequestFrontEnd, Ticket
-from ..serving.requests import QueryRequest, WriteResult, wire_to_result
+from ..serving.requests import (
+    QueryRequest,
+    WriteResult,
+    encode_series,
+    wire_to_result,
+)
 from ..serving.server import (
     RequestTimeoutError,
     ServingClient,
@@ -667,15 +672,16 @@ class RouterService(RequestFrontEnd):
         signature, _paa = query_signature(self.index, request.series)
         partition_id = self.index.global_index.route(signature)
         want_trace = get_tracer().enabled
-        series = request.series.tolist()
+        series = encode_series(request.series)
         if request.op == "exact-match":
             doc = {
-                "op": "exact-match", "series": series,
+                "op": "exact-match", "series_b64": series,
                 "use_bloom": request.use_bloom, "trace": want_trace,
             }
         else:
             doc = {
-                "op": "knn", "series": series, "strategy": request.strategy,
+                "op": "knn", "series_b64": series,
+                "strategy": request.strategy,
                 "k": request.k, "pth": request.pth, "trace": want_trace,
             }
         replies, unserved, error = self._failover(
@@ -705,12 +711,14 @@ class RouterService(RequestFrontEnd):
         )
         bounds.annotate(parent_span)
         k = request.k
-        series = request.series.tolist()
+        # One encoding per request: the seed, the scatter and every
+        # failover retry send these same bytes.
+        series = encode_series(request.series)
         want_trace = get_tracer().enabled
 
         def knn_doc(pids, **phase) -> dict:
             doc = {
-                "op": "shard-knn", "series": series, "k": k,
+                "op": "shard-knn", "series_b64": series, "k": k,
                 "partitions": list(pids), **phase,
             }
             if want_trace:
@@ -908,10 +916,10 @@ class RouterService(RequestFrontEnd):
         given_up: set[int] = set()
         try:
             for pid, rows in groups.items():
-                sub_batch = [batch[i].tolist() for i in rows]
                 sub_ids = [record_ids[i] for i in rows]
                 doc_for = _with_budget({
-                    "op": "write-batch", "batch": sub_batch,
+                    "op": "write-batch",
+                    "batch_b64": encode_series(batch[rows]),
                     "record_ids": sub_ids,
                 })
                 hosts = self.plan.hosts_of(pid)

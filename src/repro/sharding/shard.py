@@ -37,6 +37,7 @@ from ..core.queries import RunningTopK, query_signature, scan_partitions
 from ..telemetry.carrier import extract, reply_trace
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Span, get_tracer, trace_id_of
+from ..serving.requests import wire_series
 from ..serving.service import QueryService
 from ..serving.slo import LATENCY_BUCKETS
 
@@ -96,10 +97,9 @@ class ShardService(QueryService):
         retries are reported in ``missing`` — the router decides whether
         a replica can still serve them.
         """
-        series = doc.get("series")
-        if not isinstance(series, list) or not series:
-            raise ValueError("'series' must be a non-empty list of numbers")
-        series = np.asarray(series, dtype=np.float64)
+        series = wire_series(doc, "series")
+        if series is None:
+            raise ValueError("shard-knn needs 'series_b64' or 'series'")
         self._check_length(len(series), "query")
         k = int(doc.get("k", 10))
         if k <= 0:

@@ -49,3 +49,28 @@ def tardis_small(rw_small, small_config):
 @pytest.fixture(scope="session")
 def dpisax_small(rw_small, small_baseline_config):
     return build_dpisax_index(rw_small, small_baseline_config)
+
+
+@pytest.fixture()
+def tear_last_frame():
+    """``tear_last_frame(path, start, how)``: damage the WAL frame that
+    starts at byte ``start`` and ends the file, as a crash mid-write
+    leaves it — cut inside its 9-byte header, cut halfway through its
+    body, or whole but with one body bit flipped (its CRC fails).  The
+    three ``how`` values are ``tear_last_frame.ways``."""
+
+    def tear(path, start: int, how: str) -> None:
+        raw = bytearray(path.read_bytes())
+        body = start + 9
+        if how == "mid-header":
+            raw = raw[:start + 4]
+        elif how == "mid-body":
+            raw = raw[:body + (len(raw) - body) // 2]
+        elif how == "crc-flip":
+            raw[body + (len(raw) - body) // 2] ^= 0x10
+        else:
+            raise ValueError(f"unknown tear {how!r}")
+        path.write_bytes(bytes(raw))
+
+    tear.ways = ("mid-header", "mid-body", "crc-flip")
+    return tear

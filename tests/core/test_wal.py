@@ -1,6 +1,9 @@
 """Write-ahead log: round-trips, torn tails, and replay semantics."""
 
 import json
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,43 +57,73 @@ class TestWalFile:
         records, torn = read_wal(path)
         assert not torn
         assert [doc["record_id"] for doc in records] == rids
-        # repr round-trip: the logged values are the inserted float64
-        # bits exactly, not a lossy decimal rendering.
+        # The logged values are the inserted float64 bits exactly.
         logged = np.asarray(records[0]["series"], dtype=np.float64)
         np.testing.assert_array_equal(logged, stream[0])
 
-    def test_append_lines_are_byte_stable(self, tmp_path, stream):
-        """The encoder may get cheaper, the bytes may not move: each line
-        is the compact JSON of the record with every value a ``float``."""
+    def test_append_frames_are_byte_stable(self, tmp_path, stream):
+        """The encoder may get cheaper, the bytes may not move: the magic
+        line, then one CRC-framed append per call — row count, length,
+        int64 ids, float64 values, all little-endian."""
         path = tmp_path / "bytes.wal"
         with WriteAheadLog(path) as wal:
             wal.log_appends([(i, row) for i, row in enumerate(stream[:6])])
             wal.log_appends([(9, stream[6].astype(np.float32))])
-        rows = list(stream[:6]) + [stream[6].astype(np.float32)]
-        expected = ['{"kind":"header","format":"repro.wal/v1"}'] + [
-            json.dumps(
-                {"kind": "append", "record_id": rid,
-                 "series": [float(v) for v in np.asarray(row, np.float64)]},
-                separators=(",", ":"),
-            )
-            for rid, row in zip([0, 1, 2, 3, 4, 5, 9], rows)
-        ]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
-    def test_torn_tail_is_tolerated(self, tmp_path, base_dataset, stream):
-        index = build_base(base_dataset)
-        path = tmp_path / "torn.wal"
+        def frame(ids, rows):
+            rows = np.asarray(rows, dtype="<f8")
+            body = (struct.pack("<II", *rows.shape)
+                    + np.asarray(ids, dtype="<i8").tobytes() + rows.tobytes())
+            return struct.pack("<BII", 1, len(body), zlib.crc32(body)) + body
+
+        expected = (
+            b"repro.wal/v2\n"
+            + frame(range(6), stream[:6])
+            + frame([9], [stream[6].astype(np.float32)])
+        )
+        assert path.read_bytes() == expected
+
+    def test_markers_are_compact_json_frames(self, tmp_path):
+        path = tmp_path / "markers.wal"
         with WriteAheadLog(path) as wal:
-            append(index, wal, stream[:4])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "append", "record_id": 99')  # crash mid-write
-        records, torn = read_wal(path)
-        assert torn
-        assert len(records) == 4
-        fresh = build_base(base_dataset)
-        report = replay_wal(fresh, path)
-        assert report.torn_tail
-        assert report.appends_applied == 4
+            wal.log_rebalance_begin(3, 1.5, [2, 0])
+        body = b'{"kind":"rebalance-begin","cycle":3,' \
+               b'"overflow_factor":1.5,"partitions":[2,0]}'
+        assert path.read_bytes() == (
+            b"repro.wal/v2\n"
+            + struct.pack("<BII", 2, len(body), zlib.crc32(body)) + body
+        )
+
+    def test_torn_tail_is_tolerated(self, tmp_path, base_dataset, stream,
+                                    tear_last_frame):
+        for how in tear_last_frame.ways:
+            index = build_base(base_dataset)
+            path = tmp_path / f"torn-{how}.wal"
+            with WriteAheadLog(path) as wal:
+                append(index, wal, stream[:4])
+                start = path.stat().st_size
+                wal.log_appends([(99, stream[4])])  # crash mid-write
+            tear_last_frame(path, start, how)
+            records, torn = read_wal(path)
+            assert torn, how
+            assert len(records) == 4
+            fresh = build_base(base_dataset)
+            report = replay_wal(fresh, path)
+            assert report.torn_tail
+            assert report.appends_applied == 4
+
+    def test_crc_flip_before_tail_raises(self, tmp_path, stream):
+        path = tmp_path / "middle.wal"
+        with WriteAheadLog(path) as wal:
+            wal.log_appends([(0, stream[0])])
+            start = path.stat().st_size
+            wal.log_appends([(1, stream[1])])
+            wal.log_appends([(2, stream[2])])
+        raw = bytearray(path.read_bytes())
+        raw[start + 9 + 20] ^= 0x10  # one bit of the middle frame's body
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WalError, match="CRC"):
+            read_wal(path)
 
     def test_corruption_before_tail_raises(self, tmp_path):
         path = tmp_path / "bad.wal"
@@ -103,6 +136,54 @@ class TestWalFile:
         path.write_text(json.dumps({"schema": "other/v9"}) + "\n")
         with pytest.raises(WalError):
             read_wal(path)
+
+
+class TestV1Logs:
+    """``repro.wal/v1`` (JSON lines) logs written by earlier releases
+    still read and replay; nothing appends to one."""
+
+    FIXTURE = Path(__file__).parent / "data" / "wal_v1.wal"
+
+    def test_reads_exact_bits(self, stream):
+        records, torn = read_wal(self.FIXTURE)
+        assert not torn
+        appends = [r for r in records if r["kind"] == "append"]
+        assert [r["record_id"] for r in appends] == list(range(300, 322))
+        for record, row in zip(appends, stream):
+            assert record["series"].dtype == np.float64
+            assert record["series"].tobytes() == row.tobytes()
+        assert [(r["kind"], r["cycle"]) for r in records
+                if r["kind"] != "append"] == [
+            ("rebalance-begin", 1), ("rebalance-commit", 1),
+            ("rebalance-begin", 2), ("rebalance-abort", 2),
+        ]
+
+    def test_replays_to_the_live_state(self, base_dataset, stream):
+        """The fixture is this sequence, logged as it ran."""
+        live = build_base(base_dataset)
+        live.ingest(stream[:8], record_ids=range(300, 308))
+        live.ingest(stream[8:14], record_ids=range(308, 314))
+        pids = sorted(live.partitions)
+        live.ingest(stream[14:18], record_ids=range(314, 318))
+        assert rebalance_index(
+            live, overflow_factor=1.0, partition_ids=pids
+        ).partitions_split
+        live.ingest(stream[18:22], record_ids=range(318, 322))
+        fresh = build_base(base_dataset)
+        report = replay_wal(fresh, self.FIXTURE)
+        assert (report.appends_applied, report.rebalances_replayed,
+                report.rebalances_discarded, report.torn_tail) == (
+            22, 1, 1, False)
+        assert report.record_ids == list(range(300, 322))
+        assert partition_state(fresh) == partition_state(live)
+        fresh.validate()
+
+    def test_appending_to_a_v1_log_raises(self, tmp_path):
+        path = tmp_path / "old.wal"
+        path.write_bytes(self.FIXTURE.read_bytes())
+        with pytest.raises(WalError, match="replay it, then start a new log"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == self.FIXTURE.read_bytes()
 
 
 class TestReplay:

@@ -152,19 +152,22 @@ class TestCrashMidCycle:
         fresh.validate()
 
     def test_torn_tail_after_crash_still_replays(self, base_dataset,
-                                                 stream, tmp_path):
-        live = build_base(base_dataset)
-        path = tmp_path / "torn.wal"
-        wal = WriteAheadLog(path)
-        rids = append(live, wal, stream[:10])
-        wal.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "append", "record_id":')
-        fresh = build_base(base_dataset)
-        report = replay_wal(fresh, path)
-        assert report.torn_tail
-        assert report.record_ids == rids
-        fresh.validate()
+                                                 stream, tmp_path,
+                                                 tear_last_frame):
+        for how in tear_last_frame.ways:
+            live = build_base(base_dataset)
+            path = tmp_path / f"torn-{how}.wal"
+            wal = WriteAheadLog(path)
+            rids = append(live, wal, stream[:10])
+            start = path.stat().st_size
+            wal.log_appends([(10_000, stream[10])])  # the crash's write
+            wal.close()
+            tear_last_frame(path, start, how)
+            fresh = build_base(base_dataset)
+            report = replay_wal(fresh, path)
+            assert report.torn_tail
+            assert report.record_ids == rids
+            fresh.validate()
 
 
 class TestFaultyAppends:
