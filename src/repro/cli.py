@@ -217,10 +217,25 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .core.wal import WalError
+    from .core.wal import WalError, replay_wal
     from .serving import QueryService, TardisServer
 
     index = load_index(Path(args.index))
+    if args.wal and Path(args.wal).exists() and Path(args.wal).stat().st_size:
+        # A restart: the log extends this base snapshot.  Replay it so the
+        # served index holds every acknowledged write and new record ids
+        # follow the logged ones.
+        try:
+            replayed = replay_wal(index, args.wal)
+        except WalError as exc:
+            raise SystemExit(f"corrupt WAL {args.wal}: {exc}")
+        print(
+            f"replayed {args.wal}: {replayed.appends_applied} appends, "
+            f"{replayed.rebalances_replayed} rebalance cycles "
+            f"({replayed.rebalances_discarded} discarded), "
+            f"torn_tail={replayed.torn_tail}",
+            flush=True,
+        )
     if not args.no_trace_requests:
         # Request tracing is on by default for the serving tier: spans
         # are the per-request timeline behind query-remote --trace and
@@ -849,7 +864,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write-ahead log for streamed writes: appends "
                           "are fsynced here before they are acknowledged, "
                           "and 'repro replay' reconstructs the index from "
-                          "the base directory plus this log after a crash")
+                          "the base directory plus this log after a crash; "
+                          "a non-empty log is replayed onto --index before "
+                          "serving, so a restart keeps its writes")
     srv.add_argument("--rebalance", action="store_true",
                      help="run the online re-packer: overflowing "
                           "partitions are split in the background "

@@ -51,11 +51,6 @@ class TardisConfig:
             raise ValueError("pth must be positive")
 
     @property
-    def initial_cardinality(self) -> int:
-        """Cardinality as a stripe count (64 for the default 6 bits)."""
-        return 1 << self.cardinality_bits
-
-    @property
     def partition_capacity(self) -> int:
         """Series capacity of a partition (Def. 5's ``C``) = G-MaxSize."""
         return self.g_max_size

@@ -24,7 +24,9 @@ call — ``<u32 n><u32 L>``, n int64 record ids, n×L float64 values — so a
 replayed series is the client's float64 bits, unprinted.  A marker
 frame holds a rebalance marker as compact JSON.  Replay tolerates a
 final frame that is short or fails its CRC — the write the crash
-interrupted — and refuses a bad frame anywhere before it.  Logs in the
+interrupted — and refuses a bad frame anywhere before it.  Opening a
+:class:`WriteAheadLog` on such a log cuts that torn frame off first, so
+appends after a restart follow the last whole frame.  Logs in the
 earlier JSON-lines format (``repro.wal/v1``) still read and replay; a
 :class:`WriteAheadLog` will not append to one.
 
@@ -36,7 +38,9 @@ Recovery of a served index is therefore::
 
 after which the same WAL file can keep receiving appends (replay never
 writes), so repeated crash/restart cycles replay from the unchanged
-base every time.
+base every time.  ``repro serve --wal`` does exactly this on start-up
+when the log is not empty, so a restarted server hands out record ids
+after the ones already logged.
 """
 
 from __future__ import annotations
@@ -86,39 +90,43 @@ class WriteAheadLog:
     """Append-only binary journal of acknowledged writes and splits.
 
     Thread-safe: the serving batcher logs appends while the background
-    rebalancer logs cycle markers.  ``fsync=True`` (the default) forces
-    every batch to stable storage before the caller may acknowledge;
-    ``fsync=False`` trusts the OS page cache (fine for benchmarks,
-    wrong for durability claims).
+    rebalancer logs cycle markers.  Every synced write is fsynced before
+    the caller may acknowledge it.
+
+    Opening a non-empty log cuts off a torn final frame (the write a
+    crash interrupted, never acknowledged), so later appends follow the
+    last whole frame and the log stays readable end to end.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        if not fresh:
-            with open(self.path, "rb") as fh:
-                if fh.read(len(_MAGIC)) != _MAGIC:
-                    raise WalError(
-                        f"{self.path} is not a {WAL_FORMAT} log; a "
-                        f"{_V1_FORMAT} log is read-only: replay it, then "
-                        f"start a new log"
-                    )
+        data = self.path.read_bytes() if self.path.exists() else b""
+        if data and not data.startswith(_MAGIC):
+            raise WalError(
+                f"{self.path} is not a {WAL_FORMAT} log; a "
+                f"{_V1_FORMAT} log is read-only: replay it, then "
+                f"start a new log"
+            )
         self._file = open(self.path, "ab")
         self.appends_logged = 0
         self.cycles_logged = 0
-        if fresh:
+        if not data:
             with self._lock:
                 self._flush(_MAGIC, sync=True)
+            return
+        _, whole = _whole_frames(self.path, data)
+        if whole < len(data):
+            self._file.truncate(whole)
+            os.fsync(self._file.fileno())
 
     def _flush(self, raw: bytes, sync: bool) -> None:
-        """Write ``raw`` and flush it; fsync too when enabled and asked.
+        """Write ``raw`` and flush it; fsync too when asked.
         The caller holds the lock."""
         self._file.write(raw)
         self._file.flush()
-        if self.fsync and sync:
+        if sync:
             os.fsync(self._file.fileno())
 
     def _write(self, doc: dict) -> None:
@@ -130,8 +138,8 @@ class WriteAheadLog:
         """Journal a batch of ``(record_id, series)`` pairs durably, as
         one append frame.
 
-        Returns only once the batch is flushed (and fsynced when
-        enabled) — the precondition for acknowledging the write.
+        Returns only once the batch is flushed and fsynced — the
+        precondition for acknowledging the write.
 
         ``sync=False`` defers the fsync: the frame is written and
         flushed to the OS, but stable storage is only guaranteed after
@@ -161,8 +169,7 @@ class WriteAheadLog:
         """Force everything written so far to stable storage.
 
         The barrier that completes any ``log_appends(..., sync=False)``
-        calls issued earlier; a no-op when the log was opened with
-        ``fsync=False``.
+        calls issued earlier.
         """
         with self._lock:
             self._flush(b"", sync=True)
@@ -240,24 +247,34 @@ def _read_entries(path: str | Path) -> tuple[list, bool]:
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         return _read_v1(path, data)
-    entries: list = []
+    frames, whole = _whole_frames(path, data)
+    entries = [
+        _decode_frame(path, pos, kind, body) for pos, kind, body in frames
+    ]
+    return entries, whole < len(data)
+
+
+def _whole_frames(path, data: bytes) -> tuple[list, int]:
+    """The ``(pos, kind, body)`` of each whole frame of a v2 log, and the
+    byte where the last of them ends — short of ``len(data)`` when the
+    final frame is torn (short, or its CRC fails).  A bad frame before
+    the final one raises :class:`WalError`."""
+    frames: list = []
     pos, end = len(_MAGIC), len(data)
-    while pos < end:
-        if end - pos < _FRAME.size:
-            return entries, True  # cut inside the header
+    while end - pos >= _FRAME.size:
         kind, size, crc = _FRAME.unpack_from(data, pos)
         start, stop = pos + _FRAME.size, pos + _FRAME.size + size
         if stop > end:
-            return entries, True  # cut inside the body
+            break  # cut inside the body
         body = memoryview(data)[start:stop]
         if zlib.crc32(body) != crc:
             if stop == end:
-                return entries, True  # the last write, half on disk
+                break  # the last write, half on disk
             raise WalError(f"{path}: frame at byte {pos} fails its CRC "
                            f"(not the tail)")
-        entries.append(_decode_frame(path, pos, kind, body))
+        frames.append((pos, kind, body))
         pos = stop
-    return entries, False
+    return frames, pos
 
 
 def _decode_frame(path, pos: int, kind: int, body: memoryview):

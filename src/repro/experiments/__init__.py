@@ -13,7 +13,6 @@ from .harness import (
     get_dpisax,
     get_tardis,
 )
-from .loadgen import LoadReport, closed_loop, open_loop
 from .reporting import banner, fmt_bytes, fmt_seconds, render_table, results_dir, save_csv
 from .scale import ScaleProfile, active_profile
 from .workloads import (
@@ -38,9 +37,6 @@ __all__ = [
     "active_profile",
     "ExactQuery",
     "exact_match_workload",
-    "LoadReport",
-    "closed_loop",
-    "open_loop",
     "dataset_with_heldout_queries",
     "render_table",
     "fmt_seconds",

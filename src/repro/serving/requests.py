@@ -241,18 +241,6 @@ class WriteResult:
             },
         }
 
-    @classmethod
-    def from_wire(cls, doc: dict) -> "WriteResult":
-        return cls(
-            record_ids=[int(r) for r in doc.get("record_ids", [])],
-            partition_ids=[int(p) for p in doc.get("partition_ids", [])],
-            durable=bool(doc.get("durable", False)),
-            regions_added={
-                int(pid): list(prefixes)
-                for pid, prefixes in doc.get("regions_added", {}).items()
-            },
-        )
-
 
 def result_to_wire(result) -> dict:
     """Flatten a core query result into a JSON-safe response payload.

@@ -424,7 +424,7 @@ class ServingClient:
     """Line-oriented client for :class:`TardisServer`.
 
     One socket, synchronous request/response.  For concurrent load use
-    one client per worker (the load generator does).
+    one client per worker (``tools/load.py`` does).
     """
 
     def __init__(self, host: str, port: int, timeout: float | None = 30.0):
@@ -554,6 +554,8 @@ class ServingClient:
     def close(self) -> None:
         try:
             self._file.close()
+        except OSError:
+            pass  # the server is gone; a request it never read goes too
         finally:
             self._sock.close()
 

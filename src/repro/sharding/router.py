@@ -1086,12 +1086,3 @@ class RouterService(RequestFrontEnd):
         if self.telemetry.scrapes > 0:
             report["cluster"] = self.telemetry.cluster_report()
         return report
-
-    def slowest_recent_trace(self, window: int = 32) -> dict | None:
-        """Full span tree of the slowest request among the last
-        ``window`` retained roots — cluster ``top``'s timeline pane."""
-        roots = get_tracer().roots[-max(1, window):]
-        if not roots:
-            return None
-        slowest = max(roots, key=lambda r: r.duration_s or 0.0)
-        return slowest.to_dict()

@@ -35,7 +35,6 @@ import threading
 import time
 from collections import Counter, deque
 from pathlib import Path
-from typing import Iterable
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -398,8 +397,3 @@ def validate_journal_lines(text: str) -> int:
             f"{count} records"
         )
     return count
-
-
-def iter_records(events: Iterable[dict], kind: str) -> Iterable[dict]:
-    """Filter an event list by kind (small convenience for tests/CLI)."""
-    return (event for event in events if event.get("kind") == kind)

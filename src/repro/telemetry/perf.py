@@ -197,12 +197,6 @@ def publish_to_registry(registry=None,
     return len(snapshot)
 
 
-def _reset_published() -> None:
-    """Forget the publish watermark (test helper, and registry resets)."""
-    with _publish_lock:
-        _published.clear()
-
-
 # ---------------------------------------------------------------------------
 # repro.perf/v1 document: export + validation (CI contract)
 # ---------------------------------------------------------------------------

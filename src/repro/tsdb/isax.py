@@ -43,17 +43,6 @@ class ISaxWord:
     def word_length(self) -> int:
         return len(self.symbols)
 
-    def reduce_segment(self, paa_or_full: "ISaxWord", segment: int) -> int:
-        """Symbol of ``paa_or_full``'s ``segment`` at this word's bit width.
-
-        ``paa_or_full`` must use at least as many bits on that segment.
-        """
-        other_bits = paa_or_full.bits[segment]
-        my_bits = self.bits[segment]
-        if other_bits < my_bits:
-            raise ValueError("cannot reduce to a higher cardinality")
-        return paa_or_full.symbols[segment] >> (other_bits - my_bits)
-
     def covers(self, other: "ISaxWord") -> bool:
         """True if ``other`` (at >= cardinality per segment) falls in this
         word's region — i.e. every segment of ``other``, truncated to this

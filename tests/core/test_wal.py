@@ -112,6 +112,28 @@ class TestWalFile:
             assert report.torn_tail
             assert report.appends_applied == 4
 
+    def test_reopen_cuts_a_torn_tail(self, tmp_path, stream, tear_last_frame):
+        """A restart after a crash mid-write appends after the last whole
+        frame: opening the log cuts the torn bytes off, so the log still
+        reads end to end instead of failing a CRC in its middle."""
+        for how in tear_last_frame.ways:
+            path = tmp_path / f"reopen-{how}.wal"
+            with WriteAheadLog(path) as wal:
+                wal.log_appends([(0, stream[0]), (1, stream[1])])
+                wal.log_appends([(2, stream[2])])
+                start = path.stat().st_size
+                wal.log_appends([(3, stream[3])])  # crash mid-write
+            tear_last_frame(path, start, how)
+            with WriteAheadLog(path) as wal:
+                assert path.stat().st_size == start, how
+                wal.log_appends([(4, stream[4])])
+            records, torn = read_wal(path)
+            assert not torn, how
+            assert [r["record_id"] for r in records] == [0, 1, 2, 4], how
+            for record in records:
+                assert record["series"].tobytes() == \
+                    stream[record["record_id"]].tobytes()
+
     def test_crc_flip_before_tail_raises(self, tmp_path, stream):
         path = tmp_path / "middle.wal"
         with WriteAheadLog(path) as wal:

@@ -1,6 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +344,58 @@ class TestSharedFlags:
         assert info.value.code == 2  # an argparse usage error
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestServeWalRestart:
+    """``serve --wal`` over a non-empty log replays it onto the base
+    first, so a second server life keeps the first life's writes and
+    hands out record ids after them."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _life(self, index, wal, rows):
+        """Start ``repro serve``, write ``rows``, stop it with SIGINT;
+        returns the lines printed before "serving" and the acked ids."""
+        from repro.serving.server import ServingClient
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(self.SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--index", str(index),
+             "--port", "0", "--wal", str(wal), "--max-seconds", "60", "-q"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            before = []
+            while not (line := proc.stdout.readline()).startswith("serving"):
+                assert line, "serve exited before it was serving"
+                before.append(line)
+            port = int(re.search(r" on [^ ]+:(\d+) ", line).group(1))
+            with ServingClient("127.0.0.1", port) as client:
+                acked = client.write_batch(rows)["record_ids"]
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=30)
+        return before, acked
+
+    def test_second_life_replays_and_keeps_ids_unique(self, workspace,
+                                                      tmp_path):
+        from repro.core import load_index, read_wal, replay_wal
+
+        _root, data, index = workspace
+        rows = np.load(data)["values"][:6] + 0.5
+        wal = tmp_path / "serve.wal"
+        before, first = self._life(index, wal, rows[:4])
+        assert before == []  # a fresh log: nothing to replay
+        before, second = self._life(index, wal, rows[4:])
+        assert min(second) > max(first)
+        assert len(before) == 1 and before[0].startswith(
+            f"replayed {wal}: 4 appends"), before
+        records, torn = read_wal(wal)
+        logged = [r["record_id"] for r in records if r["kind"] == "append"]
+        assert not torn
+        assert logged == first + second
+        base = load_index(index)
+        n_base = base.n_records
+        replay_wal(base, wal)
+        assert base.n_records == n_base + len(first) + len(second)
