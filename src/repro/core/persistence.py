@@ -12,19 +12,28 @@ versions — no pickle.
       global_index.json     # sigTree nodes: signature, count, pid
       partitions/
         p00000.npz          # one zip of .npy members per partition:
-                            #   signatures, record_ids, region_prefixes,
-                            #   bloom_bits, bloom_geometry, nbytes (deflated)
-                            #   values_low   (m, n, 6) uint8, stored raw
-                            #   values_high  (2, m, n) uint8, deflated
+                            #   signatures (m,) ASCII "S", record_ids,
+                            #   region_prefixes, bloom_bits,
+                            #   bloom_geometry, nbytes (deflated)
+                            #   values_low  (m, n, 6) uint8, stored raw
+                            #   values_high (k,) uint8, stored: a raw
+                            #     deflate stream of (2, m, n) bytes
 
-Format 3 stores a partition's ``(m, n)`` float64 value matrix as byte
+Format 4 stores a partition's ``(m, n)`` float64 value matrix as byte
 planes of its little-endian bytes.  The six low-order planes are
 mantissa noise that no compressor shrinks, so ``values_low`` is written
 uncompressed; the two high-order planes (sign, exponent, top mantissa
-bits) are where the redundancy is, so ``values_high`` holds them
-plane-major and deflated at :data:`_HIGH_LEVEL`.  The shapes travel in
-the ``.npy`` headers, and ``np.load`` still lists every member.  Format 2
-(one deflated ``values`` member) is still read.
+bits) are where the redundancy is: they are nearly constant along a
+series, so ``values_high`` holds them plane-major as one raw deflate
+stream made with ``Z_RLE`` at level 1 (a zip member cannot choose the
+strategy, so the stream is a stored uint8 member).  A load inflates it
+and checks it against the ``2 · m · n`` bytes the ``values_low`` shape
+implies.  Both halves move through one structured view of the float64
+matrix (:data:`_PLANES`), written in place, with no full-size
+temporaries.  Signatures are hex, so they are saved as ASCII and widened
+back to the unicode the block holds.  Format 3 (unicode signatures, a
+``(2, m, n)`` ``values_high`` deflated by the zip) and format 2 (one
+deflated ``values`` member) are still read.
 
 A save writes one file per partition and removes any other ``p*.npz``
 left in the directory, so a smaller index saved over a larger one does
@@ -44,6 +53,7 @@ import io
 import json
 import logging
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -63,23 +73,30 @@ __all__ = ["save_index", "load_index"]
 logger = logging.getLogger(__name__)
 
 #: Bumped to 2 when the per-partition region synopsis was added, to 3
-#: when the value matrix moved to byte planes.
-_FORMAT_VERSION = 3
+#: when the value matrix moved to byte planes, to 4 when signatures went
+#: ASCII and the high planes became one run-length deflate stream.
+_FORMAT_VERSION = 4
 #: Versions :func:`load_index` reads.
-_READABLE_VERSIONS = (2, 3)
+_READABLE_VERSIONS = (2, 3, 4)
 
-#: Low-order bytes of every float64 stored raw in ``values_low``; the
-#: rest go plane-major into ``values_high``.
-_RAW_PLANES = 6
-#: zlib level of ``values_high``: its planes are nearly constant, so the
-#: cheapest level already finds their runs.
-_HIGH_LEVEL = 1
+#: A little-endian float64 seen as its six low-order bytes, stored raw in
+#: ``values_low``, and its two high-order bytes, which go plane-major
+#: into ``values_high``.
+_PLANES = np.dtype([("low", "V6"), ("high", "u1", (2,))])
+#: ``values_high``'s planes are nearly constant along a series, so a
+#: deflate that looks only for runs at the cheapest level finds their
+#: redundancy, and finds it faster than the default strategy does.
+_HIGH_DEFLATE = (1, zlib.DEFLATED, -zlib.MAX_WBITS, 8, zlib.Z_RLE)
+#: Members stored without zip compression; the rest are deflated at
+#: zlib's default level.
+_STORED = ("values_low", "values_high")
 #: Modification time of every archive member: the zip epoch.
 _MEMBER_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
-def _string_array(strings) -> np.ndarray:
-    """A unicode array sized to the longest string, never truncating.
+def _string_array(strings, kind: str = "U") -> np.ndarray:
+    """A string array of ``kind`` (``"U"``, or ``"S"`` for ASCII) sized
+    to the longest string, never truncating.
 
     A fixed ``dtype="U64"`` silently chops longer values — iSAX-T
     signatures grow with ``cardinality_bits × word_length`` (already 72
@@ -87,31 +104,67 @@ def _string_array(strings) -> np.ndarray:
     corrupts every lookup after a round-trip.
     """
     strings = np.asarray(strings, dtype=str)
-    return strings.astype(f"U{np.char.str_len(strings).max(initial=1)}")
+    return strings.astype(f"{kind}{np.char.str_len(strings).max(initial=1)}")
 
 
 def _split_planes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values_low, values_high)`` of an ``(m, n)`` float64 matrix."""
-    planes = np.ascontiguousarray(values, dtype="<f8").view(np.uint8)
-    planes = planes.reshape(*values.shape, 8)
-    low = np.ascontiguousarray(planes[..., :_RAW_PLANES])
-    high = np.ascontiguousarray(np.moveaxis(planes[..., _RAW_PLANES:], -1, 0))
-    return low, high
+    """``(values_low, values_high)`` of an ``(m, n)`` float64 matrix:
+    its ``(m, n, 6)`` low bytes and its ``(2, m, n)`` high planes."""
+    m, n = values.shape
+    fields = np.ascontiguousarray(values, dtype="<f8").view(_PLANES)
+    low = np.ascontiguousarray(fields["low"]).view(np.uint8)
+    return low.reshape(m, n, 6), np.moveaxis(fields["high"], -1, 0).copy()
 
 
 def _join_planes(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """The float64 matrix :func:`_split_planes` took apart, bit-exactly."""
+    """The float64 matrix :func:`_split_planes` took apart, bit-exactly:
+    each half is written straight into place in the result."""
     m, n = low.shape[:2]
-    planes = np.empty((m, n, 8), dtype=np.uint8)
-    planes[..., :_RAW_PLANES] = low
-    planes[..., _RAW_PLANES:] = np.moveaxis(high, 0, -1)
-    return planes.view("<f8").reshape(m, n).astype(np.float64, copy=False)
+    values = np.empty((m, n), dtype="<f8")
+    fields = values.view(_PLANES)
+    fields["low"] = np.ascontiguousarray(low).view("V6").reshape(m, n)
+    for plane, bytes_ in enumerate(high):
+        fields["high"][..., plane] = bytes_
+    return values.astype(np.float64, copy=False)
+
+
+def _deflate_high(high: np.ndarray) -> np.ndarray:
+    """``values_high``'s planes as one raw deflate stream, as uint8."""
+    deflater = zlib.compressobj(*_HIGH_DEFLATE)
+    stream = deflater.compress(np.ascontiguousarray(high)) + deflater.flush()
+    return np.frombuffer(stream, dtype=np.uint8)
+
+
+def _read_values(payload, version: int, file) -> np.ndarray:
+    """A partition file's float64 value matrix, in any readable format.
+
+    A format-4 ``values_high`` that does not inflate to exactly the
+    ``2 · m · n`` bytes of its planes, or whose member fails the zip
+    CRC, raises ``ValueError`` naming ``file``.
+    """
+    if version == 2:
+        return payload["values"]
+    low = payload["values_low"]
+    if version == 3:
+        return _join_planes(low, payload["values_high"])
+    m, n = low.shape[:2]
+    try:
+        raw = zlib.decompress(
+            payload["values_high"], -zlib.MAX_WBITS, max(1, 2 * m * n)
+        )
+    except (zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{file}: values_high is corrupt: {exc}") from None
+    if len(raw) != 2 * m * n:
+        raise ValueError(
+            f"{file}: values_high inflates to {len(raw)} bytes, "
+            f"not the {2 * m * n} of ({m}, {n}) values"
+        )
+    return _join_planes(low, np.frombuffer(raw, np.uint8).reshape(2, m, n))
 
 
 def _write_members(file: Path, members: dict) -> None:
-    """One ``.npz`` of ``.npy`` members: ``values_low`` stored,
-    ``values_high`` deflated at :data:`_HIGH_LEVEL`, the rest deflated at
-    zlib's default level.
+    """One ``.npz`` of ``.npy`` members: :data:`_STORED` ones stored, the
+    rest deflated at zlib's default level.
 
     Every member carries the fixed :data:`_MEMBER_DATE_TIME` stamp (a
     bare name would take the current time), so saving one index twice
@@ -121,16 +174,14 @@ def _write_members(file: Path, members: dict) -> None:
         for name, array in members.items():
             buffer = io.BytesIO()
             np.lib.format.write_array(buffer, array, allow_pickle=False)
-            if name == "values_low":
-                method, level = zipfile.ZIP_STORED, None
-            else:
-                method = zipfile.ZIP_DEFLATED
-                level = _HIGH_LEVEL if name == "values_high" else None
             member = zipfile.ZipInfo(f"{name}.npy", _MEMBER_DATE_TIME)
             member.external_attr = 0o600 << 16  # what a bare name gets
             archive.writestr(
                 member, buffer.getvalue(),
-                compress_type=method, compresslevel=level,
+                compress_type=(
+                    zipfile.ZIP_STORED if name in _STORED
+                    else zipfile.ZIP_DEFLATED
+                ),
             )
 
 
@@ -193,10 +244,10 @@ def save_index(index: TardisIndex, path: str | Path) -> None:
         values_low, values_high = _split_planes(values)
         file = root / "partitions" / f"p{pid:05d}.npz"
         _write_members(file, {
-            "signatures": _string_array(block.signatures[rows]),
+            "signatures": _string_array(block.signatures[rows], "S"),
             "record_ids": block.record_ids[rows],
             "values_low": values_low,
-            "values_high": values_high,
+            "values_high": _deflate_high(values_high),
             "region_prefixes": _string_array(sorted(partition.region_prefixes)),
             "bloom_bits": partition.bloom.bits,
             "bloom_geometry": np.array(
@@ -271,13 +322,10 @@ def load_index(path: str | Path, partition_ids=None) -> TardisIndex:
     for pid in wanted:
         with np.load(files[pid], allow_pickle=False) as payload:
             signatures = payload["signatures"]
+            if version == 4:  # ASCII on disk, unicode in the block
+                signatures = signatures.astype(f"U{signatures.itemsize}")
             rids = payload["record_ids"]
-            if version == 2:
-                values = payload["values"]
-            else:
-                values = _join_planes(
-                    payload["values_low"], payload["values_high"]
-                )
+            values = _read_values(payload, version, files[pid])
             bloom_geometry = payload["bloom_geometry"]
             bloom_bits = payload["bloom_bits"]
             nbytes = int(payload["nbytes"][0])

@@ -262,28 +262,35 @@ class SigTree:
         stack = [(self.root, np.arange(n))]
         while stack:
             node, rows = stack.pop()
-            if node.layer and (
-                len(rows) <= self.split_threshold
-                or node.layer >= self.max_bits
-            ):
-                node.entries = rows.tolist()
-                continue
             layer = node.layer + 1
             keys = signatures[rows].astype(f"U{layer * self.per_plane}")
             prefixes, first, group = np.unique(
                 keys, return_index=True, return_inverse=True
             )
-            counts = np.bincount(group, minlength=len(prefixes))
-            starts = np.cumsum(counts) - counts
+            ends = np.cumsum(np.bincount(group, minlength=len(prefixes)))
+            sizes = np.diff(ends, prepend=0)
             grouped = rows[np.argsort(group, kind="stable")]
-            for at in np.argsort(first):
-                start, count = int(starts[at]), int(counts[at])
-                key = str(prefixes[at])
+            inner = (sizes > self.split_threshold) & (layer < self.max_bits)
+            # Only leaves' rows become Python ints: ints made for an inner
+            # child's rows would be dropped when it splits, leaving holes
+            # in the heap the loaded index lives on.
+            leaf_rows = grouped[np.repeat(~inner, sizes)].tolist()
+            leaf_ends = np.cumsum(np.where(inner, 0, sizes))
+            # Children in first-occurrence order, walked as Python
+            # values: a numpy scalar per child costs more than the node.
+            order = np.argsort(first)
+            for key, end, size, leaf_end, split in zip(
+                prefixes[order].tolist(), ends[order].tolist(),
+                sizes[order].tolist(), leaf_ends[order].tolist(),
+                inner[order].tolist(),
+            ):
                 child = SigTreeNode(
-                    signature=key, layer=layer, parent=node, count=count
+                    signature=key, layer=layer, parent=node, count=size,
+                    entries=[] if split else leaf_rows[leaf_end - size:leaf_end],
                 )
                 node.children[key] = child
-                stack.append((child, grouped[start:start + count]))
+                if split:
+                    stack.append((child, grouped[end - size:end]))
         self.version += n
 
     # -- Tardis-G style construction (node statistics) ----------------------------

@@ -410,7 +410,13 @@ def replay_wal(index, path: str | Path) -> WalReplayReport:
         # Everything else is ordered against the appends around it.
         apply_run()
         if kind == "rebalance-begin":
-            begun[int(entry["cycle"])] = (
+            # Every server life numbers its cycles from 1, so a begin
+            # can meet an earlier life's uncommitted begin of the same
+            # number: that one was discarded by the crash that ended it.
+            cycle = int(entry["cycle"])
+            if cycle in begun:
+                report.rebalances_discarded += 1
+            begun[cycle] = (
                 float(entry["overflow_factor"]),
                 [int(pid) for pid in entry.get("partitions", [])] or None,
             )

@@ -242,6 +242,37 @@ class TestReplay:
         assert sorted(fresh.partitions) == sorted(live.partitions)
         fresh.validate()
 
+    def test_dangling_begins_of_earlier_lives_are_discarded(
+        self, tmp_path, base_dataset, stream
+    ):
+        """Every server life appends to one log and numbers its cycles
+        from 1: two lives crash with begin(1) open, a third commits its
+        cycle 1.  Both dangling begins count as discarded, and the state
+        is the live one."""
+        live = build_base(base_dataset)
+        path = tmp_path / "lives.wal"
+        for life in range(3):
+            with WriteAheadLog(path) as wal:
+                append(live, wal, stream[6 * life:6 * life + 6])
+                pids = sorted(live.partitions)
+                wal.log_rebalance_begin(1, 1.0, pids)
+                if life == 2:
+                    split = rebalance_index(
+                        live, overflow_factor=1.0, partition_ids=pids
+                    )
+                    assert split.partitions_split
+                    wal.log_rebalance_commit(1)
+                    append(live, wal, stream[18:24])
+        fresh, reference = build_base(base_dataset), build_base(base_dataset)
+        report = replay_wal(fresh, path)
+        assert report == replay_row_by_row(reference, path)
+        assert report.appends_applied == 24
+        assert (report.rebalances_replayed, report.rebalances_discarded) == (
+            1, 2
+        )
+        assert partition_state(fresh) == partition_state(live)
+        fresh.validate()
+
 
 def replay_row_by_row(index, path) -> WalReplayReport:
     """The reference replay: every append alone, in log order."""
@@ -257,6 +288,7 @@ def replay_row_by_row(index, path) -> WalReplayReport:
             ))
             report.appends_applied += 1
         elif kind == "rebalance-begin":
+            report.rebalances_discarded += doc["cycle"] in begun
             begun[doc["cycle"]] = (doc["overflow_factor"], doc["partitions"])
         elif kind == "rebalance-commit":
             factor, pids = begun.pop(doc["cycle"])
