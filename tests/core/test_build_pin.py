@@ -27,149 +27,149 @@ FILES_SHA256 = {
         "global_index.json":
             "9a9c5e301cf5d206b73b9af1ce1ef66485707df9154db5c017e277664f9000a1",
         "meta.json":
-            "a5f54c255877b0ea73ae9641ff4e414e37ba360480704b736ab77fcbca2a7768",
+            "2a7a54cd75486e09daf7355d1765ef7e3d05e088e85cec0a708cb5c1769cf391",
         "partitions/p00000.npz":
-            "90c83c67ce89c6acf58a9e9d8c6bd67f2205ae89e3633faab460db31ac308f42",
+            "e878474793f2737cc0111b7453c36d1acc5486e9c4006c34a329bb3bc38daf3d",
         "partitions/p00001.npz":
-            "2bbc8c5a35dc4a018758ae59c4d75725fe56507388c897d71efeaf1f4935dd32",
+            "688d986941f1c32ab093f88a381479fc1dee7301adf7af6d6f0e1218420e9581",
         "partitions/p00002.npz":
-            "010cc91de3a7eae1ae5c7bbee940d64da1e0e39c0cdf580a37282e5e887f0c3e",
+            "6aef4065d5b8697b0d0ef0f3060f793dc78e17288f6acf420796334bc8482005",
         "partitions/p00003.npz":
-            "fa1d3f493c278a51363e41a3a37d3aded06d797df4897b541763e973fd2a24ba",
+            "0d6b75ceb15f22348cc7c5fe8cd8d0e7252984fa06fa5c95484728fb5dbdcb6b",
         "partitions/p00004.npz":
-            "4b14f7fcb9603416b1338203c4006660f854d16f32fe36c5be53f24d38d64e17",
+            "08377b1c3e2f49698eb0604f99172eb18c41ab7760d2ba310a938d687557801f",
         "partitions/p00005.npz":
-            "21c2a1e79fbd2d5bd4f0d770d8d5c09521c7c1c9c9e9ae59098586f6ad9727e2",
+            "9d1b9734587a531fb0e06fd963bd96f5af47306c2e2f3103eec4bb9ebde98e79",
         "partitions/p00006.npz":
-            "bfe23d271405c1ec7a8a21a75b4c152285730d1b1daeccaa89fed1bb8d06f5f1",
+            "47f6d2ab9c5bbfbcea6c8444546a170b1c2832d574e69b914d036f21e9cb633d",
         "partitions/p00007.npz":
-            "5d5909c29bafe170442aa500ae470defcc29c437eef835ee89741ac94fb8c3cd",
+            "742eba207f306fcfee71cf3560e5996ed5f3a11d103bae331e678800bc1c140a",
         "partitions/p00008.npz":
-            "a75df4d946c802b5719e0d5c0e032ea611cb293b5b03f7b445fb2b3a37886b0b",
+            "16ac53f76d237733ba384fbbad57928b0e9fbf47fa6302ac6445674d07c9817f",
         "partitions/p00009.npz":
-            "dc1dbe2e1b8b02b32af0c7246348ec802c3fae6a0725b802e0aa5cd5e9388599",
+            "297899fe29a936c4053eee824d8a2da2312320d9f563c1518c1349f5a008f48a",
         "partitions/p00010.npz":
-            "f1733beff89b880eccf4ec964e84ed7ba701b0470f26e9c0db5095b9048ba664",
+            "e3e3cba880a9837bf8c8c8c879ef254a6cc89b4c143d3eb1d61775928a145005",
         "partitions/p00011.npz":
-            "7fbbfedeef6ae573f834fc5f6d402dde61f85e7b21e6aef0e505e2d06ef80362",
+            "b07184f01fa382670d71b8fff59e7b0440f507ebb1488fc6f34de77bdfd0a9ad",
         "partitions/p00012.npz":
-            "f6d4d7526711b72eff49dea46a14b192ea0133b636cbf0fa8733239783585bc3",
+            "12619e4ffbc689770ffc59d95219395920d484171065606b64b6146b81cbb8d8",
         "partitions/p00013.npz":
-            "4feac14c4ff7a3ac9d372e9a350de358e3ae3a4f870721dc994b0f86a9fcf357",
+            "6dc5dfd9f5b39c595c8cc283626409395ab530151caebc851ec8ed250dbb8116",
         "partitions/p00014.npz":
-            "751c1261dacc8ddcf709c035f8b74b0f2625ba4a6de926397edaa12f6abf6d85",
+            "7eb56e5d8a658e175b3526a094bb0701304e9908b2e19092b432fd72567ebfbc",
         "partitions/p00015.npz":
-            "d8663cf337d25769df4352cf5e91f82777cf54273870caa3386234f6e966a291",
+            "54d7672cbe6fc5d828074ec6a2578e6e760f0cc8ed1921e19d0b0912eb201224",
         "partitions/p00016.npz":
-            "34d6dbe5de1ce6915978614ad46bf29e30009ea9b9ccd80ad8f6f6e9f6eb66a2",
+            "d65fe08ea39e26bd15585fe677b5bbdaa12fcbfbb97f5285f9edeadfa845f806",
         "partitions/p00017.npz":
-            "f8de0e25bc8e4602f33155eefa7da6eee4a23da8ee2bb74ced9b62ecbb4f58c0",
+            "1b44468bdd3dd09ce7520f1a963c9600e8f48491c312668500e4f8f5b7731c17",
         "partitions/p00018.npz":
-            "b079091c6f87511a4cfe44b815534e434f84eaa93339eb537004268293fc2902",
+            "5f58d80b469b73a059e3d59d935d0c2584a85c88197e88fb17ae300df340adf4",
         "partitions/p00019.npz":
-            "975ce810dde531fd4885c4bd22506fa2e4bf8c894af96f7b2f96ea927d94e33c",
+            "bf1252b25f19eadadc7c44b4fe41336c307d0ce8a5a76dd55c4ef00e0b65b91c",
         "partitions/p00020.npz":
-            "373ebe1b4cb107c75be07ae9be0161fe009884b67b43c851d3dd8c7538f311f1",
+            "5116fe25035fa59000859fe460d273af6ff9984ad0a783ee9f22696d465904dc",
         "partitions/p00021.npz":
-            "a2789c501f1f88b59ee29669b28e9026bcc6beaf4c4e7fa818ab715a5a317785",
+            "01e767cc0da1559a3de6599b87f0ca567847fa562443c1446f82f58620628669",
         "partitions/p00022.npz":
-            "eabfe1791d00c7146850a19cff98976ecec018827c720ffb83402877a33e55fe",
+            "a3bf2f4228be56e41a4841dbcb595fbbfefe3bc4eac824f07e7bd475bbb9a634",
         "partitions/p00023.npz":
-            "7128bb71b35d709f4fa83a888797af7f3a992520a27650d7526c0a9d825beb03",
+            "ae427d6c38a9f84124d7f736a5aa1677bf8551dee0901cde0119916d8a1dc317",
         "partitions/p00024.npz":
-            "ec2a90b1e9130354e0b047cf95afe23dff668f528d171e8bdb38dc768ec3e051",
+            "7717e579088f602232b5eb5c3ef641487359e040e781b0bf472d53737932b98a",
         "partitions/p00025.npz":
-            "47b756a1a448105b68e72a470dffc7eabd0b414e63cd4b0d889a7d5e6cb6e89e",
+            "a99b87953de15625b8eb3c00170e7d25150e2ff61ce013b5f94b9c7935bb4e0a",
         "partitions/p00026.npz":
-            "6f2e3906b409e1fe26d39bebcd9bb510fcb212c1f83961b43298ce3c00935814",
+            "0bd87663759b278fe52e4e1507e5de87fa0b4a3fdff5b0f06038d8902212ab44",
         "partitions/p00027.npz":
-            "164b4ade29c63885a904262bd29f5e564928c65ad48cff08581b0fc11790df5c",
+            "9cdbe160f135cbc556d58d5ea64409c25c495876c22e31b9001ace660d8d35ec",
         "partitions/p00028.npz":
-            "ed1b7073f86a30183c8d30bfe75563f960e285802fd57ae703f931d43c1597b9",
+            "0915304eb67830dd3f4f19837436e7acf2c54c2bdc7330dddcc5becc5e77dbc4",
         "partitions/p00029.npz":
-            "fe2d2a3dcdc4c6d77c89d6f2934f18a806b47ae1387bce2414e07e512ae24432",
+            "ebd253e518aa9309c6d34d1f3128d27917489f0aee53577a276d1cdb48696643",
         "partitions/p00030.npz":
-            "75ecd798237cb318daa6e8570f076537a83f3b67b003293a5989bf3a647a0e75",
+            "14b9438916cc2e08fe72428d58fa48cd49a781b76c6a3122076b9f7b19aa145b",
         "partitions/p00031.npz":
-            "6ae93960e2ca1ff0b112e74296df46460ad9df3970e60bdaeb2969db345de28a",
+            "fca6f9f6a802c108e04c7877541c02187d867181a732a7f624361ff0c5c4b613",
         "partitions/p00032.npz":
-            "101904bd39f8ba6011a534f6ecb4dd1816b591cce9daa4f49b921746c2b0366a",
+            "ac202681516790450546e0d601c73f950c17ed184ad75b864d006dd21a32ccaa",
         "partitions/p00033.npz":
-            "61df14b02547b519343b608b9f51cddca151906624c616e4887bf6800bef2c65",
+            "91c57c6ee4daf99c9576c86d852ad36e81d9327898968e76cd78654035224fe7",
     },
     108: {
         "global_index.json":
             "6f01f641d9fe524cb6e9a2fd56af8afe8efaeb2e13b7747b9b1562d6e8965552",
         "meta.json":
-            "a5f54c255877b0ea73ae9641ff4e414e37ba360480704b736ab77fcbca2a7768",
+            "2a7a54cd75486e09daf7355d1765ef7e3d05e088e85cec0a708cb5c1769cf391",
         "partitions/p00000.npz":
-            "dc3f3be0d8600d94215d0059e65d9e1a3f39e80facfb056625e3d337878f8436",
+            "f2732418b39939d15e9b499ecabe695b7651ff9313a4bee7b57d012ce5c0fd4e",
         "partitions/p00001.npz":
-            "af1d1c4505291bcccb343e562ff5cf29fed8abff01bbd596e4f9d8033a50f088",
+            "8c48cad79d75f9390a8dc6dc3fbe1503a2db16e92fab38a639cbd73b8ef7a607",
         "partitions/p00002.npz":
-            "86cf9e11d0f12f3199cca271c4b8652d9ec8361498c41af4c515d9e0841ef669",
+            "881ce9bdad4586b74cf186ce47c67839a664ea708378c1a19c52cfe7fd122f4f",
         "partitions/p00003.npz":
-            "9db61d50cd245bc7dae05f934597fe5b90776616cf723af5569ea8c081619dc1",
+            "257679e4a9eaf026b804c91b02f82063dcb51a8cdb40132687be4a7dfd9a1690",
         "partitions/p00004.npz":
-            "ee4cc8163b165161158066944cfc34a37e88f3384b30d85d8002de9bb797ee48",
+            "8a307d14dea4b95ec92658a1c2a11cf00901210e843965da66ebf57eb091cd0a",
         "partitions/p00005.npz":
-            "b7dba0b2521d0586d330d51d8a7ca4ab6263b545a891c3038336d75268c31525",
+            "402a1cd7786bf1112d89500fedcf6e820f5190d62303909be7bfc3c2bf0bd484",
         "partitions/p00006.npz":
-            "971c4f0ca5b9e8cba498476d1134d9891ad4e2f621edf1245a605e479f2489ef",
+            "7fe15aba0e51c267bb9daecd8c27d374204902306a7e76964c6dbe4f142ba2ec",
         "partitions/p00007.npz":
-            "2e5e2f0eb6baf3eb31532c0d625ae4f9e9fe17da4e7ed0b013e98676e6e81455",
+            "55dfb4815518b5ad9ce46947779a2fc6d889e2fb022594d5b6cc3329aa881f7f",
         "partitions/p00008.npz":
-            "6f69d02a52a93358384f9505970935f9a36ae94b8a09758f76276dea4314d290",
+            "c0021ee04070369b50a41ca03f4bea4657912a9638911ea6ca92c53aba109304",
         "partitions/p00009.npz":
-            "c378ddf2830566fa928c072614800a7ec31a69699e01e250cef95448d65a5866",
+            "0e5d9065ddb898ce7fcfd43deeb515d3fea72a610b7df30d561677db766fdef4",
         "partitions/p00010.npz":
-            "d39735aad6a6df794e5e6e7362d83028bdb0ceef3f236622f30aec5db69965ca",
+            "8165afc14f60f3a6af4db50a4a49961098a4cc2d6f036f8070a636a2749c2f35",
         "partitions/p00011.npz":
-            "06a2b86964b8c975022731c1a30e86c3bd8c0a26aaf610eed411ab34d84bde96",
+            "4f3000d30ae8fdf3df56d715229119122d1d20e85277ae410b3dfb83c81ae8cb",
         "partitions/p00012.npz":
-            "3e07d8cbab754dbb49c69112d690d46c2f8b6d14604f13ccc77fa434a3b19f29",
+            "9eba0d780018a1036e46277232ca03cdcff7fc7a4b22b46a3dec4aab6ac9b8ef",
         "partitions/p00013.npz":
-            "c41886e5da1334517c2cf41fcc628aabf47f9b7697950a08863d88d572034069",
+            "bc826d00840c7cf794a87c3b4f210918c8f9d2dbe8cc65073fea74f7fb53bebf",
         "partitions/p00014.npz":
-            "3aac2bf9f8a07486fbe096ae40181f6eed651a5d5b19edb3866ae6d229040842",
+            "0204d456f4964f90296899219931479e4db0afbf45e04b2a12cd6c9867ee622e",
         "partitions/p00015.npz":
-            "99be35bf4d611d3f1a0868eb91deb9489135918353e5f96f636a89a74b68fd09",
+            "482e7c26ff1de0f12225ca83b6c6b8c9701674816c00cc14765c5e7f8610466c",
         "partitions/p00016.npz":
-            "1d8f29386316c4a06082f63fb59a767fbb4d977191d04a760925794ea2d57aaa",
+            "ece0f6347e44d381c7523607698a3c4b53687456ed2db8d308016a5b6ec9bddd",
         "partitions/p00017.npz":
-            "07378af9ec3bfa81194d6850530d37b62f9d36520aba44b433adcfee8ea06f95",
+            "a590e5b57a46362ebead88f5564be071ee6215d869e738c1fd2fcea15f5f07f2",
         "partitions/p00018.npz":
-            "7fcdea4a5bc8f0f21ecf8e4d644fb0375e57fefeb91707a9aa50e19edc8b41ac",
+            "8d2fa03ca8d51c4da88692e56c3667d470d0764e6e1c1035244471072b810f48",
         "partitions/p00019.npz":
-            "29be5f805c85d4e51b945150a38d9d06c85c6381c0d8a31b8b5c1d807aa9b743",
+            "931ce58b67bb8cb4cf6a51d531292c3fab774748744f65d7688ee7b92398a877",
         "partitions/p00020.npz":
-            "fe4033c353340cb7fc03a3e35fea36168387873c6a8e26b035fb429ba0f3316f",
+            "a31c54ff048f7b1aa3a8fb1676bdc9f8946e9990b8fec81faf7aa879bad1c2c0",
         "partitions/p00021.npz":
-            "6f7b62a125e6c31a03fa80371e7ddea231dd0f799beb5a0edfef843f0c582324",
+            "de156c41c12ac0d7458f293776e8dbe5636c79d7c0828d728eddea9aedbf8616",
         "partitions/p00022.npz":
-            "ac2f2dff4f81005bcd80b345bfc5872188b84f9e36e8e380bd0a68d6dedfdb7c",
+            "2a3c9e613da972d5a9923b8eb334f15129a2cd4d5340d2a5fb0ed1014f714b0e",
         "partitions/p00023.npz":
-            "a895c1488972a2bc0f90d3a646d1c7dd56d29395544925c3cdf7bfc0a008e6c3",
+            "b5bdb53822f07105bdf9fa11aa9bfd28b085e684953cafb316189354462c3496",
         "partitions/p00024.npz":
-            "426896babf00e3d59065b29a5010e3c2183fefd97d084c90ce870746f50467ab",
+            "fee1ca68976f22267c03e271cf58f7bfef9d8d3349b154d827186e90ae996b3d",
         "partitions/p00025.npz":
-            "78d8f79bb7f53660ba05ca84b0dfa928b759ce29ae2117e64da7c8a44aa48f70",
+            "6740be359a74a6920f33f1b61956418d91a2566e4c3caf779d490d16880c8264",
         "partitions/p00026.npz":
-            "eba1045e0325e1588938fb9f0bd7246ecf59bc297eec6b58607fa63fbaf3e269",
+            "06092147bee82df909347a997fdcd4fe8128631e42563b4d483b4fbd361bc4dc",
         "partitions/p00027.npz":
-            "8c4fb8dd1c19c879fbb8de3a4674608161fe8d05b32cfae1e6865f05a576eda7",
+            "02c4465492b64b4335eb0d13e91b2d36728a4e0a5791a675d85f6f6abb9e0c77",
         "partitions/p00028.npz":
-            "61aa62b26e998b0cbe2889b0bbd912504209fee2dc650f0c39d50cf55b02e590",
+            "db89cde42229748ae368d719e2fdf9d48d0d8a02b9d443278d5c16bea98ca36e",
         "partitions/p00029.npz":
-            "d267483bf5535330350d6d4efcefa0688b044217be801bfb678516f741e7c46d",
+            "0cd97ea82e2165a1a3559f18c9bf64d8fe8c96e4282e7f32fd38c816aa253262",
         "partitions/p00030.npz":
-            "97e3349c2aa103bbe222e2fe2a084fbc58fcb9b8163355cd74094d06e0f9f808",
+            "36879af14302820d2f5537fb8b86a939e6c53b9d95379806ae51000f7510df62",
         "partitions/p00031.npz":
-            "5a12e21e556af033f6ba4964ee5040061a31da677d96489f45586e0d4c4817b5",
+            "44be90d5a266c8525d106e096c2c851bc86c2fbedc3517bc4fd88ca02334a12f",
         "partitions/p00032.npz":
-            "d0ab3d8d8850474752b026cb50a35d39309fb55a38741c74a3b0c18eb023c442",
+            "452f52f0674571657b43af7e4e1232fe280d7dfd18df75279acf7651719e08f3",
         "partitions/p00033.npz":
-            "c01f9e798ea54fc22a5475952bcd5bc07b70d04986ff18993c9c0ff917c0c71e",
+            "3d6d7dfadca74a8b0812fb3011a073733b83b3031ca77b48d04812bfa6451362",
     },
 }
 
