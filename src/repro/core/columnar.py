@@ -28,11 +28,24 @@ does the caller thread the new rows through the tree.  Readers, the
 persistence layer and pickling therefore never see spare capacity, and a
 view someone already holds is never written again: later rows land
 beyond its end, and a regrow or a widened signature column copies into a
-new buffer and leaves the old one to its holders.  Spare capacity is
-allocated, never initialised, so it costs address space, not memory.
+new buffer and leaves the old one to its holders.
+
+Spare capacity costs address space, not memory, because every column
+buffer of :data:`_MAPPED_BYTES` or more — a grown one, a loaded value
+matrix, the values ``from_records`` stacks — is a private anonymous
+mapping of its own (:func:`column_buffer`).  The kernel backs a page
+only once it is written, and unmaps the whole buffer when its last view
+is dropped.  Left to ``malloc``, a grown buffer lands on the heap once
+glibc's dynamic mmap threshold has risen past its size: it then reuses
+memory other buffers freed, which is resident, and what it frees stays
+resident too, as free heap.  The mapping is private, so after a
+``fork`` the child's writes are copy-on-write and never reach the
+parent's rows.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -45,6 +58,33 @@ __all__ = ["ColumnarBlock"]
 _GROWTH = 2
 
 _COLUMNS = ("record_ids", "values", "signatures", "symbols")
+
+#: Column buffers this large or larger get a mapping of their own:
+#: glibc's default mmap threshold, before it adapts.
+_MAPPED_BYTES = 128 * 1024
+
+
+def column_buffer(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` and ``dtype``: from
+    ``np.empty`` when small, else in its own private anonymous mapping,
+    unmapped when the last view of it is dropped.  A platform without
+    ``mmap.MAP_PRIVATE`` always gets ``np.empty``."""
+    dtype = np.dtype(dtype)
+    nbytes = dtype.itemsize * int(np.prod(shape))
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(shape, dtype)
+    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(mapping, dtype).reshape(shape)
+
+
+def _in_buffer(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, or a copy in a :func:`column_buffer` when it is
+    large enough for a mapping of its own."""
+    if array.nbytes < _MAPPED_BYTES:
+        return array
+    buffer = column_buffer(array.shape, array.dtype)
+    buffer[...] = array
+    return buffer
 
 
 def _extended(buffer: np.ndarray, used: int, rows: np.ndarray) -> np.ndarray:
@@ -59,7 +99,7 @@ def _extended(buffer: np.ndarray, used: int, rows: np.ndarray) -> np.ndarray:
     dtype = np.promote_types(buffer.dtype, rows.dtype)
     shape = rows.shape[1:] if used == 0 else buffer.shape[1:]
     if end > len(buffer) or dtype != buffer.dtype or shape != buffer.shape[1:]:
-        grown = np.empty((max(end, _GROWTH * len(buffer)), *shape), dtype)
+        grown = column_buffer((max(end, _GROWTH * len(buffer)), *shape), dtype)
         if used:
             grown[:used] = buffer[:used]
         buffer = grown
@@ -115,8 +155,14 @@ class ColumnarBlock:
         symbols, _bits = batch_decode_signatures(signatures, word_length)
         values = None
         if clustered:
-            values = np.asarray([r[2] for r in records], dtype=np.float64)
-        return cls(record_ids, values, signatures, symbols)
+            values = np.stack(
+                [r[2] for r in records],
+                out=column_buffer((n, len(records[0][2])), np.float64),
+            )
+        return cls(
+            _in_buffer(record_ids), values, _in_buffer(signatures),
+            _in_buffer(symbols),
+        )
 
     @classmethod
     def empty(

@@ -60,7 +60,7 @@ import numpy as np
 
 from ..bloom import BloomFilter
 from .builder import TardisIndex
-from .columnar import ColumnarBlock
+from .columnar import ColumnarBlock, column_buffer
 from .config import TardisConfig
 from .global_index import TardisGlobalIndex
 from .isaxt import batch_decode_signatures
@@ -118,9 +118,10 @@ def _split_planes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _join_planes(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """The float64 matrix :func:`_split_planes` took apart, bit-exactly:
-    each half is written straight into place in the result."""
+    each half is written straight into place in the result, a block
+    column buffer of its own."""
     m, n = low.shape[:2]
-    values = np.empty((m, n), dtype="<f8")
+    values = column_buffer((m, n), "<f8")
     fields = values.view(_PLANES)
     fields["low"] = np.ascontiguousarray(low).view("V6").reshape(m, n)
     for plane, bytes_ in enumerate(high):

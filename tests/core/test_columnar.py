@@ -11,7 +11,12 @@ cardinality depth — so a vectorization bug can never drift the answers.
 
 from __future__ import annotations
 
+import gc
+import mmap
+import os
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import group_queries_by_partition
 from repro.core.builder import build_tardis_index
-from repro.core.columnar import ColumnarBlock
+from repro.core.columnar import _MAPPED_BYTES, ColumnarBlock, column_buffer
 from repro.core.config import TardisConfig
 from repro.core.isaxt import (
     batch_decode_signatures,
@@ -29,7 +34,9 @@ from repro.core.isaxt import (
     signature_of_series,
 )
 from repro.core.local_index import build_local_partition
+from repro.core.persistence import load_index, save_index
 from repro.core.queries import RunningTopK, query_signature
+from repro.tsdb import random_walk
 from repro.tsdb.distance import (
     euclidean,
     mindist_paa_to_word,
@@ -266,6 +273,132 @@ class TestAppendRows:
         assert second is not first and len(second) == 12
         np.testing.assert_array_equal(second[:10], first)
         assert block.symbol_index(bits) is second
+
+
+# ---------------------------------------------------------------------------
+# Large column buffers: one private anonymous mapping each
+
+_MAPS = hasattr(mmap, "MAP_PRIVATE")
+_STATUS = Path("/proc/self/status")
+
+
+def mapping_of(array: np.ndarray):
+    """The ``mmap`` an array's memory lives in, or None."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return base if isinstance(base, mmap.mmap) else None
+
+
+def grown_block(n: int = 900) -> ColumnarBlock:
+    """A block whose value buffer was grown by an append: 500 rows from
+    ``from_records``, the rest appended (256 B a row)."""
+    records, _ = make_records(n)
+    block = ColumnarBlock.from_records(records[:500], CFG.word_length)
+    block.append_rows(*columns_of(records[500:]))
+    return block
+
+
+def vm_rss_mb() -> float:
+    for line in _STATUS.read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(not _MAPS, reason="no mmap.MAP_PRIVATE on this platform")
+class TestColumnBuffers:
+    def test_only_large_buffers_are_mapped(self):
+        assert mapping_of(column_buffer((4, 32), np.float64)) is None
+        small = column_buffer((_MAPPED_BYTES // 8 - 1,), np.float64)
+        assert mapping_of(small) is None
+        large = column_buffer((_MAPPED_BYTES // 256, 32), np.float64)
+        assert mapping_of(large) is not None
+        assert large.shape == (_MAPPED_BYTES // 256, 32)
+        assert large.flags.writeable and large.flags.c_contiguous
+
+    def test_grown_and_built_values_are_mapped(self):
+        block = grown_block()
+        assert mapping_of(block._buffers["values"]) is not None
+        assert mapping_of(block.values) is not None
+        records, _ = make_records(600)
+        built = ColumnarBlock.from_records(records, CFG.word_length)
+        assert mapping_of(built.values) is not None  # 600 x 256 B
+        assert mapping_of(built.record_ids) is None  # 600 x 8 B
+
+    def test_grown_block_pickles_its_exact_length_views(self):
+        block = grown_block()
+        assert len(block._buffers["values"]) > block.n_rows
+        state = block.__getstate__()
+        assert {len(column) for column in state.values()} == {900}
+        clone = pickle.loads(pickle.dumps(block))
+        assert_blocks_equal(clone, block)
+        assert clone.n_rows == block.n_rows == 900
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="fork semantics checked on Linux"
+    )
+    def test_forked_child_writes_do_not_reach_the_parent(self, tmp_path):
+        """``MAP_PRIVATE``: after a fork the child's pages are
+        copy-on-write.  A shared mapping would hand the child's write to
+        the parent's rows."""
+        grown = grown_block()
+        data = random_walk(1_200, length=64, seed=4).z_normalized()
+        save_index(
+            build_tardis_index(data, TardisConfig(g_max_size=2_000)), tmp_path
+        )
+        (loaded,) = load_index(tmp_path).partitions.values()
+        targets = [grown._buffers["values"], loaded.block.values]
+        assert all(mapping_of(target) is not None for target in targets)
+        before = [target.copy() for target in targets]
+        pid = os.fork()
+        if pid == 0:  # the child: write, check it sees its write, leave
+            code = 1
+            try:
+                for target in targets:
+                    target[...] = -7.0
+                code = 0 if all((t == -7.0).all() for t in targets) else 2
+            finally:
+                os._exit(code)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        for target, copy in zip(targets, before):
+            np.testing.assert_array_equal(target, copy)
+
+    @pytest.mark.skipif(
+        not _STATUS.exists(), reason="reads VmRSS from /proc/self/status"
+    )
+    def test_dropped_grown_blocks_give_their_memory_back(self):
+        """64 blocks grown past 1 MB of values each (4 KB rows, 16 rows
+        an append, in turn), then dropped: resident memory comes back to
+        where it started.  A small array kept from every round stands for
+        what a server allocates between appends and keeps; on the heap it
+        would pin the freed value buffers below it, since a freed 16 MB
+        temporary (as a load frees) lifts glibc's mmap threshold above
+        them all."""
+        records, _ = make_records(16, length=512)
+        rows = ColumnarBlock.from_records(records, CFG.word_length)
+        kept = []
+        np.ones(1 << 21).sum()
+        gc.collect()
+        start = vm_rss_mb()
+        blocks = [
+            ColumnarBlock.from_records(records, CFG.word_length)
+            for _ in range(64)
+        ]
+        while blocks[0].values.nbytes < 1 << 20:
+            for block in blocks:
+                block.append_rows(
+                    rows.signatures, rows.record_ids, rows.values, rows.symbols
+                )
+            kept.append(np.ones(512))
+        grown = vm_rss_mb()
+        assert grown - start > 64  # the rows were resident
+        del blocks, block
+        gc.collect()
+        assert vm_rss_mb() - start < 4, (start, grown, vm_rss_mb())
 
 
 # ---------------------------------------------------------------------------
