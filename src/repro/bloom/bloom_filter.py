@@ -32,6 +32,24 @@ def _digest_pair(item: str | bytes) -> tuple[int, int]:
     return h1, h2
 
 
+#: ORed into every ``(h1, h2)`` row: the odd ``h2`` of :func:`_digest_pair`.
+_ODD = np.array([0, 1], dtype=np.uint64)
+
+
+def _digests(items) -> np.ndarray:
+    """The ``(n, 2)`` uint64 :func:`_digest_pair` of every item, from one
+    buffer of joined digests instead of two ``int.from_bytes`` each."""
+    blake2b = hashlib.blake2b
+    joined = b"".join(
+        blake2b(
+            item.encode("utf-8") if isinstance(item, str) else item,
+            digest_size=16,
+        ).digest()
+        for item in items
+    )
+    return np.frombuffer(joined, dtype="<u8").reshape(-1, 2) | _ODD
+
+
 @dataclass
 class BloomFilter:
     """A fixed-size Bloom filter over strings/bytes.
@@ -68,9 +86,7 @@ class BloomFilter:
     def _positions(self, items) -> np.ndarray:
         """The ``(n, k)`` probe positions ``(h1 + i * h2) mod n_bits`` of
         ``items``, the sum and product wrapping at 2**64."""
-        digests = np.array(
-            [_digest_pair(item) for item in items], dtype=np.uint64
-        ).reshape(-1, 2)
+        digests = _digests(items)
         i = np.arange(self.n_hashes, dtype=np.uint64)
         return (digests[:, :1] + i * digests[:, 1:]) % np.uint64(self.n_bits)
 

@@ -493,7 +493,7 @@ def test_build_and_load_are_flat(tmp_path, monkeypatch):
     from repro.core.sigtree import SigTree
     from repro.tsdb import random_walk
 
-    calls = {"insert_entry": 0, "add": 0, "_digest_pair": 0}
+    calls = {"insert_entry": 0, "add": 0, "digests": 0}
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -504,22 +504,28 @@ def test_build_and_load_are_flat(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, spy)
 
+    def digests_counted(items):
+        digests = real_digests(items)
+        calls["digests"] += len(digests)
+        return digests
+
     counted(SigTree, "insert_entry")
     counted(bloom_filter.BloomFilter, "add")
-    counted(bloom_filter, "_digest_pair")
+    real_digests = bloom_filter._digests
+    monkeypatch.setattr(bloom_filter, "_digests", digests_counted)
     dataset = random_walk(1_200, length=32, seed=3).z_normalized()
     index = build_tardis_index(
         dataset, TardisConfig(g_max_size=300, l_max_size=20)
     )
     assert len(index.partitions) > 1
     assert calls == {
-        "insert_entry": 0, "add": 0, "_digest_pair": len(dataset),
+        "insert_entry": 0, "add": 0, "digests": len(dataset),
     }
     save_index(index, tmp_path / "idx")
     back = load_index(tmp_path / "idx")
     assert back.n_records == len(dataset)
     assert calls == {
-        "insert_entry": 0, "add": 0, "_digest_pair": len(dataset),
+        "insert_entry": 0, "add": 0, "digests": len(dataset),
     }
     for file in (tmp_path / "idx" / "partitions").glob("p*.npz"):
         with zipfile.ZipFile(file) as archive:
