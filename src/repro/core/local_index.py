@@ -254,7 +254,9 @@ class LocalPartition:
             current = stack.pop()
             n_nodes += 1
             collected.extend(current.entries)
-            stack.extend(current.children.values())
+            # First child first: the order SigTree.bulk_load makes them in
+            # from these rows, so a saved and reloaded tree keeps it.
+            stack.extend(reversed(current.children.values()))
         if stats is not None:
             stats.visited += n_nodes
         rows = np.fromiter(collected, dtype=np.int64, count=len(collected))

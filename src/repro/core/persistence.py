@@ -217,14 +217,18 @@ def save_index(index: TardisIndex, path: str | Path) -> None:
         "saving index to %s (%d partitions)", root, len(index.partitions)
     )
 
+    # Breadth first, in child order: what a load's inserts by signature
+    # length rebuild, child order included.
+    order = [index.global_index.tree.root]
+    for node in order:
+        order.extend(node.children.values())
     nodes = [
         {
             "signature": node.signature,
             "count": node.count,
             "partition_id": node.partition_id,
         }
-        for node in index.global_index.tree.iter_nodes()
-        if node.signature  # root is implicit
+        for node in order[1:]  # root is implicit
     ]
     global_doc = {
         "root_count": index.global_index.tree.root.count,
