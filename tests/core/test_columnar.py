@@ -11,10 +11,10 @@ cardinality depth — so a vectorization bug can never drift the answers.
 
 from __future__ import annotations
 
-import gc
 import mmap
 import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.batch import group_queries_by_partition
 from repro.core.builder import build_tardis_index
 from repro.core.columnar import _MAPPED_BYTES, ColumnarBlock, column_buffer
@@ -301,13 +302,6 @@ def grown_block(n: int = 900) -> ColumnarBlock:
     return block
 
 
-def vm_rss_mb() -> float:
-    for line in _STATUS.read_text().splitlines():
-        if line.startswith("VmRSS:"):
-            return int(line.split()[1]) / 1024
-    raise AssertionError("no VmRSS line")
-
-
 @pytest.mark.skipif(not _MAPS, reason="no mmap.MAP_PRIVATE on this platform")
 class TestColumnBuffers:
     def test_only_large_buffers_are_mapped(self):
@@ -371,34 +365,64 @@ class TestColumnBuffers:
         not _STATUS.exists(), reason="reads VmRSS from /proc/self/status"
     )
     def test_dropped_grown_blocks_give_their_memory_back(self):
-        """64 blocks grown past 1 MB of values each (4 KB rows, 16 rows
-        an append, in turn), then dropped: resident memory comes back to
-        where it started.  A small array kept from every round stands for
-        what a server allocates between appends and keeps; on the heap it
-        would pin the freed value buffers below it, since a freed 16 MB
-        temporary (as a load frees) lifts glibc's mmap threshold above
-        them all."""
-        records, _ = make_records(16, length=512)
-        rows = ColumnarBlock.from_records(records, CFG.word_length)
-        kept = []
-        np.ones(1 << 21).sum()
-        gc.collect()
-        start = vm_rss_mb()
-        blocks = [
-            ColumnarBlock.from_records(records, CFG.word_length)
-            for _ in range(64)
-        ]
-        while blocks[0].values.nbytes < 1 << 20:
-            for block in blocks:
-                block.append_rows(
-                    rows.signatures, rows.record_ids, rows.values, rows.symbols
-                )
-            kept.append(np.ones(512))
-        grown = vm_rss_mb()
-        assert grown - start > 64  # the rows were resident
-        del blocks, block
-        gc.collect()
-        assert vm_rss_mb() - start < 4, (start, grown, vm_rss_mb())
+        """64 blocks of 128 KiB of values grown past 1 MB each (8 KB
+        rows, 16 rows an append, in turn), then dropped: resident memory
+        comes back to where it started.
+
+        Run in a fresh interpreter, whose heap has no history: there a
+        freed 16 MB temporary (as a load frees) lifts glibc's mmap
+        threshold above every value buffer, and a small array kept from
+        every round, standing for what a server allocates between
+        appends and keeps, would pin heap-allocated buffers below it.
+        """
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        child = subprocess.run(
+            [sys.executable, "-c", _GROW_AND_DROP], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        start, grown, after = map(float, child.stdout.split())
+        assert grown - start > 48  # the 64 MB of rows were resident
+        assert after - start < 4, (start, grown, after)
+
+
+#: The body of ``test_dropped_grown_blocks_give_their_memory_back``;
+#: prints ``VmRSS`` in MB before, at the peak and after the drop.
+_GROW_AND_DROP = """
+import gc
+from pathlib import Path
+import numpy as np
+from repro.core.columnar import ColumnarBlock
+from repro.core.isaxt import signature_of_series
+from repro.tsdb.series import z_normalize
+
+def vm_rss_mb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+
+rng = np.random.default_rng(0)
+series = z_normalize(np.cumsum(rng.standard_normal((16, 1024)), axis=1))
+records = [(signature_of_series(row, 8, 4), i, row) for i, row in enumerate(series)]
+rows = ColumnarBlock.from_records(records, 8)
+kept = []
+np.ones(1 << 21).sum()
+gc.collect()
+start = vm_rss_mb()
+blocks = [ColumnarBlock.from_records(records, 8) for _ in range(64)]
+while blocks[0].values.nbytes < 1 << 20:
+    for block in blocks:
+        block.append_rows(
+            rows.signatures, rows.record_ids, rows.values, rows.symbols
+        )
+    kept.append(np.ones(512))
+grown = vm_rss_mb()
+del blocks, block
+gc.collect()
+print(start, grown, vm_rss_mb())
+"""
 
 
 # ---------------------------------------------------------------------------
