@@ -119,6 +119,24 @@ class BlockStorage:
             ))
         return cls(blocks=blocks, block_capacity=block_capacity)
 
+    @classmethod
+    def of_rows(
+        cls, n_rows: int, record_nbytes: int, block_capacity: int
+    ) -> "BlockStorage":
+        """Rows ``0..n_rows-1`` of a matrix stored as blocks of row
+        indices, each row priced at ``record_nbytes``: the layout
+        :meth:`from_dataset` gives, with a record's row in place of the
+        record."""
+        if block_capacity <= 0:
+            raise ValueError("block_capacity must be positive")
+        blocks = []
+        for i, start in enumerate(range(0, n_rows, block_capacity)):
+            rows = list(range(start, min(start + block_capacity, n_rows)))
+            blocks.append(Block(
+                block_id=i, records=rows, nbytes=record_nbytes * len(rows)
+            ))
+        return cls(blocks=blocks, block_capacity=block_capacity)
+
     def sample_blocks(self, fraction: float, seed: int = 0) -> list[Block]:
         """Block-level sampling: a random ``fraction`` of whole blocks.
 

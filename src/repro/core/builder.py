@@ -11,6 +11,17 @@ Orchestrates the full pipeline of Figs. 7-8 on a :class:`SimCluster`:
   per-partition Tardis-L + Bloom-filter construction in one
   ``mapPartition`` pass.
 
+Both phases move *row indices* into the dataset's ``(n, length)``
+matrix, not records: storage blocks hold rows
+(:meth:`~repro.cluster.BlockStorage.of_rows`), each block converts with
+one :func:`convert_batch` into dataset-wide signature and symbol
+columns, the shuffle scatters rows, and each partition gathers its
+columns with one fancy index apiece
+(:func:`~repro.core.local_index.build_partition`) — ParIS+'s convert →
+bulk-route → build over whole arrays (arXiv:2009.01614).  The simulator
+prices every stage from the same shapes the tuples had, so the ledger
+is the one a tuple shuffle records.
+
 The resulting :class:`TardisIndex` owns the global index, all local
 partitions, and the construction ledger consumed by the benchmarks.
 """
@@ -38,8 +49,9 @@ from .global_index import (
     TardisGlobalIndex,
     collect_layer_statistics,
 )
-from .isaxt import batch_signatures
-from .local_index import LocalPartition, build_local_partition
+from .columnar import ColumnarBlock
+from .isaxt import batch_signatures, chars_per_plane
+from .local_index import LocalPartition, build_partition
 from .region import RegionMatrix
 
 __all__ = [
@@ -78,7 +90,8 @@ def convert_records(
     records: list[tuple[int, np.ndarray]], config: TardisConfig
 ) -> list[tuple[str, int, np.ndarray]]:
     """``(rid, ts) -> (isaxt(b), rid, ts)``: :func:`convert_batch` over a
-    whole partition's records."""
+    whole partition's records (the tuple entry point; the build converts
+    rows of the dataset's matrix)."""
     if not records:
         return []
     signatures, _paa, _symbols = convert_batch(
@@ -412,8 +425,7 @@ class TardisIndex:
         if not self.clustered:
             raise RuntimeError("delete needs a clustered index (raw compare)")
         series = np.asarray(series, dtype=np.float64)
-        converted = convert_records([(record_id, series)], self.config)
-        signature = converted[0][0]
+        signature = convert_batch(series[np.newaxis, :], self.config)[0][0]
         partition = self.partitions[self.global_index.route(signature)]
         removed = partition.remove_record(record_id, series=series)
         if removed is None:
@@ -525,7 +537,6 @@ def build_tardis_index(
     clustered: bool = True,
     with_bloom: bool = True,
     persist_in_memory: bool = True,
-    storage: BlockStorage | None = None,
 ) -> TardisIndex:
     """Build a TARDIS index end to end.
 
@@ -547,9 +558,6 @@ def build_tardis_index(
         When False, models the Fig. 12 scenario where the shuffled
         intermediate data does not fit in memory and must be dumped to and
         re-read from disk before Bloom/local construction.
-    storage:
-        Pre-built block storage (lets benchmarks exclude layout cost);
-        built from ``dataset`` when omitted.
     """
     config = config or TardisConfig()
     cluster = cluster or SimCluster(n_workers=config.n_workers)
@@ -560,8 +568,14 @@ def build_tardis_index(
             f"length {config.word_length}"
         )
     _require_normalized(dataset)
-    if storage is None:
-        storage = BlockStorage.from_dataset(dataset, config.g_max_size)
+    series_nbytes = dataset.values.itemsize * dataset.length
+    storage = BlockStorage.of_rows(
+        len(dataset), 8 + series_nbytes, config.g_max_size
+    )
+    signature_chars = config.cardinality_bits * chars_per_plane(
+        config.word_length
+    )
+    record_nbytes = signature_chars + 8 + series_nbytes
 
     tracer = get_tracer()
     clock_at_start = ledger.clock_s
@@ -582,8 +596,9 @@ def build_tardis_index(
                 sampled_blocks, label="global/sample+convert"
             )
             sig_pairs = sample.map_partitions(
-                lambda records: [
-                    (sig, 1) for sig, _rid, _ts in convert_records(records, config)
+                lambda rows: [
+                    (sig, 1)
+                    for sig in convert_batch(dataset.values[rows], config)[0]
                 ],
                 label="global/sample+convert",
             )
@@ -619,9 +634,22 @@ def build_tardis_index(
         # ---- Local phase (Tardis-L) -----------------------------------------
         with tracer.span("build/local phase") as local_span:
             data = cluster.read_storage(storage, label="local/read data")
+            # From here a record is its row of the dataset's matrix: each
+            # block converts with one convert_batch, whose signatures and
+            # symbols land at its rows of two dataset-wide columns.
+            signatures = np.empty(len(dataset), dtype=f"<U{signature_chars}")
+            symbols = np.empty(
+                (len(dataset), config.word_length), dtype=np.uint32
+            )
+
+            def convert(rows: list) -> list:
+                signatures[rows], _paa, symbols[rows] = convert_batch(
+                    dataset.values[rows], config
+                )
+                return rows
+
             converted = data.map_partitions(
-                lambda records: convert_records(records, config),
-                label="local/convert data",
+                convert, label="local/convert data"
             )
             broadcast = cluster.broadcast(
                 global_index, label="local/broadcast Tardis-G"
@@ -629,27 +657,27 @@ def build_tardis_index(
             partitioner = broadcast.value
             n_partitions = max(1, partitioner.n_partitions)
             shuffled = converted.partition_by(
-                lambda records: partitioner.route_many(
-                    [sig for sig, _rid, _ts in records]
-                ),
+                lambda rows: partitioner.route_many(signatures[rows].tolist()),
                 n_partitions=n_partitions,
                 label="local/shuffle",
-                nbytes_fn=_entry_nbytes,
+                # A record weighs its signature, its id and its series.
+                nbytes_fn=lambda rows: np.full(len(rows), record_nbytes),
             )
             if not persist_in_memory:
                 # Intermediate data spills: dump shuffled partitions, read
                 # them back.
-                spilled_bytes = sum(
-                    sum(_entry_nbytes(partition))
-                    for partition in shuffled.partitions
-                )
+                spilled_bytes = record_nbytes * len(dataset)
                 cluster.charge_disk_write(spilled_bytes, label="local/spill write")
                 cluster.charge_disk_read(spilled_bytes, label="local/spill read")
-            def build_one(index: int, records: list) -> tuple[list, float]:
+            source = ColumnarBlock(
+                dataset.record_ids, dataset.values, signatures, symbols
+            )
+
+            def build_one(index: int, rows: list) -> tuple[list, float]:
                 # The partition is the task OUTPUT (not a closure side
                 # effect) so results merge in task order.
-                partition = build_local_partition(
-                    index, records, config, clustered=clustered,
+                partition = build_partition(
+                    index, source, rows, config, clustered=clustered,
                     with_bloom=with_bloom,
                 )
                 return [partition], 0.0
@@ -688,17 +716,6 @@ def build_tardis_index(
         clustered=clustered,
         construction_ledger=ledger,
     )
-
-
-def _entry_nbytes(entries: list) -> np.ndarray:
-    """What each ``(signature, record_id, series)`` entry weighs —
-    :func:`~repro.cluster.costmodel.estimate_bytes` of it — priced from
-    the first one's shapes: an index's signatures share one length and
-    its series one shape."""
-    if not entries:
-        return np.zeros(0, dtype=np.int64)
-    signature, _rid, series = entries[0]
-    return np.full(len(entries), len(signature) + 8 + series.nbytes)
 
 
 def _require_normalized(dataset: TimeSeriesDataset) -> None:

@@ -37,6 +37,7 @@ __all__ = [
     "LocalPartition",
     "ScanStats",
     "build_local_partition",
+    "build_partition",
     "REGION_PREFIX_BITS",
 ]
 
@@ -467,41 +468,48 @@ class LocalPartition:
         return self.tree.estimated_nbytes(include_entries=True) + self.bloom.nbytes
 
 
-def build_local_partition(
+def build_partition(
     partition_id: int,
-    records: list[Entry],
+    source: ColumnarBlock,
+    rows,
     config: TardisConfig,
     clustered: bool = True,
     with_bloom: bool = True,
 ) -> LocalPartition:
-    """Construct Tardis-L for one partition (the ``mapPartition`` of Fig. 8).
+    """Construct Tardis-L for one partition (the ``mapPartition`` of Fig. 8)
+    from rows ``rows`` of ``source``: the dataset's columns in a build,
+    the split partition's block in a rebalance.
 
-    The columnar block is built first — one pass assembles the value
-    matrix, record ids, and the batch-decoded symbol matrix — then the
-    sigTree is bulk-loaded over its rows and the Bloom filter (one batched
-    insert) and region synopsis are encoded from the same signature
-    array, as the paper's single-pass pipeline does.
+    The columnar block is gathered first — one fancy index per column,
+    the signatures and symbols the conversion already computed — then
+    the sigTree is bulk-loaded over its rows and the Bloom filter (one
+    batched insert) and region synopsis are encoded from the same
+    signature array, as the paper's single-pass pipeline does.
     ``with_bloom=False`` models the NoBF variant — a (tiny) filter is
     still allocated so the structure stays uniform, but nothing is
-    inserted and queries must not consult it.
+    inserted and queries must not consult it.  The simulated payload
+    (``nbytes``) counts every row's series the source holds, also when
+    an un-clustered partition does not keep them.
     """
+    rows = np.asarray(rows, dtype=np.intp)
     tree = SigTree(
         word_length=config.word_length,
         max_bits=config.cardinality_bits,
         split_threshold=config.l_max_size,
     )
     bloom = BloomFilter.with_capacity(
-        expected_items=max(1, len(records)), fp_rate=config.bloom_fp_rate
+        expected_items=max(1, len(rows)), fp_rate=config.bloom_fp_rate
     )
-    block = ColumnarBlock.from_records(
-        records, config.word_length, clustered=clustered
+    block = ColumnarBlock.from_rows(
+        rows, source.record_ids, source.values if clustered else None,
+        source.signatures, source.symbols,
     )
     tree.attach_block(block)
     partition = LocalPartition(
         partition_id=partition_id,
         tree=tree,
         bloom=bloom,
-        n_records=len(records),
+        n_records=len(rows),
         clustered=clustered,
         nbytes=0,
         block=block,
@@ -513,8 +521,30 @@ def build_local_partition(
     chars = partition._region_chars
     partition.region.add({s[:chars] for s in signatures})
     # estimate_bytes of every record, summed by column.
-    values = block.values if clustered else [record[2] for record in records]
+    series_nbytes = (
+        0 if source.values is None
+        else source.values.dtype.itemsize * source.values.shape[1]
+    )
     partition.nbytes = (
-        sum(map(len, signatures)) + 8 * len(records) + estimate_bytes(values)
+        sum(map(len, signatures)) + (8 + series_nbytes) * len(rows)
     )
     return partition
+
+
+def build_local_partition(
+    partition_id: int,
+    records: list[Entry],
+    config: TardisConfig,
+    clustered: bool = True,
+    with_bloom: bool = True,
+) -> LocalPartition:
+    """:func:`build_partition` of ``(signature, record_id, series)``
+    tuples: the tuple entry point, kept for callers that hold tuples."""
+    source = ColumnarBlock.from_records(
+        records, config.word_length,
+        clustered=bool(records) and records[0][2] is not None,
+    )
+    return build_partition(
+        partition_id, source, np.arange(len(records)), config,
+        clustered=clustered, with_bloom=with_bloom,
+    )

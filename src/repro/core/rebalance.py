@@ -23,7 +23,7 @@ The operation is local: partitions that were not overflowing keep their
 ids, contents and Bloom filters untouched.
 
 **Plan/apply split.**  The work is factored into a *pure* planning pass
-(:func:`plan_rebalance` — snapshots entries, decides refinements and FFD
+(:func:`plan_rebalance` — snapshots rows, decides refinements and FFD
 groups, pre-builds the replacement partitions; the index is never
 touched) and a fast mutation pass (:func:`apply_rebalance` — installs
 the new Tardis-G children, swaps the partitions dict, resynchronizes id
@@ -60,7 +60,8 @@ from dataclasses import dataclass, field
 
 from .config import TardisConfig
 from .global_index import TardisGlobalIndex
-from .local_index import build_local_partition
+from .columnar import ColumnarBlock
+from .local_index import build_partition
 from .partitioning import _synchronize_id_lists, first_fit_decreasing
 from .region import regions_changed
 from .sigtree import SigTree, SigTreeNode
@@ -146,8 +147,11 @@ class _PartitionSplit:
     #: ``(new_pid, [(leaf_signature, count), ...])`` per FFD group; the
     #: first group keeps the original pid.
     assignments: list
-    #: new_pid -> entries (tuples) that partition will hold.
-    group_entries: dict
+    #: The split partition's block as of the snapshot: a block of its
+    #: exact-length column views, which appends never write.
+    source: ColumnarBlock
+    #: new_pid -> the ``source`` rows that partition will hold.
+    group_rows: dict
     with_bloom: bool
     records_moved: int
     #: new_pid -> prebuilt LocalPartition (filled by ``build``).
@@ -173,13 +177,14 @@ class RebalancePlan:
         """Pre-build the replacement partitions (the expensive phase).
 
         Pure: constructs fresh :class:`LocalPartition` objects from the
-        snapshotted entries without touching the live index, so an online
-        cycle runs it outside the swap gate while reads continue.
+        snapshotted rows without touching the live index, so an online
+        cycle runs it outside the swap gate while reads continue.  A
+        partition gathers its rows of the snapshot as a build does.
         """
         for split in self.splits:
             for new_pid, _leaves in split.assignments:
-                split.built[new_pid] = build_local_partition(
-                    new_pid, split.group_entries[new_pid], config,
+                split.built[new_pid] = build_partition(
+                    new_pid, split.source, split.group_rows[new_pid], config,
                     clustered=clustered,
                     with_bloom=split.with_bloom,
                 )
@@ -230,15 +235,20 @@ def plan_rebalance(
     for pid in overflowing:
         partition = index.partitions[pid]
         fingerprint = (partition.n_records, partition.tree.version)
-        entries = partition.all_entries()
-        # Group records by the leaf that routes them.  Keys are the leaf
+        block = partition.block
+        source = ColumnarBlock(
+            block.record_ids, block.values, block.signatures, block.symbols
+        )
+        rows = partition.entries_under(partition.tree.root).tolist()
+        signatures = source.signatures.tolist()
+        # Group rows by the leaf that routes them.  Keys are the leaf
         # signatures (stable across the pure pass); insertion order is
-        # first-touch over the entry scan, which fixes the FFD item
-        # order and keeps the plan deterministic.
+        # first-touch over the tree-order row scan, which fixes the FFD
+        # item order and keeps the plan deterministic.
         by_leaf: dict[str, list] = {}
-        leaves = global_index.routing_leaves([entry[0] for entry in entries])
-        for entry, leaf in zip(entries, leaves):
-            by_leaf.setdefault(leaf.signature, []).append(entry)
+        leaves = global_index.routing_leaves([signatures[row] for row in rows])
+        for row, leaf in zip(rows, leaves):
+            by_leaf.setdefault(leaf.signature, []).append(row)
 
         refinements: list = []
         # Refine as deep as needed: near-duplicate regions may share
@@ -247,14 +257,14 @@ def plan_rebalance(
         # overflow leaf, like the paper's max-depth leaves).
         tree = global_index.tree
         while len(by_leaf) == 1:
-            (leaf_signature, leaf_entries), = by_leaf.items()
+            (leaf_signature, leaf_rows), = by_leaf.items()
             layer = len(leaf_signature) // tree.per_plane
             if layer >= tree.max_bits:
                 break  # at max depth: cannot split further
             grouped: dict[str, list] = {}
-            for entry in leaf_entries:
-                prefix = tree._prefix(entry[0], layer + 1)
-                grouped.setdefault(prefix, []).append(entry)
+            for row in leaf_rows:
+                prefix = tree._prefix(signatures[row], layer + 1)
+                grouped.setdefault(prefix, []).append(row)
             refinements.append(_Refinement(
                 parent_signature=leaf_signature,
                 children=[(sig, len(sub)) for sig, sub in grouped.items()],
@@ -271,7 +281,7 @@ def plan_rebalance(
             continue  # nothing to gain, nothing was restructured
 
         assignments: list = []
-        group_entries: dict[int, list] = {}
+        group_rows: dict[int, list] = {}
         records_moved = 0
         for group_index, group in enumerate(groups):
             new_pid = pid if group_index == 0 else next_pid
@@ -284,14 +294,15 @@ def plan_rebalance(
             if group_index > 0:
                 records_moved += len(collected)
             assignments.append((new_pid, leaves))
-            group_entries[new_pid] = collected
+            group_rows[new_pid] = collected
         plan.splits.append(_PartitionSplit(
             pid=pid,
             fingerprint=fingerprint,
             refinements=refinements,
             assignments=assignments,
-            group_entries=group_entries,
-            with_bloom=partition.bloom.n_items > 0 or not entries,
+            source=source,
+            group_rows=group_rows,
+            with_bloom=partition.bloom.n_items > 0 or not rows,
             records_moved=records_moved,
         ))
 

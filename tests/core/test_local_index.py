@@ -51,6 +51,50 @@ class TestBuild:
         assert partition.index_nbytes() > 0
 
 
+class TestTupleWrappers:
+    """The tuple entry points are wrappers over the row path: the same
+    partition, field for field, from tuples as from rows."""
+
+    @staticmethod
+    def state(partition):
+        block = partition.block
+        return (
+            partition.n_records, partition.nbytes, partition.clustered,
+            block.record_ids.tolist(), block.signatures.tolist(),
+            block.symbols.tolist(),
+            None if block.values is None else block.values.tolist(),
+            [(node.signature, node.count, list(node.entries))
+             for node in partition.tree.iter_nodes()],
+            partition.bloom.bits.tobytes(), partition.bloom.n_items,
+            sorted(partition.region_prefixes),
+        )
+
+    @pytest.mark.parametrize("clustered", [True, False])
+    def test_build_local_partition_equals_build_partition(self, clustered):
+        from repro.core.builder import convert_batch, convert_records
+        from repro.core.columnar import ColumnarBlock
+        from repro.core.local_index import build_partition
+
+        _records, values = make_records(120, seed=3)
+        records = convert_records(
+            [(rid, values[rid]) for rid in range(len(values))], CFG
+        )
+        signatures, _paa, symbols = convert_batch(values, CFG)
+        assert [sig for sig, _rid, _ts in records] == signatures
+        source = ColumnarBlock(
+            np.arange(len(values), dtype=np.int64), values,
+            np.asarray(signatures), symbols.astype(np.uint32),
+        )
+        rows = np.random.default_rng(1).permutation(len(values))[:90]
+        from_rows = build_partition(5, source, rows, CFG, clustered=clustered)
+        from_tuples = build_local_partition(
+            5, [records[row] for row in rows], CFG, clustered=clustered
+        )
+        assert self.state(from_rows) == self.state(from_tuples)
+        if clustered:  # gathered into a buffer of its own
+            assert not np.shares_memory(from_rows.block.values, values)
+
+
 class TestBloomIntegration:
     def test_every_signature_in_filter(self):
         records, _ = make_records(60)
