@@ -9,7 +9,7 @@ fixed values: a change to how the build routes, shuffles, orders rows,
 fills Bloom filters or prices simulated bytes fails here, whatever it
 does to the clock.  CPU and wall seconds are measured, so they are not
 pinned.  Saving is a fixed point of loading: a loaded index saves the
-bytes it was loaded from.  The digests are of deflated members, so they
+bytes it was loaded from.  The digests are of deflated streams, so they
 assume the zlib that wrote them (the stdlib one).
 """
 
@@ -28,149 +28,149 @@ FILES_SHA256 = {
         "global_index.json":
             "6c26c273fe21e13af7b28511e2e0110d4e565834d8373f5fb3dcc33ae68296a9",
         "meta.json":
-            "2a7a54cd75486e09daf7355d1765ef7e3d05e088e85cec0a708cb5c1769cf391",
-        "partitions/p00000.npz":
-            "5fd047fc915005df0446fb474e2719057be18d6c23bbd4af47e8de2fba17a0ca",
-        "partitions/p00001.npz":
-            "acdf0c0a898473d281c93b028ffa1ccac3f0e0f7b0cd02f7fb433834ae4758fb",
-        "partitions/p00002.npz":
-            "d52fe188fae98c68a9c7ad3dca0fabd4812e79247149645142cb2c0b61c3db96",
-        "partitions/p00003.npz":
-            "16fabdc188884ae899b7f42ea82aecf0cc05c3a0cee9d2383ed9be7211ff1fa9",
-        "partitions/p00004.npz":
-            "79c8884b163ca2597001dd48b42226681d976f9177afb57a918888a417c6179d",
-        "partitions/p00005.npz":
-            "0f4ba163031318c6a203a773b17df3e0dbb993e92c3d4839f14c14abaec4abfb",
-        "partitions/p00006.npz":
-            "62d4a6ed0a3e9b38f02b4e3547aa38bc7a3f415935b7daf044c16f6d0faa553e",
-        "partitions/p00007.npz":
-            "02b7a0289b740acfed70ce91af3559aa3c27115b803b33d68bd755f2bf0dd610",
-        "partitions/p00008.npz":
-            "bd67f297b0906c5df1b490f88451e3862dbf11e57596218cec6c72051cdc0049",
-        "partitions/p00009.npz":
-            "359e55e2de3544e97a9a5bcf0e0fb9613263be4dec4942eb810aa86c1f9ab1d9",
-        "partitions/p00010.npz":
-            "098c261c5dd623b6e4f203456c8c94e390482cfa6270a429008e6357adea6489",
-        "partitions/p00011.npz":
-            "ffea48b29c08d5d954cb3fa2ac221998ae89749f46e3aa76acdec1c9767221dc",
-        "partitions/p00012.npz":
-            "a36870b88704d270a4a437426d35a5e529582f32bba66877c5011ffc2e995e5f",
-        "partitions/p00013.npz":
-            "3e0182798b62e634a331d5be97d2e574e6d61ed2a3b6fcd0e7116984620031b6",
-        "partitions/p00014.npz":
-            "cabb8a2de6ebe95d8a587d00ade515bbe6c5970650a5aab8185c95bf26c6b532",
-        "partitions/p00015.npz":
-            "40efec4d550a943ccb9125de1d9e5d287e4ae38dda530586f20cbb48b07ddbb4",
-        "partitions/p00016.npz":
-            "eb8ce33f257f5a57fc29907412647ecc72d7cf41be7c49673187b3e1e1f67b34",
-        "partitions/p00017.npz":
-            "4984a166a5880846b975ffae64c2a571b9611e2f66405a0df1bb37605b330130",
-        "partitions/p00018.npz":
-            "ad24ab5ffcd7b58aafbf2d7c899379fcf2017510cd9ca3bc924dfd3a29bb51ad",
-        "partitions/p00019.npz":
-            "c49a08fdd133e6f34eaab56874f259c50375b240752bfdf7b28b0b313c9728bd",
-        "partitions/p00020.npz":
-            "b05c5a97a64ed4b88d9b6cbb3c9f104f5390403319cef7aa05d96886abac2822",
-        "partitions/p00021.npz":
-            "a05239bf664912810a76538f133d20bf8f9cbcd75c58640f0fa82cf747e20b78",
-        "partitions/p00022.npz":
-            "339a196d3cb9789bedcf1f2f9a5339e86426b22537c83540e740b9355db8a023",
-        "partitions/p00023.npz":
-            "c9b1da3721a2dc303a9e0a5eb5fe1c2b525349c70d2f9a744a346452a9568957",
-        "partitions/p00024.npz":
-            "3dd7ca958cfc5691fda0b66aefbae3387160dd11bb152d643afbb8c5d7682201",
-        "partitions/p00025.npz":
-            "f88678523c23685dc9f0568e9f64f839dcb2d202a61a8e351b0da1a86768d10d",
-        "partitions/p00026.npz":
-            "bef4bba336a42352e6763295c5f0db38f64702c0d2b3292f1bd7f3478cc1dd79",
-        "partitions/p00027.npz":
-            "baa9fce70eaab35523dab93fc47e90d368af0f6955d3d80a227941ccb2b06119",
-        "partitions/p00028.npz":
-            "994c614ec9a16e2316a5a3354906dcc6c8f638c88db750bcda24ad2063b6cd02",
-        "partitions/p00029.npz":
-            "ebd253e518aa9309c6d34d1f3128d27917489f0aee53577a276d1cdb48696643",
-        "partitions/p00030.npz":
-            "b5d4dbf93dd036226a592e50bcc3423fa91c54c9929bd25903aff49d083c75df",
-        "partitions/p00031.npz":
-            "e3fca16ab0520e156435f04a0415dd14afd82e29eeb9badcefa2c475f7ba1ad8",
-        "partitions/p00032.npz":
-            "1b0aab24fc8cd16c3b414eefcb4663803aaebb7642e40b7c5cf3995b2f7f1b6f",
-        "partitions/p00033.npz":
-            "91c57c6ee4daf99c9576c86d852ad36e81d9327898968e76cd78654035224fe7",
+            "a13cb46c9f11081110ee8b869b103e303276ca8ef231702261aaa3f66fdbde43",
+        "partitions/p00000.part":
+            "b43046be8194559f28601135577b8e03b6f575c70fd5dc13dff7367d2b6a9215",
+        "partitions/p00001.part":
+            "cb0ff7f23b1a8bf942a75660b5aef91eda48b78571eaa4fb38279ef2b9837b07",
+        "partitions/p00002.part":
+            "fd9ef81ab15139b04890f57725ac0f844a6f0fd429ecaca4b0abcd347b454bf5",
+        "partitions/p00003.part":
+            "d7674ac17f3fc5389963340453eaace8059bf34666737ed5c01ff7c79f0bc150",
+        "partitions/p00004.part":
+            "b241c447b143081740d12e2839f0322249db7c94a577057df7139643e695df22",
+        "partitions/p00005.part":
+            "49aa58243787ef6f72e1804eb5cc86c731fe6de5d8c31c51c470e21347d400a2",
+        "partitions/p00006.part":
+            "3cb8f656c537e665a62cb56cefa1f0c52402235bf6398c233c5a1f59b37b40ee",
+        "partitions/p00007.part":
+            "6e8c0f6c36d5b86d13cc96e03bbc69ff66445fd42c480a774be08549d2d98e6c",
+        "partitions/p00008.part":
+            "15d2e4d26f851cafd88cc7d87b67607028c874a0b3074f28c99371b4869fcc45",
+        "partitions/p00009.part":
+            "99ce9f8b2808654ca1434953e066fd58ce7826ea02eb6ef536edfd4643757327",
+        "partitions/p00010.part":
+            "a5b77f3fec316ec876f8e1c019cab509d5d22385da432ce7eaf4aa09ecdab257",
+        "partitions/p00011.part":
+            "041e5427f2382f812e2754b91eccbeff8cbf99c1b84145933bd74d3fedba9039",
+        "partitions/p00012.part":
+            "c565c25310c96b0ce71ba540680fb07b9ae121afb43ab26ff0e614ef238f29a4",
+        "partitions/p00013.part":
+            "50c7590b451eb380946cc25f017f13039f3ac91f6a8d6053c02a0c9c169f001f",
+        "partitions/p00014.part":
+            "3d215e0feada381f283dd9556d33e202c50dd120addefb0bc0f4da315b7c2bf6",
+        "partitions/p00015.part":
+            "fad9d3e69f3ff6ed6e1ea364b661d467b80a56473cba6b32dd0caec0bf67a4e1",
+        "partitions/p00016.part":
+            "96b91c2a17fc8892a6203f7e63de48c091cd7333c62af5054e3762b34ec4a630",
+        "partitions/p00017.part":
+            "723116fc1c57bd1fffd110204020a7355988c49713c2f6b50eafcb20fdc31487",
+        "partitions/p00018.part":
+            "15d5e6663db4361f69cce7dfb5590818af7062a46c76e07908424299c3a0e6c2",
+        "partitions/p00019.part":
+            "b17b8de677401bff3eef686de2db19553382cc216c4d04800fe77d62f0d89fe6",
+        "partitions/p00020.part":
+            "2e2ced19eeb3e6cea00098543db9660a04c692ad83e18dce58e561a07d38efec",
+        "partitions/p00021.part":
+            "328426ecca96c476d859d55ebf7fe2346ac27c10c12b86f411aeccd271bcdf97",
+        "partitions/p00022.part":
+            "5fd1fda514384f0f50bdc6400add0bb44c600c5b541cd7c72f41e759279a91bb",
+        "partitions/p00023.part":
+            "dac3844d5d2cd88afabeefeb1ab6a5392bd9ef93ca0f0d16a12a9afd5b35e035",
+        "partitions/p00024.part":
+            "039249170848ac8da87e88c7d0a08798d216a1392cda7db5d5fb54001a4955d3",
+        "partitions/p00025.part":
+            "3f5cee5dd12e2ab7cae55bdc9dabaf60e3100b79bcb14ff9ac571e602fe67f7a",
+        "partitions/p00026.part":
+            "7e1b84e1ae2f526dce6ab19392abf2e2049a8bd40165700f5f7a52087dc83461",
+        "partitions/p00027.part":
+            "be573948407877c313507e3dcb238917552a50fc4813de23e4c8c80a0b51e635",
+        "partitions/p00028.part":
+            "224b338244ca6a488b730c4ffd1b3cba412d6e9e5aa3fe9293c685f9dbb3b7c6",
+        "partitions/p00029.part":
+            "9e98439b8bea5db59abe86676882571ef140c2adc39970c2f0b0dc999698beed",
+        "partitions/p00030.part":
+            "ba9b47194ff74084b0740092789b6722fadb27938e0cb52e6cae7d286aa1f381",
+        "partitions/p00031.part":
+            "c9313a320670cfa314b7e467859afc2f93990d4c36f884b3286b43083854ef79",
+        "partitions/p00032.part":
+            "5e5100ab847b8df37762016f018369b6803284558375d95c5f77ba11b212e02f",
+        "partitions/p00033.part":
+            "3c247a190690c3bcd6faf6ed7552e13176790ca82de5e9c8fcb57f9030f16418",
     },
     108: {
         "global_index.json":
             "019ba36d98e7307e238f6674614b1bb1682491d0a864a3c17ddc25b3753a45b2",
         "meta.json":
-            "2a7a54cd75486e09daf7355d1765ef7e3d05e088e85cec0a708cb5c1769cf391",
-        "partitions/p00000.npz":
-            "76d6d61895d3c1ca2755077fe721cb6f4b68f12a84f681e74d28a1eac78d5899",
-        "partitions/p00001.npz":
-            "f997a6fe3d5cf7794c33e71e1295807d35d32972c2c077a25990bbc90f4e1506",
-        "partitions/p00002.npz":
-            "2f1c451e85f3ee2c5df0e7db79309e15212b3348b9acd69780acd9495581cf73",
-        "partitions/p00003.npz":
-            "2a242d5b25760caa94fda6fdb9a5b7e26afd3ca0e028e2956f5989eb9a26047b",
-        "partitions/p00004.npz":
-            "fb382e86377c8bd84bbe0bc418615c14820ed3e57d1d6eb2aead5e42370ed999",
-        "partitions/p00005.npz":
-            "703dd2b4f8a68d6c1dd7ad3f015f0c08b6da089e9ef227ff1737c0d7d988ce34",
-        "partitions/p00006.npz":
-            "51db2b658ee0601b1f6931bef7617cf5ed4db12c888e490d0dcc8a7dacbf091a",
-        "partitions/p00007.npz":
-            "006424cd4f29069287276fae07abff4054cc2595f72a0594eb0d0fc8ec1c110e",
-        "partitions/p00008.npz":
-            "19d4baca6ce730bd165f6b86a712236b693dad362aa7c39d7c3cad05701447ad",
-        "partitions/p00009.npz":
-            "f1d765c49b6df075224be168a5aabbad4658bcd162c563711ed8754c4165f05c",
-        "partitions/p00010.npz":
-            "0d2e508f871a9c5329b402d8345f2c6100fbe322316f0f5dab4de82b84b9e4f2",
-        "partitions/p00011.npz":
-            "53acb85bde4cf77efd658f6add538eca13ba7dbce0e9c1766d8b13f1c7a81617",
-        "partitions/p00012.npz":
-            "0a15f88c8570a2affbd9ffe2850bc265ae72432025d0d33b7f9b6a9fc23804bc",
-        "partitions/p00013.npz":
-            "751857d7a369b735082325616666999cad7cc347bc0ac0f25d72e9cc87129462",
-        "partitions/p00014.npz":
-            "c0295bbdcef227818b4c82b2c5329e2b3ba0c239c9b85b07f04995020b5fc5a5",
-        "partitions/p00015.npz":
-            "1e5155208091a17fe1558e0ef2ccdd82715e1e5d7b8b64c2551370128f1a9f7d",
-        "partitions/p00016.npz":
-            "fbc8a735d41e073730341c993becd4116de5b3818c882f7325acde4308549e20",
-        "partitions/p00017.npz":
-            "01db979e1c11c74816ca8be9278680b3fa1bb1feb7ced5ccedfb48d4a52cb527",
-        "partitions/p00018.npz":
-            "a88e4216a4a8279256d0ba5a23719319a2697a69ea0a442e007fa37df2d0e64b",
-        "partitions/p00019.npz":
-            "5fde3147963e15da60246233b57bc419171ca50022389752d73c57ff2fb24898",
-        "partitions/p00020.npz":
-            "ff6181643f6bda6b897c693c5e1defa0d3ec2fc70b342f12835e382aa2e56b56",
-        "partitions/p00021.npz":
-            "e18d55dedcef842678b9a2e848d5d1cf4ace6944f7bfb3bda2211e373384fd3d",
-        "partitions/p00022.npz":
-            "fea86d6fe64686ae8d9a4c635760cf8bc018db117e28372174963f5f67f86c58",
-        "partitions/p00023.npz":
-            "a7bfb31f7fe459325bc0c3418307a8e184da01d36cb3e6b3a08271dfc40f9e6f",
-        "partitions/p00024.npz":
-            "8e7693806bdb13b788c2fc7416ebc58d2805d77a1cad03d2948fb3f6f4038a25",
-        "partitions/p00025.npz":
-            "bc486ced9c41dd0be9c8957af25f531399dd6dc90b6bb13f0ced74b82f27eb58",
-        "partitions/p00026.npz":
-            "2fb16f661455384c38f750a2faf05bac857591f9fbb241583a15e7d8c664e72e",
-        "partitions/p00027.npz":
-            "d6c6282fca5024d3f029583131923cc62758766aaa637fbac1dbadad5773ca6f",
-        "partitions/p00028.npz":
-            "9cbc01edbc2a75995a48a3a5d3e6b386a3b52acc7057076700302369f13267e6",
-        "partitions/p00029.npz":
-            "0cd97ea82e2165a1a3559f18c9bf64d8fe8c96e4282e7f32fd38c816aa253262",
-        "partitions/p00030.npz":
-            "139edbb6420892468542407647c981adaf2833cfe7b68f2f0791e413b8020fd6",
-        "partitions/p00031.npz":
-            "29ea62f19929815763b35619561294cabd7af07e4d9fb0e9448ded1843e149af",
-        "partitions/p00032.npz":
-            "4c3907701462fc87b1a56e5fe9aba4aa858222399c68411d9510ed689b20e40d",
-        "partitions/p00033.npz":
-            "3d6d7dfadca74a8b0812fb3011a073733b83b3031ca77b48d04812bfa6451362",
+            "f443f2a860ecc5e081a56b5868abda3b9767c526d5896020e3b955840e3fd833",
+        "partitions/p00000.part":
+            "138d48206d2251e816c89a4bf48fb5056f0d28d2d7b43a2fef28f1f4daee69dd",
+        "partitions/p00001.part":
+            "2feb3f4d90e7c0b72ff28f08fbc8ccd10ed2869e4f9add164e9ec32d4ea4b69c",
+        "partitions/p00002.part":
+            "3854ac3d0dceaaba4cdf1c7e5cc0d059dc8d27fd2d40567d75aede5224d1dd91",
+        "partitions/p00003.part":
+            "e5647d8199ae4e5ed24a240d745afa325688a688a1a687dc491783fd72c3f1fb",
+        "partitions/p00004.part":
+            "9594413298282d524b10a3ab1bce9bb07f6ed1e0b5d84431f43b511a2f2f013d",
+        "partitions/p00005.part":
+            "a6fd69b5f61bf9df630232b705accd562e9a55e7557c952b8b435bd277f2db52",
+        "partitions/p00006.part":
+            "531415a2d2deba1ee8061c5e8277d2511ef04412e8dc64b174ab6b4b2d7c4817",
+        "partitions/p00007.part":
+            "3e120df3869fe3176d428e62039a765d02ee468e795df2dec36b46ad5f4bab5f",
+        "partitions/p00008.part":
+            "178c55c98a86f7385d8b25f15c1ff0e725b65feca18fde88d51e7bf70b6a5cbd",
+        "partitions/p00009.part":
+            "b8a2887cd4497e684a6bbd56ddf67ea6bbcc30aabace66aa0b151450c49cb5c7",
+        "partitions/p00010.part":
+            "c9f191d2957116f68d48a6a6fc06557695d3c80ac70b8dac67bc361a46c34c5a",
+        "partitions/p00011.part":
+            "4bf3110f7d14da328260e264c2d8d851338a1f9c662e1cf1be0f21c1fef769c3",
+        "partitions/p00012.part":
+            "c7d5890ff5a4b86c6fa68272e0f09075ab3020b7e4cae9a5fb617d92337785df",
+        "partitions/p00013.part":
+            "d6613b33f54a7bd118dd95b6e40aba3592bce32e711b14f79cc6a44f70a90476",
+        "partitions/p00014.part":
+            "734b17988bf62df9d00df120506fd5b65c2efa7e329258ba772ea066b8a45132",
+        "partitions/p00015.part":
+            "a39f9427c9a9ceca719f3ab8dd14e08434adffdb0c49f8ea74065c0b1c7e7d3d",
+        "partitions/p00016.part":
+            "8b0a77f80cf4ac19010597b22a51b47d880d83b25d5bf7fcdb8e9062d495b250",
+        "partitions/p00017.part":
+            "a4f6331445ab002f4fa3e4d743e23d6ba79b157e8dd2507a3e89c0704d9d2927",
+        "partitions/p00018.part":
+            "3989275d03c4953cc25ed1c7ab6606b1f6b3b5e39c79b56ff233fd273ff46f9c",
+        "partitions/p00019.part":
+            "d79b7244aa887b52144bcffe603e59e4c139a0c43feb77f88437015135a82371",
+        "partitions/p00020.part":
+            "580c929e2ab83fe92f4e94a23e1785c6fa322c3189eb93d318fe69caaabb6195",
+        "partitions/p00021.part":
+            "1f0423d7ebe399885f53012503453fbf7e98d9d2c8fa603c0e310c3353bc10bc",
+        "partitions/p00022.part":
+            "48a54d4fdcf66a5298cd299c48b98fe7130393479c906d554ec0b527fe9bf7b6",
+        "partitions/p00023.part":
+            "ba27927261f6e7600660e29ccd4851e335d763366ac62e0d18b1d6277c234abc",
+        "partitions/p00024.part":
+            "e2e0d02aa7abb0b0494ec2ab6430b1671bf070706ac55477ff8a0fe408bd3279",
+        "partitions/p00025.part":
+            "d0fe89cd01e9caec9e24f746c3093c689a157d16e1e074bccdded5683febfd80",
+        "partitions/p00026.part":
+            "3926ecc80cd469b04bbb6b6f65ca0aeae2bf40a6e425b6cb466a6852babd0587",
+        "partitions/p00027.part":
+            "1bbfe57a034d317ba03899fbf86f8c710185532f5cd2191864baa8ac277ebea4",
+        "partitions/p00028.part":
+            "ce4bac83ff215012d53dbd0bac87a155be671b5473afa61fcee5164a66f9718c",
+        "partitions/p00029.part":
+            "f5a97cc64fb0aec17d2be34634299b076bcbd9d0608d46cc378487063c039e38",
+        "partitions/p00030.part":
+            "4d77c973bb4a31a4bf86a7380bfda8b951df3a9f1a6f2e541b9ca35698911fb9",
+        "partitions/p00031.part":
+            "4b619c42fbc7f09b2e546fcd0121f558871a667e25c98dea572cd179104d49ef",
+        "partitions/p00032.part":
+            "a492652d1adbadcede4076d20bebe1627489f7e732cdbf59fa323b0de19b75ca",
+        "partitions/p00033.part":
+            "f000ad4e3ca1ca7d9d566e63289328695f01e3dfcdacc54cba800a772020b799",
     },
 }
 
