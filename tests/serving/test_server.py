@@ -258,3 +258,60 @@ class TestOverload:
                     client.close()
         finally:
             server.close()
+
+
+class TestStop:
+    """The accept loop sleeps on its listening socket and a wake-up
+    socket, not on a poll timer: a stop does not wait out a poll."""
+
+    @pytest.mark.parametrize("how", ["close", "abort"])
+    def test_stopping_an_idle_started_server_is_prompt(self, tardis_small, how):
+        import time
+
+        server = serve(tardis_small, port=0)
+        server.start()
+        host, port = server.address
+        with ServingClient(host, port) as client:
+            assert client.ping()
+        time.sleep(0.05)  # idle: the loop is back asleep in select
+        started = time.perf_counter()
+        getattr(server, how)()
+        assert time.perf_counter() - started < 0.05
+        assert not server._thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection((host, port), timeout=1.0)
+
+    def test_serve_forever_returns_when_closed_from_another_thread(
+        self, tardis_small
+    ):
+        import threading
+        import time
+
+        server = serve(tardis_small, port=0)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        host, port = server.address
+        with ServingClient(host, port) as client:
+            assert client.ping()
+        started = time.perf_counter()
+        server.close()
+        loop.join(5.0)
+        assert not loop.is_alive()
+        assert time.perf_counter() - started < 0.05
+
+    def test_close_before_the_loop_starts_does_not_hang(self, tardis_small):
+        """A close that beats the loop to its start returns, and the
+        loop, starting late, returns at once."""
+        import threading
+
+        server = serve(tardis_small, port=0)
+        server.service.start()
+
+        def close_then_loop():
+            server.close()
+            server._tcp.serve_forever()
+
+        stopper = threading.Thread(target=close_then_loop, daemon=True)
+        stopper.start()
+        stopper.join(5.0)
+        assert not stopper.is_alive()
